@@ -1,35 +1,11 @@
-from .events import (
-    DEFAULT_WINDOW,
-    IngestResult,
-    TrackYearStats,
-    compute_track_year_stats,
-    ingest_events,
-    read_event_rows,
-)
-from .features import (
-    ArtistCTD,
-    CTDSchema,
-    SongCTD,
-    assemble_ctd_vector,
-    build_ctd_dataset,
-    compute_artist_ctd,
-    compute_song_ctd,
-    default_schema,
-)
+from .events import DEFAULT_WINDOW, IngestResult, ingest_events
+from .features import CTDSchema, build_ctd_dataset, default_schema
 
 __all__ = [
     "DEFAULT_WINDOW",
-    "ArtistCTD",
     "CTDSchema",
     "IngestResult",
-    "SongCTD",
-    "TrackYearStats",
-    "assemble_ctd_vector",
     "build_ctd_dataset",
-    "compute_artist_ctd",
-    "compute_song_ctd",
-    "compute_track_year_stats",
     "default_schema",
     "ingest_events",
-    "read_event_rows",
 ]

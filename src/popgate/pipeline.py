@@ -254,13 +254,15 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
     ids, matrix, schema = build_ctd_dataset(ingest, track_artist, mode, window)
 
     # tracks with no usable events get all-zero features, keeping one row
-    # per catalog track so downstream joins never lose rows
+    # per catalog track so downstream joins never lose rows; `ids` is sorted
     all_ids = cols["track_id"]
     full = np.zeros((len(all_ids), len(schema)))
-    row_of = {tid: i for i, tid in enumerate(ids)}
-    for i, tid in enumerate(all_ids):
-        if tid in row_of:
-            full[i] = matrix[row_of[tid]]
+    if ids:
+        sorted_ids = np.array(ids, dtype=object)
+        catalog = np.array(all_ids, dtype=object)
+        pos = np.minimum(np.searchsorted(sorted_ids, catalog), len(ids) - 1)
+        found = sorted_ids[pos] == catalog
+        full[found] = matrix[pos[found]]
     write_matrix_csv(out, all_ids, schema.names, full)
     write_manifest(
         ctx.workspace, "ctd-extract", ctx.config, ctx.seed,

@@ -28,14 +28,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    _write_rows(path, header, ([_cell(v) for v in row] for row in rows))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -69,10 +72,11 @@ def write_matrix_csv(
         raise PopgateError(
             f"matrix shape {X.shape} does not match {len(ids)} ids x {len(feature_names)} names"
         )
-    write_csv(
+    # tolist() yields Python scalars, whose repr() is what _cell writes
+    _write_rows(
         path,
         [KEY_COLUMN, *feature_names],
-        ([ids[i], *X[i]] for i in range(len(ids))),
+        ([tid, *map(repr, row.tolist())] for tid, row in zip(ids, X)),
     )
 
 

@@ -243,6 +243,18 @@ class TestCliContract:
         p = write_config(tmp_path, {"seed": 1}, "nosec.json")
         assert main(["synth", "--config", str(p)]) == 3
 
+    def test_ctd_extract_fills_every_catalog_row_including_duplicates(self, tmp_path):
+        (tmp_path / "events.csv").write_text(
+            "user_id,track_id,timestamp\nu1,t2,1514764800\nu2,t2,1514764800\nu1,t9,1514764800\n"
+        )
+        (tmp_path / "meta.csv").write_text("track_id,artist_id\nt2,a\nt1,a\nt2,a\n")
+        cfg = {"ctd": {"events": "events.csv", "metadata": "meta.csv", "out": "ctd.csv",
+                       "mode": "aggregate"}}
+        assert main(["ctd-extract", "--config", str(write_config(tmp_path, cfg))]) == 0
+        ids, _, X = read_matrix_csv(tmp_path / "ctd.csv")
+        assert ids == ["t2", "t1", "t2"]  # catalog order, duplicates kept
+        assert X[0, 0] == 2.0 and not X[1].any() and np.array_equal(X[2], X[0])
+
     def test_missing_input_file_exits_2(self, tmp_path):
         cfg = {"clean": {"metadata": "nope.csv", "lyrics": "also-nope.csv"}}
         p = write_config(tmp_path, cfg)

@@ -31,6 +31,20 @@ class TestCsvRoundTrip:
             write_matrix_csv(p, [f"t{i}" for i in range(7)], ["x", "y", "z"], X)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_matrix_bytes_are_pinned(self, tmp_path):
+        p = tmp_path / "pinned.csv"
+        ids = ["t0", "a,b", 'say "hi"']
+        X = np.array([[1.0, -0.0, 0.1], [np.nan, np.inf, -np.inf], [1e300, 5e-324, -2.5]])
+        write_matrix_csv(p, ids, ["x", "y", "z"], X)
+        write_matrix_csv(tmp_path / "ints.csv", ["t0"], ["n", "m"], np.array([[3, -7]]))
+        assert p.read_bytes() == (
+            b"track_id,x,y,z\n"
+            b"t0,1.0,-0.0,0.1\n"
+            b'"a,b",nan,inf,-inf\n'
+            b'"say ""hi""",1e+300,5e-324,-2.5\n'
+        )
+        assert (tmp_path / "ints.csv").read_bytes() == b"track_id,n,m\nt0,3,-7\n"
+
     def test_numpy_scalars_serialize_plainly(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, ["track_id", "a", "b"], [["t0", np.float64(0.5), np.int64(3)]])
