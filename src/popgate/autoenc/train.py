@@ -40,6 +40,10 @@ class AETrainConfig:
     val_fraction: float = 0.1
     seed: int = 46
 
+    def __post_init__(self):
+        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("autoencoder config needs lr > 0, batch_size >= 1, max_epochs >= 1")
+
 
 def train_group_autoencoder(
     group: FeatureGroup, data: np.ndarray, cfg: AETrainConfig = AETrainConfig()

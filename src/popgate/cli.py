@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Usage: ``popgate <subcommand> --config run.json [--seed N] [--workspace DIR]
-[--threads N]``. Every option can also come from the environment
-(POPGATE_CONFIG, POPGATE_SEED, POPGATE_WORKSPACE, POPGATE_THREADS) or from
-top-level config keys; flags win over the environment, which wins over the
-config file. Exit codes: 0 ok, 1 generic failure, 2 missing input, 3 bad
-config, 4 shape mismatch.
+Usage: ``popgate <subcommand> --config run.json [--seed N] [--workspace DIR]``.
+Every option can also come from the environment (POPGATE_CONFIG,
+POPGATE_SEED, POPGATE_WORKSPACE) or from top-level config keys; flags win
+over the environment, which wins over the config file. Exit codes: 0 ok,
+1 generic failure, 2 missing input, 3 bad config, 4 shape mismatch.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ _DESCRIPTIONS = {
     "train-phase2": "joint fine-tune with the learnable gate",
     "predict": "write per-track predictions and gate weights",
     "evaluate": "score predictions against held-out popularity",
-    "gate-report": "summarize gate weights, optionally per decade",
+    "gate-report": "summarize the gate weights predict wrote, optionally per decade",
 }
 
 
@@ -39,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the run config (JSON)")
     common.add_argument("--seed", type=int, help=f"base RNG seed (default {DEFAULT_SEED})")
     common.add_argument("--workspace", help="root for relative paths (default: config dir)")
-    common.add_argument("--threads", type=int, help="cap BLAS/OpenMP threads")
 
     parser = argparse.ArgumentParser(
         prog="popgate",
@@ -79,28 +77,10 @@ def _load_config(args) -> tuple[dict, Path]:
     return config, path
 
 
-def _set_threads(n: int) -> None:
-    # best effort: BLAS backends read these at first use
-    if n < 1:
-        raise ConfigError(f"--threads must be positive, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, config_path = _load_config(args)
-
-        if args.threads is not None:
-            threads = args.threads
-        elif _env("POPGATE_THREADS"):
-            threads = _as_int(_env("POPGATE_THREADS"), "POPGATE_THREADS")
-        else:
-            threads = config.get("threads")
-        if threads is not None:
-            _set_threads(_as_int(threads, "threads"))
 
         if args.seed is not None:
             seed = args.seed
@@ -115,11 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             or config.get("workspace")
             or config_path.parent
         )
-        try:
-            summary = run_command(args.command, config, workspace, seed)
-        except TypeError as e:
-            # dataclass kwargs from config sections land here on unknown keys
-            raise ConfigError(f"invalid config for {args.command!r}: {e}") from None
+        summary = run_command(args.command, config, workspace, seed)
     except PopgateError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -211,34 +211,32 @@ def phase2_train(
 class GateReport:
     """Mixture-weight summary over a dataset."""
 
-    alpha: np.ndarray  # (n, 3), rows sum to 1
+    n: int  # rows summarized
     means: dict[str, float]  # modality -> mean weight
     groups: dict[str, dict[str, float]] | None  # optional per-group means
 
     def to_json(self) -> dict:
-        d: dict = {"n": int(self.alpha.shape[0]), "means": self.means}
+        d: dict = {"n": self.n, "means": self.means}
         if self.groups is not None:
             d["groups"] = self.groups
         return d
 
 
-def gate_report(
-    model: GatedEnsemble,
-    xs: dict[str, np.ndarray],
-    group_labels: Sequence | None = None,
-) -> GateReport:
-    """Per-sample mixture weights plus dataset means; `group_labels` (one
-    per row, e.g. release decade) adds per-group means."""
-    out = model.predict(xs)
-    alpha = out.alpha
+def gate_report(alpha: np.ndarray, group_labels: Sequence | None = None) -> GateReport:
+    """Dataset means of per-sample mixture weights `alpha` (n, 3), columns in
+    MODALITIES order; `group_labels` (one per row, e.g. release decade) adds
+    per-group means."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim != 2 or alpha.shape[1] != len(MODALITIES):
+        raise ShapeError(f"alpha must be (n, {len(MODALITIES)}), got {alpha.shape}")
     means = {m: float(alpha[:, i].mean()) for i, m in enumerate(MODALITIES)}
     groups = None
     if group_labels is not None:
-        labels = list(group_labels)
-        if len(labels) != alpha.shape[0]:
-            raise ShapeError(f"{len(labels)} group labels for {alpha.shape[0]} rows")
+        labels = np.array([str(v) for v in group_labels])
+        if labels.size != alpha.shape[0]:
+            raise ShapeError(f"{labels.size} group labels for {alpha.shape[0]} rows")
         groups = {}
-        for key in sorted({str(v) for v in labels}):
-            mask = np.array([str(v) == key for v in labels])
+        for key in sorted(set(labels.tolist())):
+            mask = labels == key
             groups[key] = {m: float(alpha[mask, i].mean()) for i, m in enumerate(MODALITIES)}
-    return GateReport(alpha=alpha, means=means, groups=groups)
+    return GateReport(n=int(alpha.shape[0]), means=means, groups=groups)

@@ -10,7 +10,7 @@ inputs reproduce identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +102,24 @@ def _need(sec: dict, key: str, where: str) -> str:
     if key not in sec:
         raise ConfigError(f"config section {where!r} needs key {key!r}")
     return sec[key]
+
+
+def _knobs(cls, sec: dict, key: str, where: str, **injected):
+    """Build the config dataclass `cls` from `sec[key]`, a section named
+    `where` in messages; `injected` fields come from the step, not the config."""
+    given = sec.get(key, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {where!r} must be an object, got {type(given).__name__}")
+    known = {f.name for f in fields(cls)} - set(injected)
+    for k in given:
+        if k in injected:
+            raise ConfigError(f"{where}.{k} is not a config key: the step uses the run's {k}")
+        if k not in known:
+            raise ConfigError(f"{where}: unknown key {k!r}; expected one of {sorted(known)}")
+    try:
+        return cls(**injected, **given)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where} {json.dumps(given, sort_keys=True)}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +306,7 @@ def cmd_ae_train(ctx: RunContext) -> str:
     features = _path(ctx, _need(sec, "features", "ae"))
     split_path = _path(ctx, _need(sec, "split", "ae"))
     model_dir = _path(ctx, sec.get("model_dir", "models/ae"))
+    cfg = _knobs(AETrainConfig, sec, "train", "ae.train", seed=ctx.seed)
 
     ids, _, X = read_matrix_csv(features)
     registry = (
@@ -304,7 +323,6 @@ def cmd_ae_train(ctx: RunContext) -> str:
         raise PopgateError(f"no training rows: {features} shares no train ids with {split_path}")
     X_train = X[mask]
 
-    cfg = AETrainConfig(seed=ctx.seed, **sec.get("train", {}))
     models, scalers, histories = {}, {}, {}
     for g in registry:
         model, scaler, hist = train_group_autoencoder(g, X_train[:, g.cols], cfg)
@@ -365,34 +383,32 @@ def _modality_inputs(sec: dict) -> dict[str, list[str]]:
     return {m: [inputs[m]] if isinstance(inputs[m], str) else list(inputs[m]) for m in MODALITIES}
 
 
-def _modality_matrix(ctx: RunContext, paths: list[str], ids: list[str]) -> np.ndarray:
-    parts = []
-    for p in paths:
-        t_ids, _, X = read_matrix_csv(_path(ctx, p))
-        parts.append(align_rows(ids, t_ids, X, p))
-    return np.hstack(parts)
-
-
-def _load_training_table(ctx: RunContext, sec: dict):
-    """Collect per-modality matrices, targets, and split labels, aligned to
-    the cleaned-metadata row order."""
+def _load_table(ctx: RunContext, sec: dict):
+    """The metadata path, its track ids and popularity, and the unscaled
+    per-modality matrices aligned to the metadata row order."""
     meta = _path(ctx, _need(sec, "metadata", "train"))
-    split_path = _path(ctx, _need(sec, "split", "train"))
-    cols = read_columns(meta, ["track_id", "year", "popularity"])
+    cols = read_columns(meta, ["track_id", "popularity"])
     ids = cols["track_id"]
-    years = np.array([int(y) for y in cols["year"]])
     pop = np.array([float(p) for p in cols["popularity"]])
-    scols = read_columns(split_path, ["track_id", "split"])
-    split_of = dict(zip(scols["track_id"], scols["split"]))
-    missing = [t for t in ids if t not in split_of]
-    if missing:
-        raise MissingInputError(
-            f"{split_path}: no split assignment for {len(missing)} tracks "
-            f"(first few: {missing[:3]})"
-        )
-    labels = np.array([split_of[t] for t in ids])
-    xs = {m: _modality_matrix(ctx, paths, ids) for m, paths in _modality_inputs(sec).items()}
-    return ids, years, pop, labels, xs
+    xs = {}
+    for m, paths in _modality_inputs(sec).items():
+        parts = []
+        for p in paths:
+            t_ids, _, X = read_matrix_csv(_path(ctx, p))
+            parts.append(align_rows(ids, t_ids, X, p))
+        xs[m] = np.hstack(parts)
+    return meta, ids, pop, xs
+
+
+def _saved_scalers(extra: dict) -> tuple[ScalerParams, dict[str, ScalerParams]]:
+    """The target and feature scalers that phase 1 saved with the model."""
+    target = ScalerParams.from_json(extra["target_scaler"])
+    features = {m: ScalerParams.from_json(extra["feature_scalers"][m]) for m in MODALITIES}
+    return target, features
+
+
+def _scale(scalers: dict[str, ScalerParams], xs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {m: scaler_apply(scalers[m], xs[m]) for m in MODALITIES}
 
 
 def _branch_config(sec: dict, m: str, in_dim: int) -> BranchConfig:
@@ -407,15 +423,28 @@ def _branch_config(sec: dict, m: str, in_dim: int) -> BranchConfig:
         dropout = tuple(0.1 for _ in hidden)  # sane default for custom stacks
     else:
         dropout = base.dropout
-    activation = (
-        activation_from_json(over["activation"]) if "activation" in over else base.activation
-    )
+    try:
+        activation = (
+            activation_from_json(over["activation"]) if "activation" in over else base.activation
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"train.branches.{m}.activation {over['activation']!r}: {e!r}") from None
     return BranchConfig(m, in_dim, hidden, activation, dropout, over.get("batchnorm", True))
 
 
-def _phase_splits(ctx: RunContext, sec: dict, pop: np.ndarray, labels: np.ndarray):
-    """Carve a stratified validation subset out of the training split and fit
-    scalers on training rows only."""
+def _phase_splits(ctx: RunContext, sec: dict, ids: list[str], pop: np.ndarray):
+    """Take the training rows from the split file, carve a stratified
+    validation subset out of them, and return (train, fit, val) rows."""
+    split_path = _path(ctx, _need(sec, "split", "train"))
+    scols = read_columns(split_path, ["track_id", "split"])
+    split_of = dict(zip(scols["track_id"], scols["split"]))
+    missing = [t for t in ids if t not in split_of]
+    if missing:
+        raise MissingInputError(
+            f"{split_path}: no split assignment for {len(missing)} tracks "
+            f"(first few: {missing[:3]})"
+        )
+    labels = np.array([split_of[t] for t in ids])
     train_rows = np.flatnonzero(labels == "train")
     if train_rows.size < 10:
         raise PopgateError(f"too few training rows ({train_rows.size}) to fit the model")
@@ -431,22 +460,46 @@ def _phase_splits(ctx: RunContext, sec: dict, pop: np.ndarray, labels: np.ndarra
     return train_rows, fit_rows, val_rows
 
 
+def _save_phase(
+    ctx: RunContext, phase: int, sec: dict, model_dir: Path,
+    model: GatedEnsemble, extra: dict, history: dict,
+) -> None:
+    """Save the model and the phase's history, then write its manifest."""
+    save_ensemble(model, model_dir, extra=extra)
+    hist_path = model_dir / f"phase{phase}_history.json"
+    hist_path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
+
+    inputs = {"metadata": _path(ctx, sec["metadata"]), "split": _path(ctx, sec["split"])}
+    if phase == 2:
+        inputs["model"] = model_dir / "model.json"
+    for m, paths in _modality_inputs(sec).items():
+        for i, p in enumerate(paths):
+            inputs[f"{m}_{i}"] = _path(ctx, p)
+    outputs = {
+        "model": model_dir / "model.json",
+        "gate": model_dir / "gate.npz",
+        "history": hist_path,
+        **{f"branch_{m}": model_dir / f"branch_{m}.npz" for m in MODALITIES},
+    }
+    write_manifest(ctx.workspace, f"train-phase{phase}", ctx.config, ctx.seed, inputs, outputs)
+
+
 def cmd_train_phase1(ctx: RunContext) -> str:
     sec = _train_section(ctx)
     model_dir = _path(ctx, sec.get("model_dir", "models/fused"))
-    ids, years, pop, labels, xs = _load_training_table(ctx, sec)
-    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, pop, labels)
+    gate_cfg = _knobs(GateConfig, sec, "gate", "train.gate")
+    p1 = _knobs(Phase1Config, sec, "phase1", "train.phase1", seed=ctx.seed)
+    _, ids, pop, xs = _load_table(ctx, sec)
+    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, ids, pop)
 
     target_scaler = scaler_fit(pop[train_rows].reshape(-1, 1), "minmax")
     y_unit = scaler_apply(target_scaler, pop.reshape(-1, 1)).reshape(-1)
     feature_scalers = {m: scaler_fit(xs[m][train_rows], "zscore") for m in MODALITIES}
-    xs_scaled = {m: scaler_apply(feature_scalers[m], xs[m]) for m in MODALITIES}
+    xs_scaled = _scale(feature_scalers, xs)
 
     branch_cfgs = {m: _branch_config(sec, m, xs_scaled[m].shape[1]) for m in MODALITIES}
-    gate_cfg = GateConfig(**sec.get("gate", {}))
     model = GatedEnsemble.build(branch_cfgs, gate_cfg, rng_for(ctx.seed, "model-init"))
 
-    p1 = Phase1Config(seed=ctx.seed, **sec.get("phase1", {}))
     histories = {}
     for m in MODALITIES:
         histories[m] = phase1_train(
@@ -461,21 +514,7 @@ def cmd_train_phase1(ctx: RunContext) -> str:
         "target_scaler": target_scaler.to_json(),
         "feature_scalers": {m: feature_scalers[m].to_json() for m in MODALITIES},
     }
-    save_ensemble(model, model_dir, extra=extra)
-    hist_path = model_dir / "phase1_history.json"
-    hist_path.write_text(json.dumps(histories, indent=2, sort_keys=True) + "\n")
-
-    inputs = {"metadata": _path(ctx, sec["metadata"]), "split": _path(ctx, sec["split"])}
-    for m, paths in _modality_inputs(sec).items():
-        for i, p in enumerate(paths):
-            inputs[f"{m}_{i}"] = _path(ctx, p)
-    outputs = {
-        "model": model_dir / "model.json",
-        "gate": model_dir / "gate.npz",
-        "history": hist_path,
-        **{f"branch_{m}": model_dir / f"branch_{m}.npz" for m in MODALITIES},
-    }
-    write_manifest(ctx.workspace, "train-phase1", ctx.config, ctx.seed, inputs, outputs)
+    _save_phase(ctx, 1, sec, model_dir, model, extra, histories)
     best = {m: f"{histories[m]['best_val_mse']:.5f}" for m in MODALITIES}
     return f"train-phase1: val mse {best} -> {model_dir}"
 
@@ -483,18 +522,17 @@ def cmd_train_phase1(ctx: RunContext) -> str:
 def cmd_train_phase2(ctx: RunContext) -> str:
     sec = _train_section(ctx)
     model_dir = _path(ctx, sec.get("model_dir", "models/fused"))
+    weights = _knobs(LossWeights, sec, "loss_weights", "train.loss_weights")
+    p2 = _knobs(Phase2Config, sec, "phase2", "train.phase2", seed=ctx.seed)
     model, extra = load_ensemble(model_dir)
-    ids, years, pop, labels, xs = _load_training_table(ctx, sec)
-    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, pop, labels)
+    _, ids, pop, xs = _load_table(ctx, sec)
+    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, ids, pop)
 
     # reuse the phase-1 scalers verbatim; refitting could drift
-    target_scaler = ScalerParams.from_json(extra["target_scaler"])
-    feature_scalers = {m: ScalerParams.from_json(extra["feature_scalers"][m]) for m in MODALITIES}
+    target_scaler, feature_scalers = _saved_scalers(extra)
     y_unit = scaler_apply(target_scaler, pop.reshape(-1, 1)).reshape(-1)
-    xs_scaled = {m: scaler_apply(feature_scalers[m], xs[m]) for m in MODALITIES}
+    xs_scaled = _scale(feature_scalers, xs)
 
-    weights = LossWeights(**sec.get("loss_weights", {}))
-    p2 = Phase2Config(seed=ctx.seed, **sec.get("phase2", {}))
     hist = phase2_train(
         model,
         {m: xs_scaled[m][fit_rows] for m in MODALITIES}, y_unit[fit_rows],
@@ -502,25 +540,7 @@ def cmd_train_phase2(ctx: RunContext) -> str:
         weights, p2,
     )
     extra = {**extra, "phase": 2, "loss_weights": weights.to_json()}
-    save_ensemble(model, model_dir, extra=extra)
-    hist_path = model_dir / "phase2_history.json"
-    hist_path.write_text(json.dumps(hist, indent=2, sort_keys=True) + "\n")
-
-    inputs = {
-        "metadata": _path(ctx, sec["metadata"]),
-        "split": _path(ctx, sec["split"]),
-        "model": model_dir / "model.json",
-    }
-    for m, paths in _modality_inputs(sec).items():
-        for i, p in enumerate(paths):
-            inputs[f"{m}_{i}"] = _path(ctx, p)
-    outputs = {
-        "model": model_dir / "model.json",
-        "gate": model_dir / "gate.npz",
-        "history": hist_path,
-        **{f"branch_{m}": model_dir / f"branch_{m}.npz" for m in MODALITIES},
-    }
-    write_manifest(ctx.workspace, "train-phase2", ctx.config, ctx.seed, inputs, outputs)
+    _save_phase(ctx, 2, sec, model_dir, model, extra, hist)
     return (
         f"train-phase2: val mse {hist['initial_val_mse']:.5f} -> {hist['best_val_mse']:.5f} "
         f"in {hist['epochs_run']} epochs"
@@ -529,22 +549,6 @@ def cmd_train_phase2(ctx: RunContext) -> str:
 
 # ---------------------------------------------------------------------------
 # prediction / evaluation / gate report
-
-
-def _load_model_and_features(ctx: RunContext, model_dir: Path):
-    sec = _train_section(ctx)
-    model, extra = load_ensemble(model_dir)
-    if extra.get("phase", 0) < 2:
-        raise PopgateError(f"model at {model_dir} has not completed phase-2 training")
-    meta = _path(ctx, _need(sec, "metadata", "train"))
-    cols = read_columns(meta, ["track_id", "year", "popularity"])
-    ids = cols["track_id"]
-    years = np.array([int(y) for y in cols["year"]])
-    xs = {m: _modality_matrix(ctx, paths, ids) for m, paths in _modality_inputs(sec).items()}
-    feature_scalers = {m: ScalerParams.from_json(extra["feature_scalers"][m]) for m in MODALITIES}
-    xs_scaled = {m: scaler_apply(feature_scalers[m], xs[m]) for m in MODALITIES}
-    target_scaler = ScalerParams.from_json(extra["target_scaler"])
-    return model, target_scaler, ids, years, cols, xs_scaled, meta
 
 
 PREDICTION_COLUMNS = (
@@ -559,13 +563,23 @@ PREDICTION_COLUMNS = (
 )
 
 
+def _predictions_path(ctx: RunContext) -> Path:
+    sec = _section(ctx.config, "predict") if "predict" in ctx.config else {}
+    return _path(ctx, sec.get("out", "out/predictions.csv"))
+
+
 def cmd_predict(ctx: RunContext) -> str:
     sec = _section(ctx.config, "predict")
-    model_dir = _path(ctx, sec.get("model_dir", _train_section(ctx).get("model_dir", "models/fused")))
-    out = _path(ctx, sec.get("out", "out/predictions.csv"))
-    model, target_scaler, ids, _, _, xs_scaled, meta = _load_model_and_features(ctx, model_dir)
+    train = _train_section(ctx)
+    model_dir = _path(ctx, sec.get("model_dir", train.get("model_dir", "models/fused")))
+    out = _predictions_path(ctx)
+    model, extra = load_ensemble(model_dir)
+    if extra.get("phase", 0) < 2:
+        raise PopgateError(f"model at {model_dir} has not completed phase-2 training")
+    meta, ids, _, xs = _load_table(ctx, train)
+    target_scaler, feature_scalers = _saved_scalers(extra)
 
-    result = model.predict(xs_scaled)
+    result = model.predict(_scale(feature_scalers, xs))
     pred = scaler_invert(target_scaler, result.yhat.reshape(-1, 1)).reshape(-1)
     branch_pred = np.hstack(
         [
@@ -588,6 +602,26 @@ def cmd_predict(ctx: RunContext) -> str:
         {"predictions": out},
     )
     return f"predict: {len(ids)} rows -> {out}"
+
+
+def _metadata_of(meta: Path, track_ids: list[str], names: list[str]) -> dict[str, list[str]]:
+    """The `names` columns of `meta`, one entry per track in `track_ids`."""
+    cols = read_columns(meta, ["track_id", *names])
+    row_of = {t: i for i, t in enumerate(cols["track_id"])}
+    rows = []
+    for tid in track_ids:
+        if tid not in row_of:
+            raise MissingInputError(f"{meta}: no metadata row for predicted track {tid!r}")
+        rows.append(row_of[tid])
+    return {n: [cols[n][r] for r in rows] for n in names}
+
+
+def _alpha(pcols: dict[str, list[str]], rows) -> np.ndarray:
+    return np.array([[float(pcols[f"alpha_{m}"][i]) for m in MODALITIES] for i in rows])
+
+
+def _decade(year: str) -> str:
+    return f"{(int(year) // 10) * 10}s"
 
 
 def _residual_summary(residuals: np.ndarray) -> dict:
@@ -614,41 +648,23 @@ def cmd_evaluate(ctx: RunContext) -> str:
     subset = sec.get("subset", "test")
 
     pcols = read_columns(pred_path, list(PREDICTION_COLUMNS))
-    mcols = read_columns(meta, ["track_id", "year", "popularity"])
-    pop_of = dict(zip(mcols["track_id"], (float(p) for p in mcols["popularity"])))
-    year_of = dict(zip(mcols["track_id"], (int(y) for y in mcols["year"])))
+    mcols = _metadata_of(meta, pcols["track_id"], ["year", "popularity"])
     scols = read_columns(split_path, ["track_id", "split"])
     split_of = dict(zip(scols["track_id"], scols["split"]))
 
-    keep = []
-    for i, tid in enumerate(pcols["track_id"]):
-        if tid not in pop_of:
-            raise MissingInputError(f"{meta}: no metadata row for predicted track {tid!r}")
-        if subset == "all" or split_of.get(tid) == subset:
-            keep.append(i)
+    keep = [
+        i for i, tid in enumerate(pcols["track_id"])
+        if subset == "all" or split_of.get(tid) == subset
+    ]
     if len(keep) < 2:
         raise PopgateError(f"evaluate: fewer than 2 rows in subset {subset!r}")
-    tids = [pcols["track_id"][i] for i in keep]
-    y = np.array([pop_of[t] for t in tids])
+    y = np.array([float(mcols["popularity"][i]) for i in keep])
     y_hat = np.array([float(pcols["pred_popularity"][i]) for i in keep])
 
     report = compute_metrics(y, y_hat)
     scaled = compute_metrics(y / 100.0, y_hat / 100.0)
     residuals = y_hat - y
-
-    alpha = np.array(
-        [
-            [float(pcols[f"alpha_{m}"][i]) for m in MODALITIES]
-            for i in keep
-        ]
-    )
-    decades = [f"{(year_of[t] // 10) * 10}s" for t in tids]
-    gate_means: dict[str, dict[str, float]] = {}
-    for dec in sorted(set(decades)):
-        mask = np.array([d == dec for d in decades])
-        gate_means[dec] = {
-            m: float(alpha[mask, j].mean()) for j, m in enumerate(MODALITIES)
-        }
+    gates = gate_report(_alpha(pcols, keep), [_decade(mcols["year"][i]) for i in keep])
 
     body = {
         "subset": subset,
@@ -657,7 +673,7 @@ def cmd_evaluate(ctx: RunContext) -> str:
         "metrics_scaled": scaled.to_json(),
         "residuals": _residual_summary(residuals),
         "distribution": {"actual": _distribution(y), "predicted": _distribution(y_hat)},
-        "gate_means_by_decade": gate_means,
+        "gate_means_by_decade": gates.groups,
     }
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
@@ -673,24 +689,24 @@ def cmd_evaluate(ctx: RunContext) -> str:
 
 
 def cmd_gate_report(ctx: RunContext) -> str:
+    """Summarize the mixture weights that `predict` wrote; needs no model."""
     sec = _section(ctx.config, "gate_report")
-    model_dir = _path(ctx, sec.get("model_dir", _train_section(ctx).get("model_dir", "models/fused")))
-    out = _path(ctx, sec.get("out", "out/gate_report.json"))
-    model, _, ids, years, _, xs_scaled, meta = _load_model_and_features(ctx, model_dir)
-
     group_by = sec.get("group_by", "decade")
-    if group_by == "decade":
-        labels = [f"{(y // 10) * 10}s" for y in years]
-    elif group_by == "none":
-        labels = None
-    else:
+    if group_by not in ("decade", "none"):
         raise ConfigError(f"gate_report.group_by must be 'decade' or 'none', got {group_by!r}")
-    report = gate_report(model, xs_scaled, group_labels=labels)
+    out = _path(ctx, sec.get("out", "out/gate_report.json"))
+    pred_path = _predictions_path(ctx)
+    meta = _path(ctx, _need(_train_section(ctx), "metadata", "train"))
+
+    pcols = read_columns(pred_path, ["track_id", *(f"alpha_{m}" for m in MODALITIES)])
+    years = _metadata_of(meta, pcols["track_id"], ["year"])["year"]
+    labels = [_decade(y) for y in years] if group_by == "decade" else None
+    report = gate_report(_alpha(pcols, range(len(years))), group_labels=labels)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     write_manifest(
         ctx.workspace, "gate-report", ctx.config, ctx.seed,
-        {"model": model_dir / "model.json", "metadata": meta},
+        {"predictions": pred_path, "metadata": meta},
         {"report": out},
     )
     means = ", ".join(f"{m}={report.means[m]:.3f}" for m in MODALITIES)

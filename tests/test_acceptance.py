@@ -370,7 +370,7 @@ def test_criterion_06_planted_social_signal_recovery():
                       plateau_patience=6, freeze_branches=True, seed=46)
     phase2_train(model, {m: xs[m][tr] for m in MODALITIES}, y[tr],
                  {m: xs[m][va] for m in MODALITIES}, y[va], LossWeights(), p2)
-    report = gate_report(model, {m: xs[m][va] for m in MODALITIES})
+    report = gate_report(model.predict({m: xs[m][va] for m in MODALITIES}).alpha)
     assert report.means["social"] > 0.5, report.means
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"planted-signal run took {elapsed:.0f}s"

@@ -1,11 +1,17 @@
 """End-to-end tests for the CLI subcommands against a small synthetic run."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from popgate.cli import main
+import popgate.pipeline
+from popgate.cli import build_parser, main
 from popgate.metrics import compute_metrics
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
 
@@ -155,6 +161,11 @@ class TestChainArtifacts:
             assert len(body["config_sha256"]) == 64
             for entry in {**body["inputs"], **body["outputs"]}.values():
                 assert (ws / entry["path"]).exists()
+        # gate-report summarizes exactly the predictions file predict wrote
+        predict = json.loads((ws / "manifests/predict.manifest.json").read_text())
+        report = json.loads((ws / "manifests/gate-report.manifest.json").read_text())
+        assert (report["inputs"]["predictions"]["sha256"]
+                == predict["outputs"]["predictions"]["sha256"])
         # the split step keeps its own default seed, everything else runs on 46
         assert json.loads((ws / "manifests/split.manifest.json").read_text())["seed"] == 42
         assert json.loads((ws / "manifests/synth.manifest.json").read_text())["seed"] == 46
@@ -317,3 +328,131 @@ class TestCliContract:
         write_config(tmp_path, cfg)
         run_chain(tmp_path, cfg, commands=CHAIN[:7])  # stop after train-phase1
         assert main(["predict", "--config", str(tmp_path / "run.json")]) == 1
+
+    def test_threads_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["synth", "--config", "run.json", "--threads", "2"])
+
+    def test_unknown_phase1_key_exits_3_and_names_section(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["train"]["phase1"]["momentum"] = 0.9
+        p = write_config(tmp_path, cfg, "bad-p1.json")
+        assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert "train.phase1" in err and "momentum" in err
+
+    def test_section_seed_exits_3(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["train"]["phase1"]["seed"] = 5  # the run seed is the only seed
+        p = write_config(tmp_path, cfg, "seed-p1.json")
+        assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 3
+        assert "train.phase1.seed" in capsys.readouterr().err
+
+    def test_phase2_zero_lr_exits_3(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["train"]["phase2"]["lr"] = 0
+        p = write_config(tmp_path, cfg, "lr0.json")
+        assert main(["train-phase2", "--config", str(p), "--workspace", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert "train.phase2" in err and "lr" in err
+
+    def test_ae_zero_batch_size_exits_3(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["ae"]["train"]["batch_size"] = 0
+        p = write_config(tmp_path, cfg, "bs0.json")
+        assert main(["ae-train", "--config", str(p), "--workspace", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert "ae.train" in err and "batch_size" in err
+
+    def test_unknown_activation_exits_3(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["train"]["branches"]["audio"]["activation"] = "elu"  # needs {"kind": ...}
+        p = write_config(tmp_path, cfg, "act.json")
+        assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 3
+        assert "train.branches.audio.activation" in capsys.readouterr().err
+
+    def test_type_error_inside_step_is_not_a_config_error(self, chain_ws, monkeypatch):
+        ws, cfg_path = chain_ws
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a bad config")
+
+        monkeypatch.setattr(popgate.pipeline, "gate_report", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["gate-report", "--config", str(cfg_path)])
+
+
+def _copy_ws(ws: Path, dest: Path) -> Path:
+    shutil.copytree(ws, dest)
+    return dest / "run.json"
+
+
+class TestGateReportInputs:
+    def test_report_needs_no_model_or_features(self, chain_ws, tmp_path):
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        copy = cfg_path.parent
+        shutil.rmtree(copy / "models/fused")
+        for rel in ("data/audio.csv", "data/audio_z.csv", "data/lyrics_features.csv",
+                    "data/social.csv", "data/ctd.csv"):
+            (copy / rel).unlink()
+        (copy / "out/gate_report.json").unlink()
+        assert main(["gate-report", "--config", str(cfg_path)]) == 0
+        assert ((copy / "out/gate_report.json").read_bytes()
+                == (ws / "out/gate_report.json").read_bytes())
+
+    def test_bad_grouping_checked_before_reading_files(self, tmp_path):
+        cfg = chain_config()
+        cfg["gate_report"]["group_by"] = "artist"
+        p = write_config(tmp_path, cfg, "gr.json")  # an empty workspace
+        assert main(["gate-report", "--config", str(p)]) == 3
+
+    def test_missing_predictions_exits_2_and_names_path(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        cfg = chain_config()
+        cfg["predict"]["out"] = "out/no-such-predictions.csv"
+        p = write_config(tmp_path, cfg, "gr.json")
+        assert main(["gate-report", "--config", str(p), "--workspace", str(ws)]) == 2
+        assert "no-such-predictions.csv" in capsys.readouterr().err
+
+    def test_track_without_metadata_exits_2_and_names_it(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        header, *rows = (ws / "out/predictions.csv").read_text().splitlines()
+        ghost = "ghost-track" + rows[0][rows[0].index(","):]
+        (tmp_path / "pred.csv").write_text("\n".join([header, *rows, ghost]) + "\n")
+        cfg = chain_config()
+        cfg["predict"]["out"] = str(tmp_path / "pred.csv")
+        cfg["gate_report"]["out"] = str(tmp_path / "gate_report.json")
+        p = write_config(tmp_path, cfg, "gr.json")
+        assert main(["gate-report", "--config", str(p), "--workspace", str(ws)]) == 2
+        assert "ghost-track" in capsys.readouterr().err
+
+
+class TestTracedRun:
+    def test_traced_step_binds_pipeline_names(self, chain_ws, tmp_path):
+        """perfbench/traced_step.py wraps names bound in popgate.pipeline; a
+        renamed or dropped binding fails the traced benchmark run."""
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        expect = {
+            "gate-report": {"pipeline.gate_report", "fusion.gate_report", "tabular.read_csv"},
+            "predict": {"pipeline.predict", "fusion.load", "tabular.read_matrix",
+                        "data.scaler", "fusion.predict"},
+        }
+        for cmd, names in expect.items():
+            spans = tmp_path / f"{cmd}.spans.json"
+            proc = subprocess.run(
+                [sys.executable, str(root / "perfbench/traced_step.py"), str(spans),
+                 cmd, "--config", str(cfg_path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert names <= set(json.loads(spans.read_text())["names"]), cmd

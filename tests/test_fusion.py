@@ -555,7 +555,7 @@ class TestPhase2:
         )
 
         # the gate discovers which modality carries the signal
-        report = gate_report(model, xs_va)
+        report = gate_report(model.predict(xs_va).alpha)
         assert report.means["social"] > 0.5
 
         # and the mixture ends at least as good as the best single expert
@@ -601,7 +601,7 @@ class TestGateReport:
     def test_uniform_model_reports_thirds(self):
         model = tiny_model(dropout=0.0)
         xs = rand_inputs(n=20, seed=60)
-        report = gate_report(model, xs, group_labels=["a"] * 10 + ["b"] * 10)
+        report = gate_report(model.predict(xs).alpha, group_labels=["a"] * 10 + ["b"] * 10)
         assert all(v == pytest.approx(1.0 / 3.0, abs=1e-15) for v in report.means.values())
         assert set(report.groups) == {"a", "b"}
         for g in report.groups.values():
@@ -612,7 +612,7 @@ class TestGateReport:
         _perturb(model.params(), rng_for(61, "perturb"), scale=0.6)
         xs = rand_inputs(n=30, seed=62)
         labels = [str(v) for v in rng_for(63, "labels").integers(0, 3, size=30)]
-        report = gate_report(model, xs, group_labels=labels)
+        report = gate_report(model.predict(xs).alpha, group_labels=labels)
         n = len(labels)
         for i, m in enumerate(MODALITIES):
             weighted = sum(
@@ -623,14 +623,18 @@ class TestGateReport:
     def test_label_length_mismatch(self):
         model = tiny_model(dropout=0.0)
         with pytest.raises(ShapeError):
-            gate_report(model, rand_inputs(n=5), group_labels=["x"] * 4)
+            gate_report(model.predict(rand_inputs(n=5)).alpha, group_labels=["x"] * 4)
 
     def test_json_projection(self):
         model = tiny_model(dropout=0.0)
-        report = gate_report(model, rand_inputs(n=5))
+        report = gate_report(model.predict(rand_inputs(n=5)).alpha)
         d = report.to_json()
         assert d["n"] == 5 and set(d["means"]) == set(MODALITIES)
         assert "groups" not in d
+
+    def test_alpha_needs_one_column_per_modality(self):
+        with pytest.raises(ShapeError):
+            gate_report(np.full((4, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------
