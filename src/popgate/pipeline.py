@@ -1,30 +1,35 @@
 """Subcommand implementations behind the CLI.
 
-Every subcommand reads only the files its config section names, writes its
-outputs under the workspace, and records a manifest (config hash, seed,
-input/output hashes). All paths in the config are resolved relative to the
-workspace root. Nothing here depends on wall time, so identical config +
-inputs reproduce identical artifacts.
+Each subcommand is one entry of `STEPS`: the config sections it reads, the
+files its manifest records and a body. `SECTIONS` declares every key a
+section takes, with its default and its check. `run_command` rejects unknown
+or invalid keys before any file is read, resolves paths against the
+workspace root, runs the body and writes the step's manifest (config hash,
+seed, input/output hashes). Nothing here depends on wall time, so identical
+config + inputs reproduce identical artifacts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from inspect import isfunction
 from pathlib import Path
+from types import UnionType
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .autoenc import (
     AETrainConfig,
     CompressorEnsemble,
+    FeatureGroup,
     default_registry,
-    registry_from_json,
     train_group_autoencoder,
 )
+from .autoenc.groups import validate_registry
 from .ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
 from .data import (
-    DEFAULT_LANGUAGES,
     CleaningConfig,
     ScalerParams,
     SynthSpec,
@@ -59,117 +64,151 @@ from .nn.layers import activation_from_json
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
 
-SUBCOMMANDS = (
-    "synth",
-    "clean",
-    "split",
-    "ctd-extract",
-    "ae-train",
-    "compress",
-    "train-phase1",
-    "train-phase2",
-    "predict",
-    "evaluate",
-    "gate-report",
-)
-
 DEFAULT_SEED = 46  # experiment seed; the split step defaults to 42 separately
 DEFAULT_SPLIT_SEED = 42
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunContext:
+    """One run of one step: its config, the checked values of the keys read
+    so far, and the files its manifest records (bodies add the ones known
+    only at run time)."""
+
     workspace: Path
     config: dict
     seed: int
+    inputs: dict[str, Path] = field(default_factory=dict)
+    outputs: dict[str, Path] = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
+
+    def arg(self, key: str):
+        """The checked value of a dotted config key, such as "split.bins"."""
+        if key not in self.values:
+            name, _, leaf = key.rpartition(".")
+            given = self.config.get(name, {}) if name else self.config
+            spec = SECTIONS[name][leaf] if name else TOP_LEVEL[leaf]
+            self.values[key] = _resolve(self, key, given.get(leaf, MISSING), *spec)
+        return self.values[key]
+
+    def knobs(self, name: str):
+        """The dataclass that the keys of section `name` outside SECTIONS build."""
+        cls, hidden = FLAT_KNOBS[name]
+        return _knobs(cls, self.config.get(name, {}), name, hidden=hidden, extra=SECTIONS[name])
+
+    def file(self, ref: str) -> Path:
+        """A manifest file: a path key, or `key/name` inside a directory key."""
+        key, _, name = ref.partition("/")
+        return self.arg(key) / name
 
 
-def _section(config: dict, name: str) -> dict:
-    sec = config.get(name)
-    if sec is None:
-        raise ConfigError(f"config lacks a {name!r} section")
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {type(sec).__name__}")
-    return sec
+# ---------------------------------------------------------------------------
+# checking config values
 
 
-def _path(ctx: RunContext, rel: str) -> Path:
-    p = Path(rel)
-    return p if p.is_absolute() else ctx.workspace / p
+def _object(raw, where: str, allowed) -> dict:
+    """`raw` if it is a JSON object whose keys are all in `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {type(raw).__name__}")
+    for k in raw:
+        if k not in allowed:
+            key = f"{where}.{k}" if where else k
+            raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(allowed)}")
+    return raw
 
 
-def _need(sec: dict, key: str, where: str) -> str:
-    if key not in sec:
-        raise ConfigError(f"config section {where!r} needs key {key!r}")
-    return sec[key]
+def _coerce(value, tp, where: str, seed: int | None = None):
+    """`value` from JSON as type `tp`: a scalar type, Path, a config dataclass
+    (see `_knobs`), `X | None`, `tuple[X, ...]` or a fixed-length tuple.
+    Integers pass as floats, and integral floats as integers."""
+    args = get_args(tp)
+    if get_origin(tp) is UnionType:
+        return None if value is None else _coerce(value, args[0], where, seed)
+    if get_origin(tp) is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
+            raise ConfigError(f"{where} must be a list{f' of {n}' if n else ''}, got {value!r}")
+        return tuple(_coerce(v, args[0], f"{where}[{i}]", seed) for i, v in enumerate(value))
+    if is_dataclass(tp):
+        return _knobs(tp, value, where, seed)
+    if tp is float and type(value) is int:
+        return float(value)
+    if tp is int and type(value) is float and value.is_integer():
+        return int(value)
+    if tp is Path and type(value) is str and value:
+        return Path(value)
+    if type(value) is not tp:
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    return value
 
 
-def _knobs(cls, sec: dict, key: str, where: str, **injected):
-    """Build the config dataclass `cls` from `sec[key]`, a section named
-    `where` in messages; `injected` fields come from the step, not the config."""
-    given = sec.get(key, {})
-    if not isinstance(given, dict):
-        raise ConfigError(f"config section {where!r} must be an object, got {type(given).__name__}")
-    known = {f.name for f in fields(cls)} - set(injected)
-    for k in given:
-        if k in injected:
-            raise ConfigError(f"{where}.{k} is not a config key: the step uses the run's {k}")
-        if k not in known:
-            raise ConfigError(f"{where}: unknown key {k!r}; expected one of {sorted(known)}")
+def _knobs(cls, given, where: str, seed: int | None = None, hidden=(), extra=()):
+    """Build the config dataclass `cls` from the JSON object `given`, named
+    `where` in messages; the fields' types and defaults are the dataclass's
+    own. A `seed` field takes the run's seed, `hidden` fields are not keys,
+    and `extra` keys are allowed but belong to someone else."""
+    names = [f.name for f in fields(cls) if f.name not in hidden]
+    _object(given, where, [*names, *extra])
+    if "seed" in given:
+        raise ConfigError(f"{where}.seed is not a config key: the step uses the run's seed")
+    hints = get_type_hints(cls)
+    own = {k: v for k, v in given.items() if k not in extra}
+    values = {k: _coerce(v, hints[k], f"{where}.{k}", seed) for k, v in own.items()}
+    if "seed" in names:
+        values["seed"] = seed
     try:
-        return cls(**injected, **given)
+        return cls(**values)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where} {json.dumps(given, sort_keys=True)}: {e}") from None
+        raise ConfigError(f"{where} {json.dumps(own, sort_keys=True)}: {e}") from None
+
+
+def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=None):
+    """The value of one key from its spec in SECTIONS."""
+    if raw is MISSING:
+        if default is MISSING:
+            raise ConfigError(f"config needs key {where!r}")
+        if callable(default):
+            return default(ctx)
+        raw = default
+    value = tp(ctx, raw, where) if isfunction(tp) else _coerce(raw, tp, where, ctx.seed)
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{where} must be {need}, got {raw!r}")
+    return ctx.workspace / value if tp is Path else value
+
+
+def _one_of(*choices):
+    return " or ".join(map(repr, choices)), lambda v: v in choices
+
+
+_AT_LEAST_1 = ("at least 1", lambda n: n >= 1)
+_FRACTION = ("in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "synth")
-    spec = SynthSpec(
-        n_samples=int(sec.get("n_samples", 1000)),
-        dims=tuple(sec.get("dims", (64, 128, 16))),
-        latent_dim=int(sec.get("latent_dim", 8)),
-        coeffs=tuple(sec.get("coeffs", (1.0, 1.0, 1.0))),
-        noise=float(sec.get("noise", 0.1)),
-        feature_noise=float(sec.get("feature_noise", 0.05)),
-        n_artists=int(sec.get("n_artists", 50)),
-        n_users=int(sec.get("n_users", 400)),
-    )
-    data = synth_generate(spec, ctx.seed)
-    out_dir = _path(ctx, sec.get("out_dir", "data"))
+_SYNTH_FILES = ("metadata", "lyrics", "events", "audio", "lyrics_features", "social")
 
-    paths = {
-        "metadata": out_dir / "metadata.csv",
-        "lyrics": out_dir / "lyrics.csv",
-        "events": out_dir / "events.csv",
-        "audio": out_dir / "audio.csv",
-        "lyrics_features": out_dir / "lyrics_features.csv",
-        "social": out_dir / "social.csv",
-    }
-    n = spec.n_samples
+
+def cmd_synth(ctx: RunContext) -> str:
+    spec = ctx.knobs("synth")
+    data = synth_generate(spec, ctx.seed)
+    paths = ctx.outputs
     write_csv(
         paths["metadata"],
         ["track_id", "artist_id", "year", "language", "popularity"],
-        (
-            (data.track_ids[i], data.artist_ids[i], int(data.release_years[i]),
-             data.languages[i], int(data.popularity[i]))
-            for i in range(n)
-        ),
+        zip(data.track_ids, data.artist_ids, data.release_years.tolist(), data.languages,
+            data.popularity.tolist()),
     )
-    write_csv(paths["lyrics"], ["track_id", "lyrics"],
-              ((data.track_ids[i], data.lyrics[i]) for i in range(n)))
+    write_csv(paths["lyrics"], ["track_id", "lyrics"], zip(data.track_ids, data.lyrics))
     write_csv(paths["events"], ["user_id", "track_id", "timestamp"], data.events)
-    short = {"audio": "a", "lyrics": "l", "social" : "s"}
-    for m, key in (("audio", "audio"), ("lyrics", "lyrics_features"), ("social", "social")):
+    for m, key, prefix in (("audio", "audio", "a"), ("lyrics", "lyrics_features", "l"),
+                           ("social", "social", "s")):
         X = data.features[m]
-        names = [f"{short[m]}{j}" for j in range(X.shape[1])]
+        names = [f"{prefix}{j}" for j in range(X.shape[1])]
         write_matrix_csv(paths[key], data.track_ids, names, X)
-
-    write_manifest(ctx.workspace, "synth", ctx.config, ctx.seed, {}, paths)
-    return f"synth: {n} tracks, {len(data.events)} events -> {out_dir}"
+    return (f"synth: {spec.n_samples} tracks, {len(data.events)} events "
+            f"-> {ctx.arg('synth.out_dir')}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +216,10 @@ def cmd_synth(ctx: RunContext) -> str:
 
 
 def cmd_clean(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "clean")
-    meta_in = _path(ctx, _need(sec, "metadata", "clean"))
-    lyrics_in = _path(ctx, _need(sec, "lyrics", "clean"))
-    meta_out = _path(ctx, sec.get("metadata_out", "data/metadata_clean.csv"))
-    lyrics_out = _path(ctx, sec.get("lyrics_out", "data/lyrics_clean.csv"))
-
-    cols = read_columns(meta_in, ["track_id", "artist_id", "year", "language", "popularity"])
-    lyr = read_columns(lyrics_in, ["track_id", "lyrics"])
+    cols = read_columns(
+        ctx.inputs["metadata"], ["track_id", "artist_id", "year", "language", "popularity"]
+    )
+    lyr = read_columns(ctx.inputs["lyrics"], ["track_id", "lyrics"])
     lyrics_map = dict(zip(lyr["track_id"], lyr["lyrics"]))
     records = [
         TrackRecord(
@@ -197,27 +232,16 @@ def cmd_clean(ctx: RunContext) -> str:
         )
         for i, tid in enumerate(cols["track_id"])
     ]
-    bounds = sec.get("lyric_bounds")
-    ccfg = CleaningConfig(
-        min_year=int(sec.get("min_year", 1960)),
-        languages=tuple(sec.get("languages", DEFAULT_LANGUAGES)),
-        lyric_bounds=tuple(bounds) if bounds else None,
-    )
-    kept, tally = clean(records, ccfg)
+    kept, tally = clean(records, ctx.knobs("clean"))
     write_csv(
-        meta_out,
+        ctx.outputs["metadata"],
         ["track_id", "artist_id", "year", "language", "popularity"],
         ((r.track_id, r.artist_id, r.release_year, r.language, r.popularity) for r in kept),
     )
     write_csv(
-        lyrics_out,
+        ctx.outputs["lyrics"],
         ["track_id", "lyrics"],
         ((r.track_id, normalize_lyrics(r.lyrics)) for r in kept),
-    )
-    write_manifest(
-        ctx.workspace, "clean", ctx.config, ctx.seed,
-        {"metadata": meta_in, "lyrics": lyrics_in},
-        {"metadata": meta_out, "lyrics": lyrics_out},
     )
     dropped = ", ".join(f"{k}={v}" for k, v in sorted(tally.items()) if k != "kept")
     return f"clean: kept {tally['kept']} of {len(records)} tracks ({dropped})"
@@ -228,30 +252,16 @@ def cmd_clean(ctx: RunContext) -> str:
 
 
 def cmd_split(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "split")
-    meta = _path(ctx, _need(sec, "metadata", "split"))
-    out = _path(ctx, sec.get("out", "data/split.csv"))
-    seed = int(sec.get("seed", ctx.config.get("split_seed", DEFAULT_SPLIT_SEED)))
-    cols = read_columns(meta, ["track_id", "popularity"])
+    cols = read_columns(ctx.inputs["metadata"], ["track_id", "popularity"])
     pop = np.array([float(p) for p in cols["popularity"]])
+    bins = ctx.arg("split.bins")
     asg = stratified_split(
-        pop,
-        bins=int(sec.get("bins", 5)),
-        test_fraction=float(sec.get("test_fraction", 0.2)),
-        seed=seed,
+        pop, bins=bins, test_fraction=ctx.arg("split.test_fraction"), seed=ctx.arg("split.seed")
     )
-    labels = asg.labels
-    write_csv(
-        out,
-        ["track_id", "bin", "split"],
-        (
-            (tid, int(asg.bin_ids[i]), labels[i])
-            for i, tid in enumerate(cols["track_id"])
-        ),
-    )
+    write_csv(ctx.outputs["split"], ["track_id", "bin", "split"],
+              zip(cols["track_id"], asg.bin_ids.tolist(), asg.labels))
     n_test = int(asg.test_mask.sum())
-    write_manifest(ctx.workspace, "split", ctx.config, seed, {"metadata": meta}, {"split": out})
-    return f"split: {pop.size - n_test} train / {n_test} test across {int(sec.get('bins', 5))} bins"
+    return f"split: {pop.size - n_test} train / {n_test} test across {bins} bins"
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +269,11 @@ def cmd_split(ctx: RunContext) -> str:
 
 
 def cmd_ctd_extract(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "ctd")
-    events = _path(ctx, _need(sec, "events", "ctd"))
-    meta = _path(ctx, _need(sec, "metadata", "ctd"))
-    out = _path(ctx, sec.get("out", "data/ctd.csv"))
-    mode = sec.get("mode", "temporal")
-    window = tuple(int(y) for y in sec.get("window", DEFAULT_WINDOW))
-
-    cols = read_columns(meta, ["track_id", "artist_id"])
+    window = ctx.arg("ctd.window")
+    cols = read_columns(ctx.inputs["metadata"], ["track_id", "artist_id"])
     track_artist = dict(zip(cols["track_id"], cols["artist_id"]))
-    ingest = ingest_events(events, window)
-    ids, matrix, schema = build_ctd_dataset(ingest, track_artist, mode, window)
+    ingest = ingest_events(ctx.inputs["events"], window)
+    ids, matrix, schema = build_ctd_dataset(ingest, track_artist, ctx.arg("ctd.mode"), window)
 
     # tracks with no usable events get all-zero features, keeping one row
     # per catalog track so downstream joins never lose rows; `ids` is sorted
@@ -281,11 +285,7 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
         pos = np.minimum(np.searchsorted(sorted_ids, catalog), len(ids) - 1)
         found = sorted_ids[pos] == catalog
         full[found] = matrix[pos[found]]
-    write_matrix_csv(out, all_ids, schema.names, full)
-    write_manifest(
-        ctx.workspace, "ctd-extract", ctx.config, ctx.seed,
-        {"events": events, "metadata": meta}, {"ctd": out},
-    )
+    write_matrix_csv(ctx.outputs["ctd"], all_ids, schema.names, full)
     return (
         f"ctd-extract: {len(ids)} tracks with events, {len(all_ids) - len(ids)} zero-filled, "
         f"{ingest.n_malformed} malformed and {ingest.n_out_of_window} out-of-window rows dropped"
@@ -296,51 +296,43 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
 # autoencoder training / compression
 
 
-def _train_ids(split_path: Path) -> set[str]:
+def _valid_registry(groups: tuple[FeatureGroup, ...]) -> bool:
+    validate_registry(groups)
+    return len(groups) > 0
+
+
+def _split_of(split_path: Path) -> dict[str, str]:
     cols = read_columns(split_path, ["track_id", "split"])
-    return {tid for tid, s in zip(cols["track_id"], cols["split"]) if s == "train"}
+    return dict(zip(cols["track_id"], cols["split"]))
 
 
 def cmd_ae_train(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "ae")
-    features = _path(ctx, _need(sec, "features", "ae"))
-    split_path = _path(ctx, _need(sec, "split", "ae"))
-    model_dir = _path(ctx, sec.get("model_dir", "models/ae"))
-    cfg = _knobs(AETrainConfig, sec, "train", "ae.train", seed=ctx.seed)
-
+    features, split_path = ctx.inputs["features"], ctx.inputs["split"]
+    model_dir = ctx.arg("ae.model_dir")
     ids, _, X = read_matrix_csv(features)
-    registry = (
-        registry_from_json(sec["registry"]) if "registry" in sec else default_registry()
-    )
+    registry = ctx.arg("ae.registry")
     widest = max(g.start + g.d for g in registry)
     if X.shape[1] < widest:
         raise ShapeError(
             f"feature file has {X.shape[1]} columns but the registry spans {widest}"
         )
-    train_ids = _train_ids(split_path)
-    mask = np.array([tid in train_ids for tid in ids])
+    split_of = _split_of(split_path)
+    mask = np.array([split_of.get(tid) == "train" for tid in ids])
     if not mask.any():
         raise PopgateError(f"no training rows: {features} shares no train ids with {split_path}")
     X_train = X[mask]
 
     models, scalers, histories = {}, {}, {}
     for g in registry:
-        model, scaler, hist = train_group_autoencoder(g, X_train[:, g.cols], cfg)
+        model, scaler, hist = train_group_autoencoder(g, X_train[:, g.cols], ctx.arg("ae.train"))
         models[g.name] = model
         scalers[g.name] = scaler
         histories[g.name] = hist
     ens = CompressorEnsemble(registry, models, scalers, seed=ctx.seed)
     ens.save(model_dir, histories)
-    hist_path = model_dir / "history.json"
-    hist_path.write_text(json.dumps(histories, indent=2, sort_keys=True) + "\n")
-
-    outputs = {"ensemble": model_dir / "ensemble.json", "history": hist_path}
+    ctx.outputs["history"].write_text(json.dumps(histories, indent=2, sort_keys=True) + "\n")
     for g in registry:
-        outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
-    write_manifest(
-        ctx.workspace, "ae-train", ctx.config, ctx.seed,
-        {"features": features, "split": split_path}, outputs,
-    )
+        ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
     worst = max(histories.values(), key=lambda h: h["val_relmse"])["val_relmse"]
     return (
         f"ae-train: {len(registry)} group(s) on {int(mask.sum())} train rows, "
@@ -349,21 +341,12 @@ def cmd_ae_train(ctx: RunContext) -> str:
 
 
 def cmd_compress(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "compress")
-    features = _path(ctx, _need(sec, "features", "compress"))
-    model_dir = _path(ctx, sec.get("model_dir", "models/ae"))
-    out = _path(ctx, sec.get("out", "data/audio_compressed.csv"))
-
-    ens = CompressorEnsemble.load(model_dir)
-    ids, _, X = read_matrix_csv(features)
+    ens = CompressorEnsemble.load(ctx.arg("compress.model_dir"))
+    ids, _, X = read_matrix_csv(ctx.inputs["features"])
     Z = ens.compress(X)
     names = [f"{g.name}_z{j}" for g in ens.registry for j in range(g.d_enc)]
+    out = ctx.outputs["compressed"]
     write_matrix_csv(out, ids, names, Z)
-    write_manifest(
-        ctx.workspace, "compress", ctx.config, ctx.seed,
-        {"features": features, "ensemble": model_dir / "ensemble.json"},
-        {"compressed": out},
-    )
     return f"compress: {X.shape[1]} -> {Z.shape[1]} dims for {len(ids)} tracks -> {out}"
 
 
@@ -371,33 +354,57 @@ def cmd_compress(ctx: RunContext) -> str:
 # fused model training
 
 
-def _train_section(ctx: RunContext) -> dict:
-    return _section(ctx.config, "train")
+def _modality_inputs(ctx: RunContext, raw, where: str) -> dict[str, list[Path]]:
+    """Each modality's feature files: a path or a non-empty list of paths."""
+    given = _object(raw, where, MODALITIES)
+    files = {}
+    for m in MODALITIES:
+        paths = given.get(m, [])
+        paths = _coerce([paths] if isinstance(paths, str) else paths, tuple[Path, ...], f"{where}.{m}")
+        if not paths:
+            raise ConfigError(f"{where}.{m} needs one or more feature files")
+        files[m] = [ctx.workspace / p for p in paths]
+    return files
 
 
-def _modality_inputs(sec: dict) -> dict[str, list[str]]:
-    inputs = _need(sec, "inputs", "train")
-    missing = [m for m in MODALITIES if m not in inputs]
-    if missing:
-        raise ConfigError(f"train.inputs lacks modalities {missing}")
-    return {m: [inputs[m]] if isinstance(inputs[m], str) else list(inputs[m]) for m in MODALITIES}
+_BRANCH_KEYS = {"hidden": tuple[int, ...], "dropout": tuple[float, ...],
+                "activation": dict, "batchnorm": bool}
 
 
-def _load_table(ctx: RunContext, sec: dict):
-    """The metadata path, its track ids and popularity, and the unscaled
-    per-modality matrices aligned to the metadata row order."""
-    meta = _path(ctx, _need(sec, "metadata", "train"))
-    cols = read_columns(meta, ["track_id", "popularity"])
+def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
+    """Each modality's expert stack: the default one with the given fields
+    replaced. The phase sets `in_dim` from the data."""
+    given = _object(raw, where, MODALITIES)
+    stacks = {}
+    for m in MODALITIES:
+        at = f"{where}.{m}"
+        over = {k: _coerce(v, _BRANCH_KEYS[k], f"{at}.{k}")
+                for k, v in _object(given.get(m, {}), at, _BRANCH_KEYS).items()}
+        if "activation" in over:
+            try:
+                over["activation"] = activation_from_json(over["activation"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"{at}.activation {over['activation']!r}: {e!r}") from None
+        if "hidden" in over and "dropout" not in over:
+            over["dropout"] = tuple(0.1 for _ in over["hidden"])  # sane default for custom stacks
+        stacks[m] = replace(default_branch_config(m, 1), **over)
+    return stacks
+
+
+def _load_table(ctx: RunContext):
+    """Track ids and popularity from `train.metadata`, and the unscaled
+    per-modality matrices aligned to its row order."""
+    cols = read_columns(ctx.arg("train.metadata"), ["track_id", "popularity"])
     ids = cols["track_id"]
     pop = np.array([float(p) for p in cols["popularity"]])
     xs = {}
-    for m, paths in _modality_inputs(sec).items():
+    for m, paths in ctx.arg("train.inputs").items():
         parts = []
         for p in paths:
-            t_ids, _, X = read_matrix_csv(_path(ctx, p))
-            parts.append(align_rows(ids, t_ids, X, p))
+            t_ids, _, X = read_matrix_csv(p)
+            parts.append(align_rows(ids, t_ids, X, str(p)))
         xs[m] = np.hstack(parts)
-    return meta, ids, pop, xs
+    return ids, pop, xs
 
 
 def _saved_scalers(extra: dict) -> tuple[ScalerParams, dict[str, ScalerParams]]:
@@ -411,33 +418,11 @@ def _scale(scalers: dict[str, ScalerParams], xs: dict[str, np.ndarray]) -> dict[
     return {m: scaler_apply(scalers[m], xs[m]) for m in MODALITIES}
 
 
-def _branch_config(sec: dict, m: str, in_dim: int) -> BranchConfig:
-    base = default_branch_config(m, in_dim)
-    over = sec.get("branches", {}).get(m)
-    if not over:
-        return base
-    hidden = tuple(over.get("hidden", base.hidden))
-    if "dropout" in over:
-        dropout = tuple(over["dropout"])
-    elif "hidden" in over:
-        dropout = tuple(0.1 for _ in hidden)  # sane default for custom stacks
-    else:
-        dropout = base.dropout
-    try:
-        activation = (
-            activation_from_json(over["activation"]) if "activation" in over else base.activation
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"train.branches.{m}.activation {over['activation']!r}: {e!r}") from None
-    return BranchConfig(m, in_dim, hidden, activation, dropout, over.get("batchnorm", True))
-
-
-def _phase_splits(ctx: RunContext, sec: dict, ids: list[str], pop: np.ndarray):
+def _phase_splits(ctx: RunContext, ids: list[str], pop: np.ndarray):
     """Take the training rows from the split file, carve a stratified
     validation subset out of them, and return (train, fit, val) rows."""
-    split_path = _path(ctx, _need(sec, "split", "train"))
-    scols = read_columns(split_path, ["track_id", "split"])
-    split_of = dict(zip(scols["track_id"], scols["split"]))
+    split_path = ctx.arg("train.split")
+    split_of = _split_of(split_path)
     missing = [t for t in ids if t not in split_of]
     if missing:
         raise MissingInputError(
@@ -448,11 +433,10 @@ def _phase_splits(ctx: RunContext, sec: dict, ids: list[str], pop: np.ndarray):
     train_rows = np.flatnonzero(labels == "train")
     if train_rows.size < 10:
         raise PopgateError(f"too few training rows ({train_rows.size}) to fit the model")
-    val_fraction = float(sec.get("val_fraction", 0.1))
     asg = stratified_split(
         pop[train_rows],
-        bins=int(sec.get("val_bins", 5)),
-        test_fraction=val_fraction,
+        bins=ctx.arg("train.val_bins"),
+        test_fraction=ctx.arg("train.val_fraction"),
         seed=derive_seed(ctx.seed, "phase-val"),
     )
     fit_rows = train_rows[~asg.test_mask]
@@ -460,45 +444,34 @@ def _phase_splits(ctx: RunContext, sec: dict, ids: list[str], pop: np.ndarray):
     return train_rows, fit_rows, val_rows
 
 
-def _save_phase(
-    ctx: RunContext, phase: int, sec: dict, model_dir: Path,
-    model: GatedEnsemble, extra: dict, history: dict,
-) -> None:
-    """Save the model and the phase's history, then write its manifest."""
-    save_ensemble(model, model_dir, extra=extra)
-    hist_path = model_dir / f"phase{phase}_history.json"
-    hist_path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-
-    inputs = {"metadata": _path(ctx, sec["metadata"]), "split": _path(ctx, sec["split"])}
-    if phase == 2:
-        inputs["model"] = model_dir / "model.json"
-    for m, paths in _modality_inputs(sec).items():
+def _save_phase(ctx: RunContext, model: GatedEnsemble, extra: dict, history: dict) -> None:
+    """Save the model and the phase's history; the manifest also records
+    every modality file the phase read."""
+    save_ensemble(model, ctx.arg("train.model_dir"), extra=extra)
+    ctx.outputs["history"].write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
+    for m, paths in ctx.arg("train.inputs").items():
         for i, p in enumerate(paths):
-            inputs[f"{m}_{i}"] = _path(ctx, p)
-    outputs = {
-        "model": model_dir / "model.json",
-        "gate": model_dir / "gate.npz",
-        "history": hist_path,
-        **{f"branch_{m}": model_dir / f"branch_{m}.npz" for m in MODALITIES},
-    }
-    write_manifest(ctx.workspace, f"train-phase{phase}", ctx.config, ctx.seed, inputs, outputs)
+            ctx.inputs[f"{m}_{i}"] = p
+
+
+def _phase_files(phase: int) -> dict[str, str]:
+    files = {"model": "model.json", "gate": "gate.npz", "history": f"phase{phase}_history.json",
+             **{f"branch_{m}": f"branch_{m}.npz" for m in MODALITIES}}
+    return {name: f"train.model_dir/{f}" for name, f in files.items()}
 
 
 def cmd_train_phase1(ctx: RunContext) -> str:
-    sec = _train_section(ctx)
-    model_dir = _path(ctx, sec.get("model_dir", "models/fused"))
-    gate_cfg = _knobs(GateConfig, sec, "gate", "train.gate")
-    p1 = _knobs(Phase1Config, sec, "phase1", "train.phase1", seed=ctx.seed)
-    _, ids, pop, xs = _load_table(ctx, sec)
-    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, ids, pop)
+    ids, pop, xs = _load_table(ctx)
+    train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
 
     target_scaler = scaler_fit(pop[train_rows].reshape(-1, 1), "minmax")
     y_unit = scaler_apply(target_scaler, pop.reshape(-1, 1)).reshape(-1)
     feature_scalers = {m: scaler_fit(xs[m][train_rows], "zscore") for m in MODALITIES}
     xs_scaled = _scale(feature_scalers, xs)
 
-    branch_cfgs = {m: _branch_config(sec, m, xs_scaled[m].shape[1]) for m in MODALITIES}
-    model = GatedEnsemble.build(branch_cfgs, gate_cfg, rng_for(ctx.seed, "model-init"))
+    stacks = ctx.arg("train.branches")
+    branch_cfgs = {m: replace(stacks[m], in_dim=xs_scaled[m].shape[1]) for m in MODALITIES}
+    model = GatedEnsemble.build(branch_cfgs, ctx.arg("train.gate"), rng_for(ctx.seed, "model-init"))
 
     histories = {}
     for m in MODALITIES:
@@ -506,7 +479,7 @@ def cmd_train_phase1(ctx: RunContext) -> str:
             model.branches[m],
             xs_scaled[m][fit_rows], y_unit[fit_rows],
             xs_scaled[m][val_rows], y_unit[val_rows],
-            p1,
+            ctx.arg("train.phase1"),
         )
     extra = {
         "phase": 1,
@@ -514,19 +487,16 @@ def cmd_train_phase1(ctx: RunContext) -> str:
         "target_scaler": target_scaler.to_json(),
         "feature_scalers": {m: feature_scalers[m].to_json() for m in MODALITIES},
     }
-    _save_phase(ctx, 1, sec, model_dir, model, extra, histories)
+    _save_phase(ctx, model, extra, histories)
     best = {m: f"{histories[m]['best_val_mse']:.5f}" for m in MODALITIES}
-    return f"train-phase1: val mse {best} -> {model_dir}"
+    return f"train-phase1: val mse {best} -> {ctx.arg('train.model_dir')}"
 
 
 def cmd_train_phase2(ctx: RunContext) -> str:
-    sec = _train_section(ctx)
-    model_dir = _path(ctx, sec.get("model_dir", "models/fused"))
-    weights = _knobs(LossWeights, sec, "loss_weights", "train.loss_weights")
-    p2 = _knobs(Phase2Config, sec, "phase2", "train.phase2", seed=ctx.seed)
-    model, extra = load_ensemble(model_dir)
-    _, ids, pop, xs = _load_table(ctx, sec)
-    train_rows, fit_rows, val_rows = _phase_splits(ctx, sec, ids, pop)
+    weights = ctx.arg("train.loss_weights")
+    model, extra = load_ensemble(ctx.arg("train.model_dir"))
+    ids, pop, xs = _load_table(ctx)
+    train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
 
     # reuse the phase-1 scalers verbatim; refitting could drift
     target_scaler, feature_scalers = _saved_scalers(extra)
@@ -537,10 +507,10 @@ def cmd_train_phase2(ctx: RunContext) -> str:
         model,
         {m: xs_scaled[m][fit_rows] for m in MODALITIES}, y_unit[fit_rows],
         {m: xs_scaled[m][val_rows] for m in MODALITIES}, y_unit[val_rows],
-        weights, p2,
+        weights, ctx.arg("train.phase2"),
     )
     extra = {**extra, "phase": 2, "loss_weights": weights.to_json()}
-    _save_phase(ctx, 2, sec, model_dir, model, extra, hist)
+    _save_phase(ctx, model, extra, hist)
     return (
         f"train-phase2: val mse {hist['initial_val_mse']:.5f} -> {hist['best_val_mse']:.5f} "
         f"in {hist['epochs_run']} epochs"
@@ -551,56 +521,25 @@ def cmd_train_phase2(ctx: RunContext) -> str:
 # prediction / evaluation / gate report
 
 
+ALPHA_COLUMNS = tuple(f"alpha_{m}" for m in MODALITIES)
 PREDICTION_COLUMNS = (
-    "track_id",
-    "pred_popularity",
-    "alpha_audio",
-    "alpha_lyrics",
-    "alpha_social",
-    "pred_audio",
-    "pred_lyrics",
-    "pred_social",
+    "track_id", "pred_popularity", *ALPHA_COLUMNS, *(f"pred_{m}" for m in MODALITIES)
 )
 
 
-def _predictions_path(ctx: RunContext) -> Path:
-    sec = _section(ctx.config, "predict") if "predict" in ctx.config else {}
-    return _path(ctx, sec.get("out", "out/predictions.csv"))
-
-
 def cmd_predict(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "predict")
-    train = _train_section(ctx)
-    model_dir = _path(ctx, sec.get("model_dir", train.get("model_dir", "models/fused")))
-    out = _predictions_path(ctx)
+    model_dir = ctx.arg("predict.model_dir")
     model, extra = load_ensemble(model_dir)
     if extra.get("phase", 0) < 2:
         raise PopgateError(f"model at {model_dir} has not completed phase-2 training")
-    meta, ids, _, xs = _load_table(ctx, train)
+    ids, _, xs = _load_table(ctx)
     target_scaler, feature_scalers = _saved_scalers(extra)
 
     result = model.predict(_scale(feature_scalers, xs))
     pred = scaler_invert(target_scaler, result.yhat.reshape(-1, 1)).reshape(-1)
-    branch_pred = np.hstack(
-        [
-            scaler_invert(target_scaler, result.branch_yhat[:, i].reshape(-1, 1))
-            for i in range(len(MODALITIES))
-        ]
-    )
-    rows = (
-        (
-            ids[i], pred[i],
-            result.alpha[i, 0], result.alpha[i, 1], result.alpha[i, 2],
-            branch_pred[i, 0], branch_pred[i, 1], branch_pred[i, 2],
-        )
-        for i in range(len(ids))
-    )
-    write_csv(out, PREDICTION_COLUMNS, rows)
-    write_manifest(
-        ctx.workspace, "predict", ctx.config, ctx.seed,
-        {"model": model_dir / "model.json", "metadata": meta},
-        {"predictions": out},
-    )
+    branch_pred = scaler_invert(target_scaler, result.branch_yhat)
+    out = ctx.outputs["predictions"]
+    write_csv(out, PREDICTION_COLUMNS, zip(ids, pred, *result.alpha.T, *branch_pred.T))
     return f"predict: {len(ids)} rows -> {out}"
 
 
@@ -617,7 +556,7 @@ def _metadata_of(meta: Path, track_ids: list[str], names: list[str]) -> dict[str
 
 
 def _alpha(pcols: dict[str, list[str]], rows) -> np.ndarray:
-    return np.array([[float(pcols[f"alpha_{m}"][i]) for m in MODALITIES] for i in rows])
+    return np.array([[float(pcols[c][i]) for c in ALPHA_COLUMNS] for i in rows])
 
 
 def _decade(year: str) -> str:
@@ -640,17 +579,10 @@ def _distribution(v: np.ndarray) -> dict:
 
 
 def cmd_evaluate(ctx: RunContext) -> str:
-    sec = _section(ctx.config, "evaluate")
-    pred_path = _path(ctx, _need(sec, "predictions", "evaluate"))
-    meta = _path(ctx, _need(sec, "metadata", "evaluate"))
-    split_path = _path(ctx, _need(sec, "split", "evaluate"))
-    out = _path(ctx, sec.get("out", "out/metrics.json"))
-    subset = sec.get("subset", "test")
-
-    pcols = read_columns(pred_path, list(PREDICTION_COLUMNS))
-    mcols = _metadata_of(meta, pcols["track_id"], ["year", "popularity"])
-    scols = read_columns(split_path, ["track_id", "split"])
-    split_of = dict(zip(scols["track_id"], scols["split"]))
+    subset = ctx.arg("evaluate.subset")
+    pcols = read_columns(ctx.inputs["predictions"], list(PREDICTION_COLUMNS))
+    mcols = _metadata_of(ctx.inputs["metadata"], pcols["track_id"], ["year", "popularity"])
+    split_of = _split_of(ctx.inputs["split"])
 
     keep = [
         i for i, tid in enumerate(pcols["track_id"])
@@ -675,13 +607,9 @@ def cmd_evaluate(ctx: RunContext) -> str:
         "distribution": {"actual": _distribution(y), "predicted": _distribution(y_hat)},
         "gate_means_by_decade": gates.groups,
     }
+    out = ctx.outputs["report"]
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    write_manifest(
-        ctx.workspace, "evaluate", ctx.config, ctx.seed,
-        {"predictions": pred_path, "metadata": meta, "split": split_path},
-        {"report": out},
-    )
     return (
         f"evaluate[{subset}]: n={len(keep)} r2={report.r2:.4f} mae={report.mae:.3f} "
         f"relmse={report.relmse:.4f} -> {out}"
@@ -690,52 +618,139 @@ def cmd_evaluate(ctx: RunContext) -> str:
 
 def cmd_gate_report(ctx: RunContext) -> str:
     """Summarize the mixture weights that `predict` wrote; needs no model."""
-    sec = _section(ctx.config, "gate_report")
-    group_by = sec.get("group_by", "decade")
-    if group_by not in ("decade", "none"):
-        raise ConfigError(f"gate_report.group_by must be 'decade' or 'none', got {group_by!r}")
-    out = _path(ctx, sec.get("out", "out/gate_report.json"))
-    pred_path = _predictions_path(ctx)
-    meta = _path(ctx, _need(_train_section(ctx), "metadata", "train"))
-
-    pcols = read_columns(pred_path, ["track_id", *(f"alpha_{m}" for m in MODALITIES)])
-    years = _metadata_of(meta, pcols["track_id"], ["year"])["year"]
-    labels = [_decade(y) for y in years] if group_by == "decade" else None
+    pcols = read_columns(ctx.inputs["predictions"], ["track_id", *ALPHA_COLUMNS])
+    years = _metadata_of(ctx.inputs["metadata"], pcols["track_id"], ["year"])["year"]
+    labels = [_decade(y) for y in years] if ctx.arg("gate_report.group_by") == "decade" else None
     report = gate_report(_alpha(pcols, range(len(years))), group_labels=labels)
+    out = ctx.outputs["report"]
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
-    write_manifest(
-        ctx.workspace, "gate-report", ctx.config, ctx.seed,
-        {"predictions": pred_path, "metadata": meta},
-        {"report": out},
-    )
     means = ", ".join(f"{m}={report.means[m]:.3f}" for m in MODALITIES)
     return f"gate-report: {means} -> {out}"
 
 
 # ---------------------------------------------------------------------------
+# the config keys and the steps
 
 
-_HANDLERS = {
-    "synth": cmd_synth,
-    "clean": cmd_clean,
-    "split": cmd_split,
-    "ctd-extract": cmd_ctd_extract,
-    "ae-train": cmd_ae_train,
-    "compress": cmd_compress,
-    "train-phase1": cmd_train_phase1,
-    "train-phase2": cmd_train_phase2,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "gate-report": cmd_gate_report,
+# Every key of every section: (type, default, what a valid value is, a check
+# of it). Keys without a default are required; a callable default reads
+# another key. Paths are relative to the workspace.
+SECTIONS = {
+    "synth": {"out_dir": (Path, "data")},
+    "clean": {"metadata": (Path,), "lyrics": (Path,),
+              "metadata_out": (Path, "data/metadata_clean.csv"),
+              "lyrics_out": (Path, "data/lyrics_clean.csv")},
+    "split": {"metadata": (Path,), "out": (Path, "data/split.csv"),
+              "bins": (int, 5, *_AT_LEAST_1), "test_fraction": (float, 0.2, *_FRACTION),
+              "seed": (int, lambda ctx: ctx.arg("split_seed"))},
+    "ctd": {"events": (Path,), "metadata": (Path,), "out": (Path, "data/ctd.csv"),
+            "mode": (str, "temporal"),
+            "window": (tuple[int, ...], DEFAULT_WINDOW, "a non-empty list of years", len)},
+    "ae": {"features": (Path,), "split": (Path,), "model_dir": (Path, "models/ae"),
+           "registry": (tuple[FeatureGroup, ...], lambda ctx: default_registry(),
+                        "a non-empty list of groups", _valid_registry),
+           "train": (AETrainConfig, {})},
+    "compress": {"features": (Path,), "model_dir": (Path, "models/ae"),
+                 "out": (Path, "data/audio_compressed.csv")},
+    "train": {"metadata": (Path,), "split": (Path,), "inputs": (_modality_inputs,),
+              "model_dir": (Path, "models/fused"),
+              "val_fraction": (float, 0.1, *_FRACTION), "val_bins": (int, 5, *_AT_LEAST_1),
+              "branches": (_branches, {}), "gate": (GateConfig, {}),
+              "phase1": (Phase1Config, {}), "phase2": (Phase2Config, {}),
+              "loss_weights": (LossWeights, {})},
+    "predict": {"out": (Path, "out/predictions.csv"),
+                "model_dir": (Path, lambda ctx: ctx.arg("train.model_dir"))},
+    "evaluate": {"predictions": (Path,), "metadata": (Path,), "split": (Path,),
+                 "out": (Path, "out/metrics.json"),
+                 "subset": (str, "test", *_one_of("test", "train", "all"))},
+    "gate_report": {"out": (Path, "out/gate_report.json"),
+                    "group_by": (str, "decade", *_one_of("decade", "none"))},
 }
+# sections whose other keys are the fields of a dataclass, less hidden ones
+FLAT_KNOBS = {"synth": (SynthSpec, ("window",)), "clean": (CleaningConfig, ())}
+TOP_LEVEL = {"split_seed": (int, DEFAULT_SPLIT_SEED)}
+CLI_KEYS = ("seed", "workspace")  # top-level keys that popgate.cli reads
+
+
+class Step(NamedTuple):
+    """A subcommand: its body; the sections it reads, of which the first
+    must be present; its manifest's files, named by key (`RunContext.file`);
+    and the key that gives the manifest's seed, if not the run's seed."""
+
+    body: Callable[[RunContext], str]
+    sections: tuple[str, ...]
+    inputs: dict[str, str] = {}
+    outputs: dict[str, str] = {}
+    seed: str | None = None
+
+
+STEPS = {
+    "synth": Step(cmd_synth, ("synth",),
+                  outputs={f: f"synth.out_dir/{f}.csv" for f in _SYNTH_FILES}),
+    "clean": Step(cmd_clean, ("clean",),
+                  {"metadata": "clean.metadata", "lyrics": "clean.lyrics"},
+                  {"metadata": "clean.metadata_out", "lyrics": "clean.lyrics_out"}),
+    "split": Step(cmd_split, ("split",), {"metadata": "split.metadata"}, {"split": "split.out"},
+                  seed="split.seed"),
+    "ctd-extract": Step(cmd_ctd_extract, ("ctd",),
+                        {"events": "ctd.events", "metadata": "ctd.metadata"}, {"ctd": "ctd.out"}),
+    "ae-train": Step(cmd_ae_train, ("ae",),
+                     {"features": "ae.features", "split": "ae.split"},
+                     {"ensemble": "ae.model_dir/ensemble.json",
+                      "history": "ae.model_dir/history.json"}),
+    "compress": Step(cmd_compress, ("compress",),
+                     {"features": "compress.features",
+                      "ensemble": "compress.model_dir/ensemble.json"},
+                     {"compressed": "compress.out"}),
+    "train-phase1": Step(cmd_train_phase1, ("train",),
+                         {"metadata": "train.metadata", "split": "train.split"}, _phase_files(1)),
+    "train-phase2": Step(cmd_train_phase2, ("train",),
+                         {"metadata": "train.metadata", "split": "train.split",
+                          "model": "train.model_dir/model.json"}, _phase_files(2)),
+    "predict": Step(cmd_predict, ("predict", "train"),
+                    {"model": "predict.model_dir/model.json", "metadata": "train.metadata"},
+                    {"predictions": "predict.out"}),
+    "evaluate": Step(cmd_evaluate, ("evaluate",),
+                     {"predictions": "evaluate.predictions", "metadata": "evaluate.metadata",
+                      "split": "evaluate.split"}, {"report": "evaluate.out"}),
+    "gate-report": Step(cmd_gate_report, ("gate_report", "predict", "train"),
+                        {"predictions": "predict.out", "metadata": "train.metadata"},
+                        {"report": "gate_report.out"}),
+}
+SUBCOMMANDS = tuple(STEPS)
+
+
+def _check(ctx: RunContext, sections: tuple[str, ...]) -> None:
+    """Reject unknown top-level keys, then check every key of the step's own
+    section and every key set in the other sections it reads."""
+    _object(ctx.config, "", [*CLI_KEYS, *TOP_LEVEL, *SECTIONS])
+    own = sections[0]
+    if own not in ctx.config:
+        raise ConfigError(f"config lacks a {own!r} section")
+    for name in sections:
+        given = ctx.config.get(name, {})
+        if name in FLAT_KNOBS:
+            ctx.knobs(name)
+        else:
+            _object(given, name, SECTIONS[name])
+        for key in SECTIONS[name]:
+            if name == own or key in given:
+                ctx.arg(f"{name}.{key}")
 
 
 def run_command(command: str, config: dict, workspace: str | Path, seed: int) -> str:
-    if command not in _HANDLERS:
+    if command not in STEPS:
         raise ConfigError(f"unknown subcommand {command!r}; expected one of {SUBCOMMANDS}")
+    step = STEPS[command]
     workspace = Path(workspace)
     if not workspace.exists():
         raise MissingInputError(f"workspace directory does not exist: {workspace}")
     ctx = RunContext(workspace=workspace, config=config, seed=int(seed))
-    return _HANDLERS[command](ctx)
+    _check(ctx, step.sections)
+    ctx.inputs = {name: ctx.file(ref) for name, ref in step.inputs.items()}
+    ctx.outputs = {name: ctx.file(ref) for name, ref in step.outputs.items()}
+    summary = step.body(ctx)
+    manifest_seed = ctx.arg(step.seed) if step.seed else ctx.seed
+    write_manifest(workspace, command, config, manifest_seed, ctx.inputs, ctx.outputs)
+    return summary

@@ -81,7 +81,8 @@ def write_matrix_csv(
 
 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Read a track_id-keyed numeric table -> (ids, feature_names, float64 matrix)."""
+    """Read a track_id-keyed numeric table -> (ids, feature_names, float64 matrix).
+    Every cell must be a finite number."""
     header, rows = read_csv(path)
     if not header or header[0] != KEY_COLUMN:
         raise PopgateError(f"{path}: first column must be {KEY_COLUMN!r}, got {header[:1]}")
@@ -97,6 +98,12 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
                 data[r, c] = float(cell)
             except ValueError:
                 raise PopgateError(f"{path} row {r + 2}, column {names[c]!r}: not a number: {cell!r}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise PopgateError(
+            f"{path} row {r + 2}, column {names[c]!r}: not a finite number: {rows[r][c + 1]!r}"
+        )
     return ids, names, data
 
 

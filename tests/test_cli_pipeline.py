@@ -1,7 +1,9 @@
 """End-to-end tests for the CLI subcommands against a small synthetic run."""
 
+import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -385,6 +387,76 @@ class TestCliContract:
         monkeypatch.setattr(popgate.pipeline, "gate_report", broken)
         with pytest.raises(TypeError, match="a bug"):
             main(["gate-report", "--config", str(cfg_path)])
+
+
+def _set(config: dict, dotted: str, value) -> None:
+    *parents, leaf = dotted.split(".")
+    node = config
+    for p in parents:
+        node = node[p]
+    node[leaf] = value
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# (step, dotted key, value): each of these once ran to exit 0 with a result
+# other than the config asked for
+SILENT_WRONG_RESULTS = [
+    ("ctd-extract", "ctd.window", "2016"),  # read as the years (2, 0, 1, 6)
+    ("split", "split.bins", 0),  # no test rows
+    ("train-phase1", "train.val_fracton", 0.5),  # typo: trained the default
+    ("train-phase1", "train.branches.audio.hiden", [99]),  # typo: default stack
+    ("split", "split_sed", 7),  # typo'd top-level key
+]
+
+# (step, dotted key, value): each of these once ended in a traceback, in
+# exit 1, or in an error that named some other key
+MALFORMED_KEYS = [
+    ("ae-train", "ae.registry", [{"name": "aud", "start": 0, "d": 12}]),  # no d_enc
+    ("train-phase1", "train.branches", [{"hidden": [8]}]),
+    ("train-phase1", "train.branches.audio", [8, 4]),
+    ("synth", "synth.dims", [4, 4]),
+    ("clean", "clean.metadata", 5),
+    ("synth", "synth.n_samples", "abc"),
+    ("clean", "clean.lyric_bounds", [1, 2, 3]),
+    ("train-phase1", "train.val_fraction", 0),  # was blamed on test_fraction
+    ("evaluate", "evaluate.subset", "tset"),  # was "fewer than 2 rows"
+]
+
+
+class TestConfigKeys:
+    def _run_bad(self, chain_ws, tmp_path, capsys, step, key, value):
+        """Run `step` with one bad key on a copy of the chain's workspace;
+        it must exit 3 naming the key and leave every file as it was."""
+        ws, _ = chain_ws
+        copy = _copy_ws(ws, tmp_path / "ws").parent
+        cfg = chain_config()
+        _set(cfg, key, value)
+        p = write_config(tmp_path, cfg, "bad.json")
+        assert main([step, "--config", str(p), "--workspace", str(copy)]) == 3
+        assert key in capsys.readouterr().err
+        assert _files(copy) == _files(ws)
+
+    @pytest.mark.parametrize("step,key,value", SILENT_WRONG_RESULTS)
+    def test_silent_wrong_result_exits_3(self, chain_ws, tmp_path, capsys, step, key, value):
+        self._run_bad(chain_ws, tmp_path, capsys, step, key, value)
+
+    @pytest.mark.parametrize("step,key,value", MALFORMED_KEYS)
+    def test_malformed_key_exits_3_and_names_it(self, chain_ws, tmp_path, capsys, step, key, value):
+        self._run_bad(chain_ws, tmp_path, capsys, step, key, value)
+
+    def test_readme_config_is_the_tested_and_benchmarked_one(self):
+        """The JSON config in README.md is the chain the tests run and the
+        config the benchmark starts from, so strict key checks cover it."""
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        spec = importlib.util.spec_from_file_location("_workloads", root / "perfbench/workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert json.loads(block) == chain_config() == workloads.README_CONFIG
 
 
 def _copy_ws(ws: Path, dest: Path) -> Path:

@@ -16,7 +16,6 @@ from popgate.fusion import (
     ExpertBranch,
     GateConfig,
     GatedEnsemble,
-    GateReport,
     GatingNetwork,
     LearnableStandardize,
     LossWeights,
@@ -32,7 +31,7 @@ from popgate.fusion import (
 )
 from popgate.metrics import r2_score
 from popgate.nn import Elu, LeakyRelu, Param
-from popgate.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
+from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 
 TOL = 1e-4

@@ -88,6 +88,14 @@ class TestReadErrors:
         with pytest.raises(PopgateError, match=r"row 3, column 'b'"):
             read_matrix_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_matrix_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], [["t0", "1.0", "2.0"], ["t1", cell, "inf"]])
+        msg = rf"m\.csv row 3, column 'a': not a finite number: '{cell}'"
+        with pytest.raises(PopgateError, match=msg):
+            read_matrix_csv(p)
+
     def test_matrix_ragged_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("track_id,a,b\nt0,1.0\n")
