@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..nn import Dense, DenseLayerSpec, Elu, Identity, MLP
-from ..nn.layers import Param, snapshot_state
+from ..nn import DenseLayerSpec, Elu, Identity, MLP, Module
+from ..nn.layers import snapshot_state
 
 AE_DROPOUT = 0.05
 AE_ELU_ALPHA = 0.1
@@ -44,7 +44,7 @@ def _hidden_spec(a: int, b: int) -> DenseLayerSpec:
     return DenseLayerSpec(a, b, Elu(AE_ELU_ALPHA), batchnorm=True, dropout_p=AE_DROPOUT)
 
 
-class Autoencoder:
+class Autoencoder(Module):
     """Encoder (hiddens -> linear bottleneck) and mirrored decoder
     (hiddens reversed -> linear output). Hidden layers are ELU(0.1) with
     batchnorm and dropout; bottleneck and output are plain linear maps so
@@ -79,24 +79,11 @@ class Autoencoder:
         gz = self.decoder.backward(d_xhat) + d_z
         return self.encoder.backward(gz)
 
-    def params(self) -> list[Param]:
-        return self.encoder.params() + self.decoder.params()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {}
-        arrays.update(self.encoder.state_arrays("enc."))
-        arrays.update(self.decoder.state_arrays("dec."))
-        return arrays
+    def parts(self) -> list:
+        return [("enc", self.encoder), ("dec", self.decoder)]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return snapshot_state(self.state_arrays())
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.encoder.load_state(arrays, "enc.")
-        self.decoder.load_state(arrays, "dec.")
-
-    def hidden_dims(self) -> list[int]:
-        return [layer.spec.out_dim for layer in self.encoder.layers[:-1]]
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,10 @@ class CompressorEnsemble:
             raise ConfigError(f"registry hash mismatch in {path}")
         models, scalers = {}, {}
         for g in registry:
-            arrays, meta = load_checkpoint(Path(in_dir) / manifest["groups"][g.name]["checkpoint"])
+            ckpt = Path(in_dir) / manifest["groups"][g.name]["checkpoint"]
+            arrays, meta = load_checkpoint(ckpt)
             model = Autoencoder(g.d, g.d_enc, np.random.default_rng(0), name=g.name)
-            model.load_state(arrays)
+            model.load_state(arrays, ckpt)
             models[g.name] = model
             scalers[g.name] = ScalerParams(
                 kind="zscore",

@@ -89,12 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             seed = _as_int(config.get("seed", DEFAULT_SEED), "config key 'seed'")
 
-        workspace = (
-            args.workspace
-            or _env("POPGATE_WORKSPACE")
-            or config.get("workspace")
-            or config_path.parent
-        )
+        configured = config.get("workspace")
+        if configured is not None and type(configured) is not str:
+            raise ConfigError(f"config key 'workspace' must be a string, got {configured!r}")
+        workspace = args.workspace or _env("POPGATE_WORKSPACE") or configured or config_path.parent
         summary = run_command(args.command, config, workspace, seed)
     except PopgateError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,12 +1,11 @@
 from .cleaning import DEFAULT_LANGUAGES, CleaningConfig, TrackRecord, clean, normalize_lyrics
-from .scaling import Scaler, ScalerParams, scaler_apply, scaler_fit, scaler_invert
+from .scaling import ScalerParams, scaler_apply, scaler_fit, scaler_invert
 from .split import SplitAssignment, stratified_split
 from .synth import SynthData, SynthSpec, synth_generate
 
 __all__ = [
     "DEFAULT_LANGUAGES",
     "CleaningConfig",
-    "Scaler",
     "ScalerParams",
     "SplitAssignment",
     "SynthData",

@@ -86,27 +86,3 @@ def scaler_invert(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
         return X / params.k
     return X * params.scale + params.center
 
-
-class Scaler:
-    """Stateful wrapper: fit on train once, then transform anywhere."""
-
-    def __init__(self, kind: str, k: float | None = None):
-        if kind not in KINDS:
-            raise ConfigError(f"unknown scaler kind {kind!r}; expected one of {KINDS}")
-        self.kind = kind
-        self.k = k
-        self.params: ScalerParams | None = None
-
-    def fit(self, train: np.ndarray) -> "Scaler":
-        self.params = scaler_fit(train, self.kind, self.k)
-        return self
-
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        if self.params is None:
-            raise RuntimeError("scaler has not been fit")
-        return scaler_apply(self.params, rows)
-
-    def inverse_transform(self, rows: np.ndarray) -> np.ndarray:
-        if self.params is None:
-            raise RuntimeError("scaler has not been fit")
-        return scaler_invert(self.params, rows)

@@ -14,7 +14,7 @@ class ConfigError(PopgateError):
 
 
 class MissingInputError(PopgateError):
-    """A named input file or directory does not exist."""
+    """A named input file, directory or checkpoint array does not exist."""
 
     exit_code = 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigError, ShapeError
-from ..nn import MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Param, Sigmoid
+from ..nn import MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid
 from ..nn.layers import activation_from_json, activation_to_json
 
 MODALITIES = ("audio", "lyrics", "social")
@@ -107,7 +107,7 @@ def default_branch_config(modality: str, in_dim: int) -> BranchConfig:
     raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
 
 
-class ExpertBranch:
+class ExpertBranch(Module):
     """Trunk + sigmoid head for one modality.
 
     forward returns (h, y_hat) where h is the batch x repr_dim trunk output
@@ -160,14 +160,5 @@ class ExpertBranch:
             g = d_h if g is None else g + d_h
         return self.trunk.backward(g)
 
-    def params(self) -> list[Param]:
-        return self.trunk.params() + self.head.params()
-
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        arrays = self.trunk.state_arrays(f"{prefix}trunk.")
-        arrays.update(self.head.state_arrays(f"{prefix}head"))
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        self.trunk.load_state(arrays, f"{prefix}trunk.")
-        self.head.load_state(f"{prefix}head", arrays)
+    def parts(self) -> list:
+        return [("trunk", self.trunk), ("head", self.head)]

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..nn import MLP, DenseLayerSpec, Identity, LeakyRelu, Param, softmax, softmax_backward
+from ..nn import MLP, DenseLayerSpec, Identity, LeakyRelu, Module, Param, softmax, softmax_backward
 from .branches import MODALITIES
 
 
-class LearnableStandardize:
+class LearnableStandardize(Module):
     """x_tilde = (h - shift) / (|scale| + eps), both vectors learnable.
 
     |scale| keeps the denominator positive for any parameter value; the
@@ -55,15 +55,8 @@ class LearnableStandardize:
         )
         return grad / denom
 
-    def params(self) -> list[Param]:
-        return [self.shift, self.scale]
-
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.shift": self.shift.value, f"{prefix}.scale": self.scale.value}
-
-    def load_state(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        self.shift.value[...] = arrays[f"{prefix}.shift"]
-        self.scale.value[...] = arrays[f"{prefix}.scale"]
+    def parts(self) -> list:
+        return [("shift", self.shift), ("scale", self.scale)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ class GateConfig:
         )
 
 
-class GatingNetwork:
+class GatingNetwork(Module):
     """Maps the three branch representations to mixture weights alpha.
 
     Pipeline: standardize each h_i, concatenate, run the gate MLP to three
@@ -159,21 +152,5 @@ class GatingNetwork:
             out[m] = self.standardizers[m].backward(d_z[:, i * r : (i + 1) * r])
         return out
 
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for m in MODALITIES:
-            out.extend(self.standardizers[m].params())
-        out.extend(self.mlp.params())
-        return out
-
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        for m in MODALITIES:
-            arrays.update(self.standardizers[m].state_arrays(f"{prefix}std.{m}"))
-        arrays.update(self.mlp.state_arrays(f"{prefix}mlp."))
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        for m in MODALITIES:
-            self.standardizers[m].load_state(f"{prefix}std.{m}", arrays)
-        self.mlp.load_state(arrays, f"{prefix}mlp.")
+    def parts(self) -> list:
+        return [(f"std.{m}", self.standardizers[m]) for m in MODALITIES] + [("mlp", self.mlp)]

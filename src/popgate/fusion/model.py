@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import load_checkpoint, mse_loss, save_checkpoint
-from ..nn.layers import Param
+from ..nn import Module, load_checkpoint, mse_loss, save_checkpoint
 from .branches import MODALITIES, BranchConfig, ExpertBranch
 from .gate import GateConfig, GatingNetwork
 
@@ -62,7 +61,7 @@ class EnsembleOutput:
     branch_yhat: np.ndarray  # (n, 3)
 
 
-class GatedEnsemble:
+class GatedEnsemble(Module):
     def __init__(self, branches: dict[str, ExpertBranch], gate: GatingNetwork):
         if set(branches) != set(MODALITIES):
             raise ConfigError(f"ensemble needs branches {MODALITIES}, got {sorted(branches)}")
@@ -139,24 +138,8 @@ class GatedEnsemble:
     def predict(self, xs: dict[str, np.ndarray]) -> EnsembleOutput:
         return self.forward(xs, train=False)
 
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for m in MODALITIES:
-            out.extend(self.branches[m].params())
-        out.extend(self.gate.params())
-        return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        for m in MODALITIES:
-            arrays.update(self.branches[m].state_arrays(f"{m}."))
-        arrays.update(self.gate.state_arrays("gate."))
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for m in MODALITIES:
-            self.branches[m].load_state(arrays, f"{m}.")
-        self.gate.load_state(arrays, "gate.")
+    def parts(self) -> list:
+        return [(m, self.branches[m]) for m in MODALITIES] + [("gate", self.gate)]
 
 
 def ensemble_loss(
@@ -222,12 +205,14 @@ def load_ensemble(in_dir: str | Path) -> tuple[GatedEnsemble, dict]:
     rng = np.random.default_rng(0)  # placeholder init; every array is overwritten
     branches = {}
     for m in MODALITIES:
-        arrays, meta = load_checkpoint(in_dir / manifest["branch_checkpoints"][m])
+        ckpt = in_dir / manifest["branch_checkpoints"][m]
+        arrays, meta = load_checkpoint(ckpt)
         branch = ExpertBranch(BranchConfig.from_json(meta["config"]), rng)
-        branch.load_state(arrays)
+        branch.load_state(arrays, ckpt)
         branch.trained = bool(meta["trained"])
         branches[m] = branch
-    arrays, meta = load_checkpoint(in_dir / manifest["gate_checkpoint"])
+    ckpt = in_dir / manifest["gate_checkpoint"]
+    arrays, meta = load_checkpoint(ckpt)
     gate = GatingNetwork(GateConfig.from_json(meta["config"]), rng)
-    gate.load_state(arrays)
+    gate.load_state(arrays, ckpt)
     return GatedEnsemble(branches, gate), manifest.get("extra", {})

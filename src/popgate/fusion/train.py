@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import PopgateError, ShapeError
 from ..nn import Adam, AdamW, TrainControl, clip_grad_norm, mse_loss
-from ..nn.layers import restore_state, snapshot_state
+from ..nn.layers import snapshot_state
 from ..seeding import rng_for
 from .branches import MODALITIES, ExpertBranch
 from .model import GatedEnsemble, LossWeights, ensemble_loss
@@ -121,7 +121,7 @@ def phase1_train(
         if control.should_stop:
             break
 
-    restore_state(branch.state_arrays(), best)
+    branch.load_state(best)
     branch.trained = True
     history.update(
         best_epoch=control.best_epoch,
@@ -197,7 +197,7 @@ def phase2_train(
         if control.should_stop:
             break
 
-    restore_state(model.state_arrays(), best)
+    model.load_state(best)
     history.update(
         best_epoch=control.best_epoch,
         best_val_mse=control.best_metric,

@@ -7,6 +7,7 @@ from .layers import (
     Identity,
     LeakyRelu,
     MLP,
+    Module,
     Param,
     Sigmoid,
     activation_forward,
@@ -27,6 +28,7 @@ __all__ = [
     "Identity",
     "LeakyRelu",
     "MLP",
+    "Module",
     "Param",
     "Sigmoid",
     "TrainControl",

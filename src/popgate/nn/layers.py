@@ -8,11 +8,12 @@ Dropout is inverted (scaled at train time), so eval applies no rescale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import ShapeError
+from ..exceptions import MissingInputError, ShapeError
 
 
 class Param:
@@ -34,6 +35,58 @@ class Param:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
+
+
+class Module:
+    """A model part whose state is declared once, by `parts()`.
+
+    `parts()` lists `(name, part)` pairs in checkpoint order. A part is a
+    `Param`, a plain array (state that is saved but not trained, such as
+    batchnorm running statistics), a child `Module`, or None (an absent
+    optional part, skipped). A state key is the dot-joined path of names
+    from the root, e.g. `trunk.layer0.bn.running_var`, `std.audio.shift` or
+    `enc.layer1.W`; a name may itself contain dots. `params`, `state_arrays`
+    and `load_state` all derive from this one list.
+    """
+
+    def parts(self) -> list[tuple[str, "Param | np.ndarray | Module | None"]]:
+        raise NotImplementedError
+
+    def params(self) -> list[Param]:
+        out: list[Param] = []
+        for _, part in self.parts():
+            if isinstance(part, Module):
+                out.extend(part.params())
+            elif isinstance(part, Param):
+                out.append(part)
+        return out
+
+    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """The live (uncopied) state arrays, keyed by `prefix` + dotted path."""
+        arrays: dict[str, np.ndarray] = {}
+        for name, part in self.parts():
+            if isinstance(part, Module):
+                arrays.update(part.state_arrays(f"{prefix}{name}."))
+            elif part is not None:
+                arrays[prefix + name] = part.value if isinstance(part, Param) else part
+        return arrays
+
+    def load_state(self, arrays: Mapping[str, np.ndarray], source: str | Path = "snapshot") -> None:
+        """Copy saved arrays into the live state in place. Every key must be
+        present with the live array's exact shape, else nothing is copied;
+        errors name `source` (the checkpoint path) and the key. Keys the
+        model lacks are ignored."""
+        live = self.state_arrays()
+        for key, dest in live.items():
+            if key not in arrays:
+                raise MissingInputError(f"{source}: no array {key!r}")
+            if arrays[key].shape != dest.shape:
+                raise ShapeError(
+                    f"{source}: array {key!r} has shape {arrays[key].shape}, "
+                    f"the model expects {dest.shape}"
+                )
+        for key, dest in live.items():
+            dest[...] = arrays[key]
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +222,8 @@ class DenseLayerSpec:
             "dropout_p": self.dropout_p,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "DenseLayerSpec":
-        return DenseLayerSpec(
-            in_dim=d["in_dim"],
-            out_dim=d["out_dim"],
-            activation=activation_from_json(d["activation"]),
-            batchnorm=d["batchnorm"],
-            dropout_p=d["dropout_p"],
-        )
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Per-feature batch normalization over axis 0."""
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, name: str = ""):
@@ -223,25 +266,12 @@ class BatchNorm:
         dmean = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * (x - mean), axis=0)
         return dxhat * inv_std + dvar * 2.0 * (x - mean) / n + dmean / n
 
-    def params(self) -> list[Param]:
-        return [self.gamma, self.beta]
-
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.gamma": self.gamma.value,
-            f"{prefix}.beta": self.beta.value,
-            f"{prefix}.running_mean": self.running_mean,
-            f"{prefix}.running_var": self.running_var,
-        }
-
-    def load_state(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        self.gamma.value[...] = arrays[f"{prefix}.gamma"]
-        self.beta.value[...] = arrays[f"{prefix}.beta"]
-        self.running_mean[...] = arrays[f"{prefix}.running_mean"]
-        self.running_var[...] = arrays[f"{prefix}.running_var"]
+    def parts(self) -> list:
+        return [("gamma", self.gamma), ("beta", self.beta),
+                ("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
-class Dense:
+class Dense(Module):
     """Dense block: y = dropout(activation(batchnorm(x W + b)))."""
 
     def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator, name: str = "dense"):
@@ -288,23 +318,8 @@ class Dense:
         self.b.grad += grad.sum(axis=0)
         return grad @ self.W.value.T
 
-    def params(self) -> list[Param]:
-        out = [self.W, self.b]
-        if self.bn is not None:
-            out.extend(self.bn.params())
-        return out
-
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        arrays = {f"{prefix}.W": self.W.value, f"{prefix}.b": self.b.value}
-        if self.bn is not None:
-            arrays.update(self.bn.state_arrays(f"{prefix}.bn"))
-        return arrays
-
-    def load_state(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        self.W.value[...] = arrays[f"{prefix}.W"]
-        self.b.value[...] = arrays[f"{prefix}.b"]
-        if self.bn is not None:
-            self.bn.load_state(f"{prefix}.bn", arrays)
+    def parts(self) -> list:
+        return [("W", self.W), ("b", self.b), ("bn", self.bn)]
 
 
 def _init_scale(spec: DenseLayerSpec) -> float:
@@ -314,7 +329,7 @@ def _init_scale(spec: DenseLayerSpec) -> float:
     return float(np.sqrt(1.0 / spec.in_dim))
 
 
-class MLP:
+class MLP(Module):
     """A stack of dense blocks executed in order."""
 
     def __init__(self, specs: Sequence[DenseLayerSpec], rng: np.random.Generator, name: str = "mlp"):
@@ -342,35 +357,13 @@ class MLP:
             grad = layer.backward(grad)
         return grad
 
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
     def specs_json(self) -> list[dict]:
         return [layer.spec.to_json() for layer in self.layers]
 
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        arrays: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            arrays.update(layer.state_arrays(f"{prefix}layer{i}"))
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        for i, layer in enumerate(self.layers):
-            layer.load_state(f"{prefix}layer{i}", arrays)
-
-    @staticmethod
-    def from_specs_json(specs: list[dict], rng: np.random.Generator, name: str = "mlp") -> "MLP":
-        return MLP([DenseLayerSpec.from_json(d) for d in specs], rng, name=name)
+    def parts(self) -> list:
+        return [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]
 
 
 def snapshot_state(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Deep-copy a state mapping (used to retain best-epoch weights)."""
     return {k: v.copy() for k, v in arrays.items()}
-
-
-def restore_state(live: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
-    for k, v in live.items():
-        v[...] = saved[k]

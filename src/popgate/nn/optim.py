@@ -66,13 +66,6 @@ class Adam:
             v_hat = self._v[i] / bc2
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_arrays(self, prefix: str = "opt") -> dict[str, np.ndarray]:
-        arrays = {f"{prefix}.step": np.array([self.step_count], dtype=np.int64)}
-        for i, m in enumerate(self._m):
-            arrays[f"{prefix}.m{i}"] = m
-            arrays[f"{prefix}.v{i}"] = self._v[i]
-        return arrays
-
 
 class AdamW(Adam):
     """Adam with decoupled weight decay. Plain `Param` sequences all share

@@ -157,7 +157,7 @@ def _knobs(cls, given, where: str, seed: int | None = None, hidden=(), extra=())
         values["seed"] = seed
     try:
         return cls(**values)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ConfigError) as e:
         raise ConfigError(f"{where} {json.dumps(own, sort_keys=True)}: {e}") from None
 
 
@@ -297,7 +297,10 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
 
 
 def _valid_registry(groups: tuple[FeatureGroup, ...]) -> bool:
-    validate_registry(groups)
+    try:
+        validate_registry(groups)
+    except ConfigError as e:
+        raise ConfigError(f"ae.registry: {e}") from None
     return len(groups) > 0
 
 
@@ -645,7 +648,7 @@ SECTIONS = {
               "bins": (int, 5, *_AT_LEAST_1), "test_fraction": (float, 0.2, *_FRACTION),
               "seed": (int, lambda ctx: ctx.arg("split_seed"))},
     "ctd": {"events": (Path,), "metadata": (Path,), "out": (Path, "data/ctd.csv"),
-            "mode": (str, "temporal"),
+            "mode": (str, "temporal", *_one_of("aggregate", "temporal")),
             "window": (tuple[int, ...], DEFAULT_WINDOW, "a non-empty list of years", len)},
     "ae": {"features": (Path,), "split": (Path,), "model_dir": (Path, "models/ae"),
            "registry": (tuple[FeatureGroup, ...], lambda ctx: default_registry(),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import popgate.pipeline
+from popgate.autoenc import registry_from_json, registry_hash
 from popgate.cli import build_parser, main
 from popgate.metrics import compute_metrics
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
@@ -378,6 +379,38 @@ class TestCliContract:
         assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 3
         assert "train.branches.audio.activation" in capsys.readouterr().err
 
+    def test_non_string_workspace_exits_3_and_names_it(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"workspace": 5, "synth": {}}, "ws.json")
+        assert main(["synth", "--config", str(p)]) == 3
+        assert "workspace" in capsys.readouterr().err
+
+    def test_bad_ctd_mode_exits_3_before_reading_events(self, tmp_path, capsys):
+        cfg = {"ctd": {"events": "no-events.csv", "metadata": "no-meta.csv", "mode": "tmporal"}}
+        assert main(["ctd-extract", "--config", str(write_config(tmp_path, cfg))]) == 3
+        assert "ctd.mode" in capsys.readouterr().err
+
+    def test_checkpoint_shape_mismatch_exits_4_and_names_file_and_key(self, chain_ws, tmp_path,
+                                                                     capsys):
+        # a checkpoint trained with d_enc 1 under a manifest that says 4 once
+        # loaded by broadcasting: four identical columns and exit 0
+        ws, _ = chain_ws
+        copy = _copy_ws(ws, tmp_path / "ws").parent
+        cfg = chain_config()
+        cfg["ae"]["registry"][0]["d_enc"] = 1
+        p = write_config(tmp_path, cfg, "narrow.json")
+        assert main(["ae-train", "--config", str(p), "--workspace", str(copy)]) == 0
+        path = copy / "models/ae/ensemble.json"
+        manifest = json.loads(path.read_text())
+        manifest["registry"][0]["d_enc"] = 4
+        manifest["registry_hash"] = registry_hash(registry_from_json(manifest["registry"]))
+        path.write_text(json.dumps(manifest))
+        before = (copy / "data/audio_z.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["compress", "--config", str(p), "--workspace", str(copy)]) == 4
+        err = capsys.readouterr().err
+        assert "aud.npz" in err and "'enc.layer1.W'" in err
+        assert (copy / "data/audio_z.csv").read_bytes() == before
+
     def test_type_error_inside_step_is_not_a_config_error(self, chain_ws, monkeypatch):
         ws, cfg_path = chain_ws
 
@@ -423,6 +456,12 @@ MALFORMED_KEYS = [
     ("clean", "clean.lyric_bounds", [1, 2, 3]),
     ("train-phase1", "train.val_fraction", 0),  # was blamed on test_fraction
     ("evaluate", "evaluate.subset", "tset"),  # was "fewer than 2 rows"
+    ("ctd-extract", "ctd.mode", "tmporal"),  # was checked only after the full ingest
+    ("ae-train", "ae.registry", [{"name": "a", "start": 0, "d": 6, "d_enc": 2},
+                                 {"name": "b", "start": 3, "d": 6, "d_enc": 2}]),  # overlap
+    ("ae-train", "ae.registry", [{"name": "a", "start": 0, "d": 6, "d_enc": 2},
+                                 {"name": "a", "start": 6, "d": 6, "d_enc": 2}]),  # same name
+    ("ae-train", "ae.registry", [{"name": "a", "start": 0, "d": 6, "d_enc": 6}]),  # d_enc = d
 ]
 
 
@@ -514,7 +553,12 @@ class TestTracedRun:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        train = {"nn.snapshot", "nn.clip", "nn.optim_step", "nn.checkpoint_save"}
         expect = {
+            "ae-train": {"autoenc.train", "autoenc.save", *train},
+            "compress": {"autoenc.load", "nn.checkpoint_load"},
+            "train-phase1": {"fusion.phase1", *train},
+            "train-phase2": {"fusion.phase2", "nn.checkpoint_load", *train},
             "gate-report": {"pipeline.gate_report", "fusion.gate_report", "tabular.read_csv"},
             "predict": {"pipeline.predict", "fusion.load", "tabular.read_matrix",
                         "data.scaler", "fusion.predict"},

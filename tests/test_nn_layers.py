@@ -19,7 +19,6 @@ from popgate.nn.layers import (
     activation_backward,
     activation_from_json,
     activation_to_json,
-    restore_state,
     snapshot_state,
 )
 
@@ -234,19 +233,14 @@ def test_mlp_state_round_trip_is_bit_exact():
     x = rng.normal(size=(3, 4))
     before = mlp.forward(x)
     # clone with different init, then restore
-    other = MLP.from_specs_json(mlp.specs_json(), np.random.default_rng(99))
+    other = MLP(specs, np.random.default_rng(99))
     other.load_state(saved)
     assert np.array_equal(other.forward(x), before)
-    # restore_state writes back in place
+    # load_state writes back in place
     for p in mlp.params():
         p.value += 1.0
-    restore_state(mlp.state_arrays(), saved)
+    mlp.load_state(saved)
     assert np.array_equal(mlp.forward(x), before)
-
-
-def test_spec_json_round_trip():
-    spec = DenseLayerSpec(7, 3, Elu(alpha=0.2), batchnorm=True, dropout_p=0.25)
-    assert DenseLayerSpec.from_json(spec.to_json()) == spec
 
 
 def test_spec_validation():

@@ -86,17 +86,6 @@ def test_optimizer_rejects_empty_and_bad_hparams():
         Adam([_param([1.0])], lr=0.1, beta1=1.0)
 
 
-def test_optimizer_state_arrays_track_moments():
-    p = _param([1.0, 2.0])
-    opt = Adam([p], lr=0.01)
-    p.grad[:] = [1.0, -1.0]
-    opt.step()
-    state = opt.state_arrays("opt")
-    assert state["opt.step"][0] == 1
-    assert np.allclose(state["opt.m0"], 0.1 * p.grad)
-    assert np.allclose(state["opt.v0"], 0.001 * p.grad**2)
-
-
 def test_clip_grad_norm_scales_to_ball():
     p = _param([0.0, 0.0])
     p.grad[:] = [3.0, 4.0]  # norm 5
