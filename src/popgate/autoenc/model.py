@@ -82,8 +82,8 @@ class Autoencoder(Module):
     def parts(self) -> list:
         return [("enc", self.encoder), ("dec", self.decoder)]
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return snapshot_state(self.state_arrays())
+    def snapshot(self, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+        return snapshot_state(self.state_arrays(), into)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def train_group_autoencoder(
         history["val_loss"].append(val_terms.total)
         opt.lr = control.update(val_terms.total)
         if control.improved:
-            best_state = model.snapshot()
+            model.snapshot(into=best_state)
         if control.should_stop:
             break
 

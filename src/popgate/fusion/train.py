@@ -117,7 +117,7 @@ def phase1_train(
         history["val_mse"].append(val_mse)
         opt.lr = control.update(val_mse)
         if control.improved:
-            best = snapshot_state(branch.state_arrays())
+            snapshot_state(branch.state_arrays(), into=best)
         if control.should_stop:
             break
 
@@ -193,7 +193,7 @@ def phase2_train(
         history["val_mse"].append(val_mse)
         opt.lr = control.update(val_mse)
         if control.improved:
-            best = snapshot_state(model.state_arrays())
+            snapshot_state(model.state_arrays(), into=best)
         if control.should_stop:
             break
 

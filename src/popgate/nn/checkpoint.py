@@ -47,5 +47,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 f"unsupported checkpoint version {version!r} in {path} "
                 f"(expected {FORMAT_VERSION})"
             )
-        arrays = {k: data[k].copy() for k in data.files if k != _META_KEY}
+        # each access reads a fresh array from the archive; no copy needed
+        arrays = {k: data[k] for k in data.files if k != _META_KEY}
     return arrays, meta

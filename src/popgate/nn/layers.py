@@ -17,13 +17,18 @@ from ..exceptions import MissingInputError, ShapeError
 
 
 class Param:
-    """A trainable tensor paired with its gradient accumulator."""
+    """A trainable tensor paired with its gradient accumulator.
+
+    The grad starts as `np.zeros`, whose pages stay unmapped until first
+    written, so a model that only runs inference never pays for it. An
+    optimizer moves both arrays into its arena (see `popgate.nn.optim`).
+    """
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
         self.name = name
 
     @property
@@ -364,6 +369,16 @@ class MLP(Module):
         return [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]
 
 
-def snapshot_state(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Deep-copy a state mapping (used to retain best-epoch weights)."""
-    return {k: v.copy() for k, v in arrays.items()}
+def snapshot_state(
+    arrays: Mapping[str, np.ndarray], into: dict[str, np.ndarray] | None = None
+) -> dict[str, np.ndarray]:
+    """Deep-copy a state mapping (used to retain best-epoch weights).
+
+    `into`, an earlier snapshot of the same state, is overwritten in place
+    and returned, so keeping the best epoch holds one copy, not two.
+    """
+    if into is None:
+        return {k: v.copy() for k, v in arrays.items()}
+    for k, v in arrays.items():
+        np.copyto(into[k], v)
+    return into

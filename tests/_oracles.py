@@ -174,3 +174,21 @@ def naive_ctd_matrix(
                 row.extend((float(ty[0]), float(ty[1]), float(ty[2]), ty[3]))
         rows.append(row)
     return ids, rows
+
+
+def per_param_adam_step(values, grads, ms, vs, decays, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam/AdamW step written per parameter with full-size temporaries:
+    decoupled decay shrink (skipped at decay 0), both moments, then the
+    bias-corrected delta. Updates `values` in place and rebinds `ms`/`vs`."""
+    import numpy as np
+
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for i, (x, g, wd) in enumerate(zip(values, grads, decays)):
+        if wd != 0.0:
+            x -= lr * wd * x
+        ms[i] = b1 * ms[i] + (1.0 - b1) * g
+        vs[i] = b2 * vs[i] + (1.0 - b2) * (g * g)
+        m_hat = ms[i] / bc1
+        v_hat = vs[i] / bc2
+        x -= lr * m_hat / (np.sqrt(v_hat) + eps)

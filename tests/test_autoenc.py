@@ -282,6 +282,28 @@ def test_training_is_deterministic():
         assert np.array_equal(a.value, b.value)
 
 
+def test_training_holds_at_most_five_param_copies():
+    # values, grads, m, v and one best-epoch snapshot: 5 copies of the params.
+    # Snapshotting into the previous best (not beside it) and stepping in
+    # chunks keep the peak there, plus two largest-param temporaries from
+    # backward and clipping, plus a quarter copy of slack.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(60, 2000))
+    group = FeatureGroup("wide", 0, 2000, 400)
+    sizes = [p.value.nbytes for p in Autoencoder(2000, 400, rng).params()]
+    P, L = sum(sizes), max(sizes)
+    cfg = AETrainConfig(max_epochs=3, seed=5)
+    tracemalloc.start()
+    try:
+        _, _, history = train_group_autoencoder(group, X, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert history["epochs_run"] == 3
+    assert peak <= 5 * P + 2 * L + 0.25 * P, f"peak {peak / P:.2f}·P ({(peak - 2 * L) / P:.2f}·P + 2·L)"
+
+
 def test_train_rejects_wrong_width():
     group = FeatureGroup("g", 0, 16, 2)
     with pytest.raises(ShapeError):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from _oracles import per_param_adam_step
 from popgate.nn import Adam, AdamW, Param, clip_grad_norm
+from popgate.nn.optim import CHUNK
 
 
 def _param(vals, name="p"):
@@ -115,3 +117,54 @@ def test_clip_grad_norm_noop_below_threshold():
 def test_clip_grad_norm_rejects_nonpositive():
     with pytest.raises(ValueError):
         clip_grad_norm([_param([1.0])], max_norm=0.0)
+
+
+def test_arena_step_is_bit_identical_to_per_param_update():
+    # shapes below, at and above one chunk, a chunk multiple and a
+    # non-multiple; decays [0, wd, 0] so equal decays are not adjacent
+    rng = np.random.default_rng(21)
+    shapes = [(1000,), (CHUNK,), (300, 257), (2, CHUNK), (3, 5)]
+    decays = [0.0, 0.0, 0.05, 0.05, 0.0]
+    init = [rng.normal(size=s) for s in shapes]
+    params = [Param(v.copy(), name=f"p{i}") for i, v in enumerate(init)]
+    opt = AdamW([(params[:2], 0.0), (params[2:4], 0.05), (params[4:], 0.0)], lr=0.01)
+    ref = [Param(v.copy(), name=f"r{i}") for i, v in enumerate(init)]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for t in range(1, 5):
+        opt.zero_grad()
+        for p, r in zip(params, ref):
+            g = rng.normal(scale=3.0, size=p.shape)
+            p.grad += g
+            r.grad[...] = g
+        factor = clip_grad_norm(opt.params, 1.0)
+        assert factor < 1.0
+        assert factor == clip_grad_norm(ref, 1.0)
+        opt.step()
+        per_param_adam_step([r.value for r in ref], [r.grad for r in ref], ms, vs, decays, t, lr=0.01)
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.value, r.value)
+    assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ms]))
+    assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in vs]))
+
+
+def test_arena_views_share_storage_and_zero_grad_clears_all():
+    a = _param([[1.0, 2.0], [3.0, 4.0]], "a")
+    b = _param([5.0], "b")
+    opt = Adam([a, b], lr=0.1)
+    assert a.value.tolist() == [[1.0, 2.0], [3.0, 4.0]] and b.value.tolist() == [5.0]
+    assert a.value.base is not None and a.value.base is b.value.base
+    assert a.grad.base is not None and a.grad.base is b.grad.base
+    a.grad += 1.0
+    b.grad += 2.0
+    opt.zero_grad()
+    assert not a.grad.any() and not b.grad.any()
+
+
+def test_optimizer_rejects_a_param_listed_twice():
+    a = _param([1.0], "enc.W")
+    b = _param([1.0], "enc.b")
+    with pytest.raises(ValueError, match="enc.W"):
+        Adam([a, b, a], lr=0.1)
+    with pytest.raises(ValueError, match="enc.b"):
+        AdamW([([a, b], 0.0), ([b], 0.1)], lr=0.1)
