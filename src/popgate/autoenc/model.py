@@ -44,6 +44,14 @@ def _hidden_spec(a: int, b: int) -> DenseLayerSpec:
     return DenseLayerSpec(a, b, Elu(AE_ELU_ALPHA), batchnorm=True, dropout_p=AE_DROPOUT)
 
 
+def encoder_specs(d: int, d_enc: int) -> list[DenseLayerSpec]:
+    """The encoder's layers: hidden blocks down to a linear bottleneck."""
+    dims = [d] + plan_architecture(d)
+    specs = [_hidden_spec(a, b) for a, b in zip(dims, dims[1:])]
+    specs.append(DenseLayerSpec(dims[-1], d_enc, Identity()))
+    return specs
+
+
 class Autoencoder(Module):
     """Encoder (hiddens -> linear bottleneck) and mirrored decoder
     (hiddens reversed -> linear output). Hidden layers are ELU(0.1) with
@@ -57,13 +65,10 @@ class Autoencoder(Module):
         self.d = d
         self.d_enc = d_enc
         self.name = name
-        enc_dims = [d] + hidden
-        enc_specs = [_hidden_spec(a, b) for a, b in zip(enc_dims, enc_dims[1:])]
-        enc_specs.append(DenseLayerSpec(hidden[-1], d_enc, Identity()))
         dec_dims = [d_enc] + hidden[::-1]
         dec_specs = [_hidden_spec(a, b) for a, b in zip(dec_dims, dec_dims[1:])]
         dec_specs.append(DenseLayerSpec(hidden[0], d, Identity()))
-        self.encoder = MLP(enc_specs, rng, name=f"{name}.enc")
+        self.encoder = MLP(encoder_specs(d, d_enc), rng, name=f"{name}.enc")
         self.decoder = MLP(dec_specs, rng, name=f"{name}.dec")
 
     def encode(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:

@@ -11,10 +11,10 @@ import numpy as np
 
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
+from ..nn import MLP, Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
 from ..seeding import derive_seed, rng_for
 from .groups import FeatureGroup, registry_from_json, registry_hash, registry_to_json
-from .model import Autoencoder, ae_loss, lambda_for
+from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
 
 
 def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -100,6 +100,11 @@ def train_group_autoencoder(
             break
 
     model.load_state(best_state)
+    del best_state
+    # no step reads the grads again: give each param its own unmapped zeros,
+    # so the optimizer's grad arena is freed with `opt` on return
+    for p in opt.params:
+        p.grad = np.zeros(p.value.shape)
     xv_hat, _ = model.forward(Xva, train=False)
     history["val_relmse"] = rel_mse(Xva, xv_hat)
     history["best_epoch"] = control.best_epoch
@@ -109,7 +114,14 @@ def train_group_autoencoder(
 
 class CompressorEnsemble:
     """Trained per-group encoders applied slice-by-slice and concatenated in
-    registry order."""
+    registry order.
+
+    Built from trained models, the ensemble holds them, decoders included,
+    for `save`. `load` instead returns one that holds each group's checkpoint
+    path: `compress` reads a group's encoder and scaler only when it reaches
+    that group and drops them before the next, so at most one encoder is in
+    memory and no decoder is ever read.
+    """
 
     def __init__(
         self,
@@ -117,8 +129,13 @@ class CompressorEnsemble:
         models: Mapping[str, Autoencoder],
         scalers: Mapping[str, ScalerParams],
         seed: int = 46,
+        checkpoints: Mapping[str, Path] | None = None,
     ):
-        missing = [g.name for g in registry if g.name not in models or g.name not in scalers]
+        self.checkpoints = dict(checkpoints or {})
+        missing = [
+            g.name for g in registry
+            if g.name not in self.checkpoints and (g.name not in models or g.name not in scalers)
+        ]
         if missing:
             raise ConfigError(f"ensemble missing trained groups: {missing}")
         self.registry = tuple(registry)
@@ -130,6 +147,24 @@ class CompressorEnsemble:
     def output_dim(self) -> int:
         return sum(g.d_enc for g in self.registry)
 
+    def _encode(self, g: FeatureGroup, cols: np.ndarray) -> np.ndarray:
+        """Group g's codes for its columns. A checkpointed group's encoder and
+        scaler are read here and released on return."""
+        ckpt = self.checkpoints.get(g.name)
+        if ckpt is None:
+            encoder, scaler = self.models[g.name].encoder, self.scalers[g.name]
+        else:
+            arrays, _ = load_checkpoint(ckpt, prefixes=("enc.", "scaler."))
+            encoder = MLP(encoder_specs(g.d, g.d_enc), None, name=f"{g.name}.enc")
+            encoder.load_state(arrays, ckpt, prefix="enc.", copy=False)
+            scaler = ScalerParams(
+                kind="zscore",
+                center=arrays["scaler.center"],
+                scale=arrays["scaler.scale"],
+                degenerate=arrays["scaler.degenerate"].astype(bool),
+            )
+        return encoder.forward(scaler_apply(scaler, cols), train=False)
+
     def compress(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         blocks = []
@@ -139,11 +174,12 @@ class CompressorEnsemble:
                     f"group {g.name!r} needs columns [{g.start},{g.start + g.d}), "
                     f"but input has shape {X.shape}"
                 )
-            scaled = scaler_apply(self.scalers[g.name], X[:, g.cols])
-            blocks.append(self.models[g.name].encode(scaled, train=False))
+            blocks.append(self._encode(g, X[:, g.cols]))
         return np.hstack(blocks)
 
     def save(self, out_dir: str | Path, histories: Mapping[str, dict] | None = None) -> None:
+        if self.checkpoints:
+            raise ValueError("a loaded ensemble reads encoders only and cannot be saved")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -181,17 +217,10 @@ class CompressorEnsemble:
         registry = registry_from_json(manifest["registry"])
         if registry_hash(registry) != manifest["registry_hash"]:
             raise ConfigError(f"registry hash mismatch in {path}")
-        models, scalers = {}, {}
+        checkpoints = {}
         for g in registry:
             ckpt = Path(in_dir) / manifest["groups"][g.name]["checkpoint"]
-            arrays, meta = load_checkpoint(ckpt)
-            model = Autoencoder(g.d, g.d_enc, np.random.default_rng(0), name=g.name)
-            model.load_state(arrays, ckpt)
-            models[g.name] = model
-            scalers[g.name] = ScalerParams(
-                kind="zscore",
-                center=arrays["scaler.center"],
-                scale=arrays["scaler.scale"],
-                degenerate=arrays["scaler.degenerate"].astype(bool),
-            )
-        return CompressorEnsemble(registry, models, scalers, seed=manifest["seed"])
+            if not ckpt.exists():
+                raise MissingInputError(f"checkpoint not found: {ckpt}")
+            checkpoints[g.name] = ckpt
+        return CompressorEnsemble(registry, {}, {}, seed=manifest["seed"], checkpoints=checkpoints)

@@ -33,7 +33,11 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
         written.replace(path)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(
+    path: str | Path, prefixes: tuple[str, ...] | None = None
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays + metadata. With `prefixes`, only the arrays whose names start
+    with one of them are read; the archive's other entries are never read."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
@@ -48,5 +52,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 f"(expected {FORMAT_VERSION})"
             )
         # each access reads a fresh array from the archive; no copy needed
-        arrays = {k: data[k] for k in data.files if k != _META_KEY}
+        arrays = {
+            k: data[k]
+            for k in data.files
+            if k != _META_KEY and (prefixes is None or k.startswith(prefixes))
+        }
     return arrays, meta

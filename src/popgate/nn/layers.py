@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,41 +57,55 @@ class Module:
     def parts(self) -> list[tuple[str, "Param | np.ndarray | Module | None"]]:
         raise NotImplementedError
 
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for _, part in self.parts():
+    def _state_parts(self, prefix: str = "") -> Iterator[tuple[str, "Param | np.ndarray"]]:
+        """(key, Param or plain array) for every state entry, in checkpoint order."""
+        for name, part in self.parts():
             if isinstance(part, Module):
-                out.extend(part.params())
-            elif isinstance(part, Param):
-                out.append(part)
-        return out
+                yield from part._state_parts(f"{prefix}{name}.")
+            elif part is not None:
+                yield prefix + name, part
+
+    def params(self) -> list[Param]:
+        return [part for _, part in self._state_parts() if isinstance(part, Param)]
 
     def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
         """The live (uncopied) state arrays, keyed by `prefix` + dotted path."""
-        arrays: dict[str, np.ndarray] = {}
-        for name, part in self.parts():
-            if isinstance(part, Module):
-                arrays.update(part.state_arrays(f"{prefix}{name}."))
-            elif part is not None:
-                arrays[prefix + name] = part.value if isinstance(part, Param) else part
-        return arrays
+        return {
+            key: part.value if isinstance(part, Param) else part
+            for key, part in self._state_parts(prefix)
+        }
 
-    def load_state(self, arrays: Mapping[str, np.ndarray], source: str | Path = "snapshot") -> None:
-        """Copy saved arrays into the live state in place. Every key must be
-        present with the live array's exact shape, else nothing is copied;
-        errors name `source` (the checkpoint path) and the key. Keys the
-        model lacks are ignored."""
-        live = self.state_arrays()
-        for key, dest in live.items():
+    def load_state(
+        self,
+        arrays: Mapping[str, np.ndarray],
+        source: str | Path = "snapshot",
+        prefix: str = "",
+        copy: bool = True,
+    ) -> None:
+        """Copy saved arrays, keyed by `prefix` + dotted path, into the live
+        state in place. Every key must be present with the live array's exact
+        shape, else nothing is loaded; errors name `source` (the checkpoint
+        path) and the key. Keys the model lacks are ignored.
+
+        With `copy=False` each `Param` takes the saved array itself instead
+        (plain arrays are still copied): for models that only run inference,
+        whose params are in no optimizer's arena."""
+        live = dict(self._state_parts(prefix))
+        for key, part in live.items():
             if key not in arrays:
                 raise MissingInputError(f"{source}: no array {key!r}")
-            if arrays[key].shape != dest.shape:
+            if arrays[key].shape != part.shape:
                 raise ShapeError(
                     f"{source}: array {key!r} has shape {arrays[key].shape}, "
-                    f"the model expects {dest.shape}"
+                    f"the model expects {part.shape}"
                 )
-        for key, dest in live.items():
-            dest[...] = arrays[key]
+        for key, part in live.items():
+            if not isinstance(part, Param):
+                part[...] = arrays[key]
+            elif copy:
+                part.value[...] = arrays[key]
+            else:
+                part.value = np.asarray(arrays[key], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +291,17 @@ class BatchNorm(Module):
 
 
 class Dense(Module):
-    """Dense block: y = dropout(activation(batchnorm(x W + b)))."""
+    """Dense block: y = dropout(activation(batchnorm(x W + b))).
 
-    def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator, name: str = "dense"):
+    `rng` draws the initial weights; None leaves them zero (unmapped pages),
+    for a layer whose state is loaded next."""
+
+    def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator | None, name: str = "dense"):
         self.spec = spec
         self.name = name
-        scale = _init_scale(spec)
-        self.W = Param(rng.normal(0.0, scale, size=(spec.in_dim, spec.out_dim)), name=f"{name}.W")
+        shape = (spec.in_dim, spec.out_dim)
+        W = np.zeros(shape) if rng is None else rng.normal(0.0, _init_scale(spec), size=shape)
+        self.W = Param(W, name=f"{name}.W")
         self.b = Param(np.zeros(spec.out_dim), name=f"{name}.b")
         self.bn = BatchNorm(spec.out_dim, name=f"{name}.bn") if spec.batchnorm else None
         self._cache = None
@@ -337,7 +355,9 @@ def _init_scale(spec: DenseLayerSpec) -> float:
 class MLP(Module):
     """A stack of dense blocks executed in order."""
 
-    def __init__(self, specs: Sequence[DenseLayerSpec], rng: np.random.Generator, name: str = "mlp"):
+    def __init__(
+        self, specs: Sequence[DenseLayerSpec], rng: np.random.Generator | None, name: str = "mlp"
+    ):
         for a, b in zip(specs, specs[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"{name}: layer dims {a.out_dim} -> {b.in_dim} do not chain")

@@ -1,15 +1,25 @@
 """CSV reading/writing for the pipeline's tabular artifacts.
 
-All files are UTF-8 CSV with a header row. Floats are written with repr(),
-which round-trips exactly in float64 — rewriting unchanged data yields
-byte-identical files, which the reproducibility guarantees lean on.
+All files are UTF-8 CSV with a header row; readers skip a leading UTF-8
+byte-order mark. Floats are written with repr(), which round-trips exactly
+in float64 — rewriting unchanged data yields byte-identical files, which the
+reproducibility guarantees lean on.
+
+Numeric matrices (the audio descriptors reach 12851 columns) stream one row
+at a time in both directions. The writer quotes only the id through
+`csv.writer` and joins the row's reprs itself, since a number never needs
+quoting; the reader parses each row straight into a float64 array with
+`float`, so it never holds one Python string per cell of the whole file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,30 +38,38 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+@contextmanager
+def _csv_writer(path: str | Path) -> Iterator[tuple]:
+    """Open `path` for writing -> (file, csv.writer on it)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        yield fh, csv.writer(fh, lineterminator="\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    _write_rows(path, header, ([_cell(v) for v in row] for row in rows))
+    with _csv_writer(path) as (_, writer):
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def _csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """Open a CSV file -> (header, reader over the remaining rows)."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise PopgateError(f"{path} is empty (no header row)")
-        return header, [row for row in reader]
+        yield header, reader
+
+
+def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    with _csv_rows(path) as (header, reader):
+        return header, list(reader)
 
 
 def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]:
@@ -67,43 +85,70 @@ def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]
 def write_matrix_csv(
     path: str | Path, ids: Sequence[str], feature_names: Sequence[str], X: np.ndarray
 ) -> None:
+    """Write a track_id-keyed numeric table; the bytes are those of
+    `csv.writer` over `[id, *map(repr, row.tolist())]` for every row."""
     X = np.asarray(X)
     if X.shape != (len(ids), len(feature_names)):
         raise PopgateError(
             f"matrix shape {X.shape} does not match {len(ids)} ids x {len(feature_names)} names"
         )
-    # tolist() yields Python scalars, whose repr() is what _cell writes
-    _write_rows(
-        path,
-        [KEY_COLUMN, *feature_names],
-        ([tid, *map(repr, row.tolist())] for tid, row in zip(ids, X)),
-    )
+    with _csv_writer(path) as (fh, writer):
+        writer.writerow([KEY_COLUMN, *feature_names])
+        if not feature_names:  # rows of one cell: csv.writer quotes an empty id alone
+            writer.writerows([tid] for tid in ids)
+            return
+        # the id with its trailing comma, quoted as csv.writer would
+        buf = io.StringIO()
+        prefix = csv.writer(buf, lineterminator="\n")
+        for tid, row in zip(ids, X):
+            buf.seek(0)
+            buf.truncate()
+            prefix.writerow((tid, ""))
+            # tolist() yields Python scalars, whose repr() is what _cell writes;
+            # one row at a time, so no list of the whole matrix is built
+            fh.write(f"{buf.getvalue()[:-1]}{','.join(map(repr, row.tolist()))}\n")
+
+
+def _row_cells(path: Path, r: int) -> list[str]:
+    """The cells of data row `r` (0-based), read again from the file."""
+    with _csv_rows(path) as (_, reader):
+        return next(islice(reader, r, None))
 
 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a track_id-keyed numeric table -> (ids, feature_names, float64 matrix).
-    Every cell must be a finite number."""
-    header, rows = read_csv(path)
-    if not header or header[0] != KEY_COLUMN:
-        raise PopgateError(f"{path}: first column must be {KEY_COLUMN!r}, got {header[:1]}")
-    names = header[1:]
-    ids = []
-    data = np.empty((len(rows), len(names)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise PopgateError(f"{path} row {r + 2}: expected {len(header)} cells, got {len(row)}")
-        ids.append(row[0])
-        for c, cell in enumerate(row[1:]):
+    Every cell must be a finite number. The first ragged or non-numeric row,
+    in file order, is reported before any non-finite cell."""
+    path = Path(path)
+    with _csv_rows(path) as (header, reader):
+        if not header or header[0] != KEY_COLUMN:
+            raise PopgateError(f"{path}: first column must be {KEY_COLUMN!r}, got {header[:1]}")
+        names = header[1:]
+        n = len(names)
+        ids: list[str] = []
+        rows: list[np.ndarray] = []
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise PopgateError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
+            ids.append(row[0])
             try:
-                data[r, c] = float(cell)
+                rows.append(np.fromiter(map(float, row[1:]), np.float64, count=n))
             except ValueError:
-                raise PopgateError(f"{path} row {r + 2}, column {names[c]!r}: not a number: {cell!r}")
+                for c, cell in enumerate(row[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise PopgateError(
+                            f"{path} row {r}, column {names[c]!r}: not a number: {cell!r}"
+                        ) from None
+                raise
+    data = np.vstack(rows) if rows else np.empty((0, n))
+    del rows
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]
-        raise PopgateError(
-            f"{path} row {r + 2}, column {names[c]!r}: not a finite number: {rows[r][c + 1]!r}"
-        )
+        cell = _row_cells(path, r)[c + 1]
+        raise PopgateError(f"{path} row {r + 2}, column {names[c]!r}: not a finite number: {cell!r}")
     return ids, names, data
 
 

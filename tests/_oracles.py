@@ -192,3 +192,17 @@ def per_param_adam_step(values, grads, ms, vs, decays, t, lr, b1=0.9, b2=0.999, 
         m_hat = ms[i] / bc1
         v_hat = vs[i] / bc2
         x -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def csv_writer_matrix_bytes(ids, names, X) -> bytes:
+    """A numeric table as `csv.writer` writes it cell by cell: the header,
+    then `[id, *map(repr, row.tolist())]` per row, "\\n"-terminated, UTF-8."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["track_id", *names])
+    for tid, row in zip(ids, X):
+        writer.writerow([tid, *map(repr, row.tolist())])
+    return buf.getvalue().encode("utf-8")

@@ -4,6 +4,7 @@ compression training against PCA oracles."""
 import numpy as np
 import pytest
 
+import popgate.autoenc.train
 from _oracles import naive_rel_mse, pca_holdout_relmse, pca_relmse
 from popgate.autoenc import (
     AETrainConfig,
@@ -21,7 +22,8 @@ from popgate.autoenc import (
     train_group_autoencoder,
 )
 from popgate.autoenc.groups import validate_registry
-from popgate.exceptions import ConfigError, ShapeError
+from popgate.data.scaling import scaler_apply
+from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn import mse_loss
 from popgate.nn.gradcheck import check_gradients
 
@@ -304,6 +306,19 @@ def test_training_holds_at_most_five_param_copies():
     assert peak <= 5 * P + 2 * L + 0.25 * P, f"peak {peak / P:.2f}·P ({(peak - 2 * L) / P:.2f}·P + 2·L)"
 
 
+def test_trained_model_keeps_no_view_of_the_grad_arena():
+    # the optimizer's grad arena is written during training and read by no
+    # later step; each param gets its own zeros so the arena can be freed
+    rng = np.random.default_rng(13)
+    X = _low_rank_data(rng, 80, 16, 2, 0.1)
+    model, _, _ = train_group_autoencoder(FeatureGroup("g", 0, 16, 2), X, AETrainConfig(max_epochs=3))
+    params = model.params()
+    assert all(p.grad.base is None and p.grad.shape == p.value.shape for p in params)
+    assert not any(p.grad.any() for p in params)
+    # the values stay in their (value) arena: one buffer shared by all params
+    assert len({id(p.value.base) for p in params}) == 1
+
+
 def test_train_rejects_wrong_width():
     group = FeatureGroup("g", 0, 16, 2)
     with pytest.raises(ShapeError):
@@ -333,8 +348,6 @@ def test_ensemble_concatenation_order_and_dims():
     assert Z.shape == (150, 8)
     assert ens.output_dim == 8
     # first 3 columns come from group 1 alone
-    from popgate.data.scaling import scaler_apply
-
     z1 = models["left"].encode(scaler_apply(scalers["left"], X[:, 0:8]))
     assert np.array_equal(Z[:, :3], z1)
     # permuting the registry permutes the blocks and nothing else
@@ -370,3 +383,56 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.compress(X), ens.compress(X))
     assert loaded.seed == 46
     assert [g.name for g in loaded.registry] == ["left", "right"]
+
+
+def _rewrite_checkpoint(path, keep):
+    """Rewrite a saved group checkpoint keeping only the entries `keep` accepts."""
+    with np.load(path) as data:
+        kept = {k: data[k] for k in data.files if keep(k)}
+    np.savez(path, **kept)
+
+
+def test_loaded_ensemble_never_reads_decoders(tmp_path):
+    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
+    ens = CompressorEnsemble([g1, g2], models, scalers, seed=46)
+    ens.save(tmp_path, hists)
+    for g in (g1, g2):
+        _rewrite_checkpoint(tmp_path / f"{g.name}.npz", lambda k: not k.startswith("dec."))
+    expected = np.hstack([
+        models[g.name].encode(scaler_apply(scalers[g.name], X[:, g.cols])) for g in (g1, g2)
+    ])
+    assert np.array_equal(CompressorEnsemble.load(tmp_path).compress(X), expected)
+
+
+def test_loaded_ensemble_builds_no_autoencoder(tmp_path, monkeypatch):
+    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
+    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
+    expected = CompressorEnsemble([g1, g2], models, scalers).compress(X)
+
+    def no_autoencoder(*args, **kwargs):
+        raise AssertionError("compress built a full autoencoder")
+
+    monkeypatch.setattr(popgate.autoenc.train, "Autoencoder", no_autoencoder)
+    loaded = CompressorEnsemble.load(tmp_path)
+    assert np.array_equal(loaded.compress(X), expected)
+    with pytest.raises(ValueError, match="cannot be saved"):
+        loaded.save(tmp_path / "again")
+
+
+def test_loaded_ensemble_missing_encoder_array_names_path_and_key(tmp_path):
+    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
+    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
+    ckpt = tmp_path / "right.npz"
+    _rewrite_checkpoint(ckpt, lambda k: k != "enc.layer0.W")
+    loaded = CompressorEnsemble.load(tmp_path)
+    with pytest.raises(MissingInputError) as err:
+        loaded.compress(X)
+    assert str(err.value) == f"{ckpt}: no array 'enc.layer0.W'"
+
+
+def test_load_checks_every_checkpoint_exists(tmp_path):
+    (g1, g2), models, scalers, hists, _ = _tiny_trained_ensemble()
+    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
+    (tmp_path / "right.npz").unlink()
+    with pytest.raises(MissingInputError, match="right.npz"):
+        CompressorEnsemble.load(tmp_path)

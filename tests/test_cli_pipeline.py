@@ -411,6 +411,22 @@ class TestCliContract:
         assert "aud.npz" in err and "'enc.layer1.W'" in err
         assert (copy / "data/audio_z.csv").read_bytes() == before
 
+    def test_checkpoint_missing_encoder_array_exits_2_and_names_file_and_key(
+        self, chain_ws, tmp_path, capsys
+    ):
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        ckpt = cfg_path.parent / "models/ae/aud.npz"
+        with np.load(ckpt) as data:
+            kept = {k: data[k] for k in data.files if k != "enc.layer0.W"}
+        np.savez(ckpt, **kept)
+        before = (cfg_path.parent / "data/audio_z.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["compress", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'enc.layer0.W'" in err
+        assert (cfg_path.parent / "data/audio_z.csv").read_bytes() == before
+
     def test_type_error_inside_step_is_not_a_config_error(self, chain_ws, monkeypatch):
         ws, cfg_path = chain_ws
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from _oracles import csv_writer_matrix_bytes
 from popgate.exceptions import MissingInputError, PopgateError
 from popgate.tabular import (
     align_rows,
@@ -44,6 +47,33 @@ class TestCsvRoundTrip:
             b'"say ""hi""",1e+300,5e-324,-2.5\n'
         )
         assert (tmp_path / "ints.csv").read_bytes() == b"track_id,n,m\nt0,3,-7\n"
+
+    @pytest.mark.parametrize(
+        "ids, X",
+        [
+            (["a,b", 'say "hi"', "two\nlines", "", "cr\rlf", " pad "],
+             np.array([[-0.0], [5e-324], [1e16], [1e-05], [-1.5e-300], [0.1]])),
+            (["t0", "", "t,2"], np.array([[3, -7, 0], [2**62, -(2**63), 1], [9, 9, 9]])),
+            (["t0", "t1"], np.array([[True, False], [False, True]])),
+            ([], np.zeros((0, 3))),
+            (["", "t1"], np.zeros((2, 0))),
+            (["t0"], np.array([[np.nan, np.inf, -np.inf, 1e300, 123456789.0, 1e22]])),
+        ],
+    )
+    def test_matrix_bytes_match_csv_writer(self, tmp_path, ids, X):
+        p = tmp_path / "m.csv"
+        names = [f"f{j}" for j in range(X.shape[1])]
+        write_matrix_csv(p, ids, names, X)
+        assert p.read_bytes() == csv_writer_matrix_bytes(ids, names, X)
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        p = tmp_path / "q.csv"
+        ids = ["a,b", 'say "hi"', "two\nlines", "", "last"]
+        X = np.arange(10.0).reshape(5, 2)
+        write_matrix_csv(p, ids, ["x", "y"], X)
+        got_ids, _, Y = read_matrix_csv(p)
+        assert got_ids == ids
+        assert np.array_equal(Y, X)
 
     def test_numpy_scalars_serialize_plainly(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -96,6 +126,24 @@ class TestReadErrors:
         with pytest.raises(PopgateError, match=msg):
             read_matrix_csv(p)
 
+    def test_matrix_parse_error_precedes_earlier_non_finite_cell(self, tmp_path):
+        # parse errors come first, in file order; the non-finite scan runs
+        # only once every cell has parsed, even when the nan is in an earlier row
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"],
+                  [["t0", "nan", "2.0"], ["t1", "1.0", "oops"], ["t2", "x", "1.0"]])
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} row 3, column 'b': not a number: 'oops'"
+
+    def test_matrix_first_non_finite_is_row_major(self, tmp_path):
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"],
+                  [["t0", "1.0", "2.0"], ["t1", "1.0", " -Infinity "], ["t2", "nan", "1.0"]])
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} row 3, column 'b': not a finite number: ' -Infinity '"
+
     def test_matrix_ragged_row(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("track_id,a,b\nt0,1.0\n")
@@ -105,6 +153,39 @@ class TestReadErrors:
     def test_write_matrix_shape_mismatch(self, tmp_path):
         with pytest.raises(PopgateError, match="does not match"):
             write_matrix_csv(tmp_path / "m.csv", ["t0"], ["a"], np.zeros((2, 1)))
+
+
+class TestByteOrderMark:
+    def test_matrix_with_bom_reads_like_without(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_matrix_csv(plain, ["t0", "t1"], ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.5]]))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        ids, names, X = read_matrix_csv(bom)
+        assert (ids, names) == (["t0", "t1"], ["a", "b"])
+        assert np.array_equal(X, read_matrix_csv(plain)[2])
+
+    def test_metadata_table_with_bom_keeps_first_column_name(self, tmp_path):
+        p = tmp_path / "meta.csv"
+        p.write_bytes("\ufefftrack_id,year\nt0,1999\n".encode("utf-8"))
+        assert read_csv(p) == (["track_id", "year"], [["t0", "1999"]])
+        assert read_columns(p, ["track_id", "year"]) == {"track_id": ["t0"], "year": ["1999"]}
+
+
+class TestMatrixReadMemory:
+    def test_read_peak_stays_near_the_matrix_size(self, tmp_path):
+        # one pass, one row array at a time: no Python string per cell of the
+        # file is held, so the peak is about two matrices (rows + stacked)
+        p = tmp_path / "wide.csv"
+        X = np.random.default_rng(4).normal(size=(400, 2000))
+        write_matrix_csv(p, [f"t{i}" for i in range(400)], [f"f{j}" for j in range(2000)], X)
+        tracemalloc.start()
+        try:
+            _, _, Y = read_matrix_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Y, X)
+        assert peak <= 2.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the matrix"
 
 
 class TestAlignRows:
