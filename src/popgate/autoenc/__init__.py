@@ -1,4 +1,4 @@
-from .groups import FeatureGroup, default_registry, registry_from_json, registry_hash, registry_to_json
+from .groups import FeatureGroup, default_registry, registry_hash
 from .model import AELossTerms, Autoencoder, ae_loss, lambda_for, plan_architecture
 from .train import AETrainConfig, CompressorEnsemble, rel_mse, train_group_autoencoder
 
@@ -12,9 +12,7 @@ __all__ = [
     "default_registry",
     "lambda_for",
     "plan_architecture",
-    "registry_from_json",
     "registry_hash",
-    "registry_to_json",
     "rel_mse",
     "train_group_autoencoder",
 ]

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..codec import to_json
 from ..exceptions import ConfigError
 
 
@@ -69,16 +70,6 @@ def validate_registry(groups: Sequence[FeatureGroup]) -> None:
             raise ConfigError(f"groups {n1!r} and {n2!r} overlap: [{s1},{e1}) vs [{s2},{e2})")
 
 
-def registry_to_json(groups: Sequence[FeatureGroup]) -> list[dict]:
-    return [{"name": g.name, "start": g.start, "d": g.d, "d_enc": g.d_enc} for g in groups]
-
-
-def registry_from_json(items: Sequence[dict]) -> tuple[FeatureGroup, ...]:
-    groups = tuple(FeatureGroup(it["name"], it["start"], it["d"], it["d_enc"]) for it in items)
-    validate_registry(groups)
-    return groups
-
-
 def registry_hash(groups: Sequence[FeatureGroup]) -> str:
-    blob = json.dumps(registry_to_json(groups), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(to_json(tuple(groups)), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -1,19 +1,24 @@
-"""Per-group autoencoder training and the trained compressor ensemble."""
+"""Per-group autoencoder training and the trained compressor ensemble.
+
+`ensemble.json` is written and read, and each group's checkpoint metadata
+written, with `popgate.codec`, the reader that also checks run configs."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..codec import from_json, reading, to_json
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn import MLP, Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
+from ..nn.checkpoint import check_arrays
 from ..seeding import derive_seed, rng_for
-from .groups import FeatureGroup, registry_from_json, registry_hash, registry_to_json
+from .groups import FeatureGroup, registry_hash, validate_registry
 from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
 
 
@@ -112,6 +117,25 @@ def train_group_autoencoder(
     return model, scaler, history
 
 
+@dataclass(frozen=True)
+class _GroupFile:
+    """One group's entry in `ensemble.json`."""
+
+    checkpoint: str  # relative to the ensemble's directory
+    val_relmse: float | None = None
+
+
+@dataclass(frozen=True)
+class _EnsembleFiles:
+    """`ensemble.json`: the registry, its hash, the seed, and each group's
+    `_GroupFile` by group name."""
+
+    registry: tuple[FeatureGroup, ...]
+    registry_hash: str
+    seed: int
+    groups: dict
+
+
 class CompressorEnsemble:
     """Trained per-group encoders applied slice-by-slice and concatenated in
     registry order.
@@ -157,6 +181,8 @@ class CompressorEnsemble:
             arrays, _ = load_checkpoint(ckpt, prefixes=("enc.", "scaler."))
             encoder = MLP(encoder_specs(g.d, g.d_enc), None, name=f"{g.name}.enc")
             encoder.load_state(arrays, ckpt, prefix="enc.", copy=False)
+            check_arrays(arrays, {f"scaler.{k}": (g.d,) for k in ("center", "scale", "degenerate")},
+                         ckpt)
             scaler = ScalerParams(
                 kind="zscore",
                 center=arrays["scaler.center"],
@@ -182,12 +208,7 @@ class CompressorEnsemble:
             raise ValueError("a loaded ensemble reads encoders only and cannot be saved")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "registry": registry_to_json(self.registry),
-            "registry_hash": registry_hash(self.registry),
-            "seed": self.seed,
-            "groups": {},
-        }
+        groups = {}
         for g in self.registry:
             model = self.models[g.name]
             scaler = self.scalers[g.name]
@@ -196,31 +217,32 @@ class CompressorEnsemble:
             arrays["scaler.scale"] = scaler.scale
             arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
             meta = {
-                "group": {"name": g.name, "start": g.start, "d": g.d, "d_enc": g.d_enc},
+                "group": to_json(g),
                 "seed": derive_seed(self.seed, f"ae-init-{g.name}"),
-                "encoder_specs": model.encoder.specs_json(),
-                "decoder_specs": model.decoder.specs_json(),
+                "encoder_specs": to_json([layer.spec for layer in model.encoder.layers]),
+                "decoder_specs": to_json([layer.spec for layer in model.decoder.layers]),
             }
             save_checkpoint(out / f"{g.name}.npz", arrays, meta)
-            entry = {"checkpoint": f"{g.name}.npz"}
-            if histories and g.name in histories:
-                entry["val_relmse"] = histories[g.name].get("val_relmse")
-            manifest["groups"][g.name] = entry
-        (out / "ensemble.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            history = (histories or {}).get(g.name, {})
+            groups[g.name] = to_json(_GroupFile(f"{g.name}.npz", history.get("val_relmse")))
+        files = _EnsembleFiles(self.registry, registry_hash(self.registry), self.seed, groups)
+        (out / "ensemble.json").write_text(
+            json.dumps(to_json(files), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def load(in_dir: str | Path) -> "CompressorEnsemble":
         path = Path(in_dir) / "ensemble.json"
         if not path.exists():
             raise MissingInputError(f"ensemble manifest not found: {path}")
-        manifest = json.loads(path.read_text())
-        registry = registry_from_json(manifest["registry"])
-        if registry_hash(registry) != manifest["registry_hash"]:
-            raise ConfigError(f"registry hash mismatch in {path}")
-        checkpoints = {}
-        for g in registry:
-            ckpt = Path(in_dir) / manifest["groups"][g.name]["checkpoint"]
+        with reading(path):
+            saved = from_json(_EnsembleFiles, json.loads(path.read_text()))
+            validate_registry(saved.registry)
+            if registry_hash(saved.registry) != saved.registry_hash:
+                raise ConfigError("registry_hash does not match the registry")
+            groups = {g.name: from_json(_GroupFile, saved.groups.get(g.name, MISSING),
+                                        f"groups.{g.name}") for g in saved.registry}
+        checkpoints = {name: Path(in_dir) / group.checkpoint for name, group in groups.items()}
+        for ckpt in checkpoints.values():
             if not ckpt.exists():
                 raise MissingInputError(f"checkpoint not found: {ckpt}")
-            checkpoints[g.name] = ckpt
-        return CompressorEnsemble(registry, {}, {}, seed=manifest["seed"], checkpoints=checkpoints)
+        return CompressorEnsemble(saved.registry, {}, {}, seed=saved.seed, checkpoints=checkpoints)

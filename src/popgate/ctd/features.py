@@ -133,13 +133,6 @@ class CTDSchema:
     def __len__(self) -> int:
         return len(self.names)
 
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "window_years": list(self.years), "feature_names": list(self.names)}
-
-    @staticmethod
-    def from_json(d: dict) -> "CTDSchema":
-        return CTDSchema(d["mode"], tuple(d["window_years"]), tuple(d["feature_names"]))
-
 
 def default_schema(mode: str, years: Sequence[int] = DEFAULT_WINDOW) -> CTDSchema:
     """11 aggregate features; temporal mode appends 4 yearly metrics per year."""

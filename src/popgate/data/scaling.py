@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..exceptions import ConfigError, ShapeError
 
@@ -14,29 +15,10 @@ KINDS = ("zscore", "minmax", "constant")
 @dataclass(frozen=True)
 class ScalerParams:
     kind: str
-    center: np.ndarray  # mean (zscore) / min (minmax) / zeros (constant)
-    scale: np.ndarray  # std / (max-min) / 1s — degenerate columns hold 1.0
-    degenerate: np.ndarray  # bool mask of zero-spread columns, mapped to 0
+    center: NDArray[np.float64]  # mean (zscore) / min (minmax) / zeros (constant)
+    scale: NDArray[np.float64]  # std / (max-min) / 1s — degenerate columns hold 1.0
+    degenerate: NDArray[np.bool_]  # mask of zero-spread columns, mapped to 0
     k: float = 1.0  # constant multiplier
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": self.center.tolist(),
-            "scale": self.scale.tolist(),
-            "degenerate": self.degenerate.tolist(),
-            "k": self.k,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "ScalerParams":
-        return ScalerParams(
-            kind=d["kind"],
-            center=np.asarray(d["center"], dtype=np.float64),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-            degenerate=np.asarray(d["degenerate"], dtype=bool),
-            k=float(d["k"]),
-        )
 
 
 def scaler_fit(train: np.ndarray, kind: str, k: float | None = None) -> ScalerParams:

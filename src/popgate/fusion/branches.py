@@ -14,7 +14,6 @@ import numpy as np
 
 from ..exceptions import ConfigError, ShapeError
 from ..nn import MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid
-from ..nn.layers import activation_from_json, activation_to_json
 
 MODALITIES = ("audio", "lyrics", "social")
 
@@ -50,27 +49,6 @@ class BranchConfig:
     @property
     def repr_dim(self) -> int:
         return self.hidden[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "modality": self.modality,
-            "in_dim": self.in_dim,
-            "hidden": list(self.hidden),
-            "activation": activation_to_json(self.activation),
-            "dropout": list(self.dropout),
-            "batchnorm": self.batchnorm,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "BranchConfig":
-        return BranchConfig(
-            modality=d["modality"],
-            in_dim=d["in_dim"],
-            hidden=tuple(d["hidden"]),
-            activation=activation_from_json(d["activation"]),
-            dropout=tuple(d["dropout"]),
-            batchnorm=d["batchnorm"],
-        )
 
 
 def default_branch_config(modality: str, in_dim: int) -> BranchConfig:

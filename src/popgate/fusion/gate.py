@@ -73,25 +73,6 @@ class GateConfig:
         if not self.hidden:
             raise ValueError("gate needs at least one hidden layer")
 
-    def to_json(self) -> dict:
-        return {
-            "repr_dim": self.repr_dim,
-            "hidden": list(self.hidden),
-            "slope": self.slope,
-            "dropout_p": self.dropout_p,
-            "eps": self.eps,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "GateConfig":
-        return GateConfig(
-            repr_dim=d["repr_dim"],
-            hidden=tuple(d["hidden"]),
-            slope=d["slope"],
-            dropout_p=d["dropout_p"],
-            eps=d["eps"],
-        )
-
 
 class GatingNetwork(Module):
     """Maps the three branch representations to mixture weights alpha.

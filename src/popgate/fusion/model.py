@@ -2,17 +2,20 @@
 
 Prediction is the convex combination y_hat = sum_i alpha_i * y_hat_i, so the
 ensemble output always lies between the smallest and largest branch output
-(and therefore in (0, 1), since each branch ends in a sigmoid).
+(and therefore in (0, 1), since each branch ends in a sigmoid). A saved
+ensemble's `model.json` and checkpoint metadata are written and read with
+`popgate.codec`, the reader that also checks run configs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..codec import from_json, reading, to_json
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn import Module, load_checkpoint, mse_loss, save_checkpoint
 from .branches import MODALITIES, BranchConfig, ExpertBranch
@@ -33,13 +36,6 @@ class LossWeights:
             )
         if self.lambda_final == 0 and self.lambda_individual == 0:
             raise ValueError("loss weights must not both be zero")
-
-    def to_json(self) -> dict:
-        return {"lambda_final": self.lambda_final, "lambda_individual": self.lambda_individual}
-
-    @staticmethod
-    def from_json(d: dict) -> "LossWeights":
-        return LossWeights(d["lambda_final"], d["lambda_individual"])
 
 
 @dataclass(frozen=True)
@@ -172,6 +168,16 @@ def ensemble_loss(
 # checkpoint bundle: one file per branch, one for the gate, one manifest
 
 
+@dataclass(frozen=True)
+class _ModelFiles:
+    """`model.json`: each branch's checkpoint and the gate's, relative to
+    its directory, and what the training phase that saved them recorded."""
+
+    branch_checkpoints: dict
+    gate_checkpoint: str
+    extra: dict = field(default_factory=dict)
+
+
 def save_ensemble(model: GatedEnsemble, out_dir: str | Path, extra: dict | None = None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,19 +186,15 @@ def save_ensemble(model: GatedEnsemble, out_dir: str | Path, extra: dict | None 
         save_checkpoint(
             out_dir / f"branch_{m}.npz",
             branch.state_arrays(),
-            {"kind": "branch", "config": branch.config.to_json(), "trained": branch.trained},
+            {"kind": "branch", "config": to_json(branch.config), "trained": branch.trained},
         )
     save_checkpoint(
         out_dir / "gate.npz",
         model.gate.state_arrays(),
-        {"kind": "gate", "config": model.gate.config.to_json()},
+        {"kind": "gate", "config": to_json(model.gate.config)},
     )
-    manifest = {
-        "branch_checkpoints": {m: f"branch_{m}.npz" for m in MODALITIES},
-        "gate_checkpoint": "gate.npz",
-        "extra": extra or {},
-    }
-    (out_dir / "model.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files = _ModelFiles({m: f"branch_{m}.npz" for m in MODALITIES}, "gate.npz", extra or {})
+    (out_dir / "model.json").write_text(json.dumps(to_json(files), indent=2, sort_keys=True) + "\n")
 
 
 def load_ensemble(in_dir: str | Path) -> tuple[GatedEnsemble, dict]:
@@ -201,18 +203,24 @@ def load_ensemble(in_dir: str | Path) -> tuple[GatedEnsemble, dict]:
     manifest_path = in_dir / "model.json"
     if not manifest_path.exists():
         raise MissingInputError(f"no model manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    with reading(manifest_path):
+        files = from_json(_ModelFiles, json.loads(manifest_path.read_text()))
+        ckpts = {m: from_json(str, files.branch_checkpoints.get(m, MISSING),
+                              f"branch_checkpoints.{m}") for m in MODALITIES}
     rng = np.random.default_rng(0)  # placeholder init; every array is overwritten
     branches = {}
     for m in MODALITIES:
-        ckpt = in_dir / manifest["branch_checkpoints"][m]
+        ckpt = in_dir / ckpts[m]
         arrays, meta = load_checkpoint(ckpt)
-        branch = ExpertBranch(BranchConfig.from_json(meta["config"]), rng)
+        with reading(ckpt):
+            config = from_json(BranchConfig, meta.get("config", MISSING), "config")
+            branch = ExpertBranch(config, rng)
+            branch.trained = from_json(bool, meta.get("trained", MISSING), "trained")
         branch.load_state(arrays, ckpt)
-        branch.trained = bool(meta["trained"])
         branches[m] = branch
-    ckpt = in_dir / manifest["gate_checkpoint"]
+    ckpt = in_dir / files.gate_checkpoint
     arrays, meta = load_checkpoint(ckpt)
-    gate = GatingNetwork(GateConfig.from_json(meta["config"]), rng)
+    with reading(ckpt):
+        gate = GatingNetwork(from_json(GateConfig, meta.get("config", MISSING), "config"), rng)
     gate.load_state(arrays, ckpt)
-    return GatedEnsemble(branches, gate), manifest.get("extra", {})
+    return GatedEnsemble(branches, gate), files.extra

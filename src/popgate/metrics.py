@@ -19,16 +19,6 @@ class MetricsReport:
     n: int
     constant_target: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "r2": self.r2,
-            "mae": self.mae,
-            "mse": self.mse,
-            "relmse": self.relmse,
-            "n": self.n,
-            "constant_target": self.constant_target,
-        }
-
 
 def compute_metrics(y: np.ndarray, y_hat: np.ndarray) -> MetricsReport:
     """R² = 1 − SSE/SST and friends. A constant target makes R²/RelMSE

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from ..exceptions import MissingInputError
+from ..exceptions import MissingInputError, ShapeError
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -31,6 +32,18 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
     written = path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
     if written != path:
         written.replace(path)
+
+
+def check_arrays(arrays: Mapping[str, np.ndarray], shapes: Mapping, source: str | Path) -> None:
+    """Each key of `shapes` is in `arrays` with that shape; errors name
+    `source` (the checkpoint path) and the key."""
+    for key, shape in shapes.items():
+        if key not in arrays:
+            raise MissingInputError(f"{source}: no array {key!r}")
+        if arrays[key].shape != shape:
+            raise ShapeError(
+                f"{source}: array {key!r} has shape {arrays[key].shape}, the model expects {shape}"
+            )
 
 
 def load_checkpoint(

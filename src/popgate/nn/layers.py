@@ -13,7 +13,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..exceptions import MissingInputError, ShapeError
+from ..exceptions import ShapeError
+from .checkpoint import check_arrays
 
 
 class Param:
@@ -91,14 +92,7 @@ class Module:
         (plain arrays are still copied): for models that only run inference,
         whose params are in no optimizer's arena."""
         live = dict(self._state_parts(prefix))
-        for key, part in live.items():
-            if key not in arrays:
-                raise MissingInputError(f"{source}: no array {key!r}")
-            if arrays[key].shape != part.shape:
-                raise ShapeError(
-                    f"{source}: array {key!r} has shape {arrays[key].shape}, "
-                    f"the model expects {part.shape}"
-                )
+        check_arrays(arrays, {key: part.shape for key, part in live.items()}, source)
         for key, part in live.items():
             if not isinstance(part, Param):
                 part[...] = arrays[key]
@@ -140,31 +134,10 @@ class Identity:
     pass
 
 
+# in JSON an activation is tagged with its class name in snake case, as in
+# {"kind": "leaky_relu", "slope": 0.05} (see `popgate.codec`): renaming a
+# class changes the checkpoints it writes and breaks reading old ones
 Activation = Elu | LeakyRelu | Sigmoid | Identity
-
-_ACTIVATION_TAGS = {Elu: "elu", LeakyRelu: "leaky_relu", Sigmoid: "sigmoid", Identity: "identity"}
-
-
-def activation_to_json(act: Activation) -> dict:
-    d = {"kind": _ACTIVATION_TAGS[type(act)]}
-    if isinstance(act, Elu):
-        d["alpha"] = act.alpha
-    elif isinstance(act, LeakyRelu):
-        d["slope"] = act.slope
-    return d
-
-
-def activation_from_json(d: dict) -> Activation:
-    kind = d["kind"]
-    if kind == "elu":
-        return Elu(alpha=d.get("alpha", 0.1))
-    if kind == "leaky_relu":
-        return LeakyRelu(slope=d.get("slope", 0.05))
-    if kind == "sigmoid":
-        return Sigmoid()
-    if kind == "identity":
-        return Identity()
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 # open-interval clamp for sigmoid outputs: float64 saturates to exactly
@@ -231,15 +204,6 @@ class DenseLayerSpec:
             raise ValueError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
-
-    def to_json(self) -> dict:
-        return {
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "activation": activation_to_json(self.activation),
-            "batchnorm": self.batchnorm,
-            "dropout_p": self.dropout_p,
-        }
 
 
 class BatchNorm(Module):
@@ -381,9 +345,6 @@ class MLP(Module):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def specs_json(self) -> list[dict]:
-        return [layer.spec.to_json() for layer in self.layers]
 
     def parts(self) -> list:
         return [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]

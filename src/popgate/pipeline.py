@@ -6,17 +6,17 @@ section takes, with its default and its check. `run_command` rejects unknown
 or invalid keys before any file is read, resolves paths against the
 workspace root, runs the body and writes the step's manifest (config hash,
 seed, input/output hashes). Nothing here depends on wall time, so identical
-config + inputs reproduce identical artifacts.
+config + inputs reproduce identical artifacts. Config values are read with
+`popgate.codec`, the same reader that decodes the JSON of model artifacts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, replace
 from inspect import isfunction
 from pathlib import Path
-from types import UnionType
-from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .autoenc import (
     train_group_autoencoder,
 )
 from .autoenc.groups import validate_registry
+from .codec import check_object, dataclass_from_json, from_json, reading, to_json
 from .ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
 from .data import (
     CleaningConfig,
@@ -60,7 +61,6 @@ from .fusion import (
 )
 from .manifest import write_manifest
 from .metrics import compute_metrics
-from .nn.layers import activation_from_json
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
 
@@ -93,7 +93,8 @@ class RunContext:
     def knobs(self, name: str):
         """The dataclass that the keys of section `name` outside SECTIONS build."""
         cls, hidden = FLAT_KNOBS[name]
-        return _knobs(cls, self.config.get(name, {}), name, hidden=hidden, extra=SECTIONS[name])
+        return dataclass_from_json(cls, self.config.get(name, {}), name, hidden=hidden,
+                                   extra=SECTIONS[name])
 
     def file(self, ref: str) -> Path:
         """A manifest file: a path key, or `key/name` inside a directory key."""
@@ -105,62 +106,6 @@ class RunContext:
 # checking config values
 
 
-def _object(raw, where: str, allowed) -> dict:
-    """`raw` if it is a JSON object whose keys are all in `allowed`."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'config'} must be an object, got {type(raw).__name__}")
-    for k in raw:
-        if k not in allowed:
-            key = f"{where}.{k}" if where else k
-            raise ConfigError(f"unknown config key {key!r}; expected one of {sorted(allowed)}")
-    return raw
-
-
-def _coerce(value, tp, where: str, seed: int | None = None):
-    """`value` from JSON as type `tp`: a scalar type, Path, a config dataclass
-    (see `_knobs`), `X | None`, `tuple[X, ...]` or a fixed-length tuple.
-    Integers pass as floats, and integral floats as integers."""
-    args = get_args(tp)
-    if get_origin(tp) is UnionType:
-        return None if value is None else _coerce(value, args[0], where, seed)
-    if get_origin(tp) is tuple:
-        n = None if args[-1] is Ellipsis else len(args)
-        if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
-            raise ConfigError(f"{where} must be a list{f' of {n}' if n else ''}, got {value!r}")
-        return tuple(_coerce(v, args[0], f"{where}[{i}]", seed) for i, v in enumerate(value))
-    if is_dataclass(tp):
-        return _knobs(tp, value, where, seed)
-    if tp is float and type(value) is int:
-        return float(value)
-    if tp is int and type(value) is float and value.is_integer():
-        return int(value)
-    if tp is Path and type(value) is str and value:
-        return Path(value)
-    if type(value) is not tp:
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    return value
-
-
-def _knobs(cls, given, where: str, seed: int | None = None, hidden=(), extra=()):
-    """Build the config dataclass `cls` from the JSON object `given`, named
-    `where` in messages; the fields' types and defaults are the dataclass's
-    own. A `seed` field takes the run's seed, `hidden` fields are not keys,
-    and `extra` keys are allowed but belong to someone else."""
-    names = [f.name for f in fields(cls) if f.name not in hidden]
-    _object(given, where, [*names, *extra])
-    if "seed" in given:
-        raise ConfigError(f"{where}.seed is not a config key: the step uses the run's seed")
-    hints = get_type_hints(cls)
-    own = {k: v for k, v in given.items() if k not in extra}
-    values = {k: _coerce(v, hints[k], f"{where}.{k}", seed) for k, v in own.items()}
-    if "seed" in names:
-        values["seed"] = seed
-    try:
-        return cls(**values)
-    except (TypeError, ValueError, ConfigError) as e:
-        raise ConfigError(f"{where} {json.dumps(own, sort_keys=True)}: {e}") from None
-
-
 def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=None):
     """The value of one key from its spec in SECTIONS."""
     if raw is MISSING:
@@ -169,7 +114,7 @@ def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=
         if callable(default):
             return default(ctx)
         raw = default
-    value = tp(ctx, raw, where) if isfunction(tp) else _coerce(raw, tp, where, ctx.seed)
+    value = tp(ctx, raw, where) if isfunction(tp) else from_json(tp, raw, where, ctx.seed)
     if ok is not None and not ok(value):
         raise ConfigError(f"{where} must be {need}, got {raw!r}")
     return ctx.workspace / value if tp is Path else value
@@ -359,35 +304,31 @@ def cmd_compress(ctx: RunContext) -> str:
 
 def _modality_inputs(ctx: RunContext, raw, where: str) -> dict[str, list[Path]]:
     """Each modality's feature files: a path or a non-empty list of paths."""
-    given = _object(raw, where, MODALITIES)
+    given = check_object(raw, where, MODALITIES)
     files = {}
     for m in MODALITIES:
         paths = given.get(m, [])
-        paths = _coerce([paths] if isinstance(paths, str) else paths, tuple[Path, ...], f"{where}.{m}")
+        paths = from_json(tuple[Path, ...], [paths] if isinstance(paths, str) else paths,
+                          f"{where}.{m}")
         if not paths:
             raise ConfigError(f"{where}.{m} needs one or more feature files")
         files[m] = [ctx.workspace / p for p in paths]
     return files
 
 
-_BRANCH_KEYS = {"hidden": tuple[int, ...], "dropout": tuple[float, ...],
-                "activation": dict, "batchnorm": bool}
+_BRANCH_KEYS = ("hidden", "dropout", "activation", "batchnorm")
 
 
 def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
     """Each modality's expert stack: the default one with the given fields
     replaced. The phase sets `in_dim` from the data."""
-    given = _object(raw, where, MODALITIES)
+    given = check_object(raw, where, MODALITIES)
+    types = get_type_hints(BranchConfig)
     stacks = {}
     for m in MODALITIES:
         at = f"{where}.{m}"
-        over = {k: _coerce(v, _BRANCH_KEYS[k], f"{at}.{k}")
-                for k, v in _object(given.get(m, {}), at, _BRANCH_KEYS).items()}
-        if "activation" in over:
-            try:
-                over["activation"] = activation_from_json(over["activation"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise ConfigError(f"{at}.activation {over['activation']!r}: {e!r}") from None
+        over = {k: from_json(types[k], v, f"{at}.{k}")
+                for k, v in check_object(given.get(m, {}), at, _BRANCH_KEYS).items()}
         if "hidden" in over and "dropout" not in over:
             over["dropout"] = tuple(0.1 for _ in over["hidden"])  # sane default for custom stacks
         stacks[m] = replace(default_branch_config(m, 1), **over)
@@ -410,10 +351,13 @@ def _load_table(ctx: RunContext):
     return ids, pop, xs
 
 
-def _saved_scalers(extra: dict) -> tuple[ScalerParams, dict[str, ScalerParams]]:
-    """The target and feature scalers that phase 1 saved with the model."""
-    target = ScalerParams.from_json(extra["target_scaler"])
-    features = {m: ScalerParams.from_json(extra["feature_scalers"][m]) for m in MODALITIES}
+def _saved_scalers(model_json: Path, extra: dict) -> tuple[ScalerParams, dict[str, ScalerParams]]:
+    """The target and feature scalers that phase 1 saved in `model_json`."""
+    with reading(model_json):
+        target = from_json(ScalerParams, extra.get("target_scaler", MISSING), "extra.target_scaler")
+        given = from_json(dict, extra.get("feature_scalers", MISSING), "extra.feature_scalers")
+        features = {m: from_json(ScalerParams, given.get(m, MISSING), f"extra.feature_scalers.{m}")
+                    for m in MODALITIES}
     return target, features
 
 
@@ -487,8 +431,8 @@ def cmd_train_phase1(ctx: RunContext) -> str:
     extra = {
         "phase": 1,
         "seed": ctx.seed,
-        "target_scaler": target_scaler.to_json(),
-        "feature_scalers": {m: feature_scalers[m].to_json() for m in MODALITIES},
+        "target_scaler": to_json(target_scaler),
+        "feature_scalers": to_json(feature_scalers),
     }
     _save_phase(ctx, model, extra, histories)
     best = {m: f"{histories[m]['best_val_mse']:.5f}" for m in MODALITIES}
@@ -502,7 +446,7 @@ def cmd_train_phase2(ctx: RunContext) -> str:
     train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
 
     # reuse the phase-1 scalers verbatim; refitting could drift
-    target_scaler, feature_scalers = _saved_scalers(extra)
+    target_scaler, feature_scalers = _saved_scalers(ctx.inputs["model"], extra)
     y_unit = scaler_apply(target_scaler, pop.reshape(-1, 1)).reshape(-1)
     xs_scaled = _scale(feature_scalers, xs)
 
@@ -512,7 +456,7 @@ def cmd_train_phase2(ctx: RunContext) -> str:
         {m: xs_scaled[m][val_rows] for m in MODALITIES}, y_unit[val_rows],
         weights, ctx.arg("train.phase2"),
     )
-    extra = {**extra, "phase": 2, "loss_weights": weights.to_json()}
+    extra = {**extra, "phase": 2, "loss_weights": to_json(weights)}
     _save_phase(ctx, model, extra, hist)
     return (
         f"train-phase2: val mse {hist['initial_val_mse']:.5f} -> {hist['best_val_mse']:.5f} "
@@ -536,7 +480,7 @@ def cmd_predict(ctx: RunContext) -> str:
     if extra.get("phase", 0) < 2:
         raise PopgateError(f"model at {model_dir} has not completed phase-2 training")
     ids, _, xs = _load_table(ctx)
-    target_scaler, feature_scalers = _saved_scalers(extra)
+    target_scaler, feature_scalers = _saved_scalers(ctx.inputs["model"], extra)
 
     result = model.predict(_scale(feature_scalers, xs))
     pred = scaler_invert(target_scaler, result.yhat.reshape(-1, 1)).reshape(-1)
@@ -604,8 +548,8 @@ def cmd_evaluate(ctx: RunContext) -> str:
     body = {
         "subset": subset,
         "n": len(keep),
-        "metrics": report.to_json(),
-        "metrics_scaled": scaled.to_json(),
+        "metrics": to_json(report),
+        "metrics_scaled": to_json(scaled),
         "residuals": _residual_summary(residuals),
         "distribution": {"actual": _distribution(y), "predicted": _distribution(y_hat)},
         "gate_means_by_decade": gates.groups,
@@ -727,7 +671,7 @@ SUBCOMMANDS = tuple(STEPS)
 def _check(ctx: RunContext, sections: tuple[str, ...]) -> None:
     """Reject unknown top-level keys, then check every key of the step's own
     section and every key set in the other sections it reads."""
-    _object(ctx.config, "", [*CLI_KEYS, *TOP_LEVEL, *SECTIONS])
+    check_object(ctx.config, "", [*CLI_KEYS, *TOP_LEVEL, *SECTIONS])
     own = sections[0]
     if own not in ctx.config:
         raise ConfigError(f"config lacks a {own!r} section")
@@ -736,7 +680,7 @@ def _check(ctx: RunContext, sections: tuple[str, ...]) -> None:
         if name in FLAT_KNOBS:
             ctx.knobs(name)
         else:
-            _object(given, name, SECTIONS[name])
+            check_object(given, name, SECTIONS[name])
         for key in SECTIONS[name]:
             if name == own or key in given:
                 ctx.arg(f"{name}.{key}")

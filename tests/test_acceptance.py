@@ -300,8 +300,8 @@ def test_criterion_03_architecture_planner():
     for d in mirror_dims:
         d_enc = registry[d].d_enc if d in registry else max(1, d // 8)
         ae = Autoencoder(d, d_enc, np.random.default_rng(0))
-        enc = [(s["in_dim"], s["out_dim"]) for s in ae.encoder.specs_json()]
-        dec = [(s["in_dim"], s["out_dim"]) for s in ae.decoder.specs_json()]
+        enc = [(layer.spec.in_dim, layer.spec.out_dim) for layer in ae.encoder.layers]
+        dec = [(layer.spec.in_dim, layer.spec.out_dim) for layer in ae.decoder.layers]
         assert dec == [(b, a) for a, b in reversed(enc)], d
         assert enc[0][0] == d and enc[-1][1] == d_enc
     _report(3, f"architecture planner: 7 pinned widths, sweep 2..100000, "

@@ -15,13 +15,12 @@ from popgate.autoenc import (
     default_registry,
     lambda_for,
     plan_architecture,
-    registry_from_json,
     registry_hash,
-    registry_to_json,
     rel_mse,
     train_group_autoencoder,
 )
 from popgate.autoenc.groups import validate_registry
+from popgate.codec import from_json, to_json
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn import mse_loss
@@ -184,7 +183,7 @@ def test_default_registry_arithmetic():
 
 def test_registry_json_round_trip_and_hash():
     reg = default_registry()
-    rt = registry_from_json(registry_to_json(reg))
+    rt = from_json(tuple[FeatureGroup, ...], to_json(reg))
     assert rt == reg
     assert registry_hash(rt) == registry_hash(reg)
     # order matters for the hash (concatenation order is load-bearing)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import popgate.pipeline
-from popgate.autoenc import registry_from_json, registry_hash
+from popgate.autoenc import FeatureGroup, registry_hash
 from popgate.cli import build_parser, main
+from popgate.codec import from_json
 from popgate.metrics import compute_metrics
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
 
@@ -402,7 +403,8 @@ class TestCliContract:
         path = copy / "models/ae/ensemble.json"
         manifest = json.loads(path.read_text())
         manifest["registry"][0]["d_enc"] = 4
-        manifest["registry_hash"] = registry_hash(registry_from_json(manifest["registry"]))
+        registry = from_json(tuple[FeatureGroup, ...], manifest["registry"])
+        manifest["registry_hash"] = registry_hash(registry)
         path.write_text(json.dumps(manifest))
         before = (copy / "data/audio_z.csv").read_bytes()
         capsys.readouterr()
@@ -478,6 +480,9 @@ MALFORMED_KEYS = [
     ("ae-train", "ae.registry", [{"name": "a", "start": 0, "d": 6, "d_enc": 2},
                                  {"name": "a", "start": 6, "d": 6, "d_enc": 2}]),  # same name
     ("ae-train", "ae.registry", [{"name": "a", "start": 0, "d": 6, "d_enc": 6}]),  # d_enc = d
+    # trained ELU(0.1), ignoring a key that kind does not take; the message
+    # names train.branches.audio.activation.slope
+    ("train-phase1", "train.branches.audio.activation", {"kind": "elu", "slope": 0.2}),
 ]
 
 
@@ -512,6 +517,65 @@ class TestConfigKeys:
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         assert json.loads(block) == chain_config() == workloads.README_CONFIG
+
+
+def _drop(doc: dict, dotted: str) -> None:
+    *parents, leaf = dotted.split(".")
+    for p in parents:
+        doc = doc[p]
+    del doc[leaf]
+
+
+def _drop_from_json(dotted: str):
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text())
+        _drop(doc, dotted)
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+def _drop_from_npz(key: str, meta_key: str | None = None):
+    """Drop the array `key`, or the dotted `meta_key` of the checkpoint's
+    JSON metadata (the array `key`)."""
+    def edit(path: Path) -> None:
+        with np.load(path) as data:
+            entries = {k: data[k] for k in data.files}
+        if meta_key is None:
+            del entries[key]
+        else:
+            meta = json.loads(entries[key].tobytes())
+            _drop(meta, meta_key)
+            entries[key] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **entries)
+    return edit
+
+
+# (step, artifact, how to corrupt it, the key the error must name): each of
+# these once ended in a KeyError traceback
+MALFORMED_ARTIFACTS = [
+    ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
+    ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
+    ("predict", "models/fused/model.json", _drop_from_json("branch_checkpoints.lyrics"),
+     "'branch_checkpoints.lyrics'"),
+    ("predict", "models/fused/branch_audio.npz", _drop_from_npz("__meta__", "config.hidden"),
+     "'config.hidden'"),
+]
+
+
+@pytest.mark.parametrize("step,artifact,corrupt,key", MALFORMED_ARTIFACTS,
+                         ids=[k.strip("'") for *_, k in MALFORMED_ARTIFACTS])
+def test_malformed_artifact_exits_2_and_names_file_and_key(chain_ws, tmp_path, capsys, step,
+                                                          artifact, corrupt, key):
+    ws, _ = chain_ws
+    cfg_path = _copy_ws(ws, tmp_path / "ws")
+    path = cfg_path.parent / artifact
+    corrupt(path)
+    before = _files(cfg_path.parent)
+    capsys.readouterr()
+    assert main([step, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert _files(cfg_path.parent) == before
 
 
 def _copy_ws(ws: Path, dest: Path) -> Path:

@@ -16,7 +16,7 @@ from _oracles import (
     naive_ols_slope,
     naive_track_year,
 )
-from popgate.ctd import CTDSchema, build_ctd_dataset, default_schema, ingest_events
+from popgate.ctd import build_ctd_dataset, default_schema, ingest_events
 from popgate.ctd import events
 from popgate.ctd.events import parse_timestamp_year
 from popgate.ctd.features import _ols_slopes
@@ -385,11 +385,6 @@ def test_default_schema_lengths_and_extension():
     assert len(set(tmp.names)) == 31  # no duplicate names
     with pytest.raises(ConfigError):
         default_schema("yearly")
-
-
-def test_schema_json_round_trip():
-    schema = default_schema("temporal", WINDOW)
-    assert CTDSchema.from_json(schema.to_json()) == schema
 
 
 def test_all_zero_vector_except_consistencies():

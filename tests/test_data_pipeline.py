@@ -17,6 +17,7 @@ from popgate.data import (
     stratified_split,
     synth_generate,
 )
+from popgate.codec import from_json, to_json
 from popgate.data.scaling import scaler_invert
 from popgate.exceptions import ConfigError, ShapeError
 from popgate.metrics import compute_metrics
@@ -271,10 +272,11 @@ def test_scaler_round_trip_inverse():
 
 def test_scaler_params_json_round_trip():
     params = scaler_fit(np.array([[1.0, 5.0], [2.0, 5.0]]), "zscore")
-    rt = ScalerParams.from_json(params.to_json())
+    rt = from_json(ScalerParams, to_json(params))
     assert rt.kind == params.kind
     assert np.array_equal(rt.center, params.center)
     assert np.array_equal(rt.degenerate, params.degenerate)
+    assert rt.degenerate.dtype == bool and rt.center.dtype == np.float64
 
 
 # --- synthetic data -------------------------------------------------------------

@@ -9,6 +9,7 @@ the gate should favor) is known by construction.
 import numpy as np
 import pytest
 
+from popgate.codec import from_json, to_json
 from popgate.exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
 from popgate.fusion import (
     MODALITIES,
@@ -113,7 +114,7 @@ class TestExpertBranch:
 
     def test_config_json_round_trip(self):
         cfg = default_branch_config("social", 17)
-        again = BranchConfig.from_json(cfg.to_json())
+        again = from_json(BranchConfig, to_json(cfg))
         assert again == cfg
 
     def test_config_validation(self):
@@ -359,7 +360,7 @@ class TestEnsembleLoss:
             LossWeights(0.0, 0.0)
         with pytest.raises(ValueError):
             LossWeights(-1.0, 0.3)
-        assert LossWeights.from_json(LossWeights(1.0, 0.3).to_json()) == LossWeights(1.0, 0.3)
+        assert from_json(LossWeights, to_json(LossWeights(1.0, 0.3))) == LossWeights(1.0, 0.3)
 
     def test_target_length_mismatch(self):
         model = tiny_model(dropout=0.0)

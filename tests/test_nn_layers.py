@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from popgate.exceptions import ShapeError
+from popgate.codec import from_json, to_json
+from popgate.exceptions import ConfigError, ShapeError
 from popgate.nn import (
+    Activation,
     BatchNorm,
     Dense,
     DenseLayerSpec,
@@ -15,12 +17,7 @@ from popgate.nn import (
     Sigmoid,
     activation_forward,
 )
-from popgate.nn.layers import (
-    activation_backward,
-    activation_from_json,
-    activation_to_json,
-    snapshot_state,
-)
+from popgate.nn.layers import activation_backward, snapshot_state
 
 
 # --- activations ------------------------------------------------------------
@@ -80,9 +77,9 @@ def test_activation_param_validation():
 
 def test_activation_json_round_trip():
     for act in [Elu(alpha=0.3), LeakyRelu(slope=0.02), Sigmoid(), Identity()]:
-        assert activation_from_json(activation_to_json(act)) == act
-    with pytest.raises(ValueError, match="unknown activation"):
-        activation_from_json({"kind": "tanh"})
+        assert from_json(Activation, to_json(act, tagged=True)) == act
+    with pytest.raises(ConfigError, match="kind is one of"):
+        from_json(Activation, {"kind": "tanh"})
 
 
 def test_elu_backward_uses_cached_output():
