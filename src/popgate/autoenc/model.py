@@ -115,9 +115,10 @@ def ae_loss(
     if z.ndim != 2 or z.shape[0] != x.shape[0]:
         raise ShapeError(f"bottleneck batch {z.shape} does not match input batch {x.shape}")
     diff = x_hat - x
-    recon = float(np.mean(diff * diff))
+    # np.add.reduce(...) / size is np.mean without its Python-level wrapper
+    recon = float(np.add.reduce(diff * diff, axis=None) / diff.size)
     batch = z.shape[0]
-    penalty = lambda_k * float(np.sum(z * z)) / batch
+    penalty = lambda_k * float(np.add.reduce(z * z, axis=None)) / batch
     d_xhat = 2.0 * diff / diff.size
     d_z = 2.0 * lambda_k * z / batch
     return AELossTerms(recon, penalty, lambda_k), d_xhat, d_z

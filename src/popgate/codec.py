@@ -5,8 +5,9 @@ typed as a union of dataclasses (an `Activation`) gains a `kind` tag, its
 class name in snake case. `from_json` reads a value back as a type, as
 strictly for an artifact as for a config: no unknown or missing keys, no
 mistyped values. Its `ConfigError`s name the key by its dotted path, such as
-`train.branches.audio.activation.slope`; inside `reading(path)` they become
-`MissingInputError`s that also name the artifact's file.
+`train.branches.audio.activation.slope`; inside `reading(path)` they, and
+JSON parse errors, become `MissingInputError`s that also name the artifact's
+file.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def dataclass_from_json(cls, given, where: str, seed: int | None = None, hidden=
 
 @contextmanager
 def reading(source: str | Path):
-    """Decode a model artifact: a `ConfigError` raised inside ends as a
-    `MissingInputError` naming `source`."""
+    """Decode a model artifact: a `ConfigError` raised inside, or text that
+    is not JSON, ends as a `MissingInputError` naming `source`."""
     try:
         yield
     except ConfigError as e:
         raise MissingInputError(f"{source}: {e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise MissingInputError(f"{source}: not valid JSON: {e}") from None

@@ -93,7 +93,9 @@ class ExpertBranch(Module):
     for both outputs, since h also feeds the gating network.
     """
 
-    def __init__(self, config: BranchConfig, rng: np.random.Generator):
+    def __init__(self, config: BranchConfig, rng: np.random.Generator | None):
+        """`rng` draws the initial weights; None leaves them zero, for a
+        branch whose state is loaded next."""
         self.config = config
         specs = []
         d_prev = config.in_dim

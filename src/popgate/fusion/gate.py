@@ -49,9 +49,9 @@ class LearnableStandardize(Module):
         if self._cache is None:
             raise RuntimeError("standardize backward called before forward")
         centered, denom = self._cache
-        self.shift.grad += -grad.sum(axis=0) / denom
+        self.shift.grad += -np.add.reduce(grad, axis=0) / denom
         self.scale.grad += (
-            -np.sum(grad * centered, axis=0) / (denom * denom) * np.sign(self.scale.value)
+            -np.add.reduce(grad * centered, axis=0) / (denom * denom) * np.sign(self.scale.value)
         )
         return grad / denom
 
@@ -81,7 +81,7 @@ class GatingNetwork(Module):
     logits, softmax. Rows of alpha sum to 1 and are strictly positive.
     """
 
-    def __init__(self, config: GateConfig, rng: np.random.Generator):
+    def __init__(self, config: GateConfig, rng: np.random.Generator | None):
         self.config = config
         self.standardizers = {
             m: LearnableStandardize(config.repr_dim, eps=config.eps, name=f"gate.std.{m}")
@@ -116,7 +116,7 @@ class GatingNetwork(Module):
         batches = {m: np.asarray(hs[m]).shape[0] for m in MODALITIES}
         if len(set(batches.values())) != 1:
             raise ShapeError(f"gate inputs disagree on batch size: {batches}")
-        z = np.hstack([self.standardizers[m].forward(hs[m]) for m in MODALITIES])
+        z = np.concatenate([self.standardizers[m].forward(hs[m]) for m in MODALITIES], axis=1)
         logits = self.mlp.forward(z, train=train, rng=rng)
         self._probs = softmax(logits, axis=1)
         return self._probs

@@ -103,9 +103,9 @@ class GatedEnsemble(Module):
             h, y_col = self.branches[m].forward(xs[m], train=branch_train, rng=rng)
             hs[m] = h
             cols.append(y_col)
-        branch_yhat = np.hstack(cols)
+        branch_yhat = np.concatenate(cols, axis=1)
         alpha = self.gate.forward(hs, train=train, rng=rng)
-        yhat = np.sum(alpha * branch_yhat, axis=1)
+        yhat = np.add.reduce(alpha * branch_yhat, axis=1)
         self._cache = (alpha, branch_yhat)
         return EnsembleOutput(yhat=yhat, alpha=alpha, branch_yhat=branch_yhat)
 
@@ -207,20 +207,20 @@ def load_ensemble(in_dir: str | Path) -> tuple[GatedEnsemble, dict]:
         files = from_json(_ModelFiles, json.loads(manifest_path.read_text()))
         ckpts = {m: from_json(str, files.branch_checkpoints.get(m, MISSING),
                               f"branch_checkpoints.{m}") for m in MODALITIES}
-    rng = np.random.default_rng(0)  # placeholder init; every array is overwritten
+    # rng=None builds zero weights on unmapped pages; load_state fills them
     branches = {}
     for m in MODALITIES:
         ckpt = in_dir / ckpts[m]
         arrays, meta = load_checkpoint(ckpt)
         with reading(ckpt):
             config = from_json(BranchConfig, meta.get("config", MISSING), "config")
-            branch = ExpertBranch(config, rng)
+            branch = ExpertBranch(config, None)
             branch.trained = from_json(bool, meta.get("trained", MISSING), "trained")
         branch.load_state(arrays, ckpt)
         branches[m] = branch
     ckpt = in_dir / files.gate_checkpoint
     arrays, meta = load_checkpoint(ckpt)
     with reading(ckpt):
-        gate = GatingNetwork(from_json(GateConfig, meta.get("config", MISSING), "config"), rng)
+        gate = GatingNetwork(from_json(GateConfig, meta.get("config", MISSING), "config"), None)
     gate.load_state(arrays, ckpt)
     return GatedEnsemble(branches, gate), files.extra

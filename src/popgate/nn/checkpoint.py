@@ -10,6 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..codec import from_json, reading
 from ..exceptions import MissingInputError, ShapeError
 
 FORMAT_VERSION = 1
@@ -57,7 +58,9 @@ def load_checkpoint(
     with np.load(path) as data:
         if _META_KEY not in data:
             raise ValueError(f"{path} is not a checkpoint (missing metadata entry)")
-        meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
+        with reading(path):
+            meta = from_json(dict, json.loads(data[_META_KEY].tobytes().decode("utf-8")),
+                             _META_KEY)
         version = meta.pop("format_version", None)
         if version != FORMAT_VERSION:
             raise ValueError(

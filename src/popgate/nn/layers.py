@@ -7,6 +7,7 @@ Dropout is inverted (scaled at train time), so eval applies no rescale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -146,26 +147,34 @@ _SIG_LO = float(np.finfo(np.float64).tiny)
 _SIG_HI = float(np.nextafter(1.0, 0.0))
 
 
-def activation_forward(x: np.ndarray, act: Activation) -> np.ndarray:
-    """Elementwise activation. Rejects non-finite input with a diagnostic."""
+def activation_forward(x: np.ndarray, act: Activation, layer: str | None = None) -> np.ndarray:
+    """Elementwise activation. Rejects non-finite input with a diagnostic
+    that names `layer` when given."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
-        raise ValueError(f"activation input contains {bad} non-finite entries")
+    # the sum is finite only when every entry is, so the elementwise scan
+    # runs only for an input whose sum is not (or overflows)
+    if not math.isfinite(np.add.reduce(x, axis=None)):
+        bad = int(x.size - np.count_nonzero(np.isfinite(x)))
+        if bad:
+            where = f"layer {layer!r}: " if layer else ""
+            raise ValueError(f"{where}activation input contains {bad} non-finite entries")
     if isinstance(act, Elu):
-        out = x.copy()
-        neg = x <= 0  # expm1 only where needed; it overflows on large x
-        out[neg] = act.alpha * np.expm1(x[neg])
+        # min(0.0, x) keeps -0.0, and expm1 never sees the positive side,
+        # where it would overflow
+        out = np.minimum(0.0, x)
+        np.expm1(out, out=out)
+        out *= act.alpha
+        np.copyto(out, x, where=x > 0)
         return out
     if isinstance(act, LeakyRelu):
         return np.where(x > 0, x, act.slope * x)
     if isinstance(act, Sigmoid):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+        # e^-|x| <= 1 never overflows; x >= 0 takes 1/(1+e^-x), else e^x/(1+e^x)
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        out = np.where(x >= 0, 1.0 / d, e / d)
+        np.maximum(out, _SIG_LO, out=out)
+        return np.minimum(out, _SIG_HI, out=out)
     if isinstance(act, Identity):
         return x.copy()
     raise TypeError(f"unknown activation {act!r}")
@@ -219,35 +228,51 @@ class BatchNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        # direct ufunc calls that repeat, operation for operation, what
+        # `x.mean(axis=0)` and numpy's two-pass `x.var(axis=0)` compute
         if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # population variance
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
-            self._cache = ("train", x, xhat, mean, var, inv_std)
+            n = x.shape[0]
+            mean = np.add.reduce(x, axis=0)
+            mean /= n
+            centered = x - mean
+            var = np.add.reduce(np.square(centered), axis=0)
+            var /= n  # population variance
+            self.running_mean *= 1.0 - self.momentum
+            self.running_mean += self.momentum * mean
+            self.running_var *= 1.0 - self.momentum
+            self.running_var += self.momentum * var
+            inv_std = np.sqrt(var + self.eps)
+            np.divide(1.0, inv_std, out=inv_std)
+            xhat = centered * inv_std
+            self._cache = ("train", xhat, centered, inv_std)
         else:
             xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
             self._cache = ("eval", xhat)
-        return self.gamma.value * xhat + self.beta.value
+        out = xhat * self.gamma.value
+        out += self.beta.value
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("batchnorm backward called before forward")
+        add = np.add.reduce
+        xhat = self._cache[1]
+        self.beta.grad += add(grad, axis=0)
+        self.gamma.grad += add(grad * xhat, axis=0)
         if self._cache[0] == "eval":
-            xhat = self._cache[1]
-            self.beta.grad += grad.sum(axis=0)
-            self.gamma.grad += (grad * xhat).sum(axis=0)
             return grad * self.gamma.value / np.sqrt(self.running_var + self.eps)
-        _, x, xhat, mean, var, inv_std = self._cache
-        n = x.shape[0]
-        self.beta.grad += grad.sum(axis=0)
-        self.gamma.grad += (grad * xhat).sum(axis=0)
+        _, _, centered, inv_std = self._cache
+        n = centered.shape[0]
         dxhat = grad * self.gamma.value
-        dvar = np.sum(dxhat * (x - mean), axis=0) * (-0.5) * inv_std**3
-        dmean = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * (x - mean), axis=0)
-        return dxhat * inv_std + dvar * 2.0 * (x - mean) / n + dmean / n
+        dvar = add(dxhat * centered, axis=0) * (-0.5) * inv_std**3
+        dmean = -add(dxhat, axis=0) * inv_std + dvar * (add(-2.0 * centered, axis=0) / n)
+        # dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n, left to right
+        dxhat *= inv_std
+        t = (dvar * 2.0) * centered
+        t /= n
+        dxhat += t
+        dxhat += dmean / n
+        return dxhat
 
     def parts(self) -> list:
         return [("gamma", self.gamma), ("beta", self.beta),
@@ -276,33 +301,38 @@ class Dense(Module):
             raise ShapeError(
                 f"layer {self.name!r} expects input (batch, {self.spec.in_dim}), got {x.shape}"
             )
-        z = x @ self.W.value + self.b.value
+        z = x @ self.W.value
+        z += self.b.value
         h = self.bn.forward(z, train) if self.bn is not None else z
-        a = activation_forward(h, self.spec.activation)
-        mask = None
+        a = activation_forward(h, self.spec.activation, self.name)
+        kept = None
         if train and self.spec.dropout_p > 0.0:
             if rng is None:
                 raise ValueError(f"layer {self.name!r}: train-mode dropout needs an rng")
-            keep = 1.0 - self.spec.dropout_p
-            mask = (rng.random(a.shape) >= self.spec.dropout_p).astype(np.float64) / keep
-            out = a * mask
+            # the cache keeps the boolean draw, an eighth of the float mask
+            kept = rng.random(a.shape) >= self.spec.dropout_p
+            out = a * self._dropout_mask(kept)
         else:
             out = a
-        self._cache = (x, h, a, mask)
+        self._cache = (x, h, a, kept)
         return out
+
+    def _dropout_mask(self, kept: np.ndarray) -> np.ndarray:
+        """Inverted-dropout scale: 1/(1-p) where a unit is kept, else 0."""
+        return np.where(kept, 1.0 / (1.0 - self.spec.dropout_p), 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Propagate grad to the input; accumulate parameter gradients."""
         if self._cache is None:
             raise RuntimeError(f"layer {self.name!r}: backward called before forward")
-        x, pre_act, act_out, mask = self._cache
-        if mask is not None:
-            grad = grad * mask
+        x, pre_act, act_out, kept = self._cache
+        if kept is not None:
+            grad = grad * self._dropout_mask(kept)
         grad = activation_backward(grad, pre_act, act_out, self.spec.activation)
         if self.bn is not None:
             grad = self.bn.backward(grad)
         self.W.grad += x.T @ grad
-        self.b.grad += grad.sum(axis=0)
+        self.b.grad += np.add.reduce(grad, axis=0)
         return grad @ self.W.value.T
 
     def parts(self) -> list:

@@ -21,6 +21,7 @@ per-parameter form above, so params and moments are bit-identical to it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -183,8 +184,9 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
     params = list(params)
     total = 0.0
     for p in params:
-        total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
+        g = p.grad
+        total += float(np.add.reduce(g * g, axis=None))
+    norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm

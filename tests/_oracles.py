@@ -206,3 +206,121 @@ def csv_writer_matrix_bytes(ids, names, X) -> bytes:
     for tid, row in zip(ids, X):
         writer.writerow([tid, *map(repr, row.tolist())])
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# reference layer kernels: the numpy-wrapper forms (np.sum, np.mean,
+# ndarray.var, boolean-mask gathers) whose rounding the package's direct ufunc
+# calls must repeat bit for bit. Activations are named by kind, with `param`
+# the ELU alpha or the LeakyReLU slope.
+
+_SIG_LO = 2.2250738585072014e-308  # float64 tiny
+_SIG_HI = 0.9999999999999999  # nextafter(1.0, 0.0)
+
+
+def ref_activation_forward(x, kind: str, param: float = 0.0):
+    import numpy as np
+
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        bad = int(np.size(x) - np.count_nonzero(np.isfinite(x)))
+        raise ValueError(f"activation input contains {bad} non-finite entries")
+    if kind == "elu":
+        out = x.copy()
+        neg = x <= 0
+        out[neg] = param * np.expm1(x[neg])
+        return out
+    if kind == "leaky_relu":
+        return np.where(x > 0, x, param * x)
+    if kind == "sigmoid":
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return np.clip(out, _SIG_LO, _SIG_HI, out=out)
+    if kind == "identity":
+        return x.copy()
+    raise ValueError(kind)
+
+
+def ref_activation_backward(grad, pre, out, kind: str, param: float = 0.0):
+    import numpy as np
+
+    if kind == "elu":
+        return grad * np.where(pre > 0, 1.0, out + param)
+    if kind == "leaky_relu":
+        return grad * np.where(pre > 0, 1.0, param)
+    if kind == "sigmoid":
+        return grad * out * (1.0 - out)
+    if kind == "identity":
+        return grad
+    raise ValueError(kind)
+
+
+def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, train):
+    """(output, new running mean, new running var, cache for the backward)."""
+    import numpy as np
+
+    if train:
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        running_mean = (1.0 - momentum) * running_mean + momentum * mean
+        running_var = (1.0 - momentum) * running_var + momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mean) * inv_std
+        cache = ("train", x, xhat, mean, inv_std)
+    else:
+        xhat = (x - running_mean) / np.sqrt(running_var + eps)
+        cache = ("eval", xhat)
+    return gamma * xhat + beta, running_mean, running_var, cache
+
+
+def ref_batchnorm_backward(grad, gamma, running_var, eps, cache):
+    """(input gradient, gamma gradient, beta gradient) of one call."""
+    import numpy as np
+
+    if cache[0] == "eval":
+        xhat = cache[1]
+        return (grad * gamma / np.sqrt(running_var + eps),
+                (grad * xhat).sum(axis=0), grad.sum(axis=0))
+    _, x, xhat, mean, inv_std = cache
+    n = x.shape[0]
+    dxhat = grad * gamma
+    dvar = np.sum(dxhat * (x - mean), axis=0) * (-0.5) * inv_std**3
+    dmean = -np.sum(dxhat, axis=0) * inv_std + dvar * np.mean(-2.0 * (x - mean), axis=0)
+    dx = dxhat * inv_std + dvar * 2.0 * (x - mean) / n + dmean / n
+    return dx, (grad * xhat).sum(axis=0), grad.sum(axis=0)
+
+
+def ref_dropout_mask(rng, shape, p: float):
+    import numpy as np
+
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
+def ref_mse_loss(pred, target):
+    import numpy as np
+
+    diff = pred - target
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def ref_softmax(logits, axis: int = -1):
+    import numpy as np
+
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("softmax input contains non-finite entries")
+    e = np.exp(logits - logits.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def ref_clip_factor(grads, max_norm: float) -> float:
+    """The factor global-norm clipping applies to every gradient."""
+    import numpy as np
+
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    return 1.0 if norm <= max_norm or norm == 0.0 else max_norm / norm

@@ -550,8 +550,23 @@ def _drop_from_npz(key: str, meta_key: str | None = None):
     return edit
 
 
+def _truncate_json(path: Path) -> None:
+    path.write_text(path.read_text()[:40])
+
+
+def _replace_npz_meta(blob: bytes):
+    """Replace the checkpoint's JSON metadata (the array `__meta__`) by `blob`."""
+    def edit(path: Path) -> None:
+        with np.load(path) as data:
+            entries = {k: data[k] for k in data.files}
+        entries["__meta__"] = np.frombuffer(blob, dtype=np.uint8)
+        np.savez(path, **entries)
+    return edit
+
+
 # (step, artifact, how to corrupt it, the key the error must name): each of
-# these once ended in a KeyError traceback
+# these once ended in a KeyError traceback, or (not valid JSON) in exit 1
+# with only the parser's message
 MALFORMED_ARTIFACTS = [
     ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
     ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
@@ -559,11 +574,17 @@ MALFORMED_ARTIFACTS = [
      "'branch_checkpoints.lyrics'"),
     ("predict", "models/fused/branch_audio.npz", _drop_from_npz("__meta__", "config.hidden"),
      "'config.hidden'"),
+    ("compress", "models/ae/ensemble.json", _truncate_json, "not valid JSON"),
+    ("predict", "models/fused/model.json", _truncate_json, "not valid JSON"),
+    ("predict", "models/fused/gate.npz", _replace_npz_meta(b'{"kind": "gate", "config": {'),
+     "not valid JSON"),
+    ("predict", "models/fused/branch_social.npz", _replace_npz_meta(b'\xff{}'), "not valid JSON"),
 ]
 
 
 @pytest.mark.parametrize("step,artifact,corrupt,key", MALFORMED_ARTIFACTS,
-                         ids=[k.strip("'") for *_, k in MALFORMED_ARTIFACTS])
+                         ids=[k.strip("'") if k.startswith("'") else f"{Path(a).name} {k}"
+                              for _, a, _, k in MALFORMED_ARTIFACTS])
 def test_malformed_artifact_exits_2_and_names_file_and_key(chain_ws, tmp_path, capsys, step,
                                                           artifact, corrupt, key):
     ws, _ = chain_ws
