@@ -15,7 +15,7 @@ import numpy as np
 from ..codec import from_json, reading, to_json
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import MLP, Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
+from ..nn import MLP, Adam, TrainConfig, clip_grad_norm, load_checkpoint, save_checkpoint
 from ..nn.checkpoint import check_arrays
 from ..seeding import derive_seed, rng_for
 from .groups import FeatureGroup, registry_hash, validate_registry
@@ -35,19 +35,13 @@ def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class AETrainConfig:
-    lr: float = 1e-4
-    batch_size: int = 256
-    max_epochs: int = 200
-    clip_norm: float = 1.0
-    patience: int = 25
-    plateau_patience: int = 10
+class AETrainConfig(TrainConfig):
     val_fraction: float = 0.1
-    seed: int = 46
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("autoencoder config needs lr > 0, batch_size >= 1, max_epochs >= 1")
+        super().__post_init__()
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
 def train_group_autoencoder(
@@ -57,7 +51,7 @@ def train_group_autoencoder(
     best-validation model plus the fitted scaler and a history dict.
 
     `data` holds only this group's training-split columns (width group.d);
-    a fixed 10% of its rows are held out for validation/early stopping.
+    a fixed `cfg.val_fraction` of its rows is held out for early stopping.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != group.d:
@@ -76,7 +70,7 @@ def train_group_autoencoder(
     model = Autoencoder(group.d, group.d_enc, rng_for(cfg.seed, f"ae-init-{group.name}"), name=group.name)
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
-    control = TrainControl(lr=cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
+    control = cfg.control()
     best_state = model.snapshot()
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 

@@ -3,19 +3,20 @@
 Phase 1 fits each branch alone on MSE against the scaled target. Phase 2
 loads the trained branches and optimizes the composite loss with AdamW;
 branches can be frozen (eval mode, no updates) or fine-tuned alongside the
-gate. Both phases early-stop on validation MSE and return the best weights
-seen, so phase 2 can never end worse than it started.
+gate. Both phases run one epoch loop, `_fit`, which early-stops on
+validation MSE and restores the best weights seen, so phase 2 can never end
+worse than it started.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..exceptions import PopgateError, ShapeError
-from ..nn import Adam, AdamW, TrainControl, clip_grad_norm, mse_loss
+from ..nn import Adam, AdamW, Module, TrainConfig, TrainControl, clip_grad_norm, mse_loss
 from ..nn.layers import snapshot_state
 from ..seeding import rng_for
 from .branches import MODALITIES, ExpertBranch
@@ -23,35 +24,22 @@ from .model import GatedEnsemble, LossWeights, ensemble_loss
 
 
 @dataclass(frozen=True)
-class Phase1Config:
-    lr: float = 1e-4
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 25
-    plateau_patience: int = 10
-    clip_norm: float = 1.0
-    seed: int = 46
-
-    def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("phase-1 config needs lr > 0, batch_size >= 1, max_epochs >= 1")
+class Phase1Config(TrainConfig):
+    """Each expert's loop: the shared settings and defaults."""
 
 
 @dataclass(frozen=True)
-class Phase2Config:
+class Phase2Config(TrainConfig):
+    """The gate's loop: a smaller lr and fewer epochs by default, and AdamW
+    decay on fine-tuned branches unless they are frozen."""
+
     lr: float = 5e-6
-    batch_size: int = 256
     max_epochs: int = 150
-    patience: int = 25
-    plateau_patience: int = 10
-    clip_norm: float = 1.0
     weight_decay: float = 0.01
     freeze_branches: bool = False
-    seed: int = 46
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("phase-2 config needs lr > 0, batch_size >= 1, max_epochs >= 1")
+        super().__post_init__()
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
@@ -66,6 +54,57 @@ def _unit_targets(y: np.ndarray, where: str) -> np.ndarray:
             f"{where}: targets must be min-max scaled to [0,1], got range [{lo:.4g}, {hi:.4g}]"
         )
     return y
+
+
+def _fit(
+    module: Module,
+    opt: Adam,
+    cfg: TrainConfig,
+    control: TrainControl,
+    n: int,
+    batch_loss: Callable[[np.ndarray, np.random.Generator], float],
+    val_mse: Callable[[], float],
+    tag: str,
+) -> dict:
+    """The epoch loop of both phases. Each epoch shuffles the `n` training
+    rows and draws dropout from streams named by `tag` and the epoch
+    (counted from 1); `batch_loss(rows, rng)` runs one batch's forward and
+    backward and returns its mean loss, then the grads are clipped and
+    stepped. After each epoch `val_mse()` drives `control`; the best epoch's
+    state is restored into `module` at the end. Returns the history."""
+    best = snapshot_state(module.state_arrays())
+    history: dict = {"train_loss": [], "val_mse": []}
+    epochs_run = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        order = rng_for(cfg.seed, f"{tag}-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(cfg.seed, f"{tag}-dropout-{epoch}")
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            opt.zero_grad()
+            loss = batch_loss(idx, drop_rng)
+            clip_grad_norm(opt.params, cfg.clip_norm)
+            opt.step()
+            epoch_loss += loss * idx.size
+        history["train_loss"].append(epoch_loss / n)
+
+        val = val_mse()
+        history["val_mse"].append(val)
+        opt.lr = control.update(val)
+        if control.improved:
+            snapshot_state(module.state_arrays(), into=best)
+        if control.should_stop:
+            break
+
+    module.load_state(best)
+    history.update(
+        best_epoch=control.best_epoch,
+        best_val_mse=control.best_metric,
+        epochs_run=epochs_run,
+        lr_reductions=control.num_reductions,
+    )
+    return history
 
 
 def phase1_train(
@@ -86,49 +125,22 @@ def phase1_train(
     if x_val.shape[0] != y_val.shape[0]:
         raise ShapeError(f"val rows {x_val.shape[0]} != targets {y_val.shape[0]}")
 
-    n = x_train.shape[0]
     yt_col = y_train.reshape(-1, 1)
     yv_col = y_val.reshape(-1, 1)
-    opt = Adam(branch.params(), lr=cfg.lr)
-    control = TrainControl(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
-    best = snapshot_state(branch.state_arrays())
-    history: dict = {"train_loss": [], "val_mse": []}
-    tag = f"phase1-{branch.modality}"
 
-    epochs_run = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
-        order = rng_for(cfg.seed, f"{tag}-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(cfg.seed, f"{tag}-dropout-{epoch}")
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            opt.zero_grad()
-            _, y_hat = branch.forward(x_train[idx], train=True, rng=drop_rng)
-            loss, d_yhat = mse_loss(y_hat, yt_col[idx])
-            branch.backward(None, d_yhat)
-            clip_grad_norm(opt.params, cfg.clip_norm)
-            opt.step()
-            epoch_loss += loss * idx.size
-        history["train_loss"].append(epoch_loss / n)
+    def batch_loss(idx, rng):
+        _, y_hat = branch.forward(x_train[idx], train=True, rng=rng)
+        loss, d_yhat = mse_loss(y_hat, yt_col[idx])
+        branch.backward(None, d_yhat)
+        return loss
 
+    def val_mse():
         _, yv_hat = branch.forward(x_val, train=False)
-        val_mse, _ = mse_loss(yv_hat, yv_col)
-        history["val_mse"].append(val_mse)
-        opt.lr = control.update(val_mse)
-        if control.improved:
-            snapshot_state(branch.state_arrays(), into=best)
-        if control.should_stop:
-            break
+        return mse_loss(yv_hat, yv_col)[0]
 
-    branch.load_state(best)
+    history = _fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, cfg.control(),
+                   x_train.shape[0], batch_loss, val_mse, f"phase1-{branch.modality}")
     branch.trained = True
-    history.update(
-        best_epoch=control.best_epoch,
-        best_val_mse=control.best_metric,
-        epochs_run=epochs_run,
-        lr_reductions=control.num_reductions,
-    )
     return history
 
 
@@ -152,58 +164,32 @@ def phase2_train(
         )
     y_train = _unit_targets(y_train, "phase 2 train")
     y_val = _unit_targets(y_val, "phase 2 val")
-    n = y_train.shape[0]
+    tune = not cfg.freeze_branches
 
     groups: list = [(model.gate.params(), 0.0)]
-    if not cfg.freeze_branches:
+    if tune:
         for m in MODALITIES:
             # the social inputs are narrow engagement counts; decaying that
             # branch hurts, so it trains decay-free
             wd = 0.0 if m == "social" else cfg.weight_decay
             groups.append((model.branches[m].params(), wd))
+
+    def batch_loss(idx, rng):
+        xb = {m: xs_train[m][idx] for m in MODALITIES}
+        out = model.forward(xb, train=True, rng=rng, branch_train=tune)
+        breakdown, d_yhat, d_branch = ensemble_loss(y_train[idx], out, weights)
+        model.backward(d_yhat, d_branch, into_branches=tune)
+        return breakdown.total
+
+    def val_mse():
+        return mse_loss(model.forward(xs_val, train=False).yhat, y_val)[0]
+
     opt = AdamW(groups, lr=cfg.lr)
-    control = TrainControl(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
-
-    initial = model.forward(xs_val, train=False)
-    initial_val, _ = mse_loss(initial.yhat, y_val)
+    control = cfg.control()
+    initial_val = val_mse()
     control.update(initial_val)
-    best = snapshot_state(model.state_arrays())
-    history: dict = {"train_loss": [], "val_mse": [], "initial_val_mse": initial_val}
-
-    epochs_run = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
-        order = rng_for(cfg.seed, f"phase2-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(cfg.seed, f"phase2-dropout-{epoch}")
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = {m: xs_train[m][idx] for m in MODALITIES}
-            opt.zero_grad()
-            out = model.forward(xb, train=True, rng=drop_rng, branch_train=not cfg.freeze_branches)
-            breakdown, d_yhat, d_branch = ensemble_loss(y_train[idx], out, weights)
-            model.backward(d_yhat, d_branch, into_branches=not cfg.freeze_branches)
-            clip_grad_norm(opt.params, cfg.clip_norm)
-            opt.step()
-            epoch_loss += breakdown.total * idx.size
-        history["train_loss"].append(epoch_loss / n)
-
-        out = model.forward(xs_val, train=False)
-        val_mse, _ = mse_loss(out.yhat, y_val)
-        history["val_mse"].append(val_mse)
-        opt.lr = control.update(val_mse)
-        if control.improved:
-            snapshot_state(model.state_arrays(), into=best)
-        if control.should_stop:
-            break
-
-    model.load_state(best)
-    history.update(
-        best_epoch=control.best_epoch,
-        best_val_mse=control.best_metric,
-        epochs_run=epochs_run,
-        lr_reductions=control.num_reductions,
-    )
+    history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2")
+    history["initial_val_mse"] = initial_val
     return history
 
 

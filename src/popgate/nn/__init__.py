@@ -14,7 +14,7 @@ from .layers import (
 )
 from .losses import mse_loss, softmax, softmax_backward
 from .optim import Adam, AdamW, clip_grad_norm
-from .control import TrainControl
+from .control import TrainConfig, TrainControl
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "Module",
     "Param",
     "Sigmoid",
+    "TrainConfig",
     "TrainControl",
     "activation_forward",
     "clip_grad_norm",

@@ -57,13 +57,13 @@ def load_checkpoint(
         raise MissingInputError(f"checkpoint not found: {path}")
     with np.load(path) as data:
         if _META_KEY not in data:
-            raise ValueError(f"{path} is not a checkpoint (missing metadata entry)")
+            raise MissingInputError(f"{path} is not a checkpoint (missing metadata entry)")
         with reading(path):
             meta = from_json(dict, json.loads(data[_META_KEY].tobytes().decode("utf-8")),
                              _META_KEY)
         version = meta.pop("format_version", None)
         if version != FORMAT_VERSION:
-            raise ValueError(
+            raise MissingInputError(
                 f"unsupported checkpoint version {version!r} in {path} "
                 f"(expected {FORMAT_VERSION})"
             )

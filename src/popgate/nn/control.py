@@ -1,4 +1,5 @@
-"""Early stopping and learning-rate plateau scheduling on a validation metric.
+"""Early stopping and learning-rate plateau scheduling on a validation metric,
+and the loop settings every trainer shares.
 
 Both machines treat "improvement" as a strict decrease by more than a small
 tolerance, so a metric that drifts sideways within rounding noise still
@@ -8,6 +9,7 @@ counts as stalled.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 
 class TrainControl:
@@ -75,3 +77,28 @@ class TrainControl:
     def improved(self) -> bool:
         """True when the most recent update() set a new best metric."""
         return self.epochs_since_improve == 0 and self.epoch >= 0
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The settings of one mini-batch training loop: the autoencoder's and
+    both fusion phases' configs extend it. A bad value is rejected at
+    construction, naming the field."""
+
+    lr: float = 1e-4
+    batch_size: int = 256
+    max_epochs: int = 200
+    patience: int = 25
+    plateau_patience: int = 10
+    clip_norm: float = 1.0
+    seed: int = 46
+
+    def __post_init__(self):
+        for name in ("lr", "batch_size", "max_epochs", "patience", "plateau_patience", "clip_norm"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+
+    def control(self) -> TrainControl:
+        """A fresh early-stopping and plateau machine for this loop."""
+        return TrainControl(self.lr, patience=self.patience, plateau_patience=self.plateau_patience)

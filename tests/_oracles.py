@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way — explicit
 loops, sort-based medians, closed-form regression sums — and shares no code
-with the package beyond numpy primitives.
+with the package beyond numpy primitives. The reference training loops at
+the end are the exception: they run the package's layers and optimizers.
 """
 
 from __future__ import annotations
@@ -324,3 +325,144 @@ def ref_clip_factor(grads, max_norm: float) -> float:
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     return 1.0 if norm <= max_norm or norm == 0.0 else max_norm / norm
+
+
+# ---------------------------------------------------------------------------
+# reference training loops: the two hand-written epoch loops that phase 1 and
+# phase 2 ran before they shared one. They drive the package's own layers,
+# optimizers and early-stopping machine, so they check only the loop around
+# them: the streams, the batch order, the clip/step order, the snapshot and
+# the history.
+
+
+def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg) -> dict:
+    import numpy as np
+
+    from popgate.exceptions import ShapeError
+    from popgate.fusion.train import _unit_targets
+    from popgate.nn import Adam, TrainControl, clip_grad_norm, mse_loss
+    from popgate.nn.layers import snapshot_state
+    from popgate.seeding import rng_for
+
+    y_train = _unit_targets(y_train, f"{branch.modality} phase 1 train")
+    y_val = _unit_targets(y_val, f"{branch.modality} phase 1 val")
+    x_train = np.asarray(x_train, dtype=np.float64)
+    x_val = np.asarray(x_val, dtype=np.float64)
+    if x_train.shape[0] != y_train.shape[0]:
+        raise ShapeError(f"train rows {x_train.shape[0]} != targets {y_train.shape[0]}")
+    if x_val.shape[0] != y_val.shape[0]:
+        raise ShapeError(f"val rows {x_val.shape[0]} != targets {y_val.shape[0]}")
+
+    n = x_train.shape[0]
+    yt_col = y_train.reshape(-1, 1)
+    yv_col = y_val.reshape(-1, 1)
+    opt = Adam(branch.params(), lr=cfg.lr)
+    control = TrainControl(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
+    best = snapshot_state(branch.state_arrays())
+    history: dict = {"train_loss": [], "val_mse": []}
+    tag = f"phase1-{branch.modality}"
+
+    epochs_run = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        order = rng_for(cfg.seed, f"{tag}-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(cfg.seed, f"{tag}-dropout-{epoch}")
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            opt.zero_grad()
+            _, y_hat = branch.forward(x_train[idx], train=True, rng=drop_rng)
+            loss, d_yhat = mse_loss(y_hat, yt_col[idx])
+            branch.backward(None, d_yhat)
+            clip_grad_norm(opt.params, cfg.clip_norm)
+            opt.step()
+            epoch_loss += loss * idx.size
+        history["train_loss"].append(epoch_loss / n)
+
+        _, yv_hat = branch.forward(x_val, train=False)
+        val_mse, _ = mse_loss(yv_hat, yv_col)
+        history["val_mse"].append(val_mse)
+        opt.lr = control.update(val_mse)
+        if control.improved:
+            snapshot_state(branch.state_arrays(), into=best)
+        if control.should_stop:
+            break
+
+    branch.load_state(best)
+    branch.trained = True
+    history.update(
+        best_epoch=control.best_epoch,
+        best_val_mse=control.best_metric,
+        epochs_run=epochs_run,
+        lr_reductions=control.num_reductions,
+    )
+    return history
+
+
+def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg) -> dict:
+    from popgate.exceptions import PopgateError
+    from popgate.fusion.branches import MODALITIES
+    from popgate.fusion.model import ensemble_loss
+    from popgate.fusion.train import _unit_targets
+    from popgate.nn import AdamW, TrainControl, clip_grad_norm, mse_loss
+    from popgate.nn.layers import snapshot_state
+    from popgate.seeding import rng_for
+
+    untrained = [m for m in MODALITIES if not model.branches[m].trained]
+    if untrained:
+        raise PopgateError(
+            f"phase 2 requires phase-1-trained branches; untrained: {untrained}"
+        )
+    y_train = _unit_targets(y_train, "phase 2 train")
+    y_val = _unit_targets(y_val, "phase 2 val")
+    n = y_train.shape[0]
+
+    groups: list = [(model.gate.params(), 0.0)]
+    if not cfg.freeze_branches:
+        for m in MODALITIES:
+            wd = 0.0 if m == "social" else cfg.weight_decay
+            groups.append((model.branches[m].params(), wd))
+    opt = AdamW(groups, lr=cfg.lr)
+    control = TrainControl(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
+
+    initial = model.forward(xs_val, train=False)
+    initial_val, _ = mse_loss(initial.yhat, y_val)
+    control.update(initial_val)
+    best = snapshot_state(model.state_arrays())
+    history: dict = {"train_loss": [], "val_mse": [], "initial_val_mse": initial_val}
+
+    epochs_run = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        epochs_run = epoch
+        order = rng_for(cfg.seed, f"phase2-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(cfg.seed, f"phase2-dropout-{epoch}")
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb = {m: xs_train[m][idx] for m in MODALITIES}
+            opt.zero_grad()
+            out = model.forward(xb, train=True, rng=drop_rng, branch_train=not cfg.freeze_branches)
+            breakdown, d_yhat, d_branch = ensemble_loss(y_train[idx], out, weights)
+            model.backward(d_yhat, d_branch, into_branches=not cfg.freeze_branches)
+            clip_grad_norm(opt.params, cfg.clip_norm)
+            opt.step()
+            epoch_loss += breakdown.total * idx.size
+        history["train_loss"].append(epoch_loss / n)
+
+        out = model.forward(xs_val, train=False)
+        val_mse, _ = mse_loss(out.yhat, y_val)
+        history["val_mse"].append(val_mse)
+        opt.lr = control.update(val_mse)
+        if control.improved:
+            snapshot_state(model.state_arrays(), into=best)
+        if control.should_stop:
+            break
+
+    model.load_state(best)
+    history.update(
+        best_epoch=control.best_epoch,
+        best_val_mse=control.best_metric,
+        epochs_run=epochs_run,
+        lr_reductions=control.num_reductions,
+    )
+    return history

@@ -485,6 +485,16 @@ MALFORMED_KEYS = [
     ("train-phase1", "train.branches.audio.activation", {"kind": "elu", "slope": 0.2}),
 ]
 
+# (step, section, field, value): each of these once exited 1 after the step
+# had read its inputs, with a message that named neither section nor field
+BAD_LOOP_SETTINGS = [
+    ("ae-train", "ae.train", "patience", 0),  # "patience values must be >= 1"
+    ("ae-train", "ae.train", "clip_norm", 0),  # "max_norm must be > 0", at the first step
+    ("ae-train", "ae.train", "val_fraction", -0.5),  # "rel_mse undefined for zero-variance input"
+    ("train-phase1", "train.phase1", "plateau_patience", 0),
+    ("train-phase2", "train.phase2", "clip_norm", -1),
+]
+
 
 class TestConfigKeys:
     def _run_bad(self, chain_ws, tmp_path, capsys, step, key, value):
@@ -506,6 +516,20 @@ class TestConfigKeys:
     @pytest.mark.parametrize("step,key,value", MALFORMED_KEYS)
     def test_malformed_key_exits_3_and_names_it(self, chain_ws, tmp_path, capsys, step, key, value):
         self._run_bad(chain_ws, tmp_path, capsys, step, key, value)
+
+    @pytest.mark.parametrize("step,section,key,value", BAD_LOOP_SETTINGS,
+                             ids=[f"{s}.{k}" for _, s, k, _ in BAD_LOOP_SETTINGS])
+    def test_bad_loop_setting_exits_3_and_names_it(self, chain_ws, tmp_path, capsys, step,
+                                                   section, key, value):
+        ws, _ = chain_ws
+        copy = _copy_ws(ws, tmp_path / "ws").parent
+        cfg = chain_config()
+        _set(cfg, f"{section}.{key}", value)
+        p = write_config(tmp_path, cfg, "bad-loop.json")
+        assert main([step, "--config", str(p), "--workspace", str(copy)]) == 3
+        err = capsys.readouterr().err
+        assert section in err and f"{key} must be" in err
+        assert _files(copy) == _files(ws)
 
     def test_readme_config_is_the_tested_and_benchmarked_one(self):
         """The JSON config in README.md is the chain the tests run and the
@@ -565,8 +589,8 @@ def _replace_npz_meta(blob: bytes):
 
 
 # (step, artifact, how to corrupt it, the key the error must name): each of
-# these once ended in a KeyError traceback, or (not valid JSON) in exit 1
-# with only the parser's message
+# these once ended in a KeyError traceback, in exit 1 with only the parser's
+# message (not valid JSON), or in exit 1 (no metadata entry)
 MALFORMED_ARTIFACTS = [
     ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
     ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
@@ -579,6 +603,7 @@ MALFORMED_ARTIFACTS = [
     ("predict", "models/fused/gate.npz", _replace_npz_meta(b'{"kind": "gate", "config": {'),
      "not valid JSON"),
     ("predict", "models/fused/branch_social.npz", _replace_npz_meta(b'\xff{}'), "not valid JSON"),
+    ("predict", "models/fused/gate.npz", _drop_from_npz("__meta__"), "missing metadata"),
 ]
 
 

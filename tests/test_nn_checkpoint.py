@@ -49,12 +49,12 @@ def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "old.npz"
     blob = json.dumps({"format_version": 999}).encode()
     np.savez(path, __meta__=np.frombuffer(blob, dtype=np.uint8))
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(MissingInputError, match="version"):
         load_checkpoint(path)
 
 
 def test_non_checkpoint_npz_rejected(tmp_path):
     path = tmp_path / "plain.npz"
     np.savez(path, a=np.zeros(3))
-    with pytest.raises(ValueError, match="missing metadata"):
+    with pytest.raises(MissingInputError, match="missing metadata"):
         load_checkpoint(path)

@@ -1,8 +1,12 @@
-"""Early stopping and plateau LR scheduling traces."""
+"""Early stopping and plateau LR scheduling traces, and the shared loop settings."""
+
+from dataclasses import asdict
 
 import pytest
 
-from popgate.nn import TrainControl
+from popgate.autoenc import AETrainConfig
+from popgate.fusion import Phase1Config, Phase2Config
+from popgate.nn import TrainConfig, TrainControl
 
 
 def test_early_stop_on_constant_metric():
@@ -94,3 +98,37 @@ def test_constructor_validation():
         TrainControl(lr=0.1, patience=0)
     with pytest.raises(ValueError):
         TrainControl(lr=0.1, plateau_factor=1.0)
+
+
+LOOP_FIELDS = ("lr", "batch_size", "max_epochs", "patience", "plateau_patience", "clip_norm")
+
+
+@pytest.mark.parametrize("name", LOOP_FIELDS)
+@pytest.mark.parametrize("value", [0, -1, float("nan")])
+def test_train_config_rejects_non_positive_setting(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("cls", [AETrainConfig, Phase1Config, Phase2Config])
+def test_every_trainer_config_keeps_the_shared_check(cls):
+    for name in LOOP_FIELDS:
+        with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+            cls(**{name: 0})
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5])
+def test_ae_val_fraction_must_be_a_fraction(value):
+    with pytest.raises(ValueError, match="^val_fraction must be in"):
+        AETrainConfig(val_fraction=value)
+
+
+def test_loop_config_defaults():
+    shared = {"lr": 1e-4, "batch_size": 256, "max_epochs": 200, "patience": 25,
+              "plateau_patience": 10, "clip_norm": 1.0, "seed": 46}
+    assert asdict(TrainConfig()) == asdict(Phase1Config()) == shared
+    assert asdict(AETrainConfig()) == {**shared, "val_fraction": 0.1}
+    assert asdict(Phase2Config()) == {**shared, "lr": 5e-6, "max_epochs": 150,
+                                      "weight_decay": 0.01, "freeze_branches": False}
+    control = Phase2Config(patience=7, plateau_patience=3).control()
+    assert (control.lr, control.patience, control.plateau_patience) == (5e-6, 7, 3)
