@@ -131,58 +131,37 @@ class _EnsembleFiles:
 
 
 class CompressorEnsemble:
-    """Trained per-group encoders applied slice-by-slice and concatenated in
-    registry order.
+    """A saved ensemble of per-group encoders, applied slice-by-slice and
+    concatenated in registry order.
 
-    Built from trained models, the ensemble holds them, decoders included,
-    for `save`. `load` instead returns one that holds each group's checkpoint
-    path: `compress` reads a group's encoder and scaler only when it reaches
-    that group and drops them before the next, so at most one encoder is in
-    memory and no decoder is ever read.
+    `save` writes trained models, decoders included; `load` returns an
+    ensemble that holds each group's checkpoint path. `compress` reads a
+    group's encoder and scaler only when it reaches that group and drops them
+    before the next, so at most one encoder is in memory and no decoder is
+    ever read.
     """
 
-    def __init__(
-        self,
-        registry: Sequence[FeatureGroup],
-        models: Mapping[str, Autoencoder],
-        scalers: Mapping[str, ScalerParams],
-        seed: int = 46,
-        checkpoints: Mapping[str, Path] | None = None,
-    ):
-        self.checkpoints = dict(checkpoints or {})
-        missing = [
-            g.name for g in registry
-            if g.name not in self.checkpoints and (g.name not in models or g.name not in scalers)
-        ]
-        if missing:
-            raise ConfigError(f"ensemble missing trained groups: {missing}")
+    def __init__(self, registry: Sequence[FeatureGroup], seed: int,
+                 checkpoints: Mapping[str, Path]):
         self.registry = tuple(registry)
-        self.models = dict(models)
-        self.scalers = dict(scalers)
         self.seed = seed
-
-    @property
-    def output_dim(self) -> int:
-        return sum(g.d_enc for g in self.registry)
+        self.checkpoints = dict(checkpoints)
 
     def _encode(self, g: FeatureGroup, cols: np.ndarray) -> np.ndarray:
-        """Group g's codes for its columns. A checkpointed group's encoder and
-        scaler are read here and released on return."""
-        ckpt = self.checkpoints.get(g.name)
-        if ckpt is None:
-            encoder, scaler = self.models[g.name].encoder, self.scalers[g.name]
-        else:
-            arrays, _ = load_checkpoint(ckpt, prefixes=("enc.", "scaler."))
-            encoder = MLP(encoder_specs(g.d, g.d_enc), None, name=f"{g.name}.enc")
-            encoder.load_state(arrays, ckpt, prefix="enc.", copy=False)
-            check_arrays(arrays, {f"scaler.{k}": (g.d,) for k in ("center", "scale", "degenerate")},
-                         ckpt)
-            scaler = ScalerParams(
-                kind="zscore",
-                center=arrays["scaler.center"],
-                scale=arrays["scaler.scale"],
-                degenerate=arrays["scaler.degenerate"].astype(bool),
-            )
+        """Group g's codes for its columns; its encoder and scaler are read
+        here and released on return."""
+        ckpt = self.checkpoints[g.name]
+        arrays, _ = load_checkpoint(ckpt, prefixes=("enc.", "scaler."))
+        encoder = MLP(encoder_specs(g.d, g.d_enc), None, name=f"{g.name}.enc")
+        encoder.load_state(arrays, ckpt, prefix="enc.", copy=False)
+        check_arrays(arrays, {f"scaler.{k}": (g.d,) for k in ("center", "scale", "degenerate")},
+                     ckpt)
+        scaler = ScalerParams(
+            kind="zscore",
+            center=arrays["scaler.center"],
+            scale=arrays["scaler.scale"],
+            degenerate=arrays["scaler.degenerate"].astype(bool),
+        )
         return encoder.forward(scaler_apply(scaler, cols), train=False)
 
     def compress(self, X: np.ndarray) -> np.ndarray:
@@ -197,29 +176,37 @@ class CompressorEnsemble:
             blocks.append(self._encode(g, X[:, g.cols]))
         return np.hstack(blocks)
 
-    def save(self, out_dir: str | Path, histories: Mapping[str, dict] | None = None) -> None:
-        if self.checkpoints:
-            raise ValueError("a loaded ensemble reads encoders only and cannot be saved")
+    @staticmethod
+    def save(
+        out_dir: str | Path,
+        registry: Sequence[FeatureGroup],
+        trained: Mapping[str, tuple[Autoencoder, ScalerParams, dict]],
+        seed: int,
+    ) -> None:
+        """Write each group's `train_group_autoencoder` result, by group name,
+        and `ensemble.json`."""
+        missing = [g.name for g in registry if g.name not in trained]
+        if missing:
+            raise ConfigError(f"ensemble missing trained groups: {missing}")
+        registry = tuple(registry)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         groups = {}
-        for g in self.registry:
-            model = self.models[g.name]
-            scaler = self.scalers[g.name]
+        for g in registry:
+            model, scaler, history = trained[g.name]
             arrays = model.state_arrays()
             arrays["scaler.center"] = scaler.center
             arrays["scaler.scale"] = scaler.scale
             arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
             meta = {
                 "group": to_json(g),
-                "seed": derive_seed(self.seed, f"ae-init-{g.name}"),
+                "seed": derive_seed(seed, f"ae-init-{g.name}"),
                 "encoder_specs": to_json([layer.spec for layer in model.encoder.layers]),
                 "decoder_specs": to_json([layer.spec for layer in model.decoder.layers]),
             }
             save_checkpoint(out / f"{g.name}.npz", arrays, meta)
-            history = (histories or {}).get(g.name, {})
-            groups[g.name] = to_json(_GroupFile(f"{g.name}.npz", history.get("val_relmse")))
-        files = _EnsembleFiles(self.registry, registry_hash(self.registry), self.seed, groups)
+            groups[g.name] = to_json(_GroupFile(f"{g.name}.npz", history["val_relmse"]))
+        files = _EnsembleFiles(registry, registry_hash(registry), seed, groups)
         (out / "ensemble.json").write_text(
             json.dumps(to_json(files), indent=2, sort_keys=True) + "\n")
 
@@ -239,4 +226,4 @@ class CompressorEnsemble:
         for ckpt in checkpoints.values():
             if not ckpt.exists():
                 raise MissingInputError(f"checkpoint not found: {ckpt}")
-        return CompressorEnsemble(saved.registry, {}, {}, seed=saved.seed, checkpoints=checkpoints)
+        return CompressorEnsemble(saved.registry, saved.seed, checkpoints)

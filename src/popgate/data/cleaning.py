@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,13 @@ def clean(records: Iterable[TrackRecord], cfg: CleaningConfig) -> tuple[list[Tra
 # lyric normalization
 
 
-DEFAULT_ANNOTATIONS = ("instrumental", "spoken", "guitar solo")
+ANNOTATIONS = ("instrumental", "spoken", "guitar solo")  # lower case: lines are lowered to match
 
 _MARKER_RE = re.compile(r"\s*\[x(\d+)\]$")
 _REPEAT_CAP = 16
 
 
-def normalize_lyrics(text: str, annotations: Sequence[str] = DEFAULT_ANNOTATIONS) -> str:
+def normalize_lyrics(text: str) -> str:
     """Canonicalize lyric text; idempotent.
 
     * CRLF/CR newlines become LF; runs of spaces/tabs collapse to one space;
@@ -82,9 +82,8 @@ def normalize_lyrics(text: str, annotations: Sequence[str] = DEFAULT_ANNOTATIONS
       Stacked markers multiply ("a [x2] [x3]" -> 6 copies); the cumulative
       repeat count is capped at 16 to bound pathological inputs.
     * Lines that are exactly a bracketed annotation from the (case-insensitive)
-      set are removed.
+      `ANNOTATIONS` are removed.
     """
-    lowered = {a.lower() for a in annotations}
     out: list[str] = []
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = re.sub(r"[ \t]+", " ", line).strip()
@@ -97,7 +96,7 @@ def normalize_lyrics(text: str, annotations: Sequence[str] = DEFAULT_ANNOTATIONS
             line = line[: m.start()].rstrip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]") and line[1:-1].strip().lower() in lowered:
+        if line.startswith("[") and line.endswith("]") and line[1:-1].strip().lower() in ANNOTATIONS:
             continue
         out.extend([line] * repeats)
     return "\n".join(out)

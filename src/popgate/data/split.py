@@ -13,9 +13,6 @@ from ..seeding import rng_for
 class SplitAssignment:
     test_mask: np.ndarray  # bool per row
     bin_ids: np.ndarray  # int per row, 0..bins-1
-    bin_edges: tuple[float, ...]  # upper edge of bins 0..bins-2
-    seed: int
-    test_fraction: float
 
     @property
     def labels(self) -> np.ndarray:
@@ -69,10 +66,4 @@ def stratified_split(
         n_test = int(np.floor(test_fraction * members.size + 0.5))
         shuffled = rng_for(seed, f"split-bin{b}").permutation(members)
         test_mask[shuffled[:n_test]] = True
-    return SplitAssignment(
-        test_mask=test_mask,
-        bin_ids=bin_ids,
-        bin_edges=edges,
-        seed=int(seed),
-        test_fraction=float(test_fraction),
-    )
+    return SplitAssignment(test_mask=test_mask, bin_ids=bin_ids)

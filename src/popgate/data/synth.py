@@ -52,15 +52,12 @@ class SynthSpec:
 
 @dataclass
 class SynthData:
-    spec: SynthSpec
-    seed: int
     track_ids: list[str]
     artist_ids: list[str]
     release_years: np.ndarray
     languages: list[str]
     lyrics: list[str]
     popularity: np.ndarray  # int 0..100
-    y_star: np.ndarray  # latent target before scaling
     latents: dict[str, np.ndarray] = field(default_factory=dict)
     features: dict[str, np.ndarray] = field(default_factory=dict)
     events: list[tuple[str, str, str]] = field(default_factory=list)
@@ -120,15 +117,12 @@ def synth_generate(spec: SynthSpec, seed: int) -> SynthData:
 
     events = _make_events(spec, seed, track_ids, latents["social"])
     return SynthData(
-        spec=spec,
-        seed=int(seed),
         track_ids=track_ids,
         artist_ids=artist_ids,
         release_years=years.astype(np.int64),
         languages=languages,
         lyrics=lyrics,
         popularity=popularity,
-        y_star=y_star,
         latents=latents,
         features=features,
         events=events,

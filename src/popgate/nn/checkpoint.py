@@ -5,6 +5,7 @@ stored together in one uncompressed .npz so round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Mapping
 
@@ -55,7 +56,11 @@ def load_checkpoint(
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
-    with np.load(path) as data:
+    try:
+        archive = np.load(path)
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:  # truncated, empty or no .npz
+        raise MissingInputError(f"{path} is not a readable checkpoint archive: {e}") from None
+    with archive as data:
         if _META_KEY not in data:
             raise MissingInputError(f"{path} is not a checkpoint (missing metadata entry)")
         with reading(path):

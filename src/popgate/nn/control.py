@@ -24,25 +24,16 @@ class TrainControl:
     identify the epoch whose weights the caller should retain.
     """
 
-    def __init__(
-        self,
-        lr: float,
-        patience: int = 25,
-        plateau_patience: int = 10,
-        plateau_factor: float = 0.5,
-        min_lr: float = 1e-7,
-        tol: float = 1e-8,
-    ):
+    plateau_factor = 0.5
+    min_lr = 1e-7
+    tol = 1e-8
+
+    def __init__(self, lr: float, patience: int = 25, plateau_patience: int = 10):
         if patience < 1 or plateau_patience < 1:
             raise ValueError("patience values must be >= 1")
-        if not (0.0 < plateau_factor < 1.0):
-            raise ValueError(f"plateau_factor must be in (0,1), got {plateau_factor}")
         self.lr = lr
         self.patience = patience
         self.plateau_patience = plateau_patience
-        self.plateau_factor = plateau_factor
-        self.min_lr = min_lr
-        self.tol = tol
         self.best_metric = math.inf
         self.best_epoch = -1
         self.epoch = -1

@@ -218,13 +218,14 @@ class DenseLayerSpec:
 class BatchNorm(Module):
     """Per-feature batch normalization over axis 0."""
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, name: str = ""):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, dim: int, name: str = ""):
         self.gamma = Param(np.ones(dim), name=f"{name}.gamma")
         self.beta = Param(np.zeros(dim), name=f"{name}.beta")
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:

@@ -37,28 +37,18 @@ class Adam:
     """Plain `Param` entries take the class's `weight_decay` (0 for Adam);
     explicit (params, decay) groups set it per group."""
 
-    kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
     weight_decay = 0.0
 
-    def __init__(
-        self,
-        params: Sequence[Param] | ParamGroups,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Param] | ParamGroups, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be > 0, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError(f"betas must be in (0,1), got {beta1}, {beta2}")
         entries = _decay_pairs(params, self.weight_decay)
         if not entries:
             raise ValueError("optimizer needs at least one parameter")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._params = [p for p, _ in entries]
         self._values, self._grads = _build_arena(self._params)
@@ -118,19 +108,7 @@ class AdamW(Adam):
     """Adam with decoupled weight decay. Plain `Param` sequences all share
     `weight_decay`; pass explicit (params, decay) groups to vary it."""
 
-    kind = "adamw"
-
-    def __init__(
-        self,
-        params: Sequence[Param] | ParamGroups,
-        lr: float,
-        weight_decay: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.weight_decay = weight_decay
-        super().__init__(params, lr, beta1, beta2, eps)
+    weight_decay = 0.01
 
 
 def _decay_pairs(params: Sequence[Param] | ParamGroups, default_decay: float) -> list[tuple[Param, float]]:

@@ -64,8 +64,7 @@ from .metrics import compute_metrics
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
 
-DEFAULT_SEED = 46  # experiment seed; the split step defaults to 42 separately
-DEFAULT_SPLIT_SEED = 42
+DEFAULT_SEED = 46  # experiment seed; `split.seed` defaults to 42 separately
 
 
 @dataclass
@@ -84,10 +83,9 @@ class RunContext:
     def arg(self, key: str):
         """The checked value of a dotted config key, such as "split.bins"."""
         if key not in self.values:
-            name, _, leaf = key.rpartition(".")
-            given = self.config.get(name, {}) if name else self.config
-            spec = SECTIONS[name][leaf] if name else TOP_LEVEL[leaf]
-            self.values[key] = _resolve(self, key, given.get(leaf, MISSING), *spec)
+            name, _, leaf = key.partition(".")
+            raw = self.config.get(name, {}).get(leaf, MISSING)
+            self.values[key] = _resolve(self, key, raw, *SECTIONS[name][leaf])
         return self.values[key]
 
     def knobs(self, name: str):
@@ -270,14 +268,10 @@ def cmd_ae_train(ctx: RunContext) -> str:
         raise PopgateError(f"no training rows: {features} shares no train ids with {split_path}")
     X_train = X[mask]
 
-    models, scalers, histories = {}, {}, {}
-    for g in registry:
-        model, scaler, hist = train_group_autoencoder(g, X_train[:, g.cols], ctx.arg("ae.train"))
-        models[g.name] = model
-        scalers[g.name] = scaler
-        histories[g.name] = hist
-    ens = CompressorEnsemble(registry, models, scalers, seed=ctx.seed)
-    ens.save(model_dir, histories)
+    trained = {g.name: train_group_autoencoder(g, X_train[:, g.cols], ctx.arg("ae.train"))
+               for g in registry}
+    CompressorEnsemble.save(model_dir, registry, trained, ctx.seed)
+    histories = {name: hist for name, (_, _, hist) in trained.items()}
     ctx.outputs["history"].write_text(json.dumps(histories, indent=2, sort_keys=True) + "\n")
     for g in registry:
         ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
@@ -590,7 +584,7 @@ SECTIONS = {
               "lyrics_out": (Path, "data/lyrics_clean.csv")},
     "split": {"metadata": (Path,), "out": (Path, "data/split.csv"),
               "bins": (int, 5, *_AT_LEAST_1), "test_fraction": (float, 0.2, *_FRACTION),
-              "seed": (int, lambda ctx: ctx.arg("split_seed"))},
+              "seed": (int, 42)},
     "ctd": {"events": (Path,), "metadata": (Path,), "out": (Path, "data/ctd.csv"),
             "mode": (str, "temporal", *_one_of("aggregate", "temporal")),
             "window": (tuple[int, ...], DEFAULT_WINDOW, "a non-empty list of years", len)},
@@ -616,7 +610,6 @@ SECTIONS = {
 }
 # sections whose other keys are the fields of a dataclass, less hidden ones
 FLAT_KNOBS = {"synth": (SynthSpec, ("window",)), "clean": (CleaningConfig, ())}
-TOP_LEVEL = {"split_seed": (int, DEFAULT_SPLIT_SEED)}
 CLI_KEYS = ("seed", "workspace")  # top-level keys that popgate.cli reads
 
 
@@ -671,7 +664,7 @@ SUBCOMMANDS = tuple(STEPS)
 def _check(ctx: RunContext, sections: tuple[str, ...]) -> None:
     """Reject unknown top-level keys, then check every key of the step's own
     section and every key set in the other sections it reads."""
-    check_object(ctx.config, "", [*CLI_KEYS, *TOP_LEVEL, *SECTIONS])
+    check_object(ctx.config, "", [*CLI_KEYS, *SECTIONS])
     own = sections[0]
     if own not in ctx.config:
         raise ConfigError(f"config lacks a {own!r} section")

@@ -72,12 +72,20 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         return header, list(reader)
 
 
+def _ragged(path: str | Path, r: int, header: list[str], row: list[str]) -> PopgateError:
+    return PopgateError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
+
+
 def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]:
-    """Pull named columns as string lists, preserving row order."""
+    """Pull named columns as string lists, preserving row order. Every row
+    must have as many cells as the header."""
     header, rows = read_csv(path)
     missing = [n for n in names if n not in header]
     if missing:
         raise PopgateError(f"{path} lacks columns {missing}; has {header}")
+    for r, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise _ragged(path, r, header, row)
     idx = {n: header.index(n) for n in names}
     return {n: [row[i] for row in rows] for n, i in idx.items()}
 
@@ -129,7 +137,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
         rows: list[np.ndarray] = []
         for r, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise PopgateError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
+                raise _ragged(path, r, header, row)
             ids.append(row[0])
             try:
                 rows.append(np.fromiter(map(float, row[1:]), np.float64, count=n))

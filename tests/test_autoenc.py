@@ -333,53 +333,59 @@ def _tiny_trained_ensemble(seed=0):
     g2 = FeatureGroup("right", 8, 12, 5)
     X = np.hstack([_low_rank_data(rng, 150, 8, 2, 0.1), _low_rank_data(rng, 150, 12, 2, 0.1)])
     cfg = AETrainConfig(max_epochs=8)
-    models, scalers, hists = {}, {}, {}
-    for g in (g1, g2):
-        m, s, h = train_group_autoencoder(g, X[:, g.cols], cfg)
-        models[g.name], scalers[g.name], hists[g.name] = m, s, h
-    return (g1, g2), models, scalers, hists, X
+    trained = {g.name: train_group_autoencoder(g, X[:, g.cols], cfg) for g in (g1, g2)}
+    return (g1, g2), trained, X
 
 
-def test_ensemble_concatenation_order_and_dims():
-    (g1, g2), models, scalers, _, X = _tiny_trained_ensemble()
-    ens = CompressorEnsemble([g1, g2], models, scalers)
+def _saved(out_dir, registry, trained, seed=46):
+    """The ensemble that `save` writes to `out_dir`, read back by `load`."""
+    CompressorEnsemble.save(out_dir, registry, trained, seed)
+    return CompressorEnsemble.load(out_dir)
+
+
+def _encode(trained, g, X):
+    """Group g's codes from its in-memory model and scaler."""
+    model, scaler, _ = trained[g.name]
+    return model.encode(scaler_apply(scaler, X[:, g.cols]))
+
+
+def test_ensemble_concatenation_order_and_dims(tmp_path):
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    ens = _saved(tmp_path / "a", [g1, g2], trained)
     Z = ens.compress(X)
     assert Z.shape == (150, 8)
-    assert ens.output_dim == 8
     # first 3 columns come from group 1 alone
-    z1 = models["left"].encode(scaler_apply(scalers["left"], X[:, 0:8]))
-    assert np.array_equal(Z[:, :3], z1)
+    assert np.array_equal(Z[:, :3], _encode(trained, g1, X))
     # permuting the registry permutes the blocks and nothing else
-    swapped = CompressorEnsemble([g2, g1], models, scalers).compress(X)
+    swapped = _saved(tmp_path / "b", [g2, g1], trained).compress(X)
     assert np.array_equal(swapped[:, :5], Z[:, 3:])
     assert np.array_equal(swapped[:, 5:], Z[:, :3])
 
 
-def test_ensemble_eval_determinism():
-    (g1, g2), models, scalers, _, X = _tiny_trained_ensemble()
-    ens = CompressorEnsemble([g1, g2], models, scalers)
+def test_ensemble_eval_determinism(tmp_path):
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    ens = _saved(tmp_path, [g1, g2], trained)
     assert np.array_equal(ens.compress(X), ens.compress(X))
 
 
-def test_ensemble_missing_columns_names_group():
-    (g1, g2), models, scalers, _, X = _tiny_trained_ensemble()
-    ens = CompressorEnsemble([g1, g2], models, scalers)
+def test_ensemble_missing_columns_names_group(tmp_path):
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    ens = _saved(tmp_path, [g1, g2], trained)
     with pytest.raises(ShapeError, match="right"):
         ens.compress(X[:, :10])
 
 
-def test_ensemble_requires_all_groups():
-    (g1, g2), models, scalers, _, _ = _tiny_trained_ensemble()
+def test_ensemble_requires_all_groups(tmp_path):
+    (g1, g2), trained, _ = _tiny_trained_ensemble()
     with pytest.raises(ConfigError, match="missing"):
-        CompressorEnsemble([g1, g2], {"left": models["left"]}, scalers)
+        CompressorEnsemble.save(tmp_path, [g1, g2], {"left": trained["left"]}, 46)
 
 
 def test_ensemble_save_load_round_trip(tmp_path):
-    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
-    ens = CompressorEnsemble([g1, g2], models, scalers, seed=46)
-    ens.save(tmp_path, hists)
-    loaded = CompressorEnsemble.load(tmp_path)
-    assert np.array_equal(loaded.compress(X), ens.compress(X))
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    loaded = _saved(tmp_path, [g1, g2], trained, seed=46)
+    assert np.array_equal(loaded.compress(X),
+                          np.hstack([_encode(trained, g, X) for g in (g1, g2)]))
     assert loaded.seed == 46
     assert [g.name for g in loaded.registry] == ["left", "right"]
 
@@ -392,21 +398,18 @@ def _rewrite_checkpoint(path, keep):
 
 
 def test_loaded_ensemble_never_reads_decoders(tmp_path):
-    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
-    ens = CompressorEnsemble([g1, g2], models, scalers, seed=46)
-    ens.save(tmp_path, hists)
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
     for g in (g1, g2):
         _rewrite_checkpoint(tmp_path / f"{g.name}.npz", lambda k: not k.startswith("dec."))
-    expected = np.hstack([
-        models[g.name].encode(scaler_apply(scalers[g.name], X[:, g.cols])) for g in (g1, g2)
-    ])
+    expected = np.hstack([_encode(trained, g, X) for g in (g1, g2)])
     assert np.array_equal(CompressorEnsemble.load(tmp_path).compress(X), expected)
 
 
 def test_loaded_ensemble_builds_no_autoencoder(tmp_path, monkeypatch):
-    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
-    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
-    expected = CompressorEnsemble([g1, g2], models, scalers).compress(X)
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
+    expected = np.hstack([_encode(trained, g, X) for g in (g1, g2)])
 
     def no_autoencoder(*args, **kwargs):
         raise AssertionError("compress built a full autoencoder")
@@ -414,13 +417,11 @@ def test_loaded_ensemble_builds_no_autoencoder(tmp_path, monkeypatch):
     monkeypatch.setattr(popgate.autoenc.train, "Autoencoder", no_autoencoder)
     loaded = CompressorEnsemble.load(tmp_path)
     assert np.array_equal(loaded.compress(X), expected)
-    with pytest.raises(ValueError, match="cannot be saved"):
-        loaded.save(tmp_path / "again")
 
 
 def test_loaded_ensemble_missing_encoder_array_names_path_and_key(tmp_path):
-    (g1, g2), models, scalers, hists, X = _tiny_trained_ensemble()
-    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
+    (g1, g2), trained, X = _tiny_trained_ensemble()
+    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
     ckpt = tmp_path / "right.npz"
     _rewrite_checkpoint(ckpt, lambda k: k != "enc.layer0.W")
     loaded = CompressorEnsemble.load(tmp_path)
@@ -430,8 +431,8 @@ def test_loaded_ensemble_missing_encoder_array_names_path_and_key(tmp_path):
 
 
 def test_load_checks_every_checkpoint_exists(tmp_path):
-    (g1, g2), models, scalers, hists, _ = _tiny_trained_ensemble()
-    CompressorEnsemble([g1, g2], models, scalers).save(tmp_path, hists)
+    (g1, g2), trained, _ = _tiny_trained_ensemble()
+    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
     (tmp_path / "right.npz").unlink()
     with pytest.raises(MissingInputError, match="right.npz"):
         CompressorEnsemble.load(tmp_path)

@@ -270,6 +270,14 @@ class TestCliContract:
         assert ids == ["t2", "t1", "t2"]  # catalog order, duplicates kept
         assert X[0, 0] == 2.0 and not X[1].any() and np.array_equal(X[2], X[0])
 
+    def test_ragged_metadata_row_exits_1_and_names_it(self, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("track_id,artist_id,year,language,popularity\ns1,a1,2001,en,50\ns2,a2\n")
+        p = write_config(tmp_path, {"split": {"metadata": "meta.csv"}})
+        assert main(["split", "--config", str(p)]) == 1
+        assert f"{meta} row 3: expected 5 cells, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
     def test_missing_input_file_exits_2(self, tmp_path):
         cfg = {"clean": {"metadata": "nope.csv", "lyrics": "also-nope.csv"}}
         p = write_config(tmp_path, cfg)
@@ -483,6 +491,7 @@ MALFORMED_KEYS = [
     # trained ELU(0.1), ignoring a key that kind does not take; the message
     # names train.branches.audio.activation.slope
     ("train-phase1", "train.branches.audio.activation", {"kind": "elu", "slope": 0.2}),
+    ("split", "split_seed", 7),  # a second key for the split seed; `split.seed` is the one
 ]
 
 # (step, section, field, value): each of these once exited 1 after the step
@@ -578,6 +587,15 @@ def _truncate_json(path: Path) -> None:
     path.write_text(path.read_text()[:40])
 
 
+def _cut(path: Path) -> None:
+    """Keep the first half of the file's bytes."""
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _empty(path: Path) -> None:
+    path.write_bytes(b"")
+
+
 def _replace_npz_meta(blob: bytes):
     """Replace the checkpoint's JSON metadata (the array `__meta__`) by `blob`."""
     def edit(path: Path) -> None:
@@ -590,7 +608,8 @@ def _replace_npz_meta(blob: bytes):
 
 # (step, artifact, how to corrupt it, the key the error must name): each of
 # these once ended in a KeyError traceback, in exit 1 with only the parser's
-# message (not valid JSON), or in exit 1 (no metadata entry)
+# message (not valid JSON), in exit 1 (no metadata entry), or in a
+# BadZipFile or EOFError traceback (a cut or empty archive)
 MALFORMED_ARTIFACTS = [
     ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
     ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
@@ -604,6 +623,8 @@ MALFORMED_ARTIFACTS = [
      "not valid JSON"),
     ("predict", "models/fused/branch_social.npz", _replace_npz_meta(b'\xff{}'), "not valid JSON"),
     ("predict", "models/fused/gate.npz", _drop_from_npz("__meta__"), "missing metadata"),
+    ("predict", "models/fused/gate.npz", _cut, "not a zip file"),
+    ("predict", "models/fused/gate.npz", _empty, "No data left in file"),
 ]
 
 
@@ -680,15 +701,23 @@ class TestTracedRun:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         train = {"nn.snapshot", "nn.clip", "nn.optim_step", "nn.checkpoint_save"}
+        # every subcommand, in chain order: synth rewrites the copy's data
+        # with the same bytes
         expect = {
+            "synth": {"data.synth", "tabular.write_matrix"},
+            "clean": {"data.clean", "tabular.write_csv"},
+            "split": {"data.split"},
+            "ctd-extract": {"ctd.ingest", "ctd.build"},
             "ae-train": {"autoenc.train", "autoenc.save", *train},
             "compress": {"autoenc.load", "nn.checkpoint_load"},
             "train-phase1": {"fusion.phase1", *train},
             "train-phase2": {"fusion.phase2", "nn.checkpoint_load", *train},
-            "gate-report": {"pipeline.gate_report", "fusion.gate_report", "tabular.read_csv"},
             "predict": {"pipeline.predict", "fusion.load", "tabular.read_matrix",
                         "data.scaler", "fusion.predict"},
+            "evaluate": {"fusion.gate_report"},
+            "gate-report": {"pipeline.gate_report", "fusion.gate_report", "tabular.read_csv"},
         }
+        assert tuple(expect) == CHAIN
         for cmd, names in expect.items():
             spans = tmp_path / f"{cmd}.spans.json"
             proc = subprocess.run(

@@ -106,7 +106,7 @@ def test_batchnorm_standardizes_training_batch():
 
 def test_batchnorm_running_stats_update():
     x = np.array([[1.0], [3.0]])  # mean 2, population var 1
-    bn = BatchNorm(1, momentum=0.1)
+    bn = BatchNorm(1)
     bn.forward(x, train=True)
     assert np.isclose(bn.running_mean[0], 0.9 * 0.0 + 0.1 * 2.0)
     assert np.isclose(bn.running_var[0], 0.9 * 1.0 + 0.1 * 1.0)

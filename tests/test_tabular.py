@@ -150,6 +150,14 @@ class TestReadErrors:
         with pytest.raises(PopgateError, match="expected 3 cells"):
             read_matrix_csv(p)
 
+    @pytest.mark.parametrize("row", ["s2,a2", "s2,a2,1999,x"])
+    def test_columns_ragged_row(self, tmp_path, row):
+        p = tmp_path / "meta.csv"
+        p.write_text(f"track_id,artist_id,year\ns1,a1,2001\n{row}\n")
+        with pytest.raises(PopgateError) as err:
+            read_columns(p, ["track_id"])
+        assert str(err.value) == f"{p} row 3: expected 3 cells, got {len(row.split(','))}"
+
     def test_write_matrix_shape_mismatch(self, tmp_path):
         with pytest.raises(PopgateError, match="does not match"):
             write_matrix_csv(tmp_path / "m.csv", ["t0"], ["a"], np.zeros((2, 1)))
