@@ -16,6 +16,8 @@ from ..exceptions import MissingInputError, ShapeError
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
+# what numpy and zipfile raise for bytes that are not a readable archive or member
+_UNREADABLE = (zipfile.BadZipFile, EOFError, ValueError)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
@@ -58,14 +60,16 @@ def load_checkpoint(
         raise MissingInputError(f"checkpoint not found: {path}")
     try:
         archive = np.load(path)
-    except (zipfile.BadZipFile, EOFError, ValueError) as e:  # truncated, empty or no .npz
+    except _UNREADABLE as e:  # truncated, empty or no .npz
         raise MissingInputError(f"{path} is not a readable checkpoint archive: {e}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise MissingInputError(f"{path} holds one bare .npy array, not a checkpoint archive")
     with archive as data:
         if _META_KEY not in data:
             raise MissingInputError(f"{path} is not a checkpoint (missing metadata entry)")
+        blob = _member(data, _META_KEY, path).tobytes()
         with reading(path):
-            meta = from_json(dict, json.loads(data[_META_KEY].tobytes().decode("utf-8")),
-                             _META_KEY)
+            meta = from_json(dict, json.loads(blob.decode("utf-8")), _META_KEY)
         version = meta.pop("format_version", None)
         if version != FORMAT_VERSION:
             raise MissingInputError(
@@ -74,8 +78,17 @@ def load_checkpoint(
             )
         # each access reads a fresh array from the archive; no copy needed
         arrays = {
-            k: data[k]
+            k: _member(data, k, path)
             for k in data.files
             if k != _META_KEY and (prefixes is None or k.startswith(prefixes))
         }
     return arrays, meta
+
+
+def _member(data, key: str, path: Path) -> np.ndarray:
+    """One array of an open archive. A member whose bytes are corrupt (a bad
+    CRC-32, a broken .npy header) is a malformed artifact named by `path`."""
+    try:
+        return data[key]
+    except _UNREADABLE as e:
+        raise MissingInputError(f"{path}: member {key!r} is unreadable: {e}") from None

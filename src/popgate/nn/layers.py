@@ -180,13 +180,15 @@ def activation_forward(x: np.ndarray, act: Activation, layer: str | None = None)
     raise TypeError(f"unknown activation {act!r}")
 
 
-def activation_backward(grad: np.ndarray, pre: np.ndarray, out: np.ndarray, act: Activation) -> np.ndarray:
-    """Gradient wrt the pre-activation, given upstream grad and cached values."""
+def activation_backward(grad: np.ndarray, out: np.ndarray, act: Activation) -> np.ndarray:
+    """Gradient wrt the pre-activation, given upstream grad and the forward
+    output. ELU and LeakyReLU map x > 0 to out > 0 and x <= 0 to out <= 0
+    (-0.0 or an underflow included), so `out > 0` is the mask `x > 0`."""
     if isinstance(act, Elu):
         # d/dx = 1 for x > 0, alpha * e^x = out + alpha otherwise
-        return grad * np.where(pre > 0, 1.0, out + act.alpha)
+        return grad * np.where(out > 0, 1.0, out + act.alpha)
     if isinstance(act, LeakyRelu):
-        return grad * np.where(pre > 0, 1.0, act.slope)
+        return grad * np.where(out > 0, 1.0, act.slope)
     if isinstance(act, Sigmoid):
         return grad * out * (1.0 - out)
     if isinstance(act, Identity):
@@ -315,7 +317,8 @@ class Dense(Module):
             out = a * self._dropout_mask(kept)
         else:
             out = a
-        self._cache = (x, h, a, kept)
+        # the pre-activation h is not kept: the backward needs only `a`
+        self._cache = (x, a, kept)
         return out
 
     def _dropout_mask(self, kept: np.ndarray) -> np.ndarray:
@@ -326,18 +329,40 @@ class Dense(Module):
         """Propagate grad to the input; accumulate parameter gradients."""
         if self._cache is None:
             raise RuntimeError(f"layer {self.name!r}: backward called before forward")
-        x, pre_act, act_out, kept = self._cache
+        x, act_out, kept = self._cache
         if kept is not None:
             grad = grad * self._dropout_mask(kept)
-        grad = activation_backward(grad, pre_act, act_out, self.spec.activation)
+        grad = activation_backward(grad, act_out, self.spec.activation)
         if self.bn is not None:
             grad = self.bn.backward(grad)
-        self.W.grad += x.T @ grad
+        _add_product(self.W.grad, x.T, grad)
         self.b.grad += np.add.reduce(grad, axis=0)
         return grad @ self.W.value.T
 
     def parts(self) -> list:
         return [("W", self.W), ("b", self.b), ("bn", self.bn)]
+
+
+# weights below which a layer's gradient keeps the plain `+=` (see `_add_product`)
+SMALL_PRODUCT = 65536
+
+
+def _add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """`acc += a @ b`, bit for bit, without a product-sized temporary when
+    `acc` holds only zeros, as a zeroed grad does.
+
+    BLAS then writes the product into `acc` itself, and adding 0.0 turns
+    each -0.0 into 0.0, as `0.0 + p` does. The zeros are taken to be +0.0,
+    as `zero_grad` and `np.zeros` leave them; where an all-zero `acc` holds
+    -0.0 and the product is -0.0, `+=` would keep -0.0 and this gives 0.0.
+    Below `SMALL_PRODUCT` elements the temporary costs less than the zero
+    scan, so small layers keep the plain `+=`.
+    """
+    if acc.size < SMALL_PRODUCT or acc.any():
+        acc += a @ b
+    else:
+        np.matmul(a, b, out=acc)
+        acc += 0.0
 
 
 def _init_scale(spec: DenseLayerSpec) -> float:

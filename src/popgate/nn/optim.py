@@ -155,15 +155,15 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
 
     Returns the applied factor (1.0 when no scaling occurred). The sum of
     squares is taken per param and then added up, so each param's pairwise
-    summation order is fixed regardless of where its storage lives.
+    summation order is fixed regardless of where its storage lives. Scaling
+    is in place, so no step allocates more than `CHUNK` elements.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     params = list(params)
     total = 0.0
     for p in params:
-        g = p.grad
-        total += float(np.add.reduce(g * g, axis=None))
+        total += float(_sum_squares(p.grad))
     norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0
@@ -171,3 +171,18 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
     for p in params:
         p.grad *= factor
     return factor
+
+
+def _sum_squares(g: np.ndarray) -> np.float64:
+    """`np.add.reduce(g * g, axis=None)`, bit for bit, without a `g * g`
+    longer than `CHUNK`. numpy sums pairwise, in memory order: an array
+    longer than 128 elements is split at n//2 rounded down to a multiple of
+    8, and each half summed the same way. A longer `g` is split here the
+    same way, down to halves short enough to hand to numpy whole."""
+    n = g.size
+    if n <= CHUNK:
+        return np.add.reduce(g * g, axis=None)
+    g = g.ravel(order="K")
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(g[:half]) + _sum_squares(g[half:])

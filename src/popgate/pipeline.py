@@ -267,6 +267,7 @@ def cmd_ae_train(ctx: RunContext) -> str:
     if not mask.any():
         raise PopgateError(f"no training rows: {features} shares no train ids with {split_path}")
     X_train = X[mask]
+    del X  # training reads only the train rows
 
     trained = {g.name: train_group_autoencoder(g, X_train[:, g.cols], ctx.arg("ae.train"))
                for g in registry}

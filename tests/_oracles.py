@@ -327,6 +327,12 @@ def ref_clip_factor(grads, max_norm: float) -> float:
     return 1.0 if norm <= max_norm or norm == 0.0 else max_norm / norm
 
 
+def ref_weight_grad(acc, x, grad):
+    """A dense layer's weight gradient accumulated through a product-sized
+    temporary: `acc + x.T @ grad`."""
+    return acc + x.T @ grad
+
+
 # ---------------------------------------------------------------------------
 # reference training loops: the two hand-written epoch loops that phase 1 and
 # phase 2 ran before they shared one. They drive the package's own layers,

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +597,25 @@ def _empty(path: Path) -> None:
     path.write_bytes(b"")
 
 
+def _bad_crc(path: Path) -> None:
+    """Flip the last data byte of the archive's first member; the zip
+    directory and every header stay intact."""
+    with zipfile.ZipFile(path) as z:
+        info = z.infolist()[0]
+    raw = bytearray(path.read_bytes())
+    at = info.header_offset
+    name_len = int.from_bytes(raw[at + 26 : at + 28], "little")
+    extra_len = int.from_bytes(raw[at + 28 : at + 30], "little")
+    raw[at + 30 + name_len + extra_len + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def _bare_npy(path: Path) -> None:
+    """Overwrite the archive with one plain .npy array, keeping its name."""
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
+
+
 def _replace_npz_meta(blob: bytes):
     """Replace the checkpoint's JSON metadata (the array `__meta__`) by `blob`."""
     def edit(path: Path) -> None:
@@ -608,8 +628,9 @@ def _replace_npz_meta(blob: bytes):
 
 # (step, artifact, how to corrupt it, the key the error must name): each of
 # these once ended in a KeyError traceback, in exit 1 with only the parser's
-# message (not valid JSON), in exit 1 (no metadata entry), or in a
-# BadZipFile or EOFError traceback (a cut or empty archive)
+# message (not valid JSON), in exit 1 (no metadata entry), in a BadZipFile
+# or EOFError traceback (a cut or empty archive, a member's bad CRC-32), or
+# in a TypeError traceback (a bare .npy array)
 MALFORMED_ARTIFACTS = [
     ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
     ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
@@ -625,6 +646,8 @@ MALFORMED_ARTIFACTS = [
     ("predict", "models/fused/gate.npz", _drop_from_npz("__meta__"), "missing metadata"),
     ("predict", "models/fused/gate.npz", _cut, "not a zip file"),
     ("predict", "models/fused/gate.npz", _empty, "No data left in file"),
+    ("predict", "models/fused/gate.npz", _bad_crc, "Bad CRC-32"),
+    ("compress", "models/ae/aud.npz", _bare_npy, "not a checkpoint archive"),
 ]
 
 

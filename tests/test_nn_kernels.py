@@ -2,8 +2,9 @@
 
 Every comparison is bitwise (`-0.0` differs from `0.0`), on the shapes of a
 tiny batch, a README-width mini-batch and a paper-width autoencoder batch,
-with signed zeros, values where `exp` overflows and a subnormal-adjacent
-1e-300 planted among normal draws.
+with signed zeros, values where `exp` overflows, a subnormal-adjacent
+1e-300 and a negative input whose rectified output underflows planted among
+normal draws.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from _oracles import (
     ref_dropout_mask,
     ref_mse_loss,
     ref_softmax,
+    ref_weight_grad,
 )
 
 from popgate.nn import (
@@ -33,13 +35,15 @@ from popgate.nn import (
     mse_loss,
     softmax,
 )
-from popgate.nn.layers import activation_backward
+from popgate.nn.layers import SMALL_PRODUCT, activation_backward
+from popgate.nn.optim import CHUNK
 
 SHAPES = [(1, 5), (64, 32), (256, 2239)]
 # a batch of 37 rows: dividing by a power of two is exact, so the shapes above
 # cannot tell `/ n` from `* (1 / n)`
 ODD = (37, 11)
-SPECIAL = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]
+# -5e-324 is a negative input whose ELU and LeakyReLU outputs underflow to -0.0
+SPECIAL = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, -5e-324]
 ACTIVATIONS = [(Elu(0.1), "elu", 0.1), (LeakyRelu(0.05), "leaky_relu", 0.05),
                (Sigmoid(), "sigmoid", 0.0), (Identity(), "identity", 0.0)]
 
@@ -76,17 +80,25 @@ def test_activation_matches_reference_bitwise(shape, act, kind, param):
     out = activation_forward(x, act)
     assert same(out, ref_activation_forward(x, kind, param))
     grad = _inputs(shape, seed=1)
-    assert same(activation_backward(grad, x, out, act),
+    assert same(activation_backward(grad, out, act),
                 ref_activation_backward(grad, x, out, kind, param))
 
 
 @pytest.mark.parametrize("act,kind,param", ACTIVATIONS, ids=[k for _, k, _ in ACTIVATIONS])
 def test_activation_keeps_signed_zero_and_saturates(act, kind, param):
+    """The backward reads only the output, so for ELU and LeakyReLU
+    `out > 0` must select exactly the inputs `x > 0`: signed zeros and the
+    underflow to -0.0 included."""
     x = np.array([SPECIAL])
     out = activation_forward(x, act)
     assert same(out, ref_activation_forward(x, kind, param))
     if kind in ("elu", "leaky_relu", "identity"):
         assert np.signbit(out[0, 1]) and not np.signbit(out[0, 0])
+    if kind in ("elu", "leaky_relu"):
+        assert same(out[0, 6], -0.0)
+    grad = np.arange(1.0, x.size + 1.0).reshape(x.shape)
+    assert same(activation_backward(grad, out, act),
+                ref_activation_backward(grad, x, out, kind, param))
 
 
 @pytest.mark.parametrize("shape", SHAPES + [(1, 7), ODD], ids=lambda s: f"{s[0]}x{s[1]}")
@@ -136,7 +148,7 @@ def test_dense_block_matches_reference_bitwise(shape, act, kind, param):
                                            np.ones(d_out), bn.momentum, bn.eps, True)
     a = ref_activation_forward(h, kind, param)
     mask = ref_dropout_mask(np.random.default_rng(7), a.shape, 0.2)
-    assert np.array_equal(layer._cache[3], mask != 0.0)
+    assert np.array_equal(layer._cache[-1], mask != 0.0)
     assert same(got, a * mask)
 
     grad = _inputs((n, d_out), seed=8)
@@ -175,6 +187,55 @@ def test_clip_factor_matches_reference_bitwise(max_norm):
     for p, g in zip(params, grads):
         assert same(p.grad, g * ref if ref != 1.0 else g)
     assert (factor == 1.0) == (max_norm == 1e9)
+
+
+# --- weight-sized work without weight-sized temporaries ---------------------
+
+# around the clip's largest leaf (CHUNK), and odd sizes whose pairwise split
+# n//2 must round down to a multiple of 8 once or at several depths
+CLIP_SIZES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 13, 2 * CHUNK + 21, 4 * CHUNK + 7,
+              1_000_003]
+
+
+@pytest.mark.parametrize("n", CLIP_SIZES)
+@pytest.mark.parametrize("max_norm", [1e-3, 1.0])
+def test_clip_matches_reference_at_split_points(n, max_norm):
+    rng = np.random.default_rng(n)
+    # squares of one order of magnitude: a sum taken in another order rounds
+    # differently (over many decades the largest terms would hide the order)
+    big = rng.normal(size=n)
+    grads = [big, _inputs((64, 32), seed=13) / 1000.0]
+    params = [Param(np.zeros(g.shape)) for g in grads]
+    for p, g in zip(params, grads):
+        p.grad[...] = g
+    factor = clip_grad_norm(params, max_norm)
+    ref = ref_clip_factor(grads, max_norm)
+    assert same(factor, ref) and factor < 1.0
+    for p, g in zip(params, grads):
+        assert same(p.grad, g * ref)
+
+
+@pytest.mark.parametrize("d_in,d_out", [(300, 400), (64, SMALL_PRODUCT // 64),
+                                        (63, SMALL_PRODUCT // 64)],
+                         ids=["wide", "at-threshold", "below-threshold"])
+@pytest.mark.parametrize("held", [False, True], ids=["zeroed", "holding"])
+def test_weight_grad_matches_reference_bitwise(d_in, d_out, held):
+    """Into zeroed storage and into storage that already holds a gradient,
+    with products that are -0.0."""
+    layer = Dense(DenseLayerSpec(d_in, d_out, Identity()), np.random.default_rng(14))
+    x = _inputs((5, d_in), seed=15)
+    grad = _inputs((5, d_out), seed=16)
+    # opposite-signed tiny values: their products underflow, summing to -0.0
+    x[:, :50] = -1e-300
+    grad[:, :40] = 1e-300
+    product = x.T @ grad
+    assert np.count_nonzero(np.signbit(product) & (product == 0.0)) >= 50 * 40
+    if held:
+        layer.W.grad[...] = _inputs((d_in, d_out), seed=17)
+    acc = layer.W.grad.copy()
+    layer.forward(x, train=True)
+    layer.backward(grad)
+    assert same(layer.W.grad, ref_weight_grad(acc, x, grad))
 
 
 # --- non-finite inputs -------------------------------------------------------

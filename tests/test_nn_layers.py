@@ -86,7 +86,7 @@ def test_elu_backward_uses_cached_output():
     # derivative for x < 0 is alpha*e^x == out + alpha
     pre = np.array([[-1.5, 0.5]])
     out = activation_forward(pre, Elu(alpha=0.1))
-    got = activation_backward(np.ones_like(pre), pre, out, Elu(alpha=0.1))
+    got = activation_backward(np.ones_like(pre), out, Elu(alpha=0.1))
     assert np.isclose(got[0, 0], 0.1 * np.exp(-1.5))
     assert got[0, 1] == 1.0
 

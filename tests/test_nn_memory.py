@@ -1,0 +1,54 @@
+"""The training step's weight-sized work allocates no weight-sized array.
+
+numpy reports each array buffer it allocates to `tracemalloc`, so these peaks
+are deterministic; BLAS's own work buffers are not counted. The layer is
+2000 x 1000 (16 MB of weights), and a bound of a quarter of that leaves room
+for the batch-sized arrays only.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from popgate.nn import Dense, DenseLayerSpec, Elu, Param, clip_grad_norm
+
+D_IN, D_OUT, BATCH = 2000, 1000, 64
+
+
+def _peak(fn) -> int:
+    """Bytes of the largest numpy allocation total while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _layer_after_forward() -> tuple[Dense, np.ndarray]:
+    rng = np.random.default_rng(0)
+    layer = Dense(DenseLayerSpec(D_IN, D_OUT, Elu()), rng)
+    layer.forward(rng.normal(size=(BATCH, D_IN)), train=True)
+    return layer, rng.normal(size=(BATCH, D_OUT))
+
+
+def test_dense_backward_into_zeroed_grads_allocates_no_weight_sized_array():
+    layer, grad = _layer_after_forward()
+    assert _peak(lambda: layer.backward(grad)) < layer.W.value.nbytes / 4
+    assert layer.W.grad.any()
+
+
+def test_dense_backward_into_held_grads_still_measures_the_product():
+    """The same measurement sees the product-sized temporary that `+=` into
+    a gradient already held needs, so the bound above is not vacuous."""
+    layer, grad = _layer_after_forward()
+    layer.W.grad[0, 0] = 1.0
+    assert _peak(lambda: layer.backward(grad)) >= layer.W.value.nbytes
+
+
+def test_clip_allocates_no_weight_sized_array():
+    p = Param(np.zeros((D_IN, D_OUT)))
+    p.grad[...] = np.random.default_rng(1).normal(size=p.shape)
+    factors = []
+    assert _peak(lambda: factors.append(clip_grad_norm([p], 1.0))) < p.value.nbytes / 4
+    assert factors[0] < 1.0
