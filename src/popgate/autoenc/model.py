@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..nn import DenseLayerSpec, Elu, Identity, MLP, Module
+from ..nn import DenseLayerSpec, Elu, Identity, MLP, Module, mse_loss
 from ..nn.layers import snapshot_state
 
 AE_DROPOUT = 0.05
@@ -110,15 +110,10 @@ def ae_loss(
     recon is the elementwise MSE; the latent penalty averages ‖z_row‖² over
     the batch so λ keeps one scale regardless of batch size.
     """
-    if x.shape != x_hat.shape:
-        raise ShapeError(f"reconstruction shape {x_hat.shape} != input {x.shape}")
     if z.ndim != 2 or z.shape[0] != x.shape[0]:
         raise ShapeError(f"bottleneck batch {z.shape} does not match input batch {x.shape}")
-    diff = x_hat - x
-    # np.add.reduce(...) / size is np.mean without its Python-level wrapper
-    recon = float(np.add.reduce(diff * diff, axis=None) / diff.size)
+    recon, d_xhat = mse_loss(x_hat, x)
     batch = z.shape[0]
     penalty = lambda_k * float(np.add.reduce(z * z, axis=None)) / batch
-    d_xhat = 2.0 * diff / diff.size
     d_z = 2.0 * lambda_k * z / batch
     return AELossTerms(recon, penalty, lambda_k), d_xhat, d_z

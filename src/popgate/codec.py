@@ -1,10 +1,11 @@
 """One JSON codec for the dataclasses of run configs and model artifacts.
 
-`to_json` writes a dataclass field by field. A dataclass held by a field
-typed as a union of dataclasses (an `Activation`) gains a `kind` tag, its
-class name in snake case. `from_json` reads a value back as a type, as
-strictly for an artifact as for a config: no unknown or missing keys, no
-mistyped values. Its `ConfigError`s name the key by its dotted path, such as
+`to_json` writes a dataclass field by field, leaving out a field whose
+value is None. A dataclass held by a field typed as a union of dataclasses
+(an `Activation`) gains a `kind` tag, its class name in snake case.
+`from_json` reads a value back as a type, as strictly for an artifact as for
+a config: no unknown or missing keys, no mistyped values. Its `ConfigError`s
+name the key by its dotted path, such as
 `train.branches.audio.activation.slope`; inside `reading(path)` they, and
 JSON parse errors, become `MissingInputError`s that also name the artifact's
 file.
@@ -49,7 +50,9 @@ def to_json(obj, tagged: bool = False):
         hints = get_type_hints(type(obj))
         d = {"kind": _tag(type(obj))} if tagged else {}
         for f in fields(obj):
-            d[f.name] = to_json(getattr(obj, f.name), _tags(hints[f.name]) is not None)
+            value = getattr(obj, f.name)
+            if value is not None:
+                d[f.name] = to_json(value, _tags(hints[f.name]) is not None)
         return d
     if isinstance(obj, (tuple, list)):
         return [to_json(v) for v in obj]
@@ -109,12 +112,12 @@ def from_json(tp, value, where: str = "", seed: int | None = None):
     return value
 
 
-def dataclass_from_json(cls, given, where: str, seed: int | None = None, hidden=(), extra=()):
+def dataclass_from_json(cls, given, where: str, seed: int | None = None, extra=()):
     """Build the dataclass `cls` from the JSON object `given`, named `where`
     in messages; the fields' types and defaults are the dataclass's own. Given
-    a run's `seed`, a `seed` field takes it and is not a key. `hidden` fields
-    are not keys, and `extra` keys are allowed but belong to someone else."""
-    names = [f.name for f in fields(cls) if f.name not in hidden]
+    a run's `seed`, a `seed` field takes it and is not a key. `extra` keys are
+    allowed but belong to someone else."""
+    names = [f.name for f in fields(cls)]
     check_object(given, where, [*names, *extra])
     run_seed = seed is not None and "seed" in names
     if run_seed:

@@ -41,7 +41,6 @@ class SynthSpec:
     feature_noise: float = 0.05  # observation noise on features
     n_artists: int = 50
     n_users: int = 400
-    window: tuple[int, ...] = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -134,7 +133,7 @@ def _make_events(
 ) -> list[tuple[str, str, str]]:
     rng = rng_for(seed, "synth-events")
     events: list[tuple[str, str, str]] = []
-    years = spec.window
+    years = DEFAULT_WINDOW
     for i, track in enumerate(track_ids):
         n_listeners = 1 + int(np.floor(3.0 * np.exp(0.6 * z_social[i, 0])))
         n_listeners = min(n_listeners, 15)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ConfigError, ShapeError
+from ..exceptions import ConfigError
 from ..nn import MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid
 
 MODALITIES = ("audio", "lyrics", "social")
@@ -51,38 +51,22 @@ class BranchConfig:
         return self.hidden[-1]
 
 
-def default_branch_config(modality: str, in_dim: int) -> BranchConfig:
-    """Full-scale architecture for each modality.
+# Full-scale expert stacks, {modality: (hidden, activation, dropout)}. Audio
+# and social use a [512, 256, 128, 64] trunk; lyrics inputs are wider and
+# sparser, so that branch goes one layer deeper. The social branch gets
+# LeakyReLU and lighter dropout.
+_DEFAULT_STACKS = {
+    "audio": ((512, 256, 128, 64), Elu(0.1), (0.3, 0.2, 0.2, 0.1)),
+    "lyrics": ((1024, 512, 256, 128, 64), Elu(0.1), (0.3, 0.2, 0.2, 0.1, 0.1)),
+    "social": ((512, 256, 128, 64), LeakyRelu(0.05), (0.1, 0.1, 0.05, 0.0)),
+}
 
-    Audio and social use a [512, 256, 128, 64] trunk; lyrics inputs are
-    wider and sparser, so that branch goes one layer deeper. The social
-    branch gets LeakyReLU and lighter dropout.
-    """
-    if modality == "audio":
-        return BranchConfig(
-            modality="audio",
-            in_dim=in_dim,
-            hidden=(512, 256, 128, 64),
-            activation=Elu(0.1),
-            dropout=(0.3, 0.2, 0.2, 0.1),
-        )
-    if modality == "lyrics":
-        return BranchConfig(
-            modality="lyrics",
-            in_dim=in_dim,
-            hidden=(1024, 512, 256, 128, 64),
-            activation=Elu(0.1),
-            dropout=(0.3, 0.2, 0.2, 0.1, 0.1),
-        )
-    if modality == "social":
-        return BranchConfig(
-            modality="social",
-            in_dim=in_dim,
-            hidden=(512, 256, 128, 64),
-            activation=LeakyRelu(0.05),
-            dropout=(0.1, 0.1, 0.05, 0.0),
-        )
-    raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+
+def default_branch_config(modality: str, in_dim: int) -> BranchConfig:
+    """The full-scale architecture of `modality` (see `_DEFAULT_STACKS`)."""
+    if modality not in _DEFAULT_STACKS:
+        raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+    return BranchConfig(modality, in_dim, *_DEFAULT_STACKS[modality])
 
 
 class ExpertBranch(Module):
@@ -122,11 +106,6 @@ class ExpertBranch(Module):
     def forward(
         self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.in_dim:
-            raise ShapeError(
-                f"{self.modality} branch expects input (batch, {self.config.in_dim}), got {x.shape}"
-            )
         h = self.trunk.forward(x, train=train, rng=rng)
         y_hat = self.head.forward(h, train=train, rng=rng)
         return h, y_hat

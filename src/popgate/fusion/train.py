@@ -201,12 +201,6 @@ class GateReport:
     means: dict[str, float]  # modality -> mean weight
     groups: dict[str, dict[str, float]] | None  # optional per-group means
 
-    def to_json(self) -> dict:
-        d: dict = {"n": self.n, "means": self.means}
-        if self.groups is not None:
-            d["groups"] = self.groups
-        return d
-
 
 def gate_report(alpha: np.ndarray, group_labels: Sequence | None = None) -> GateReport:
     """Dataset means of per-sample mixture weights `alpha` (n, 3), columns in

@@ -36,13 +36,19 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _hash_entry(workspace: Path, path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        rel = str(path.relative_to(workspace))
-    except ValueError:
-        rel = str(path)
-    return {"path": rel, "sha256": file_sha256(path)}
+def hash_files(workspace: str | Path, files: dict[str, str | Path]) -> dict[str, dict]:
+    """Each named file's manifest entry: its path relative to `workspace`
+    (or as given, when outside it) and its SHA-256."""
+    workspace = Path(workspace)
+    entries = {}
+    for name, path in sorted(files.items()):
+        path = Path(path)
+        try:
+            rel = str(path.relative_to(workspace))
+        except ValueError:
+            rel = str(path)
+        entries[name] = {"path": rel, "sha256": file_sha256(path)}
+    return entries
 
 
 def write_manifest(
@@ -50,17 +56,19 @@ def write_manifest(
     subcommand: str,
     config: dict,
     seed: int,
-    inputs: dict[str, str | Path],
+    inputs: dict[str, dict],
     outputs: dict[str, str | Path],
 ) -> Path:
-    """Hash all named files and write manifests/<subcommand>.manifest.json."""
+    """Write manifests/<subcommand>.manifest.json from the `inputs` entries
+    that `hash_files` made before the step ran (a step may write over its
+    own input) and the hashes of the `outputs` it wrote."""
     workspace = Path(workspace)
     body = {
         "subcommand": subcommand,
         "seed": seed,
         "config_sha256": config_hash(config),
-        "inputs": {name: _hash_entry(workspace, p) for name, p in sorted(inputs.items())},
-        "outputs": {name: _hash_entry(workspace, p) for name, p in sorted(outputs.items())},
+        "inputs": inputs,
+        "outputs": hash_files(workspace, outputs),
     }
     out_path = workspace / MANIFEST_DIR / f"{subcommand}.manifest.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -59,7 +59,7 @@ from .fusion import (
     phase2_train,
     save_ensemble,
 )
-from .manifest import write_manifest
+from .manifest import hash_files, write_manifest
 from .metrics import compute_metrics
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
@@ -71,14 +71,22 @@ DEFAULT_SEED = 46  # experiment seed; `split.seed` defaults to 42 separately
 class RunContext:
     """One run of one step: its config, the checked values of the keys read
     so far, and the files its manifest records (bodies add the ones known
-    only at run time)."""
+    only at run time). Inputs are hashed as they are recorded, before the
+    step reads them or writes over them."""
 
     workspace: Path
     config: dict
     seed: int
     inputs: dict[str, Path] = field(default_factory=dict)
+    input_hashes: dict[str, dict] = field(default_factory=dict)
     outputs: dict[str, Path] = field(default_factory=dict)
     values: dict = field(default_factory=dict)
+
+    def add_input(self, name: str, path: Path) -> Path:
+        """Record and hash the manifest input `name`."""
+        self.inputs[name] = path
+        self.input_hashes.update(hash_files(self.workspace, {name: path}))
+        return path
 
     def arg(self, key: str):
         """The checked value of a dotted config key, such as "split.bins"."""
@@ -90,8 +98,7 @@ class RunContext:
 
     def knobs(self, name: str):
         """The dataclass that the keys of section `name` outside SECTIONS build."""
-        cls, hidden = FLAT_KNOBS[name]
-        return dataclass_from_json(cls, self.config.get(name, {}), name, hidden=hidden,
+        return dataclass_from_json(FLAT_KNOBS[name], self.config.get(name, {}), name,
                                    extra=SECTIONS[name])
 
     def file(self, ref: str) -> Path:
@@ -332,16 +339,17 @@ def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
 
 def _load_table(ctx: RunContext):
     """Track ids and popularity from `train.metadata`, and the unscaled
-    per-modality matrices aligned to its row order."""
+    per-modality matrices aligned to its row order. The manifest records
+    each modality file as `{modality}_{i}`."""
     cols = read_columns(ctx.arg("train.metadata"), ["track_id", "popularity"])
     ids = cols["track_id"]
     pop = np.array([float(p) for p in cols["popularity"]])
     xs = {}
     for m, paths in ctx.arg("train.inputs").items():
         parts = []
-        for p in paths:
-            t_ids, _, X = read_matrix_csv(p)
-            parts.append(align_rows(ids, t_ids, X, str(p)))
+        for i, p in enumerate(paths):
+            t_ids, _, X = read_matrix_csv(ctx.add_input(f"{m}_{i}", p))
+            parts.append(X[align_rows(ids, t_ids, str(p))])
         xs[m] = np.hstack(parts)
     return ids, pop, xs
 
@@ -364,14 +372,8 @@ def _phase_splits(ctx: RunContext, ids: list[str], pop: np.ndarray):
     """Take the training rows from the split file, carve a stratified
     validation subset out of them, and return (train, fit, val) rows."""
     split_path = ctx.arg("train.split")
-    split_of = _split_of(split_path)
-    missing = [t for t in ids if t not in split_of]
-    if missing:
-        raise MissingInputError(
-            f"{split_path}: no split assignment for {len(missing)} tracks "
-            f"(first few: {missing[:3]})"
-        )
-    labels = np.array([split_of[t] for t in ids])
+    cols = read_columns(split_path, ["track_id", "split"])
+    labels = np.array(cols["split"])[align_rows(ids, cols["track_id"], str(split_path))]
     train_rows = np.flatnonzero(labels == "train")
     if train_rows.size < 10:
         raise PopgateError(f"too few training rows ({train_rows.size}) to fit the model")
@@ -387,13 +389,8 @@ def _phase_splits(ctx: RunContext, ids: list[str], pop: np.ndarray):
 
 
 def _save_phase(ctx: RunContext, model: GatedEnsemble, extra: dict, history: dict) -> None:
-    """Save the model and the phase's history; the manifest also records
-    every modality file the phase read."""
     save_ensemble(model, ctx.arg("train.model_dir"), extra=extra)
     ctx.outputs["history"].write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-    for m, paths in ctx.arg("train.inputs").items():
-        for i, p in enumerate(paths):
-            ctx.inputs[f"{m}_{i}"] = p
 
 
 def _phase_files(phase: int) -> dict[str, str]:
@@ -463,10 +460,12 @@ def cmd_train_phase2(ctx: RunContext) -> str:
 # prediction / evaluation / gate report
 
 
-ALPHA_COLUMNS = tuple(f"alpha_{m}" for m in MODALITIES)
+# the columns of predictions.csv after track_id: the mixture's prediction,
+# the gate weights and each expert's own prediction
 PREDICTION_COLUMNS = (
-    "track_id", "pred_popularity", *ALPHA_COLUMNS, *(f"pred_{m}" for m in MODALITIES)
+    "pred_popularity", *(f"alpha_{m}" for m in MODALITIES), *(f"pred_{m}" for m in MODALITIES)
 )
+_ALPHA = slice(1, 1 + len(MODALITIES))
 
 
 def cmd_predict(ctx: RunContext) -> str:
@@ -481,24 +480,24 @@ def cmd_predict(ctx: RunContext) -> str:
     pred = scaler_invert(target_scaler, result.yhat.reshape(-1, 1)).reshape(-1)
     branch_pred = scaler_invert(target_scaler, result.branch_yhat)
     out = ctx.outputs["predictions"]
-    write_csv(out, PREDICTION_COLUMNS, zip(ids, pred, *result.alpha.T, *branch_pred.T))
+    write_matrix_csv(out, ids, PREDICTION_COLUMNS,
+                     np.column_stack([pred, result.alpha, branch_pred]))
     return f"predict: {len(ids)} rows -> {out}"
 
 
 def _metadata_of(meta: Path, track_ids: list[str], names: list[str]) -> dict[str, list[str]]:
     """The `names` columns of `meta`, one entry per track in `track_ids`."""
     cols = read_columns(meta, ["track_id", *names])
-    row_of = {t: i for i, t in enumerate(cols["track_id"])}
-    rows = []
-    for tid in track_ids:
-        if tid not in row_of:
-            raise MissingInputError(f"{meta}: no metadata row for predicted track {tid!r}")
-        rows.append(row_of[tid])
+    rows = align_rows(track_ids, cols["track_id"], str(meta))
     return {n: [cols[n][r] for r in rows] for n in names}
 
 
-def _alpha(pcols: dict[str, list[str]], rows) -> np.ndarray:
-    return np.array([[float(pcols[c][i]) for c in ALPHA_COLUMNS] for i in rows])
+def _read_predictions(path: Path) -> tuple[list[str], np.ndarray]:
+    """The track ids and the matrix of a file that `predict` wrote."""
+    ids, names, P = read_matrix_csv(path)
+    if tuple(names) != PREDICTION_COLUMNS:
+        raise PopgateError(f"{path}: columns {names} are not {list(PREDICTION_COLUMNS)}")
+    return ids, P
 
 
 def _decade(year: str) -> str:
@@ -522,23 +521,20 @@ def _distribution(v: np.ndarray) -> dict:
 
 def cmd_evaluate(ctx: RunContext) -> str:
     subset = ctx.arg("evaluate.subset")
-    pcols = read_columns(ctx.inputs["predictions"], list(PREDICTION_COLUMNS))
-    mcols = _metadata_of(ctx.inputs["metadata"], pcols["track_id"], ["year", "popularity"])
+    ids, P = _read_predictions(ctx.inputs["predictions"])
+    mcols = _metadata_of(ctx.inputs["metadata"], ids, ["year", "popularity"])
     split_of = _split_of(ctx.inputs["split"])
 
-    keep = [
-        i for i, tid in enumerate(pcols["track_id"])
-        if subset == "all" or split_of.get(tid) == subset
-    ]
+    keep = [i for i, tid in enumerate(ids) if subset == "all" or split_of.get(tid) == subset]
     if len(keep) < 2:
         raise PopgateError(f"evaluate: fewer than 2 rows in subset {subset!r}")
     y = np.array([float(mcols["popularity"][i]) for i in keep])
-    y_hat = np.array([float(pcols["pred_popularity"][i]) for i in keep])
+    y_hat = P[keep, 0]
 
     report = compute_metrics(y, y_hat)
     scaled = compute_metrics(y / 100.0, y_hat / 100.0)
     residuals = y_hat - y
-    gates = gate_report(_alpha(pcols, keep), [_decade(mcols["year"][i]) for i in keep])
+    gates = gate_report(P[keep, _ALPHA], [_decade(mcols["year"][i]) for i in keep])
 
     body = {
         "subset": subset,
@@ -560,13 +556,13 @@ def cmd_evaluate(ctx: RunContext) -> str:
 
 def cmd_gate_report(ctx: RunContext) -> str:
     """Summarize the mixture weights that `predict` wrote; needs no model."""
-    pcols = read_columns(ctx.inputs["predictions"], ["track_id", *ALPHA_COLUMNS])
-    years = _metadata_of(ctx.inputs["metadata"], pcols["track_id"], ["year"])["year"]
+    ids, P = _read_predictions(ctx.inputs["predictions"])
+    years = _metadata_of(ctx.inputs["metadata"], ids, ["year"])["year"]
     labels = [_decade(y) for y in years] if ctx.arg("gate_report.group_by") == "decade" else None
-    report = gate_report(_alpha(pcols, range(len(years))), group_labels=labels)
+    report = gate_report(P[:, _ALPHA], group_labels=labels)
     out = ctx.outputs["report"]
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(to_json(report), indent=2, sort_keys=True) + "\n")
     means = ", ".join(f"{m}={report.means[m]:.3f}" for m in MODALITIES)
     return f"gate-report: {means} -> {out}"
 
@@ -609,8 +605,8 @@ SECTIONS = {
     "gate_report": {"out": (Path, "out/gate_report.json"),
                     "group_by": (str, "decade", *_one_of("decade", "none"))},
 }
-# sections whose other keys are the fields of a dataclass, less hidden ones
-FLAT_KNOBS = {"synth": (SynthSpec, ("window",)), "clean": (CleaningConfig, ())}
+# sections whose other keys are the fields of a dataclass
+FLAT_KNOBS = {"synth": SynthSpec, "clean": CleaningConfig}
 CLI_KEYS = ("seed", "workspace")  # top-level keys that popgate.cli reads
 
 
@@ -689,9 +685,10 @@ def run_command(command: str, config: dict, workspace: str | Path, seed: int) ->
         raise MissingInputError(f"workspace directory does not exist: {workspace}")
     ctx = RunContext(workspace=workspace, config=config, seed=int(seed))
     _check(ctx, step.sections)
-    ctx.inputs = {name: ctx.file(ref) for name, ref in step.inputs.items()}
+    for name, ref in step.inputs.items():
+        ctx.add_input(name, ctx.file(ref))
     ctx.outputs = {name: ctx.file(ref) for name, ref in step.outputs.items()}
     summary = step.body(ctx)
     manifest_seed = ctx.arg(step.seed) if step.seed else ctx.seed
-    write_manifest(workspace, command, config, manifest_seed, ctx.inputs, ctx.outputs)
+    write_manifest(workspace, command, config, manifest_seed, ctx.input_hashes, ctx.outputs)
     return summary

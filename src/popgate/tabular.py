@@ -160,14 +160,13 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     return ids, names, data
 
 
-def align_rows(
-    ids: Sequence[str], table_ids: Sequence[str], X: np.ndarray, label: str
-) -> np.ndarray:
-    """Reorder a matrix so its rows follow `ids`; errors on absent tracks."""
+def align_rows(ids: Sequence[str], table_ids: Sequence[str], label: str) -> list[int]:
+    """The row of `table_ids` that holds each of `ids`; errors on absent
+    tracks, naming `label` and the first of them."""
     pos = {tid: i for i, tid in enumerate(table_ids)}
     missing = [tid for tid in ids if tid not in pos]
     if missing:
         raise MissingInputError(
             f"{label}: no rows for {len(missing)} tracks (first few: {missing[:3]})"
         )
-    return X[[pos[tid] for tid in ids]]
+    return [pos[tid] for tid in ids]

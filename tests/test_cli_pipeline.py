@@ -171,6 +171,20 @@ class TestChainArtifacts:
         report = json.loads((ws / "manifests/gate-report.manifest.json").read_text())
         assert (report["inputs"]["predictions"]["sha256"]
                 == predict["outputs"]["predictions"]["sha256"])
+        # phase 2 records the model file phase 1 wrote, hashed before phase 2
+        # wrote over it
+        phase1 = json.loads((ws / "manifests/train-phase1.manifest.json").read_text())
+        phase2 = json.loads((ws / "manifests/train-phase2.manifest.json").read_text())
+        assert (phase2["inputs"]["model"]["sha256"]
+                == phase1["outputs"]["model"]["sha256"]
+                != phase2["outputs"]["model"]["sha256"])
+        # predict records each feature file it reads, as both phases do
+        compress = json.loads((ws / "manifests/compress.manifest.json").read_text())
+        assert {"audio_0", "lyrics_0", "social_0", "social_1"} <= set(predict["inputs"])
+        assert (predict["inputs"]["audio_0"]["sha256"]
+                == compress["outputs"]["compressed"]["sha256"])
+        for name in ("audio_0", "lyrics_0", "social_0", "social_1"):
+            assert predict["inputs"][name] == phase2["inputs"][name]
         # the split step keeps its own default seed, everything else runs on 46
         assert json.loads((ws / "manifests/split.manifest.json").read_text())["seed"] == 42
         assert json.loads((ws / "manifests/synth.manifest.json").read_text())["seed"] == 46
@@ -334,6 +348,19 @@ class TestCliContract:
         cfg["gate_report"]["group_by"] = "artist"
         p = write_config(tmp_path, cfg, "gr.json")
         assert main(["gate-report", "--config", str(p), "--workspace", str(ws)]) == 3
+
+    def test_split_without_a_track_exits_2_and_names_it(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        header, first, *rest = (ws / "data/split.csv").read_text().splitlines()
+        (tmp_path / "split.csv").write_text("\n".join([header, *rest]) + "\n")
+        cfg = chain_config()
+        cfg["train"]["split"] = str(tmp_path / "split.csv")
+        cfg["train"]["model_dir"] = str(tmp_path / "fused")
+        p = write_config(tmp_path, cfg, "p1.json")
+        assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "split.csv") in err and repr(first.split(",")[0]) in err
+        assert not (tmp_path / "fused").exists()
 
     def test_predict_before_phase2_fails(self, tmp_path):
         # phase-1-only model: predict should refuse
@@ -712,6 +739,49 @@ class TestGateReportInputs:
         p = write_config(tmp_path, cfg, "gr.json")
         assert main(["gate-report", "--config", str(p), "--workspace", str(ws)]) == 2
         assert "ghost-track" in capsys.readouterr().err
+
+
+class TestPredictionCells:
+    """predictions.csv is a matrix artifact: a cell that is not a finite
+    number exits 1 naming the file, the row and the column."""
+
+    @pytest.mark.parametrize("step", ["evaluate", "gate-report"])
+    @pytest.mark.parametrize("column,cell,what", [
+        ("pred_popularity", "abc", "not a number: 'abc'"),
+        ("alpha_audio", "nan", "not a finite number: 'nan'"),
+    ])
+    def test_bad_cell_exits_1_and_names_file_row_and_column(self, chain_ws, tmp_path, capsys,
+                                                           step, column, cell, what):
+        ws, _ = chain_ws
+        lines = (ws / "out/predictions.csv").read_text().splitlines()
+        at = lines[0].split(",").index(column)
+        row = lines[3].split(",")
+        row[at] = cell
+        lines[3] = ",".join(row)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n")
+        cfg = chain_config()
+        cfg["predict"]["out"] = cfg["evaluate"]["predictions"] = str(pred)
+        cfg["evaluate"]["out"] = str(tmp_path / "metrics.json")
+        cfg["gate_report"]["out"] = str(tmp_path / "gate_report.json")
+        p = write_config(tmp_path, cfg, "cells.json")
+        assert main([step, "--config", str(p), "--workspace", str(ws)]) == 1
+        assert f"{pred} row 4, column {column!r}: {what}" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "gate_report.json").exists()
+
+    def test_other_columns_exit_1_and_name_the_file(self, chain_ws, tmp_path, capsys):
+        ws, _ = chain_ws
+        header, *rows = (ws / "out/predictions.csv").read_text().splitlines()
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join([header.replace("alpha_audio", "alpha_video"), *rows]) + "\n")
+        cfg = chain_config()
+        cfg["predict"]["out"] = str(pred)
+        cfg["gate_report"]["out"] = str(tmp_path / "gate_report.json")
+        p = write_config(tmp_path, cfg, "cols.json")
+        assert main(["gate-report", "--config", str(p), "--workspace", str(ws)]) == 1
+        err = capsys.readouterr().err
+        assert str(pred) in err and "alpha_video" in err
 
 
 class TestTracedRun:

@@ -10,13 +10,15 @@ from popgate.autoenc import FeatureGroup, registry_hash
 from popgate.codec import from_json, to_json
 from popgate.data import ScalerParams
 from popgate.exceptions import ConfigError
-from popgate.fusion import BranchConfig, GateConfig, LossWeights
+from popgate.fusion import BranchConfig, GateConfig, GateReport, LossWeights
 from popgate.metrics import MetricsReport
 from popgate.nn import Activation, DenseLayerSpec, Elu, Identity, LeakyRelu, Sigmoid
 
 _BRANCH = ('"batchnorm": true, "dropout": [0.1, 0.05], "hidden": [8, 4], "in_dim": 12, '
            '"modality": "audio"}')
 _REGISTRY = (FeatureGroup("aud", 0, 12, 4), FeatureGroup("b", 12, 6, 2))
+_MEANS = {"audio": 0.5, "lyrics": 0.25, "social": 0.25}
+_MEANS_JSON = '{"audio": 0.5, "lyrics": 0.25, "social": 0.25}'
 
 # (instance, json.dumps(to_json(instance), sort_keys=True)) as the per-class
 # encoders wrote it before the codec replaced them; artifacts depend on it
@@ -44,12 +46,16 @@ PINNED = [
      '"dropout_p": 0.1, "in_dim": 3, "out_dim": 2}'),
     (_REGISTRY, '[{"d": 12, "d_enc": 4, "name": "aud", "start": 0}, '
                 '{"d": 6, "d_enc": 2, "name": "b", "start": 12}]'),
+    # a field that holds None is left out
+    (GateReport(4, _MEANS, {"1990s": _MEANS}),
+     f'{{"groups": {{"1990s": {_MEANS_JSON}}}, "means": {_MEANS_JSON}, "n": 4}}'),
+    (GateReport(4, _MEANS, None), f'{{"means": {_MEANS_JSON}, "n": 4}}'),
 ]
 
 
 PINNED_IDS = ["branch-elu", "branch-leaky_relu", "branch-sigmoid", "branch-identity", "gate",
               "loss_weights", "scaler", "metrics", "metrics-constant_target", "layer_spec",
-              "registry"]
+              "registry", "gate_report-groups", "gate_report-no_groups"]
 
 
 @pytest.mark.parametrize("obj,expected", PINNED, ids=PINNED_IDS)

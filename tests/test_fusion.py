@@ -98,6 +98,13 @@ class TestExpertBranch:
         with pytest.raises(ShapeError, match="lyrics"):
             branch.forward(np.zeros((3, 9)))
 
+    def test_wrong_width_error_names_the_first_trunk_layer(self):
+        branch = ExpertBranch(tiny_configs()["audio"], rng_for(5, "width"))
+        with pytest.raises(ShapeError, match=r"layer 'audio\.trunk\.0' expects input \(batch, 5\)"):
+            branch.forward(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match=r"layer 'audio\.trunk\.0'"):
+            branch.forward(np.zeros(5))  # one row, not a batch
+
     def test_default_architectures(self):
         audio = default_branch_config("audio", 2352)
         lyrics = default_branch_config("lyrics", 768)
@@ -628,7 +635,7 @@ class TestGateReport:
     def test_json_projection(self):
         model = tiny_model(dropout=0.0)
         report = gate_report(model.predict(rand_inputs(n=5)).alpha)
-        d = report.to_json()
+        d = to_json(report)
         assert d["n"] == 5 and set(d["means"]) == set(MODALITIES)
         assert "groups" not in d
 

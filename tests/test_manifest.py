@@ -3,7 +3,7 @@ import json
 import pytest
 
 from popgate.exceptions import MissingInputError
-from popgate.manifest import canonical_json, config_hash, file_sha256, write_manifest
+from popgate.manifest import canonical_json, config_hash, file_sha256, hash_files, write_manifest
 
 
 class TestHashing:
@@ -36,7 +36,8 @@ class TestWriteManifest:
         inp.write_text("track_id\n")
         out = tmp_path / "out.csv"
         out.write_text("x\n")
-        path = write_manifest(tmp_path, "clean", {"k": 1}, 7, {"src": inp}, {"dst": out})
+        path = write_manifest(tmp_path, "clean", {"k": 1}, 7, hash_files(tmp_path, {"src": inp}),
+                              {"dst": out})
         assert path == tmp_path / "manifests" / "clean.manifest.json"
         body = json.loads(path.read_text())
         assert set(body) == {"subcommand", "seed", "config_sha256", "inputs", "outputs"}
@@ -50,9 +51,9 @@ class TestWriteManifest:
     def test_rewrite_is_byte_identical(self, tmp_path):
         f = tmp_path / "f.csv"
         f.write_text("data\n")
-        write_manifest(tmp_path, "split", {"a": [1, 2]}, 42, {"f": f}, {})
+        write_manifest(tmp_path, "split", {"a": [1, 2]}, 42, hash_files(tmp_path, {"f": f}), {})
         first = (tmp_path / "manifests" / "split.manifest.json").read_bytes()
-        write_manifest(tmp_path, "split", {"a": [1, 2]}, 42, {"f": f}, {})
+        write_manifest(tmp_path, "split", {"a": [1, 2]}, 42, hash_files(tmp_path, {"f": f}), {})
         assert (tmp_path / "manifests" / "split.manifest.json").read_bytes() == first
 
     def test_manifest_has_no_timestamps(self, tmp_path):
@@ -62,3 +63,19 @@ class TestWriteManifest:
         text = path.read_text().lower()
         for word in ("time", "date", "elapsed", "duration"):
             assert word not in text
+
+    def test_inputs_keep_the_hash_taken_before_the_step(self, tmp_path):
+        """A step that writes over its own input records the bytes it read."""
+        f = tmp_path / "model.json"
+        f.write_text("phase 1\n")
+        inputs = hash_files(tmp_path, {"model": f})
+        before = file_sha256(f)
+        f.write_text("phase 2\n")
+        path = write_manifest(tmp_path, "train", {}, 1, inputs, {"model": f})
+        body = json.loads(path.read_text())
+        assert body["inputs"]["model"]["sha256"] == before
+        assert body["outputs"]["model"]["sha256"] == file_sha256(f) != before
+
+    def test_missing_file_names_path(self, tmp_path):
+        with pytest.raises(MissingInputError, match="nope.csv"):
+            hash_files(tmp_path, {"f": tmp_path / "nope.csv"})
