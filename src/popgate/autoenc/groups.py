@@ -4,11 +4,10 @@ with its own bottleneck width."""
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..codec import to_json
+from ..codec import canonical_json
 from ..exceptions import ConfigError
 
 
@@ -71,5 +70,4 @@ def validate_registry(groups: Sequence[FeatureGroup]) -> None:
 
 
 def registry_hash(groups: Sequence[FeatureGroup]) -> str:
-    blob = json.dumps(to_json(tuple(groups)), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(tuple(groups)).encode("utf-8")).hexdigest()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..nn import DenseLayerSpec, Elu, Identity, MLP, Module, mse_loss
+from ..nn import DenseLayerSpec, Elu, MLP, Module, dense_stack, mse_loss
 from ..nn.layers import snapshot_state
 
 AE_DROPOUT = 0.05
@@ -40,16 +40,9 @@ def lambda_for(d_enc: int) -> float:
     return 0.001 * 128.0 / d_enc
 
 
-def _hidden_spec(a: int, b: int) -> DenseLayerSpec:
-    return DenseLayerSpec(a, b, Elu(AE_ELU_ALPHA), batchnorm=True, dropout_p=AE_DROPOUT)
-
-
 def encoder_specs(d: int, d_enc: int) -> list[DenseLayerSpec]:
     """The encoder's layers: hidden blocks down to a linear bottleneck."""
-    dims = [d] + plan_architecture(d)
-    specs = [_hidden_spec(a, b) for a, b in zip(dims, dims[1:])]
-    specs.append(DenseLayerSpec(dims[-1], d_enc, Identity()))
-    return specs
+    return dense_stack([d, *plan_architecture(d)], Elu(AE_ELU_ALPHA), AE_DROPOUT, out_dim=d_enc)
 
 
 class Autoencoder(Module):
@@ -61,14 +54,12 @@ class Autoencoder(Module):
     def __init__(self, d: int, d_enc: int, rng: np.random.Generator, name: str = "ae"):
         if d_enc >= d:
             raise ValueError(f"{name}: bottleneck {d_enc} must be < input dim {d}")
-        hidden = plan_architecture(d)
         self.d = d
         self.d_enc = d_enc
         self.name = name
-        dec_dims = [d_enc] + hidden[::-1]
-        dec_specs = [_hidden_spec(a, b) for a, b in zip(dec_dims, dec_dims[1:])]
-        dec_specs.append(DenseLayerSpec(hidden[0], d, Identity()))
         self.encoder = MLP(encoder_specs(d, d_enc), rng, name=f"{name}.enc")
+        dec_specs = dense_stack([d_enc, *plan_architecture(d)[::-1]], Elu(AE_ELU_ALPHA),
+                                AE_DROPOUT, out_dim=d)
         self.decoder = MLP(dec_specs, rng, name=f"{name}.dec")
 
     def encode(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..codec import from_json, reading, to_json
+from ..codec import from_json, reading, write_json
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn import MLP, Adam, TrainConfig, clip_grad_norm, load_checkpoint, save_checkpoint
@@ -45,13 +45,14 @@ class AETrainConfig(TrainConfig):
 
 
 def train_group_autoencoder(
-    group: FeatureGroup, data: np.ndarray, cfg: AETrainConfig = AETrainConfig()
+    group: FeatureGroup, data: np.ndarray, cfg: AETrainConfig, seed: int
 ) -> tuple[Autoencoder, ScalerParams, dict]:
     """Standardize one group's columns, train its autoencoder, return the
     best-validation model plus the fitted scaler and a history dict.
 
     `data` holds only this group's training-split columns (width group.d);
     a fixed `cfg.val_fraction` of its rows is held out for early stopping.
+    The run's `seed` names every random stream.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != group.d:
@@ -60,14 +61,14 @@ def train_group_autoencoder(
     n_val = max(1, int(round(cfg.val_fraction * n)))
     if n - n_val < 1:
         raise ValueError(f"group {group.name!r}: {n} rows leave no training data")
-    perm = rng_for(cfg.seed, f"ae-val-{group.name}").permutation(n)
+    perm = rng_for(seed, f"ae-val-{group.name}").permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     scaler = scaler_fit(X[train_idx], "zscore")
     Xtr = scaler_apply(scaler, X[train_idx])
     Xva = scaler_apply(scaler, X[val_idx])
 
-    model = Autoencoder(group.d, group.d_enc, rng_for(cfg.seed, f"ae-init-{group.name}"), name=group.name)
+    model = Autoencoder(group.d, group.d_enc, rng_for(seed, f"ae-init-{group.name}"), name=group.name)
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
     control = cfg.control()
@@ -75,8 +76,8 @@ def train_group_autoencoder(
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
     for epoch in range(cfg.max_epochs):
-        order = rng_for(cfg.seed, f"ae-shuffle-{group.name}-{epoch}").permutation(len(train_idx))
-        drop_rng = rng_for(cfg.seed, f"ae-dropout-{group.name}-{epoch}")
+        order = rng_for(seed, f"ae-shuffle-{group.name}-{epoch}").permutation(len(train_idx))
+        drop_rng = rng_for(seed, f"ae-dropout-{group.name}-{epoch}")
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             xb = Xtr[order[lo : lo + cfg.batch_size]]
@@ -190,7 +191,6 @@ class CompressorEnsemble:
             raise ConfigError(f"ensemble missing trained groups: {missing}")
         registry = tuple(registry)
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         groups = {}
         for g in registry:
             model, scaler, history = trained[g.name]
@@ -199,16 +199,15 @@ class CompressorEnsemble:
             arrays["scaler.scale"] = scaler.scale
             arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
             meta = {
-                "group": to_json(g),
+                "group": g,
                 "seed": derive_seed(seed, f"ae-init-{g.name}"),
-                "encoder_specs": to_json([layer.spec for layer in model.encoder.layers]),
-                "decoder_specs": to_json([layer.spec for layer in model.decoder.layers]),
+                "encoder_specs": [layer.spec for layer in model.encoder.layers],
+                "decoder_specs": [layer.spec for layer in model.decoder.layers],
             }
             save_checkpoint(out / f"{g.name}.npz", arrays, meta)
-            groups[g.name] = to_json(_GroupFile(f"{g.name}.npz", history["val_relmse"]))
+            groups[g.name] = _GroupFile(f"{g.name}.npz", history["val_relmse"])
         files = _EnsembleFiles(registry, registry_hash(registry), seed, groups)
-        (out / "ensemble.json").write_text(
-            json.dumps(to_json(files), indent=2, sort_keys=True) + "\n")
+        write_json(out / "ensemble.json", files)
 
     @staticmethod
     def load(in_dir: str | Path) -> "CompressorEnsemble":

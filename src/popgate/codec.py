@@ -8,7 +8,8 @@ a config: no unknown or missing keys, no mistyped values. Its `ConfigError`s
 name the key by its dotted path, such as
 `train.branches.audio.activation.slope`; inside `reading(path)` they, and
 JSON parse errors, become `MissingInputError`s that also name the artifact's
-file.
+file. `canonical_json` and `write_json` are the two layouts of every JSON
+file the program writes or hashes.
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ def to_json(obj, tagged: bool = False):
     return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
+def canonical_json(obj) -> str:
+    """`to_json(obj)` as compact JSON with sorted keys: the layout that is
+    hashed and that checkpoint metadata is stored in."""
+    return json.dumps(to_json(obj), sort_keys=True, separators=(",", ":"))
+
+
+def write_json(path: Path, obj) -> None:
+    """Write `to_json(obj)` to `path` as sorted JSON indented by 2 and ended
+    by a newline, making the directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n")
+
+
 def check_object(raw, where: str, allowed) -> dict:
     """`raw` if it is a JSON object whose keys are all in `allowed`."""
     if not isinstance(raw, dict):
@@ -71,7 +85,7 @@ def check_object(raw, where: str, allowed) -> dict:
     return raw
 
 
-def from_json(tp, value, where: str = "", seed: int | None = None):
+def from_json(tp, value, where: str = ""):
     """`value` from JSON as type `tp`: a scalar type, Path, `dict`, a
     dataclass (see `dataclass_from_json`), `X | None`, a union tagged by
     `kind`, `tuple[X, ...]`, a fixed-length tuple or a 1-d `NDArray[dtype]`.
@@ -85,22 +99,22 @@ def from_json(tp, value, where: str = "", seed: int | None = None):
             return None
         tags = _tags(tp)
         if tags is None:
-            return from_json(args[0], value, where, seed)
+            return from_json(args[0], value, where)
         kind = value.get("kind") if isinstance(value, dict) else None
         if not isinstance(kind, str) or kind not in tags:
             raise ConfigError(f"{where} must be an object whose kind is one of {sorted(tags)}, "
                               f"got {value!r}")
-        return dataclass_from_json(tags[kind], value, where, seed, extra=("kind",))
+        return dataclass_from_json(tags[kind], value, where, extra=("kind",))
     if get_origin(tp) is tuple:
         n = None if args[-1] is Ellipsis else len(args)
         if not isinstance(value, (list, tuple)) or n not in (None, len(value)):
             raise ConfigError(f"{where} must be a list{f' of {n}' if n else ''}, got {value!r}")
-        return tuple(from_json(args[0], v, f"{where}[{i}]", seed) for i, v in enumerate(value))
+        return tuple(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if get_origin(tp) is np.ndarray:  # one dimension, read as a tuple of Python scalars
         dtype = get_args(args[1])[0]
         return np.array(from_json(tuple[type(dtype(0).item()), ...], value, where), dtype)
     if is_dataclass(tp):
-        return dataclass_from_json(tp, value, where, seed)
+        return dataclass_from_json(tp, value, where)
     if tp is float and type(value) is int:
         return float(value)
     if tp is int and type(value) is float and value.is_integer():
@@ -112,27 +126,17 @@ def from_json(tp, value, where: str = "", seed: int | None = None):
     return value
 
 
-def dataclass_from_json(cls, given, where: str, seed: int | None = None, extra=()):
+def dataclass_from_json(cls, given, where: str, extra=()):
     """Build the dataclass `cls` from the JSON object `given`, named `where`
-    in messages; the fields' types and defaults are the dataclass's own. Given
-    a run's `seed`, a `seed` field takes it and is not a key. `extra` keys are
-    allowed but belong to someone else."""
-    names = [f.name for f in fields(cls)]
-    check_object(given, where, [*names, *extra])
-    run_seed = seed is not None and "seed" in names
-    if run_seed:
-        if "seed" in given:
-            raise ConfigError(f"{_at(where, 'seed')} is not a config key: the step uses the run's seed")
-        names.remove("seed")
+    in messages; the fields' types and defaults are the dataclass's own.
+    `extra` keys are allowed but belong to someone else."""
+    check_object(given, where, [*(f.name for f in fields(cls)), *extra])
     hints = get_type_hints(cls)
     own = {k: v for k, v in given.items() if k not in extra}
-    values = {k: from_json(hints[k], v, _at(where, k), seed) for k, v in own.items()}
+    values = {k: from_json(hints[k], v, _at(where, k)) for k, v in own.items()}
     for f in fields(cls):
-        if (f.name in names and f.name not in own
-                and f.default is MISSING and f.default_factory is MISSING):
+        if f.name not in own and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key {_at(where, f.name)!r}")
-    if run_seed:
-        values["seed"] = seed
     try:
         return cls(**values)
     except (TypeError, ValueError, ConfigError) as e:

@@ -18,12 +18,6 @@ class SplitAssignment:
     def labels(self) -> np.ndarray:
         return np.where(self.test_mask, "test", "train")
 
-    def train_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.test_mask)
-
-    def test_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.test_mask)
-
 
 def _nearest_rank_edges(values: np.ndarray, bins: int) -> tuple[float, ...]:
     """Bin upper edges at the k/bins quantiles, nearest-rank convention."""

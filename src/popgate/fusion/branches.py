@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..nn import MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid
+from ..nn import (MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid,
+                  dense_stack)
 
 MODALITIES = ("audio", "lyrics", "social")
 
@@ -81,13 +82,8 @@ class ExpertBranch(Module):
         """`rng` draws the initial weights; None leaves them zero, for a
         branch whose state is loaded next."""
         self.config = config
-        specs = []
-        d_prev = config.in_dim
-        for width, p in zip(config.hidden, config.dropout):
-            specs.append(
-                DenseLayerSpec(d_prev, width, config.activation, batchnorm=config.batchnorm, dropout_p=p)
-            )
-            d_prev = width
+        specs = dense_stack([config.in_dim, *config.hidden], config.activation, config.dropout,
+                            config.batchnorm)
         self.trunk = MLP(specs, rng, name=f"{config.modality}.trunk")
         # plain sigmoid readout: no batchnorm or dropout on the prediction
         self.head = Dense(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from ..nn import MLP, DenseLayerSpec, Identity, LeakyRelu, Module, Param, softmax, softmax_backward
+from ..nn import MLP, LeakyRelu, Module, Param, dense_stack, softmax, softmax_backward
 from .branches import MODALITIES
 
 
@@ -87,15 +87,8 @@ class GatingNetwork(Module):
             m: LearnableStandardize(config.repr_dim, eps=config.eps, name=f"gate.std.{m}")
             for m in MODALITIES
         }
-        act = LeakyRelu(config.slope)
-        specs = []
-        d_prev = len(MODALITIES) * config.repr_dim
-        for width in config.hidden:
-            specs.append(
-                DenseLayerSpec(d_prev, width, act, batchnorm=True, dropout_p=config.dropout_p)
-            )
-            d_prev = width
-        specs.append(DenseLayerSpec(d_prev, len(MODALITIES), Identity()))
+        specs = dense_stack([len(MODALITIES) * config.repr_dim, *config.hidden],
+                            LeakyRelu(config.slope), config.dropout_p, out_dim=len(MODALITIES))
         self.mlp = MLP(specs, rng, name="gate.mlp")
         # zero logits at init -> alpha starts at exactly (1/3, 1/3, 1/3)
         final = self.mlp.layers[-1]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..codec import from_json, reading, to_json
+from ..codec import from_json, reading, write_json
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn import Module, load_checkpoint, mse_loss, save_checkpoint
 from .branches import MODALITIES, BranchConfig, ExpertBranch
@@ -180,21 +180,20 @@ class _ModelFiles:
 
 def save_ensemble(model: GatedEnsemble, out_dir: str | Path, extra: dict | None = None) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for m in MODALITIES:
         branch = model.branches[m]
         save_checkpoint(
             out_dir / f"branch_{m}.npz",
             branch.state_arrays(),
-            {"kind": "branch", "config": to_json(branch.config), "trained": branch.trained},
+            {"kind": "branch", "config": branch.config, "trained": branch.trained},
         )
     save_checkpoint(
         out_dir / "gate.npz",
         model.gate.state_arrays(),
-        {"kind": "gate", "config": to_json(model.gate.config)},
+        {"kind": "gate", "config": model.gate.config},
     )
     files = _ModelFiles({m: f"branch_{m}.npz" for m in MODALITIES}, "gate.npz", extra or {})
-    (out_dir / "model.json").write_text(json.dumps(to_json(files), indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "model.json", files)
 
 
 def load_ensemble(in_dir: str | Path) -> tuple[GatedEnsemble, dict]:

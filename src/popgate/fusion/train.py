@@ -65,20 +65,21 @@ def _fit(
     batch_loss: Callable[[np.ndarray, np.random.Generator], float],
     val_mse: Callable[[], float],
     tag: str,
+    seed: int,
 ) -> dict:
     """The epoch loop of both phases. Each epoch shuffles the `n` training
-    rows and draws dropout from streams named by `tag` and the epoch
-    (counted from 1); `batch_loss(rows, rng)` runs one batch's forward and
-    backward and returns its mean loss, then the grads are clipped and
-    stepped. After each epoch `val_mse()` drives `control`; the best epoch's
+    rows and draws dropout from the run `seed`'s streams named by `tag` and
+    the epoch (counted from 1); `batch_loss(rows, rng)` runs one batch's
+    forward and backward and returns its mean loss, then the grads are
+    clipped and stepped. After each epoch `val_mse()` drives `control`; the best epoch's
     state is restored into `module` at the end. Returns the history."""
     best = snapshot_state(module.state_arrays())
     history: dict = {"train_loss": [], "val_mse": []}
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        order = rng_for(cfg.seed, f"{tag}-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(cfg.seed, f"{tag}-dropout-{epoch}")
+        order = rng_for(seed, f"{tag}-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(seed, f"{tag}-dropout-{epoch}")
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -114,8 +115,10 @@ def phase1_train(
     x_val: np.ndarray,
     y_val: np.ndarray,
     cfg: Phase1Config,
+    seed: int,
 ) -> dict:
-    """Fit one expert on MSE; restores the best-validation weights."""
+    """Fit one expert on MSE with the run's `seed`; restores the
+    best-validation weights."""
     y_train = _unit_targets(y_train, f"{branch.modality} phase 1 train")
     y_val = _unit_targets(y_val, f"{branch.modality} phase 1 val")
     x_train = np.asarray(x_train, dtype=np.float64)
@@ -139,7 +142,7 @@ def phase1_train(
         return mse_loss(yv_hat, yv_col)[0]
 
     history = _fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, cfg.control(),
-                   x_train.shape[0], batch_loss, val_mse, f"phase1-{branch.modality}")
+                   x_train.shape[0], batch_loss, val_mse, f"phase1-{branch.modality}", seed)
     branch.trained = True
     return history
 
@@ -152,11 +155,13 @@ def phase2_train(
     y_val: np.ndarray,
     weights: LossWeights,
     cfg: Phase2Config,
+    seed: int,
 ) -> dict:
     """Train the gate (and optionally fine-tune branches) on the composite
-    loss. Early stopping watches the plain ensemble MSE on validation, and
-    the initial state counts as a candidate, so the returned model is never
-    worse on validation than the phase-1 ensemble it started from."""
+    loss, with the run's `seed`. Early stopping watches the plain ensemble
+    MSE on validation, and the initial state counts as a candidate, so the
+    returned model is never worse on validation than the phase-1 ensemble it
+    started from."""
     untrained = [m for m in MODALITIES if not model.branches[m].trained]
     if untrained:
         raise PopgateError(
@@ -188,7 +193,7 @@ def phase2_train(
     control = cfg.control()
     initial_val = val_mse()
     control.update(initial_val)
-    history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2")
+    history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2", seed)
     history["initial_val_mse"] = initial_val
     return history
 

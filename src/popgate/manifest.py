@@ -9,16 +9,12 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
+from .codec import canonical_json, write_json
 from .exceptions import MissingInputError
 
 MANIFEST_DIR = "manifests"
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(config: dict) -> str:
@@ -71,6 +67,5 @@ def write_manifest(
         "outputs": hash_files(workspace, outputs),
     }
     out_path = workspace / MANIFEST_DIR / f"{subcommand}.manifest.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    write_json(out_path, body)
     return out_path

@@ -38,7 +38,3 @@ def compute_metrics(y: np.ndarray, y_hat: np.ndarray) -> MetricsReport:
         return MetricsReport(float("nan"), mae, mse, float("nan"), y.size, constant_target=True)
     relmse = sse / sst
     return MetricsReport(1.0 - relmse, mae, mse, relmse, y.size)
-
-
-def r2_score(y: np.ndarray, y_hat: np.ndarray) -> float:
-    return compute_metrics(y, y_hat).r2

@@ -11,6 +11,7 @@ from .layers import (
     Param,
     Sigmoid,
     activation_forward,
+    dense_stack,
 )
 from .losses import mse_loss, softmax, softmax_backward
 from .optim import Adam, AdamW, clip_grad_norm
@@ -35,6 +36,7 @@ __all__ = [
     "TrainControl",
     "activation_forward",
     "clip_grad_norm",
+    "dense_stack",
     "load_checkpoint",
     "mse_loss",
     "save_checkpoint",

@@ -11,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..codec import from_json, reading
+from ..codec import canonical_json, from_json, reading
 from ..exceptions import MissingInputError, ShapeError
 
 FORMAT_VERSION = 1
@@ -21,12 +21,13 @@ _UNREADABLE = (zipfile.BadZipFile, EOFError, ValueError)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write arrays + metadata. `meta` must be JSON-serializable; keys in
-    `arrays` must not collide with the reserved metadata entry."""
+    """Write arrays + metadata. `meta` is stored as `canonical_json`, so it
+    holds JSON values and dataclasses; keys in `arrays` must not collide with
+    the reserved metadata entry."""
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     full_meta = {"format_version": FORMAT_VERSION, **meta}
-    blob = json.dumps(full_meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = canonical_json(full_meta).encode("utf-8")
     payload = dict(arrays)
     payload[_META_KEY] = np.frombuffer(blob, dtype=np.uint8)
     path = Path(path)

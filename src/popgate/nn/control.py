@@ -74,7 +74,8 @@ class TrainControl:
 class TrainConfig:
     """The settings of one mini-batch training loop: the autoencoder's and
     both fusion phases' configs extend it. A bad value is rejected at
-    construction, naming the field."""
+    construction, naming the field. The seed is not a setting: each trainer
+    takes the run's seed."""
 
     lr: float = 1e-4
     batch_size: int = 256
@@ -82,7 +83,6 @@ class TrainConfig:
     patience: int = 25
     plateau_patience: int = 10
     clip_norm: float = 1.0
-    seed: int = 46
 
     def __post_init__(self):
         for name in ("lr", "batch_size", "max_epochs", "patience", "plateau_patience", "clip_norm"):

@@ -217,6 +217,20 @@ class DenseLayerSpec:
             raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
 
 
+def dense_stack(widths: Sequence[int], activation: Activation, dropout: float | Sequence[float],
+                batchnorm: bool = True, out_dim: int | None = None) -> list[DenseLayerSpec]:
+    """The specs of hidden blocks along `widths`, the input width first:
+    each with `activation`, `batchnorm` and a dropout rate (`dropout` gives
+    one per block, or one for all). Given `out_dim`, a plain linear layer
+    to it follows."""
+    rates = dropout if isinstance(dropout, Sequence) else [dropout] * (len(widths) - 1)
+    specs = [DenseLayerSpec(a, b, activation, batchnorm, p)
+             for a, b, p in zip(widths[:-1], widths[1:], rates, strict=True)]
+    if out_dim is not None:
+        specs.append(DenseLayerSpec(widths[-1], out_dim, Identity()))
+    return specs
+
+
 class BatchNorm(Module):
     """Per-feature batch normalization over axis 0."""
 

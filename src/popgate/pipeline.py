@@ -12,7 +12,6 @@ config + inputs reproduce identical artifacts. Config values are read with
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, field, replace
 from inspect import isfunction
 from pathlib import Path
@@ -28,7 +27,7 @@ from .autoenc import (
     train_group_autoencoder,
 )
 from .autoenc.groups import validate_registry
-from .codec import check_object, dataclass_from_json, from_json, reading, to_json
+from .codec import check_object, dataclass_from_json, from_json, reading, write_json
 from .ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
 from .data import (
     CleaningConfig,
@@ -119,7 +118,7 @@ def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=
         if callable(default):
             return default(ctx)
         raw = default
-    value = tp(ctx, raw, where) if isfunction(tp) else from_json(tp, raw, where, ctx.seed)
+    value = tp(ctx, raw, where) if isfunction(tp) else from_json(tp, raw, where)
     if ok is not None and not ok(value):
         raise ConfigError(f"{where} must be {need}, got {raw!r}")
     return ctx.workspace / value if tp is Path else value
@@ -138,6 +137,8 @@ _FRACTION = ("in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 _SYNTH_FILES = ("metadata", "lyrics", "events", "audio", "lyrics_features", "social")
+# the columns of the catalog's metadata.csv, as synth writes it and clean keeps it
+METADATA_COLUMNS = ("track_id", "artist_id", "year", "language", "popularity")
 
 
 def cmd_synth(ctx: RunContext) -> str:
@@ -146,7 +147,7 @@ def cmd_synth(ctx: RunContext) -> str:
     paths = ctx.outputs
     write_csv(
         paths["metadata"],
-        ["track_id", "artist_id", "year", "language", "popularity"],
+        METADATA_COLUMNS,
         zip(data.track_ids, data.artist_ids, data.release_years.tolist(), data.languages,
             data.popularity.tolist()),
     )
@@ -166,9 +167,7 @@ def cmd_synth(ctx: RunContext) -> str:
 
 
 def cmd_clean(ctx: RunContext) -> str:
-    cols = read_columns(
-        ctx.inputs["metadata"], ["track_id", "artist_id", "year", "language", "popularity"]
-    )
+    cols = read_columns(ctx.inputs["metadata"], METADATA_COLUMNS)
     lyr = read_columns(ctx.inputs["lyrics"], ["track_id", "lyrics"])
     lyrics_map = dict(zip(lyr["track_id"], lyr["lyrics"]))
     records = [
@@ -185,7 +184,7 @@ def cmd_clean(ctx: RunContext) -> str:
     kept, tally = clean(records, ctx.knobs("clean"))
     write_csv(
         ctx.outputs["metadata"],
-        ["track_id", "artist_id", "year", "language", "popularity"],
+        METADATA_COLUMNS,
         ((r.track_id, r.artist_id, r.release_year, r.language, r.popularity) for r in kept),
     )
     write_csv(
@@ -276,11 +275,12 @@ def cmd_ae_train(ctx: RunContext) -> str:
     X_train = X[mask]
     del X  # training reads only the train rows
 
-    trained = {g.name: train_group_autoencoder(g, X_train[:, g.cols], ctx.arg("ae.train"))
+    cfg = ctx.arg("ae.train")
+    trained = {g.name: train_group_autoencoder(g, X_train[:, g.cols], cfg, ctx.seed)
                for g in registry}
     CompressorEnsemble.save(model_dir, registry, trained, ctx.seed)
     histories = {name: hist for name, (_, _, hist) in trained.items()}
-    ctx.outputs["history"].write_text(json.dumps(histories, indent=2, sort_keys=True) + "\n")
+    write_json(ctx.outputs["history"], histories)
     for g in registry:
         ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
     worst = max(histories.values(), key=lambda h: h["val_relmse"])["val_relmse"]
@@ -292,6 +292,8 @@ def cmd_ae_train(ctx: RunContext) -> str:
 
 def cmd_compress(ctx: RunContext) -> str:
     ens = CompressorEnsemble.load(ctx.arg("compress.model_dir"))
+    for name, ckpt in ens.checkpoints.items():
+        ctx.add_input(f"group_{name}", ckpt)
     ids, _, X = read_matrix_csv(ctx.inputs["features"])
     Z = ens.compress(X)
     names = [f"{g.name}_z{j}" for g in ens.registry for j in range(g.d_enc)]
@@ -390,13 +392,14 @@ def _phase_splits(ctx: RunContext, ids: list[str], pop: np.ndarray):
 
 def _save_phase(ctx: RunContext, model: GatedEnsemble, extra: dict, history: dict) -> None:
     save_ensemble(model, ctx.arg("train.model_dir"), extra=extra)
-    ctx.outputs["history"].write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
+    write_json(ctx.outputs["history"], history)
 
 
-def _phase_files(phase: int) -> dict[str, str]:
-    files = {"model": "model.json", "gate": "gate.npz", "history": f"phase{phase}_history.json",
+def _model_files(dir_key: str) -> dict[str, str]:
+    """The files of the fused model saved in the directory key `dir_key`."""
+    files = {"model": "model.json", "gate": "gate.npz",
              **{f"branch_{m}": f"branch_{m}.npz" for m in MODALITIES}}
-    return {name: f"train.model_dir/{f}" for name, f in files.items()}
+    return {name: f"{dir_key}/{f}" for name, f in files.items()}
 
 
 def cmd_train_phase1(ctx: RunContext) -> str:
@@ -418,13 +421,13 @@ def cmd_train_phase1(ctx: RunContext) -> str:
             model.branches[m],
             xs_scaled[m][fit_rows], y_unit[fit_rows],
             xs_scaled[m][val_rows], y_unit[val_rows],
-            ctx.arg("train.phase1"),
+            ctx.arg("train.phase1"), ctx.seed,
         )
     extra = {
         "phase": 1,
         "seed": ctx.seed,
-        "target_scaler": to_json(target_scaler),
-        "feature_scalers": to_json(feature_scalers),
+        "target_scaler": target_scaler,
+        "feature_scalers": feature_scalers,
     }
     _save_phase(ctx, model, extra, histories)
     best = {m: f"{histories[m]['best_val_mse']:.5f}" for m in MODALITIES}
@@ -446,9 +449,9 @@ def cmd_train_phase2(ctx: RunContext) -> str:
         model,
         {m: xs_scaled[m][fit_rows] for m in MODALITIES}, y_unit[fit_rows],
         {m: xs_scaled[m][val_rows] for m in MODALITIES}, y_unit[val_rows],
-        weights, ctx.arg("train.phase2"),
+        weights, ctx.arg("train.phase2"), ctx.seed,
     )
-    extra = {**extra, "phase": 2, "loss_weights": to_json(weights)}
+    extra = {**extra, "phase": 2, "loss_weights": weights}
     _save_phase(ctx, model, extra, hist)
     return (
         f"train-phase2: val mse {hist['initial_val_mse']:.5f} -> {hist['best_val_mse']:.5f} "
@@ -539,15 +542,14 @@ def cmd_evaluate(ctx: RunContext) -> str:
     body = {
         "subset": subset,
         "n": len(keep),
-        "metrics": to_json(report),
-        "metrics_scaled": to_json(scaled),
+        "metrics": report,
+        "metrics_scaled": scaled,
         "residuals": _residual_summary(residuals),
         "distribution": {"actual": _distribution(y), "predicted": _distribution(y_hat)},
         "gate_means_by_decade": gates.groups,
     }
     out = ctx.outputs["report"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    write_json(out, body)
     return (
         f"evaluate[{subset}]: n={len(keep)} r2={report.r2:.4f} mae={report.mae:.3f} "
         f"relmse={report.relmse:.4f} -> {out}"
@@ -561,8 +563,7 @@ def cmd_gate_report(ctx: RunContext) -> str:
     labels = [_decade(y) for y in years] if ctx.arg("gate_report.group_by") == "decade" else None
     report = gate_report(P[:, _ALPHA], group_labels=labels)
     out = ctx.outputs["report"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(to_json(report), indent=2, sort_keys=True) + "\n")
+    write_json(out, report)
     means = ", ".join(f"{m}={report.means[m]:.3f}" for m in MODALITIES)
     return f"gate-report: {means} -> {out}"
 
@@ -641,12 +642,16 @@ STEPS = {
                       "ensemble": "compress.model_dir/ensemble.json"},
                      {"compressed": "compress.out"}),
     "train-phase1": Step(cmd_train_phase1, ("train",),
-                         {"metadata": "train.metadata", "split": "train.split"}, _phase_files(1)),
+                         {"metadata": "train.metadata", "split": "train.split"},
+                         {**_model_files("train.model_dir"),
+                          "history": "train.model_dir/phase1_history.json"}),
     "train-phase2": Step(cmd_train_phase2, ("train",),
                          {"metadata": "train.metadata", "split": "train.split",
-                          "model": "train.model_dir/model.json"}, _phase_files(2)),
+                          **_model_files("train.model_dir")},
+                         {**_model_files("train.model_dir"),
+                          "history": "train.model_dir/phase2_history.json"}),
     "predict": Step(cmd_predict, ("predict", "train"),
-                    {"model": "predict.model_dir/model.json", "metadata": "train.metadata"},
+                    {**_model_files("predict.model_dir"), "metadata": "train.metadata"},
                     {"predictions": "predict.out"}),
     "evaluate": Step(cmd_evaluate, ("evaluate",),
                      {"predictions": "evaluate.predictions", "metadata": "evaluate.metadata",

@@ -1,110 +1,28 @@
-"""Shared desk-scale pipeline-run helper for CLI and acceptance tests."""
+"""Shared desk-scale pipeline-run helper for CLI and acceptance tests.
+
+The chain runs the README config, which the benchmark also starts from:
+perfbench/workloads.py holds it as README_CONFIG, read here by file path.
+"""
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
 from popgate.cli import main
 
-CHAIN = (
-    "synth",
-    "clean",
-    "split",
-    "ctd-extract",
-    "ae-train",
-    "compress",
-    "train-phase1",
-    "train-phase2",
-    "predict",
-    "evaluate",
-    "gate-report",
-)
+_spec = importlib.util.spec_from_file_location(
+    "_workloads", Path(__file__).resolve().parents[1] / "perfbench/workloads.py")
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
 
-_BASE = {
-    "seed": 46,
-    "synth": {
-        "n_samples": 240,
-        "dims": [12, 10, 6],
-        "latent_dim": 4,
-        "coeffs": [0.7, 0.7, 0.9],
-        "noise": 0.15,
-        "feature_noise": 0.05,
-        "n_artists": 12,
-        "n_users": 60,
-        "out_dir": "data",
-    },
-    "clean": {"metadata": "data/metadata.csv", "lyrics": "data/lyrics.csv"},
-    "split": {"metadata": "data/metadata_clean.csv", "out": "data/split.csv"},
-    "ctd": {
-        "events": "data/events.csv",
-        "metadata": "data/metadata_clean.csv",
-        "out": "data/ctd.csv",
-        "mode": "temporal",
-    },
-    "ae": {
-        "features": "data/audio.csv",
-        "split": "data/split.csv",
-        "model_dir": "models/ae",
-        "registry": [{"name": "aud", "start": 0, "d": 12, "d_enc": 4}],
-        "train": {
-            "max_epochs": 60,
-            "batch_size": 64,
-            "lr": 3e-3,
-            "patience": 20,
-            "plateau_patience": 8,
-        },
-    },
-    "compress": {
-        "features": "data/audio.csv",
-        "model_dir": "models/ae",
-        "out": "data/audio_z.csv",
-    },
-    "train": {
-        "metadata": "data/metadata_clean.csv",
-        "split": "data/split.csv",
-        "inputs": {
-            "audio": "data/audio_z.csv",
-            "lyrics": "data/lyrics_features.csv",
-            "social": ["data/social.csv", "data/ctd.csv"],
-        },
-        "model_dir": "models/fused",
-        "val_fraction": 0.15,
-        "branches": {
-            "audio": {"hidden": [8, 4], "dropout": [0.1, 0.05]},
-            "lyrics": {"hidden": [8, 4], "dropout": [0.1, 0.05]},
-            "social": {"hidden": [8, 4], "dropout": [0.1, 0.05]},
-        },
-        "gate": {"repr_dim": 4, "hidden": [8]},
-        "phase1": {
-            "lr": 3e-3,
-            "batch_size": 64,
-            "max_epochs": 60,
-            "patience": 15,
-            "plateau_patience": 6,
-        },
-        "phase2": {
-            "lr": 1e-3,
-            "batch_size": 64,
-            "max_epochs": 40,
-            "patience": 12,
-            "plateau_patience": 5,
-        },
-    },
-    "predict": {"out": "out/predictions.csv"},
-    "evaluate": {
-        "predictions": "out/predictions.csv",
-        "metadata": "data/metadata_clean.csv",
-        "split": "data/split.csv",
-        "out": "out/metrics.json",
-    },
-    "gate_report": {"out": "out/gate_report.json", "group_by": "decade"},
-}
+CHAIN = _workloads.CHAIN
 
 
 def chain_config() -> dict:
-    return copy.deepcopy(_BASE)
+    return copy.deepcopy(_workloads.README_CONFIG)
 
 
 def write_config(workspace: Path, config: dict, name: str = "run.json") -> Path:

@@ -341,7 +341,7 @@ def ref_weight_grad(acc, x, grad):
 # the history.
 
 
-def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg) -> dict:
+def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
     import numpy as np
 
     from popgate.exceptions import ShapeError
@@ -371,8 +371,8 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg) -> dict:
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        order = rng_for(cfg.seed, f"{tag}-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(cfg.seed, f"{tag}-dropout-{epoch}")
+        order = rng_for(seed, f"{tag}-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(seed, f"{tag}-dropout-{epoch}")
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -405,7 +405,7 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg) -> dict:
     return history
 
 
-def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg) -> dict:
+def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed) -> dict:
     from popgate.exceptions import PopgateError
     from popgate.fusion.branches import MODALITIES
     from popgate.fusion.model import ensemble_loss
@@ -440,8 +440,8 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg) -> d
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        order = rng_for(cfg.seed, f"phase2-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(cfg.seed, f"phase2-dropout-{epoch}")
+        order = rng_for(seed, f"phase2-shuffle-{epoch}").permutation(n)
+        drop_rng = rng_for(seed, f"phase2-dropout-{epoch}")
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

@@ -94,7 +94,7 @@ def _planted_dataset(coeffs, n, noise, seed=46):
     )
     data = synth_generate(spec, seed)
     asg = stratified_split(data.popularity.astype(float), seed=42)
-    tr, va = asg.train_indices(), asg.test_indices()
+    tr, va = np.flatnonzero(~asg.test_mask), np.flatnonzero(asg.test_mask)
     y = data.popularity.astype(float) / 100.0
     xs = {}
     for m in MODALITIES:
@@ -114,7 +114,7 @@ def _planted_model(xs) -> GatedEnsemble:
 
 
 _P1 = Phase1Config(lr=3e-3, batch_size=256, max_epochs=80, patience=20,
-                   plateau_patience=8, seed=46)
+                   plateau_patience=8)
 
 
 # -- 01 gradient fidelity ------------------------------------------------------
@@ -360,16 +360,16 @@ def test_criterion_06_planted_social_signal_recovery():
     model = _planted_model(xs)
     r2 = {}
     for m in MODALITIES:
-        phase1_train(model.branches[m], xs[m][tr], y[tr], xs[m][va], y[va], _P1)
+        phase1_train(model.branches[m], xs[m][tr], y[tr], xs[m][va], y[va], _P1, 46)
         pred = model.branches[m].forward(xs[m][va], train=False, rng=rng_for(0, "na"))[1]
         r2[m] = compute_metrics(y[va], pred.reshape(-1)).r2
     assert r2["social"] >= 0.8, r2
     assert r2["audio"] <= 0.1 and r2["lyrics"] <= 0.1, r2
 
     p2 = Phase2Config(lr=3e-3, batch_size=256, max_epochs=60, patience=15,
-                      plateau_patience=6, freeze_branches=True, seed=46)
+                      plateau_patience=6, freeze_branches=True)
     phase2_train(model, {m: xs[m][tr] for m in MODALITIES}, y[tr],
-                 {m: xs[m][va] for m in MODALITIES}, y[va], LossWeights(), p2)
+                 {m: xs[m][va] for m in MODALITIES}, y[va], LossWeights(), p2, 46)
     report = gate_report(model.predict({m: xs[m][va] for m in MODALITIES}).alpha)
     assert report.means["social"] > 0.5, report.means
     elapsed = time.monotonic() - t0
@@ -389,12 +389,12 @@ def test_criterion_07_ensemble_beats_best_single_branch():
     model = _planted_model(xs)
     best = {}
     for m in MODALITIES:
-        hist = phase1_train(model.branches[m], xs[m][tr], y[tr], xs[m][va], y[va], _P1)
+        hist = phase1_train(model.branches[m], xs[m][tr], y[tr], xs[m][va], y[va], _P1, 46)
         best[m] = hist["best_val_mse"]
     p2 = Phase2Config(lr=1e-3, batch_size=256, max_epochs=60, patience=15,
-                      plateau_patience=6, freeze_branches=False, seed=46)
+                      plateau_patience=6, freeze_branches=False)
     hist2 = phase2_train(model, {m: xs[m][tr] for m in MODALITIES}, y[tr],
-                         {m: xs[m][va] for m in MODALITIES}, y[va], LossWeights(), p2)
+                         {m: xs[m][va] for m in MODALITIES}, y[va], LossWeights(), p2, 46)
     single = min(best.values())
     assert hist2["best_val_mse"] <= 0.98 * single, (hist2["best_val_mse"], best)
     _report(7, f"ensemble improves: joint val MSE {hist2['best_val_mse']:.5f} vs "
@@ -411,17 +411,15 @@ def test_criterion_08_autoencoder_compression_sanity():
     rng = np.random.default_rng(8)
     n, d, r = 2500, 64, 4
     X = rng.normal(size=(n, r)) @ rng.normal(size=(r, d)) + 0.3 * rng.normal(size=(n, d))
-    cfg = AETrainConfig(max_epochs=2600, batch_size=64, seed=46,
-                        patience=150, plateau_patience=60)
-    _, _, hist = train_group_autoencoder(FeatureGroup("rank4", 0, d, r), X, cfg)
+    cfg = AETrainConfig(max_epochs=2600, batch_size=64, patience=150, plateau_patience=60)
+    _, _, hist = train_group_autoencoder(FeatureGroup("rank4", 0, d, r), X, cfg, 46)
     pca = pca_holdout_relmse(X, "rank4", r)
     assert hist["val_relmse"] < 0.05, hist["val_relmse"]
     assert hist["val_relmse"] <= 2.0 * pca, (hist["val_relmse"], pca)
 
     Xw = np.random.default_rng(9).normal(size=(n, d))
-    wcfg = AETrainConfig(max_epochs=300, batch_size=64, seed=46,
-                         patience=60, plateau_patience=25)
-    _, _, whist = train_group_autoencoder(FeatureGroup("noise", 0, d, r), Xw, wcfg)
+    wcfg = AETrainConfig(max_epochs=300, batch_size=64, patience=60, plateau_patience=25)
+    _, _, whist = train_group_autoencoder(FeatureGroup("noise", 0, d, r), Xw, wcfg, 46)
     assert whist["val_relmse"] > 0.8, whist["val_relmse"]
     _report(8, f"compression: rank-4 RelMSE {hist['val_relmse']:.4f} "
                f"(PCA {pca:.4f}), white noise {whist['val_relmse']:.4f}")

@@ -245,11 +245,12 @@ def test_rank1_data_compresses_to_small_relmse():
     group = FeatureGroup("rank1", 0, 64, 4)
     # defaults stay at lr 1e-4 / batch 256; at 300 rows that is 2 steps per
     # epoch, so the test budgets steps via a smaller batch and more epochs
-    cfg = AETrainConfig(max_epochs=2200, batch_size=32, seed=46, patience=150, plateau_patience=60)
-    model, scaler, history = train_group_autoencoder(group, X, cfg)
+    cfg = AETrainConfig(max_epochs=2200, batch_size=32, patience=150, plateau_patience=60)
+    seed = 46
+    model, scaler, history = train_group_autoencoder(group, X, cfg, seed)
     assert history["val_relmse"] < 0.05
     # within 2x of the linear (PCA) oracle on the identical split/scaling
-    oracle = pca_holdout_relmse(X, "rank1", 4, seed=cfg.seed)
+    oracle = pca_holdout_relmse(X, "rank1", 4, seed=seed)
     assert history["val_relmse"] < 2.0 * oracle
 
 
@@ -257,7 +258,7 @@ def test_white_noise_is_incompressible():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(400, 64))
     group = FeatureGroup("noise", 0, 64, 4)
-    model, scaler, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=60))
+    model, scaler, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=60), 46)
     assert history["val_relmse"] > 0.8
     assert pca_relmse(X, 4) > 0.8  # the oracle bound itself
 
@@ -266,7 +267,7 @@ def test_loss_decreases_over_first_epochs():
     rng = np.random.default_rng(8)
     X = _low_rank_data(rng, 300, 32, 3, 0.1)
     group = FeatureGroup("g", 0, 32, 3)
-    _, _, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=5))
+    _, _, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=5), 46)
     assert history["train_loss"][-1] < history["train_loss"][0]
 
 
@@ -274,9 +275,9 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(9)
     X = _low_rank_data(rng, 120, 16, 2, 0.1)
     group = FeatureGroup("g", 0, 16, 2)
-    cfg = AETrainConfig(max_epochs=12, seed=3)
-    m1, s1, h1 = train_group_autoencoder(group, X, cfg)
-    m2, s2, h2 = train_group_autoencoder(group, X, cfg)
+    cfg = AETrainConfig(max_epochs=12)
+    m1, s1, h1 = train_group_autoencoder(group, X, cfg, 3)
+    m2, s2, h2 = train_group_autoencoder(group, X, cfg, 3)
     assert h1["train_loss"] == h2["train_loss"]
     assert h1["val_relmse"] == h2["val_relmse"]
     for a, b in zip(m1.params(), m2.params()):
@@ -294,10 +295,10 @@ def test_training_holds_at_most_five_param_copies():
     group = FeatureGroup("wide", 0, 2000, 400)
     sizes = [p.value.nbytes for p in Autoencoder(2000, 400, rng).params()]
     P, L = sum(sizes), max(sizes)
-    cfg = AETrainConfig(max_epochs=3, seed=5)
+    cfg = AETrainConfig(max_epochs=3)
     tracemalloc.start()
     try:
-        _, _, history = train_group_autoencoder(group, X, cfg)
+        _, _, history = train_group_autoencoder(group, X, cfg, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -310,7 +311,8 @@ def test_trained_model_keeps_no_view_of_the_grad_arena():
     # later step; each param gets its own zeros so the arena can be freed
     rng = np.random.default_rng(13)
     X = _low_rank_data(rng, 80, 16, 2, 0.1)
-    model, _, _ = train_group_autoencoder(FeatureGroup("g", 0, 16, 2), X, AETrainConfig(max_epochs=3))
+    model, _, _ = train_group_autoencoder(FeatureGroup("g", 0, 16, 2), X,
+                                          AETrainConfig(max_epochs=3), 46)
     params = model.params()
     assert all(p.grad.base is None and p.grad.shape == p.value.shape for p in params)
     assert not any(p.grad.any() for p in params)
@@ -321,7 +323,7 @@ def test_trained_model_keeps_no_view_of_the_grad_arena():
 def test_train_rejects_wrong_width():
     group = FeatureGroup("g", 0, 16, 2)
     with pytest.raises(ShapeError):
-        train_group_autoencoder(group, np.zeros((10, 8)))
+        train_group_autoencoder(group, np.zeros((10, 8)), AETrainConfig(), 46)
 
 
 # --- ensemble ---------------------------------------------------------------------
@@ -333,7 +335,7 @@ def _tiny_trained_ensemble(seed=0):
     g2 = FeatureGroup("right", 8, 12, 5)
     X = np.hstack([_low_rank_data(rng, 150, 8, 2, 0.1), _low_rank_data(rng, 150, 12, 2, 0.1)])
     cfg = AETrainConfig(max_epochs=8)
-    trained = {g.name: train_group_autoencoder(g, X[:, g.cols], cfg) for g in (g1, g2)}
+    trained = {g.name: train_group_autoencoder(g, X[:, g.cols], cfg, 46) for g in (g1, g2)}
     return (g1, g2), trained, X
 
 

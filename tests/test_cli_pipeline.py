@@ -185,6 +185,16 @@ class TestChainArtifacts:
                 == compress["outputs"]["compressed"]["sha256"])
         for name in ("audio_0", "lyrics_0", "social_0", "social_1"):
             assert predict["inputs"][name] == phase2["inputs"][name]
+        # the checkpoints a step reads are inputs too: phase 2 and predict
+        # record those the step before them wrote, and compress the group
+        # checkpoints that ae-train wrote
+        for name in ("gate", "branch_audio", "branch_lyrics", "branch_social"):
+            assert phase2["inputs"][name] == phase1["outputs"][name]
+            assert predict["inputs"][name] == phase2["outputs"][name]
+        ae = json.loads((ws / "manifests/ae-train.manifest.json").read_text())
+        assert ({k for k in compress["inputs"] if k.startswith("group_")}
+                == {k for k in ae["outputs"] if k.startswith("group_")} == {"group_aud"})
+        assert compress["inputs"]["group_aud"] == ae["outputs"]["group_aud"]
         # the split step keeps its own default seed, everything else runs on 46
         assert json.loads((ws / "manifests/split.manifest.json").read_text())["seed"] == 42
         assert json.loads((ws / "manifests/synth.manifest.json").read_text())["seed"] == 46
@@ -383,12 +393,18 @@ class TestCliContract:
         assert "train.phase1" in err and "momentum" in err
 
     def test_section_seed_exits_3(self, chain_ws, tmp_path, capsys):
+        """The run seed is the only seed: the trainers take it, so no loop
+        section has a `seed` key, and one is rejected before any file is read."""
         ws, _ = chain_ws
-        cfg = chain_config()
-        cfg["train"]["phase1"]["seed"] = 5  # the run seed is the only seed
-        p = write_config(tmp_path, cfg, "seed-p1.json")
-        assert main(["train-phase1", "--config", str(p), "--workspace", str(ws)]) == 3
-        assert "train.phase1.seed" in capsys.readouterr().err
+        for step, key in (("train-phase1", "train.phase1.seed"), ("ae-train", "ae.train.seed"),
+                          ("train-phase2", "train.phase2.seed")):
+            copy = _copy_ws(ws, tmp_path / step).parent
+            cfg = chain_config()
+            _set(cfg, key, 5)
+            p = write_config(tmp_path, cfg, f"{step}.json")
+            assert main([step, "--config", str(p), "--workspace", str(copy)]) == 3, key
+            assert key in capsys.readouterr().err
+            assert _files(copy) == _files(ws)
 
     def test_phase2_zero_lr_exits_3(self, chain_ws, tmp_path, capsys):
         ws, _ = chain_ws

@@ -200,8 +200,8 @@ def test_split_rejects_tiny_or_bad_input():
 def test_split_labels_and_indices_consistent():
     a = stratified_split(np.arange(50, dtype=float), seed=7)
     assert set(np.unique(a.labels)) == {"train", "test"}
-    assert len(a.train_indices()) + len(a.test_indices()) == 50
-    assert np.all(a.labels[a.test_indices()] == "test")
+    assert len(np.flatnonzero(~a.test_mask)) + len(np.flatnonzero(a.test_mask)) == 50
+    assert np.all(a.labels[np.flatnonzero(a.test_mask)] == "test")
 
 
 # --- scaling --------------------------------------------------------------------

@@ -30,7 +30,7 @@ from popgate.fusion import (
     phase2_train,
     save_ensemble,
 )
-from popgate.metrics import r2_score
+from popgate.metrics import compute_metrics
 from popgate.nn import Elu, LeakyRelu, Param
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
@@ -450,10 +450,10 @@ class TestPhase1:
         )
         hist = phase1_train(
             branch, x_tr, y_tr, x_va, y_va,
-            Phase1Config(lr=3e-3, batch_size=64, max_epochs=200, patience=40, seed=46),
+            Phase1Config(lr=3e-3, batch_size=64, max_epochs=200, patience=40), 46,
         )
         _, yv = branch.forward(x_va)
-        assert r2_score(y_va, yv.reshape(-1)) > 0.9
+        assert compute_metrics(y_va, yv.reshape(-1)).r2 > 0.9
         assert branch.trained
         assert hist["best_val_mse"] == pytest.approx(min(hist["val_mse"]))
 
@@ -467,17 +467,17 @@ class TestPhase1:
         )
         phase1_train(
             branch, x[:340], y[:340], x[340:], y[340:],
-            Phase1Config(lr=3e-3, batch_size=64, max_epochs=60, patience=15, seed=46),
+            Phase1Config(lr=3e-3, batch_size=64, max_epochs=60, patience=15), 46,
         )
         _, yv = branch.forward(x[340:])
-        assert r2_score(y[340:], yv.reshape(-1)) <= 0.05
+        assert compute_metrics(y[340:], yv.reshape(-1)).r2 <= 0.05
 
     def test_rejects_unscaled_targets(self):
         branch = ExpertBranch(tiny_configs()["social"], rng_for(54, "p1-range"))
         x = np.zeros((20, 3))
         y = np.linspace(0, 100, 20)
         with pytest.raises(ValueError, match="min-max"):
-            phase1_train(branch, x, y, x, y / 100.0, Phase1Config(max_epochs=1))
+            phase1_train(branch, x, y, x, y / 100.0, Phase1Config(max_epochs=1), 46)
 
     def test_history_bookkeeping(self):
         rng = rng_for(55, "p1-hist")
@@ -486,7 +486,7 @@ class TestPhase1:
         branch = ExpertBranch(tiny_configs()["social"], rng_for(56, "p1-branch"))
         hist = phase1_train(
             branch, x[:96], y[:96], x[96:], y[96:],
-            Phase1Config(lr=1e-3, batch_size=32, max_epochs=12, patience=25, seed=46),
+            Phase1Config(lr=1e-3, batch_size=32, max_epochs=12, patience=25), 46,
         )
         assert len(hist["train_loss"]) == hist["epochs_run"] == 12
         assert len(hist["val_mse"]) == 12
@@ -523,10 +523,8 @@ def _planted_model(seed=0):
     return GatedEnsemble.build(cfgs, gate_cfg, rng_for(seed, "p2-model"))
 
 
-P1 = Phase1Config(lr=3e-3, batch_size=64, max_epochs=150, patience=30, seed=46)
-P2_FROZEN = Phase2Config(
-    lr=3e-3, batch_size=64, max_epochs=120, patience=30, freeze_branches=True, seed=46
-)
+P1 = Phase1Config(lr=3e-3, batch_size=64, max_epochs=150, patience=30)
+P2_FROZEN = Phase2Config(lr=3e-3, batch_size=64, max_epochs=120, patience=30, freeze_branches=True)
 
 
 class TestPhase2:
@@ -534,14 +532,14 @@ class TestPhase2:
         model = tiny_model()
         xs, y = _planted_social_data(n=60, dims=(5, 7, 3))
         with pytest.raises(PopgateError, match="phase"):
-            phase2_train(model, xs, y, xs, y, LossWeights(), Phase2Config(max_epochs=1))
+            phase2_train(model, xs, y, xs, y, LossWeights(), Phase2Config(max_epochs=1), 46)
 
     def test_planted_signal_routes_gate_and_freezes_branches(self):
         xs, y = _planted_social_data()
         xs_tr, y_tr, xs_va, y_va = _split(xs, y, 720)
         model = _planted_model()
         for m in MODALITIES:
-            phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1)
+            phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1, 46)
 
         branch_val = {}
         for m in MODALITIES:
@@ -550,7 +548,7 @@ class TestPhase2:
         assert branch_val["social"] == min(branch_val.values())
 
         before = {k: v.copy() for k, v in model.state_arrays().items()}
-        hist = phase2_train(model, xs_tr, y_tr, xs_va, y_va, LossWeights(1.0, 0.3), P2_FROZEN)
+        hist = phase2_train(model, xs_tr, y_tr, xs_va, y_va, LossWeights(1.0, 0.3), P2_FROZEN, 46)
         after = model.state_arrays()
 
         # frozen branches are bitwise untouched; the gate moved
@@ -575,15 +573,15 @@ class TestPhase2:
         xs, y = _planted_social_data(n=300, seed=57)
         xs_tr, y_tr, xs_va, y_va = _split(xs, y, 240)
         model = _planted_model(seed=58)
-        quick = Phase1Config(lr=3e-3, batch_size=64, max_epochs=25, patience=25, seed=46)
+        quick = Phase1Config(lr=3e-3, batch_size=64, max_epochs=25, patience=25)
         for m in MODALITIES:
-            phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, quick)
+            phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, quick, 46)
         # fresh gate => the initial candidate is exactly the uniform mixture
         assert np.all(model.predict(xs_va).alpha == 1.0 / 3.0)
         hist = phase2_train(
             model, xs_tr, y_tr, xs_va, y_va, LossWeights(1.0, 0.3),
             Phase2Config(lr=1e-3, batch_size=64, max_epochs=30, patience=30,
-                         freeze_branches=True, seed=46),
+                         freeze_branches=True), 46,
         )
         assert hist["best_val_mse"] <= hist["initial_val_mse"] + 1e-15
         out = model.predict(xs_va)
@@ -597,7 +595,7 @@ class TestPhase2:
         xs = rand_inputs(n=10)
         y = np.linspace(-1, 2, 10)
         with pytest.raises(ValueError, match="min-max"):
-            phase2_train(model, xs, y, xs, y, LossWeights(), Phase2Config(max_epochs=1))
+            phase2_train(model, xs, y, xs, y, LossWeights(), Phase2Config(max_epochs=1), 46)
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +650,11 @@ def _quick_trained_model(seed=70):
     xs, y = _planted_social_data(n=300, seed=seed)
     xs_tr, y_tr, xs_va, y_va = _split(xs, y, 240)
     model = _planted_model(seed=seed)
-    quick1 = Phase1Config(lr=3e-3, batch_size=64, max_epochs=20, patience=25, seed=46)
+    quick1 = Phase1Config(lr=3e-3, batch_size=64, max_epochs=20, patience=25)
     for m in MODALITIES:
-        phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, quick1)
-    quick2 = Phase2Config(lr=1e-3, batch_size=64, max_epochs=15, patience=25,
-                          freeze_branches=True, seed=46)
-    phase2_train(model, xs_tr, y_tr, xs_va, y_va, LossWeights(1.0, 0.3), quick2)
+        phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, quick1, 46)
+    quick2 = Phase2Config(lr=1e-3, batch_size=64, max_epochs=15, patience=25, freeze_branches=True)
+    phase2_train(model, xs_tr, y_tr, xs_va, y_va, LossWeights(1.0, 0.3), quick2, 46)
     return model, xs_va
 
 

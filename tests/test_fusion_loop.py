@@ -30,7 +30,7 @@ from _oracles import ref_phase1_train, ref_phase2_train
 DIMS = {"audio": 6, "lyrics": 8, "social": 4}
 # clip_norm is small enough that clipping fires, so the clip/step order shows
 P1 = Phase1Config(lr=3e-3, batch_size=32, max_epochs=80, patience=6, plateau_patience=2,
-                  clip_norm=0.05, seed=46)
+                  clip_norm=0.05)
 
 
 def _data(n=260, seed=9):
@@ -70,8 +70,8 @@ def test_phase1_matches_reference_loop():
     xs_tr, y_tr, xs_va, y_va = _data()
     ours, ref = _model(), _model()
     m = "audio"  # dropout and ELU: both streams and the snapshot matter
-    hist = phase1_train(ours.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1)
-    ref_hist = ref_phase1_train(ref.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1)
+    hist = phase1_train(ours.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1, 46)
+    ref_hist = ref_phase1_train(ref.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1, 46)
     assert hist == ref_hist
     _assert_cut_and_stopped(hist, P1)
     assert ours.branches[m].trained and ref.branches[m].trained
@@ -83,19 +83,19 @@ def phase1_model():
     xs_tr, y_tr, xs_va, y_va = _data()
     model = _model()
     for m in MODALITIES:
-        phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1)
+        phase1_train(model.branches[m], xs_tr[m], y_tr, xs_va[m], y_va, P1, 46)
     return model
 
 
 @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "fine-tuned"])
 def test_phase2_matches_reference_loop(phase1_model, freeze):
     cfg = Phase2Config(lr=3e-3, batch_size=32, max_epochs=60, patience=6, plateau_patience=2,
-                       clip_norm=0.05, freeze_branches=freeze, seed=46)
+                       clip_norm=0.05, freeze_branches=freeze)
     xs_tr, y_tr, xs_va, y_va = _data()
     ours, ref = copy.deepcopy(phase1_model), copy.deepcopy(phase1_model)
     weights = LossWeights()
-    hist = phase2_train(ours, xs_tr, y_tr, xs_va, y_va, weights, cfg)
-    ref_hist = ref_phase2_train(ref, xs_tr, y_tr, xs_va, y_va, weights, cfg)
+    hist = phase2_train(ours, xs_tr, y_tr, xs_va, y_va, weights, cfg, 46)
+    ref_hist = ref_phase2_train(ref, xs_tr, y_tr, xs_va, y_va, weights, cfg, 46)
     assert hist == ref_hist
     _assert_cut_and_stopped(hist, cfg)
     _assert_same_state(ours.state_arrays(), ref.state_arrays())

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from popgate.codec import canonical_json
 from popgate.exceptions import MissingInputError
-from popgate.manifest import canonical_json, config_hash, file_sha256, hash_files, write_manifest
+from popgate.manifest import config_hash, file_sha256, hash_files, write_manifest
 
 
 class TestHashing:

@@ -123,7 +123,7 @@ def test_ae_val_fraction_must_be_a_fraction(value):
 
 def test_loop_config_defaults():
     shared = {"lr": 1e-4, "batch_size": 256, "max_epochs": 200, "patience": 25,
-              "plateau_patience": 10, "clip_norm": 1.0, "seed": 46}
+              "plateau_patience": 10, "clip_norm": 1.0}
     assert asdict(TrainConfig()) == asdict(Phase1Config()) == shared
     assert asdict(AETrainConfig()) == {**shared, "val_fraction": 0.1}
     assert asdict(Phase2Config()) == {**shared, "lr": 5e-6, "max_epochs": 150,
