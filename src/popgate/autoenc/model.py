@@ -69,11 +69,12 @@ class Autoencoder(Module):
         z = self.encoder.forward(x, train=train, rng=rng)
         return self.decoder.forward(z, train=train, rng=rng), z
 
-    def backward(self, d_xhat: np.ndarray, d_z: np.ndarray) -> np.ndarray:
+    def backward(self, d_xhat: np.ndarray, d_z: np.ndarray) -> None:
         """Backprop both loss paths: reconstruction through the decoder, plus
-        the direct latent-penalty gradient on z."""
+        the direct latent-penalty gradient on z. Only parameter gradients
+        are kept; the one wrt the input batch is not computed."""
         gz = self.decoder.backward(d_xhat) + d_z
-        return self.encoder.backward(gz)
+        self.encoder.backward(gz, input_grad=False)
 
     def parts(self) -> list:
         return [("enc", self.encoder), ("dec", self.decoder)]

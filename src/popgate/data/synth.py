@@ -21,9 +21,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ..ctd.events import DEFAULT_WINDOW
+from ..metrics import MODALITIES
 from ..seeding import rng_for
-
-MODALITIES = ("audio", "lyrics", "social")
 
 _WORDS = (
     "night", "light", "love", "run", "gold", "river", "home", "fire",

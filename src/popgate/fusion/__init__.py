@@ -12,14 +12,7 @@ from .model import (
     load_ensemble,
     save_ensemble,
 )
-from .train import (
-    GateReport,
-    Phase1Config,
-    Phase2Config,
-    gate_report,
-    phase1_train,
-    phase2_train,
-)
+from .train import Phase1Config, Phase2Config, phase1_train, phase2_train
 
 __all__ = [
     "MODALITIES",
@@ -36,10 +29,8 @@ __all__ = [
     "ensemble_loss",
     "save_ensemble",
     "load_ensemble",
-    "GateReport",
     "Phase1Config",
     "Phase2Config",
-    "gate_report",
     "phase1_train",
     "phase2_train",
 ]

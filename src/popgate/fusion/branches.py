@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigError
+from ..metrics import MODALITIES
 from ..nn import (MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid,
                   dense_stack)
-
-MODALITIES = ("audio", "lyrics", "social")
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,15 @@ class ExpertBranch(Module):
         y_hat = self.head.forward(h, train=train, rng=rng)
         return h, y_hat
 
-    def backward(self, d_h: np.ndarray | None, d_yhat: np.ndarray | None) -> np.ndarray:
-        """Backprop through head and trunk; either gradient may be None."""
+    def backward(self, d_h: np.ndarray | None, d_yhat: np.ndarray | None) -> None:
+        """Backprop through head and trunk into the parameter gradients;
+        either gradient may be None. The input's gradient is not computed."""
         if d_h is None and d_yhat is None:
             raise ValueError(f"{self.modality} branch backward needs at least one gradient")
         g = self.head.backward(d_yhat) if d_yhat is not None else None
         if d_h is not None:
             g = d_h if g is None else g + d_h
-        return self.trunk.backward(g)
+        self.trunk.backward(g, input_grad=False)
 
     def parts(self) -> list:
         return [("trunk", self.trunk), ("head", self.head)]

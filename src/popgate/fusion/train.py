@@ -11,7 +11,7 @@ worse than it started.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -196,32 +196,3 @@ def phase2_train(
     history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2", seed)
     history["initial_val_mse"] = initial_val
     return history
-
-
-@dataclass(frozen=True)
-class GateReport:
-    """Mixture-weight summary over a dataset."""
-
-    n: int  # rows summarized
-    means: dict[str, float]  # modality -> mean weight
-    groups: dict[str, dict[str, float]] | None  # optional per-group means
-
-
-def gate_report(alpha: np.ndarray, group_labels: Sequence | None = None) -> GateReport:
-    """Dataset means of per-sample mixture weights `alpha` (n, 3), columns in
-    MODALITIES order; `group_labels` (one per row, e.g. release decade) adds
-    per-group means."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or alpha.shape[1] != len(MODALITIES):
-        raise ShapeError(f"alpha must be (n, {len(MODALITIES)}), got {alpha.shape}")
-    means = {m: float(alpha[:, i].mean()) for i, m in enumerate(MODALITIES)}
-    groups = None
-    if group_labels is not None:
-        labels = np.array([str(v) for v in group_labels])
-        if labels.size != alpha.shape[0]:
-            raise ShapeError(f"{labels.size} group labels for {alpha.shape[0]} rows")
-        groups = {}
-        for key in sorted(set(labels.tolist())):
-            mask = labels == key
-            groups[key] = {m: float(alpha[mask, i].mean()) for i, m in enumerate(MODALITIES)}
-    return GateReport(n=int(alpha.shape[0]), means=means, groups=groups)

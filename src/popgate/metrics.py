@@ -1,13 +1,17 @@
 """Regression metrics: R², MAE, MSE, and relative MSE (unexplained-variance
-fraction, SSE/SST = 1 − R²)."""
+fraction, SSE/SST = 1 − R²), and the summary of the gate's mixture weights."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .exceptions import ShapeError
+
+# the experts, in the column order of every per-modality array
+MODALITIES = ("audio", "lyrics", "social")
 
 
 @dataclass(frozen=True)
@@ -38,3 +42,32 @@ def compute_metrics(y: np.ndarray, y_hat: np.ndarray) -> MetricsReport:
         return MetricsReport(float("nan"), mae, mse, float("nan"), y.size, constant_target=True)
     relmse = sse / sst
     return MetricsReport(1.0 - relmse, mae, mse, relmse, y.size)
+
+
+@dataclass(frozen=True)
+class GateReport:
+    """Mixture-weight summary over a dataset."""
+
+    n: int  # rows summarized
+    means: dict[str, float]  # modality -> mean weight
+    groups: dict[str, dict[str, float]] | None  # optional per-group means
+
+
+def gate_report(alpha: np.ndarray, group_labels: Sequence | None = None) -> GateReport:
+    """Dataset means of per-sample mixture weights `alpha` (n, 3), columns in
+    MODALITIES order; `group_labels` (one per row, e.g. release decade) adds
+    per-group means."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim != 2 or alpha.shape[1] != len(MODALITIES):
+        raise ShapeError(f"alpha must be (n, {len(MODALITIES)}), got {alpha.shape}")
+    means = {m: float(alpha[:, i].mean()) for i, m in enumerate(MODALITIES)}
+    groups = None
+    if group_labels is not None:
+        labels = np.array([str(v) for v in group_labels])
+        if labels.size != alpha.shape[0]:
+            raise ShapeError(f"{labels.size} group labels for {alpha.shape[0]} rows")
+        groups = {}
+        for key in sorted(set(labels.tolist())):
+            mask = labels == key
+            groups[key] = {m: float(alpha[mask, i].mean()) for i, m in enumerate(MODALITIES)}
+    return GateReport(n=int(alpha.shape[0]), means=means, groups=groups)

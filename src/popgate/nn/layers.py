@@ -339,8 +339,10 @@ class Dense(Module):
         """Inverted-dropout scale: 1/(1-p) where a unit is kept, else 0."""
         return np.where(kept, 1.0 / (1.0 - self.spec.dropout_p), 0.0)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Propagate grad to the input; accumulate parameter gradients."""
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients and return the gradient wrt the
+        input, or None without `input_grad` (a first layer's caller has no
+        use for it, and it costs a GEMM the size of the forward's)."""
         if self._cache is None:
             raise RuntimeError(f"layer {self.name!r}: backward called before forward")
         x, act_out, kept = self._cache
@@ -351,7 +353,7 @@ class Dense(Module):
             grad = self.bn.backward(grad)
         _add_product(self.W.grad, x.T, grad)
         self.b.grad += np.add.reduce(grad, axis=0)
-        return grad @ self.W.value.T
+        return grad @ self.W.value.T if input_grad else None
 
     def parts(self) -> list:
         return [("W", self.W), ("b", self.b), ("bn", self.bn)]
@@ -411,10 +413,11 @@ class MLP(Module):
             x = layer.forward(x, train=train, rng=rng)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backprop through every layer; see `Dense.backward` for `input_grad`."""
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        return self.layers[0].backward(grad, input_grad)
 
     def parts(self) -> list:
         return [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]

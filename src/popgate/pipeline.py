@@ -8,60 +8,73 @@ workspace root, runs the body and writes the step's manifest (config hash,
 seed, input/output hashes). Nothing here depends on wall time, so identical
 config + inputs reproduce identical artifacts. Config values are read with
 `popgate.codec`, the same reader that decodes the JSON of model artifacts.
+Every step is a fresh process, so the packages that only some steps use
+(`data`, `ctd`, `autoenc`, `fusion` and with them `nn`) are imported at
+their first use, not when this module loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, replace
+from importlib import import_module
 from inspect import isfunction
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .autoenc import (
-    AETrainConfig,
-    CompressorEnsemble,
-    FeatureGroup,
-    default_registry,
-    train_group_autoencoder,
-)
-from .autoenc.groups import validate_registry
 from .codec import check_object, dataclass_from_json, from_json, reading, write_json
-from .ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
-from .data import (
-    CleaningConfig,
-    ScalerParams,
-    SynthSpec,
-    TrackRecord,
-    clean,
-    normalize_lyrics,
-    scaler_apply,
-    scaler_fit,
-    scaler_invert,
-    stratified_split,
-    synth_generate,
-)
 from .exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
-from .fusion import (
-    MODALITIES,
-    BranchConfig,
-    GateConfig,
-    GatedEnsemble,
-    LossWeights,
-    Phase1Config,
-    Phase2Config,
-    default_branch_config,
-    gate_report,
-    load_ensemble,
-    phase1_train,
-    phase2_train,
-    save_ensemble,
-)
 from .manifest import hash_files, write_manifest
-from .metrics import compute_metrics
+from .metrics import MODALITIES, compute_metrics, gate_report
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
+
+if TYPE_CHECKING:
+    from .autoenc import FeatureGroup
+    from .data import ScalerParams
+    from .fusion import BranchConfig, GatedEnsemble
+
+
+def _named(ref: str):
+    """The object `name` of the popgate module `module`, for a `module:name`
+    reference: importing it loads that module and the packages it needs."""
+    module, _, name = ref.partition(":")
+    return getattr(import_module(f".{module}", __package__), name)
+
+
+def _on_first_call(ref: str) -> Callable:
+    """A stand-in for the function `module:name` (see `_named`) that imports
+    it when first called and then calls it; steps that never call it never
+    load its packages. The stand-in stays bound here for good, so a wrapper
+    installed over it from outside sees every call."""
+    fn = None
+
+    def call(*args, **kwargs):
+        nonlocal fn
+        if fn is None:
+            fn = _named(ref)
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = ref.partition(":")[2]
+    return call
+
+
+# the functions of the other packages that step bodies call, bound by name
+synth_generate = _on_first_call("data.synth:synth_generate")
+clean = _on_first_call("data.cleaning:clean")
+normalize_lyrics = _on_first_call("data.cleaning:normalize_lyrics")
+stratified_split = _on_first_call("data.split:stratified_split")
+scaler_fit = _on_first_call("data.scaling:scaler_fit")
+scaler_apply = _on_first_call("data.scaling:scaler_apply")
+scaler_invert = _on_first_call("data.scaling:scaler_invert")
+ingest_events = _on_first_call("ctd.events:ingest_events")
+build_ctd_dataset = _on_first_call("ctd.features:build_ctd_dataset")
+train_group_autoencoder = _on_first_call("autoenc.train:train_group_autoencoder")
+phase1_train = _on_first_call("fusion.train:phase1_train")
+phase2_train = _on_first_call("fusion.train:phase2_train")
+save_ensemble = _on_first_call("fusion.model:save_ensemble")
+load_ensemble = _on_first_call("fusion.model:load_ensemble")
 
 DEFAULT_SEED = 46  # experiment seed; `split.seed` defaults to 42 separately
 
@@ -97,7 +110,7 @@ class RunContext:
 
     def knobs(self, name: str):
         """The dataclass that the keys of section `name` outside SECTIONS build."""
-        return dataclass_from_json(FLAT_KNOBS[name], self.config.get(name, {}), name,
+        return dataclass_from_json(_named(FLAT_KNOBS[name]), self.config.get(name, {}), name,
                                    extra=SECTIONS[name])
 
     def file(self, ref: str) -> Path:
@@ -118,6 +131,8 @@ def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=
         if callable(default):
             return default(ctx)
         raw = default
+    if isinstance(tp, str):
+        tp = _named(tp)
     value = tp(ctx, raw, where) if isfunction(tp) else from_json(tp, raw, where)
     if ok is not None and not ok(value):
         raise ConfigError(f"{where} must be {need}, got {raw!r}")
@@ -167,6 +182,8 @@ def cmd_synth(ctx: RunContext) -> str:
 
 
 def cmd_clean(ctx: RunContext) -> str:
+    from .data.cleaning import TrackRecord
+
     cols = read_columns(ctx.inputs["metadata"], METADATA_COLUMNS)
     lyr = read_columns(ctx.inputs["lyrics"], ["track_id", "lyrics"])
     lyrics_map = dict(zip(lyr["track_id"], lyr["lyrics"]))
@@ -245,7 +262,15 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
 # autoencoder training / compression
 
 
+def _registry(ctx: RunContext, raw, where: str) -> tuple[FeatureGroup, ...]:
+    from .autoenc.groups import FeatureGroup
+
+    return from_json(tuple[FeatureGroup, ...], raw, where)
+
+
 def _valid_registry(groups: tuple[FeatureGroup, ...]) -> bool:
+    from .autoenc.groups import validate_registry
+
     try:
         validate_registry(groups)
     except ConfigError as e:
@@ -259,6 +284,8 @@ def _split_of(split_path: Path) -> dict[str, str]:
 
 
 def cmd_ae_train(ctx: RunContext) -> str:
+    from .autoenc.train import CompressorEnsemble
+
     features, split_path = ctx.inputs["features"], ctx.inputs["split"]
     model_dir = ctx.arg("ae.model_dir")
     ids, _, X = read_matrix_csv(features)
@@ -291,6 +318,8 @@ def cmd_ae_train(ctx: RunContext) -> str:
 
 
 def cmd_compress(ctx: RunContext) -> str:
+    from .autoenc.train import CompressorEnsemble
+
     ens = CompressorEnsemble.load(ctx.arg("compress.model_dir"))
     for name, ckpt in ens.checkpoints.items():
         ctx.add_input(f"group_{name}", ckpt)
@@ -326,6 +355,8 @@ _BRANCH_KEYS = ("hidden", "dropout", "activation", "batchnorm")
 def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
     """Each modality's expert stack: the default one with the given fields
     replaced. The phase sets `in_dim` from the data."""
+    from .fusion.branches import BranchConfig, default_branch_config
+
     given = check_object(raw, where, MODALITIES)
     types = get_type_hints(BranchConfig)
     stacks = {}
@@ -358,6 +389,8 @@ def _load_table(ctx: RunContext):
 
 def _saved_scalers(model_json: Path, extra: dict) -> tuple[ScalerParams, dict[str, ScalerParams]]:
     """The target and feature scalers that phase 1 saved in `model_json`."""
+    from .data.scaling import ScalerParams
+
     with reading(model_json):
         target = from_json(ScalerParams, extra.get("target_scaler", MISSING), "extra.target_scaler")
         given = from_json(dict, extra.get("feature_scalers", MISSING), "extra.feature_scalers")
@@ -403,6 +436,8 @@ def _model_files(dir_key: str) -> dict[str, str]:
 
 
 def cmd_train_phase1(ctx: RunContext) -> str:
+    from .fusion.model import GatedEnsemble
+
     ids, pop, xs = _load_table(ctx)
     train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
 
@@ -574,7 +609,9 @@ def cmd_gate_report(ctx: RunContext) -> str:
 
 # Every key of every section: (type, default, what a valid value is, a check
 # of it). Keys without a default are required; a callable default reads
-# another key. Paths are relative to the workspace.
+# another key or a constant of another module. A type written "module:Name"
+# is imported when a key of that type is checked, so a step loads only the
+# packages of the sections it reads. Paths are relative to the workspace.
 SECTIONS = {
     "synth": {"out_dir": (Path, "data")},
     "clean": {"metadata": (Path,), "lyrics": (Path,),
@@ -585,19 +622,21 @@ SECTIONS = {
               "seed": (int, 42)},
     "ctd": {"events": (Path,), "metadata": (Path,), "out": (Path, "data/ctd.csv"),
             "mode": (str, "temporal", *_one_of("aggregate", "temporal")),
-            "window": (tuple[int, ...], DEFAULT_WINDOW, "a non-empty list of years", len)},
+            "window": (tuple[int, ...], lambda ctx: _named("ctd.events:DEFAULT_WINDOW"),
+                       "a non-empty list of years", len)},
     "ae": {"features": (Path,), "split": (Path,), "model_dir": (Path, "models/ae"),
-           "registry": (tuple[FeatureGroup, ...], lambda ctx: default_registry(),
+           "registry": (_registry, lambda ctx: _named("autoenc.groups:default_registry")(),
                         "a non-empty list of groups", _valid_registry),
-           "train": (AETrainConfig, {})},
+           "train": ("autoenc.train:AETrainConfig", {})},
     "compress": {"features": (Path,), "model_dir": (Path, "models/ae"),
                  "out": (Path, "data/audio_compressed.csv")},
     "train": {"metadata": (Path,), "split": (Path,), "inputs": (_modality_inputs,),
               "model_dir": (Path, "models/fused"),
               "val_fraction": (float, 0.1, *_FRACTION), "val_bins": (int, 5, *_AT_LEAST_1),
-              "branches": (_branches, {}), "gate": (GateConfig, {}),
-              "phase1": (Phase1Config, {}), "phase2": (Phase2Config, {}),
-              "loss_weights": (LossWeights, {})},
+              "branches": (_branches, {}), "gate": ("fusion.gate:GateConfig", {}),
+              "phase1": ("fusion.train:Phase1Config", {}),
+              "phase2": ("fusion.train:Phase2Config", {}),
+              "loss_weights": ("fusion.model:LossWeights", {})},
     "predict": {"out": (Path, "out/predictions.csv"),
                 "model_dir": (Path, lambda ctx: ctx.arg("train.model_dir"))},
     "evaluate": {"predictions": (Path,), "metadata": (Path,), "split": (Path,),
@@ -606,8 +645,8 @@ SECTIONS = {
     "gate_report": {"out": (Path, "out/gate_report.json"),
                     "group_by": (str, "decade", *_one_of("decade", "none"))},
 }
-# sections whose other keys are the fields of a dataclass
-FLAT_KNOBS = {"synth": SynthSpec, "clean": CleaningConfig}
+# sections whose other keys are the fields of a dataclass ("module:Name")
+FLAT_KNOBS = {"synth": "data.synth:SynthSpec", "clean": "data.cleaning:CleaningConfig"}
 CLI_KEYS = ("seed", "workspace")  # top-level keys that popgate.cli reads
 
 

@@ -8,8 +8,9 @@ reproducibility guarantees lean on.
 Numeric matrices (the audio descriptors reach 12851 columns) stream one row
 at a time in both directions. The writer quotes only the id through
 `csv.writer` and joins the row's reprs itself, since a number never needs
-quoting; the reader parses each row straight into a float64 array with
-`float`, so it never holds one Python string per cell of the whole file.
+quoting; the reader parses each row with `float` straight into one float64
+matrix, so it never holds one Python string per cell of the whole file, nor
+a second copy of the matrix.
 """
 
 from __future__ import annotations
@@ -123,10 +124,25 @@ def _row_cells(path: Path, r: int) -> list[str]:
         return next(islice(reader, r, None))
 
 
+def _max_rows(path: Path) -> int:
+    """An upper bound on the data rows of a CSV file: its line ends (`\\n`,
+    `\\r\\n` or `\\r`), plus one for a last line without one. A `\\r\\n`
+    split across two chunks counts twice, which keeps it a bound."""
+    lines = 1
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return lines
+
+
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a track_id-keyed numeric table -> (ids, feature_names, float64 matrix).
     Every cell must be a finite number. The first ragged or non-numeric row,
-    in file order, is reported before any non-finite cell."""
+    in file order, is reported before any non-finite cell. Rows are parsed
+    straight into one matrix sized from a count of the file's lines, then
+    shrunk in place to the rows read."""
     path = Path(path)
     with _csv_rows(path) as (header, reader):
         if not header or header[0] != KEY_COLUMN:
@@ -134,13 +150,13 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
         names = header[1:]
         n = len(names)
         ids: list[str] = []
-        rows: list[np.ndarray] = []
+        data = np.empty((_max_rows(path), n))
         for r, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise _ragged(path, r, header, row)
             ids.append(row[0])
             try:
-                rows.append(np.fromiter(map(float, row[1:]), np.float64, count=n))
+                data[r - 2] = np.fromiter(map(float, row[1:]), np.float64, count=n)
             except ValueError:
                 for c, cell in enumerate(row[1:]):
                     try:
@@ -150,8 +166,8 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
                             f"{path} row {r}, column {names[c]!r}: not a number: {cell!r}"
                         ) from None
                 raise
-    data = np.vstack(rows) if rows else np.empty((0, n))
-    del rows
+    # the only reference, so the buffer can shrink where it lies
+    data.resize((len(ids), n), refcheck=False)
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]

@@ -46,11 +46,10 @@ from popgate.fusion import (
     Phase1Config,
     Phase2Config,
     ensemble_loss,
-    gate_report,
     phase1_train,
     phase2_train,
 )
-from popgate.metrics import compute_metrics
+from popgate.metrics import compute_metrics, gate_report
 from popgate.nn import MLP, DenseLayerSpec, Elu, Identity, LeakyRelu, Sigmoid, mse_loss
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for

@@ -23,7 +23,7 @@ from popgate.autoenc.groups import validate_registry
 from popgate.codec import from_json, to_json
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
-from popgate.nn import mse_loss
+from popgate.nn import Adam, mse_loss
 from popgate.nn.gradcheck import check_gradients
 
 
@@ -159,6 +159,27 @@ def test_ae_composite_loss_gradient_check():
 
     errors = check_gradients(loss_and_backward, ae.params(), loss_only)
     assert max(errors.values()) < 1e-4, errors
+
+
+def test_backward_skips_only_the_input_gradient():
+    # the encoder's first layer no longer computes d(loss)/dx, which the
+    # trainer never read; every grad, and the Adam step taken from them,
+    # stays bit for bit what the full backward gives
+    x = np.random.default_rng(4).normal(size=(9, 6))
+    lam = lambda_for(2)
+    twins = [Autoencoder(6, 2, np.random.default_rng(5), name="twin") for _ in range(2)]
+    for skip, ae in zip((True, False), twins):
+        x_hat, z = ae.forward(x, train=True, rng=np.random.default_rng(78))
+        _, d_xhat, d_z = ae_loss(x, x_hat, z, lam)
+        if skip:
+            assert ae.backward(d_xhat, d_z) is None
+        else:
+            full = ae.encoder.backward(ae.decoder.backward(d_xhat) + d_z)
+            assert full.shape == x.shape
+        Adam(ae.params(), lr=1e-2).step()
+    for a, b in zip(*(t.params() for t in twins)):
+        assert a.grad.tobytes() == b.grad.tobytes(), a.name
+        assert a.value.tobytes() == b.value.tobytes(), a.name
 
 
 # --- registry ---------------------------------------------------------------------

@@ -800,6 +800,61 @@ class TestPredictionCells:
         assert str(pred) in err and "alpha_video" in err
 
 
+# prints, as its last stdout line, the popgate modules loaded once `cli.main`
+# ran the subcommand given in argv (with no argv: once popgate.cli is imported)
+_LOADED_AFTER_MAIN = """
+import json, sys
+import popgate.cli
+rc = popgate.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("popgate"))))
+raise SystemExit(rc)
+"""
+_STEP_PACKAGES = {"nn", "fusion", "autoenc", "data", "ctd"}
+_TRAINING = {"nn", "fusion", "autoenc"}
+
+
+def _packages_loaded(*argv: str) -> set[str]:
+    """The popgate subpackages a fresh interpreter loads running `argv`."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    return {m.split(".")[1] for m in modules if "." in m} & _STEP_PACKAGES
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the packages its body and its checked
+    config keys use; the CLI itself imports none of them."""
+
+    def test_cli_import_loads_no_step_package(self):
+        assert _packages_loaded() == set()
+
+    @pytest.mark.parametrize("cmd", ["synth", "clean", "split", "ctd-extract", "evaluate"])
+    def test_light_steps_load_no_training_package(self, chain_ws, tmp_path, cmd):
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        loaded = _packages_loaded(cmd, "--config", str(cfg_path))
+        assert not loaded & _TRAINING, loaded
+        if cmd in ("ctd-extract", "evaluate"):
+            assert "data" not in loaded
+
+    def test_gate_report_loads_fusion_only_to_check_given_train_keys(self, chain_ws, tmp_path):
+        # the README config sets train.branches, .gate, .phase1 and .phase2,
+        # and checking them builds fusion's config classes, which load nn;
+        # without them gate-report loads no training package
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        assert {"fusion", "nn"} <= _packages_loaded("gate-report", "--config", str(cfg_path))
+        cfg = json.loads(cfg_path.read_text())
+        for key in ("branches", "gate", "phase1", "phase2"):
+            del cfg["train"][key]
+        slim = write_config(cfg_path.parent, cfg, "slim.json")
+        loaded = _packages_loaded("gate-report", "--config", str(slim))
+        assert not loaded & _TRAINING, loaded
+
+
 class TestTracedRun:
     def test_traced_step_binds_pipeline_names(self, chain_ws, tmp_path):
         """perfbench/traced_step.py wraps names bound in popgate.pipeline; a

@@ -10,8 +10,8 @@ from popgate.autoenc import FeatureGroup, registry_hash
 from popgate.codec import from_json, to_json
 from popgate.data import ScalerParams
 from popgate.exceptions import ConfigError
-from popgate.fusion import BranchConfig, GateConfig, GateReport, LossWeights
-from popgate.metrics import MetricsReport
+from popgate.fusion import BranchConfig, GateConfig, LossWeights
+from popgate.metrics import GateReport, MetricsReport
 from popgate.nn import Activation, DenseLayerSpec, Elu, Identity, LeakyRelu, Sigmoid
 
 _BRANCH = ('"batchnorm": true, "dropout": [0.1, 0.05], "hidden": [8, 4], "in_dim": 12, '

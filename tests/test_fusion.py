@@ -24,14 +24,13 @@ from popgate.fusion import (
     Phase2Config,
     default_branch_config,
     ensemble_loss,
-    gate_report,
     load_ensemble,
     phase1_train,
     phase2_train,
     save_ensemble,
 )
-from popgate.metrics import compute_metrics
-from popgate.nn import Elu, LeakyRelu, Param
+from popgate.metrics import compute_metrics, gate_report
+from popgate.nn import Adam, Elu, LeakyRelu, Param
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 
@@ -118,6 +117,26 @@ class TestExpertBranch:
         assert social.dropout == (0.1, 0.1, 0.05, 0.0)
         # every trunk ends in the shared representation width
         assert {c.repr_dim for c in (audio, lyrics, social)} == {64}
+
+    def test_backward_skips_only_the_input_gradient(self):
+        # the first trunk layer no longer computes d(loss)/dx, which no
+        # caller reads; every grad, and the Adam step taken from them, stays
+        # bit for bit what the full backward gives
+        x = rand_inputs(n=8)["audio"]
+        d_h = rng_for(9, "d_h").normal(size=(8, 4))
+        twins = [ExpertBranch(tiny_configs()["audio"], rng_for(6, "twin")) for _ in range(2)]
+        for skip, branch in zip((True, False), twins):
+            _, y_hat = branch.forward(x, train=True, rng=rng_for(7, "drop"))
+            d_yhat = y_hat - 0.5
+            if skip:
+                assert branch.backward(d_h, d_yhat) is None
+            else:
+                full = branch.trunk.backward(branch.head.backward(d_yhat) + d_h)
+                assert full.shape == x.shape
+            Adam(branch.params(), lr=1e-2).step()
+        for a, b in zip(*(t.params() for t in twins)):
+            assert a.grad.tobytes() == b.grad.tobytes(), a.name
+            assert a.value.tobytes() == b.value.tobytes(), a.name
 
     def test_config_json_round_trip(self):
         cfg = default_branch_config("social", 17)
