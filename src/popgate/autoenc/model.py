@@ -12,7 +12,9 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..nn import DenseLayerSpec, Elu, MLP, Module, dense_stack, mse_loss
-from ..nn.layers import snapshot_state
+# no caller here: perfbench/traced_step.py patches this name, so it stays
+# bound until the tracer moves into the program (ROADMAP item 9)
+from ..nn.layers import snapshot_state  # noqa: F401
 
 AE_DROPOUT = 0.05
 AE_ELU_ALPHA = 0.1
@@ -78,9 +80,6 @@ class Autoencoder(Module):
 
     def parts(self) -> list:
         return [("enc", self.encoder), ("dec", self.decoder)]
-
-    def snapshot(self, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        return snapshot_state(self.state_arrays(), into)
 
 
 @dataclass(frozen=True)

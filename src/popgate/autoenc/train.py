@@ -45,14 +45,17 @@ class AETrainConfig(TrainConfig):
 
 
 def train_group_autoencoder(
-    group: FeatureGroup, data: np.ndarray, cfg: AETrainConfig, seed: int
+    group: FeatureGroup, data: np.ndarray, cfg: AETrainConfig, seed: int, checkpoint: str | Path
 ) -> tuple[Autoencoder, ScalerParams, dict]:
     """Standardize one group's columns, train its autoencoder, return the
     best-validation model plus the fitted scaler and a history dict.
 
     `data` holds only this group's training-split columns (width group.d);
     a fixed `cfg.val_fraction` of its rows is held out for early stopping.
-    The run's `seed` names every random stream.
+    The run's `seed` names every random stream. Each epoch that improves
+    the validation loss writes the group's full checkpoint to `checkpoint`,
+    so the file is the only copy of the best epoch: the model is read back
+    from it only when a later epoch ran.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != group.d:
@@ -68,11 +71,10 @@ def train_group_autoencoder(
     Xtr = scaler_apply(scaler, X[train_idx])
     Xva = scaler_apply(scaler, X[val_idx])
 
-    model = Autoencoder(group.d, group.d_enc, rng_for(seed, f"ae-init-{group.name}"), name=group.name)
+    model = _initial_model(group, seed)
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
     control = cfg.control()
-    best_state = model.snapshot()
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
     for epoch in range(cfg.max_epochs):
@@ -95,21 +97,50 @@ def train_group_autoencoder(
         history["val_loss"].append(val_terms.total)
         opt.lr = control.update(val_terms.total)
         if control.improved:
-            model.snapshot(into=best_state)
+            _save_group(checkpoint, group, model, scaler, seed)
         if control.should_stop:
             break
 
-    model.load_state(best_state)
-    del best_state
-    # no step reads the grads again: give each param its own unmapped zeros,
-    # so the optimizer's grad arena is freed with `opt` on return
-    for p in opt.params:
+    # no step reads the moments or the grads again: m and v go with `opt`,
+    # and the grad arena once each param has its own unmapped zeros, all
+    # before the best epoch is read back
+    del opt
+    for p in model.params():
         p.grad = np.zeros(p.value.shape)
+    if control.best_epoch < 0:
+        # no epoch improved (a non-finite validation loss): the initial
+        # weights are drawn again, not kept
+        model = _initial_model(group, seed)
+        _save_group(checkpoint, group, model, scaler, seed)
+    elif control.best_epoch < control.epoch:
+        model.load_state(load_checkpoint(checkpoint, prefixes=("enc.", "dec."))[0], checkpoint)
     xv_hat, _ = model.forward(Xva, train=False)
     history["val_relmse"] = rel_mse(Xva, xv_hat)
     history["best_epoch"] = control.best_epoch
     history["epochs_run"] = control.epoch + 1
     return model, scaler, history
+
+
+def _initial_model(group: FeatureGroup, seed: int) -> Autoencoder:
+    return Autoencoder(group.d, group.d_enc, rng_for(seed, f"ae-init-{group.name}"), name=group.name)
+
+
+def _save_group(path: str | Path, group: FeatureGroup, model: Autoencoder,
+                scaler: ScalerParams, seed: int) -> None:
+    """Write one group's checkpoint: the model's state (decoder included),
+    its scaler, and the metadata naming the group, its init stream's seed
+    and its layers."""
+    arrays = model.state_arrays()
+    arrays["scaler.center"] = scaler.center
+    arrays["scaler.scale"] = scaler.scale
+    arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
+    meta = {
+        "group": group,
+        "seed": derive_seed(seed, f"ae-init-{group.name}"),
+        "encoder_specs": [layer.spec for layer in model.encoder.layers],
+        "decoder_specs": [layer.spec for layer in model.decoder.layers],
+    }
+    save_checkpoint(path, arrays, meta)
 
 
 @dataclass(frozen=True)
@@ -135,11 +166,11 @@ class CompressorEnsemble:
     """A saved ensemble of per-group encoders, applied slice-by-slice and
     concatenated in registry order.
 
-    `save` writes trained models, decoders included; `load` returns an
-    ensemble that holds each group's checkpoint path. `compress` reads a
-    group's encoder and scaler only when it reaches that group and drops them
-    before the next, so at most one encoder is in memory and no decoder is
-    ever read.
+    Training writes each group's checkpoint, decoder included, and `save`
+    writes `ensemble.json` over them; `load` returns an ensemble that holds
+    each group's checkpoint path. `compress` reads a group's encoder and
+    scaler only when it reaches that group and drops them before the next,
+    so at most one encoder is in memory and no decoder is ever read.
     """
 
     def __init__(self, registry: Sequence[FeatureGroup], seed: int,
@@ -181,33 +212,20 @@ class CompressorEnsemble:
     def save(
         out_dir: str | Path,
         registry: Sequence[FeatureGroup],
-        trained: Mapping[str, tuple[Autoencoder, ScalerParams, dict]],
+        histories: Mapping[str, dict],
         seed: int,
     ) -> None:
-        """Write each group's `train_group_autoencoder` result, by group name,
-        and `ensemble.json`."""
-        missing = [g.name for g in registry if g.name not in trained]
+        """Write `ensemble.json` over the group checkpoints `<name>.npz`
+        that `train_group_autoencoder` wrote to `out_dir`, from each group's
+        history by group name."""
+        missing = [g.name for g in registry if g.name not in histories]
         if missing:
             raise ConfigError(f"ensemble missing trained groups: {missing}")
         registry = tuple(registry)
-        out = Path(out_dir)
-        groups = {}
-        for g in registry:
-            model, scaler, history = trained[g.name]
-            arrays = model.state_arrays()
-            arrays["scaler.center"] = scaler.center
-            arrays["scaler.scale"] = scaler.scale
-            arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
-            meta = {
-                "group": g,
-                "seed": derive_seed(seed, f"ae-init-{g.name}"),
-                "encoder_specs": [layer.spec for layer in model.encoder.layers],
-                "decoder_specs": [layer.spec for layer in model.decoder.layers],
-            }
-            save_checkpoint(out / f"{g.name}.npz", arrays, meta)
-            groups[g.name] = _GroupFile(f"{g.name}.npz", history["val_relmse"])
+        groups = {g.name: _GroupFile(f"{g.name}.npz", histories[g.name]["val_relmse"])
+                  for g in registry}
         files = _EnsembleFiles(registry, registry_hash(registry), seed, groups)
-        write_json(out / "ensemble.json", files)
+        write_json(Path(out_dir) / "ensemble.json", files)
 
     @staticmethod
     def load(in_dir: str | Path) -> "CompressorEnsemble":

@@ -303,13 +303,16 @@ def cmd_ae_train(ctx: RunContext) -> str:
     del X  # training reads only the train rows
 
     cfg = ctx.arg("ae.train")
-    trained = {g.name: train_group_autoencoder(g, X_train[:, g.cols], cfg, ctx.seed)
-               for g in registry}
-    CompressorEnsemble.save(model_dir, registry, trained, ctx.seed)
-    histories = {name: hist for name, (_, _, hist) in trained.items()}
-    write_json(ctx.outputs["history"], histories)
+    # each group's training writes its checkpoint; until every group has
+    # trained, no ensemble.json may name a mix of old and new checkpoints
+    ctx.outputs["ensemble"].unlink(missing_ok=True)
+    histories = {}
     for g in registry:
-        ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
+        ckpt = ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
+        # only the history is kept: a trained model is freed before the next trains
+        histories[g.name] = train_group_autoencoder(g, X_train[:, g.cols], cfg, ctx.seed, ckpt)[2]
+    write_json(ctx.outputs["history"], histories)
+    CompressorEnsemble.save(model_dir, registry, histories, ctx.seed)
     worst = max(histories.values(), key=lambda h: h["val_relmse"])["val_relmse"]
     return (
         f"ae-train: {len(registry)} group(s) on {int(mask.sum())} train rows, "

@@ -335,7 +335,8 @@ def ref_weight_grad(acc, x, grad):
 
 # ---------------------------------------------------------------------------
 # reference training loops: the two hand-written epoch loops that phase 1 and
-# phase 2 ran before they shared one. They drive the package's own layers,
+# phase 2 ran before they shared one, and the autoencoder's loop from when it
+# kept its best epoch in memory. They drive the package's own layers,
 # optimizers and early-stopping machine, so they check only the loop around
 # them: the streams, the batch order, the clip/step order, the snapshot and
 # the history.
@@ -472,3 +473,90 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
         lr_reductions=control.num_reductions,
     )
     return history
+
+
+def ref_train_group_autoencoder(group, data, cfg, seed):
+    """The autoencoder trainer as it was before it kept its best epoch in the
+    checkpoint file: the best epoch is a snapshot in memory, and the model
+    returns with it loaded. Returns (model, scaler, history)."""
+    import numpy as np
+
+    from popgate.autoenc.model import Autoencoder, ae_loss, lambda_for
+    from popgate.autoenc.train import rel_mse
+    from popgate.data.scaling import scaler_apply, scaler_fit
+    from popgate.exceptions import ShapeError
+    from popgate.nn import Adam, clip_grad_norm
+    from popgate.nn.layers import snapshot_state
+    from popgate.seeding import rng_for
+
+    X = np.asarray(data, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != group.d:
+        raise ShapeError(f"group {group.name!r} expects width {group.d}, got {X.shape}")
+    n = X.shape[0]
+    n_val = max(1, int(round(cfg.val_fraction * n)))
+    perm = rng_for(seed, f"ae-val-{group.name}").permutation(n)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+
+    scaler = scaler_fit(X[train_idx], "zscore")
+    Xtr = scaler_apply(scaler, X[train_idx])
+    Xva = scaler_apply(scaler, X[val_idx])
+
+    model = Autoencoder(group.d, group.d_enc, rng_for(seed, f"ae-init-{group.name}"),
+                        name=group.name)
+    lam = lambda_for(group.d_enc)
+    opt = Adam(model.params(), lr=cfg.lr)
+    control = cfg.control()
+    best_state = snapshot_state(model.state_arrays())
+    history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
+
+    for epoch in range(cfg.max_epochs):
+        order = rng_for(seed, f"ae-shuffle-{group.name}-{epoch}").permutation(len(train_idx))
+        drop_rng = rng_for(seed, f"ae-dropout-{group.name}-{epoch}")
+        epoch_loss = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            xb = Xtr[order[lo : lo + cfg.batch_size]]
+            opt.zero_grad()
+            x_hat, z = model.forward(xb, train=True, rng=drop_rng)
+            terms, d_xhat, d_z = ae_loss(xb, x_hat, z, lam)
+            model.backward(d_xhat, d_z)
+            clip_grad_norm(opt.params, cfg.clip_norm)
+            opt.step()
+            epoch_loss += terms.total * xb.shape[0]
+        history["train_loss"].append(epoch_loss / len(train_idx))
+
+        xv_hat, zv = model.forward(Xva, train=False)
+        val_terms, _, _ = ae_loss(Xva, xv_hat, zv, lam)
+        history["val_loss"].append(val_terms.total)
+        opt.lr = control.update(val_terms.total)
+        if control.improved:
+            snapshot_state(model.state_arrays(), into=best_state)
+        if control.should_stop:
+            break
+
+    model.load_state(best_state)
+    xv_hat, _ = model.forward(Xva, train=False)
+    history["val_relmse"] = rel_mse(Xva, xv_hat)
+    history["best_epoch"] = control.best_epoch
+    history["epochs_run"] = control.epoch + 1
+    return model, scaler, history
+
+
+def ref_save_group_checkpoint(path, group, model, scaler, seed) -> None:
+    """A group checkpoint as the ensemble's save wrote it from a trained
+    model and its scaler, before training wrote it."""
+    import numpy as np
+
+    from popgate.nn import save_checkpoint
+    from popgate.seeding import derive_seed
+
+    arrays = model.state_arrays()
+    arrays["scaler.center"] = scaler.center
+    arrays["scaler.scale"] = scaler.scale
+    arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
+    meta = {
+        "group": group,
+        "seed": derive_seed(seed, f"ae-init-{group.name}"),
+        "encoder_specs": [layer.spec for layer in model.encoder.layers],
+        "decoder_specs": [layer.spec for layer in model.decoder.layers],
+    }
+    save_checkpoint(path, arrays, meta)

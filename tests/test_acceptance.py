@@ -404,21 +404,23 @@ def test_criterion_07_ensemble_beats_best_single_branch():
 # -- 08 compression sanity ---------------------------------------------------------
 
 
-def test_criterion_08_autoencoder_compression_sanity():
+def test_criterion_08_autoencoder_compression_sanity(tmp_path):
     """A 64-wide rank-4 signal compresses to 4 dims nearly losslessly and
     competitively with PCA; white noise at the same shape does not."""
     rng = np.random.default_rng(8)
     n, d, r = 2500, 64, 4
     X = rng.normal(size=(n, r)) @ rng.normal(size=(r, d)) + 0.3 * rng.normal(size=(n, d))
     cfg = AETrainConfig(max_epochs=2600, batch_size=64, patience=150, plateau_patience=60)
-    _, _, hist = train_group_autoencoder(FeatureGroup("rank4", 0, d, r), X, cfg, 46)
+    _, _, hist = train_group_autoencoder(FeatureGroup("rank4", 0, d, r), X, cfg, 46,
+                                         tmp_path / "rank4.npz")
     pca = pca_holdout_relmse(X, "rank4", r)
     assert hist["val_relmse"] < 0.05, hist["val_relmse"]
     assert hist["val_relmse"] <= 2.0 * pca, (hist["val_relmse"], pca)
 
     Xw = np.random.default_rng(9).normal(size=(n, d))
     wcfg = AETrainConfig(max_epochs=300, batch_size=64, patience=60, plateau_patience=25)
-    _, _, whist = train_group_autoencoder(FeatureGroup("noise", 0, d, r), Xw, wcfg, 46)
+    _, _, whist = train_group_autoencoder(FeatureGroup("noise", 0, d, r), Xw, wcfg, 46,
+                                          tmp_path / "noise.npz")
     assert whist["val_relmse"] > 0.8, whist["val_relmse"]
     _report(8, f"compression: rank-4 RelMSE {hist['val_relmse']:.4f} "
                f"(PCA {pca:.4f}), white noise {whist['val_relmse']:.4f}")

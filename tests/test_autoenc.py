@@ -1,11 +1,19 @@
 """Architecture planning, latent-penalty loss, group registry, and
 compression training against PCA oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
 import popgate.autoenc.train
-from _oracles import naive_rel_mse, pca_holdout_relmse, pca_relmse
+from _oracles import (
+    naive_rel_mse,
+    pca_holdout_relmse,
+    pca_relmse,
+    ref_save_group_checkpoint,
+    ref_train_group_autoencoder,
+)
 from popgate.autoenc import (
     AETrainConfig,
     Autoencoder,
@@ -25,6 +33,7 @@ from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn import Adam, mse_loss
 from popgate.nn.gradcheck import check_gradients
+from popgate.seeding import rng_for
 
 
 # --- architecture planning ------------------------------------------------------
@@ -258,7 +267,7 @@ def _low_rank_data(rng, n, d, rank, noise):
     return z @ A + noise * rng.normal(size=(n, d))
 
 
-def test_rank1_data_compresses_to_small_relmse():
+def test_rank1_data_compresses_to_small_relmse(tmp_path):
     rng = np.random.default_rng(6)
     u = rng.normal(size=(300, 1))
     v = rng.normal(size=(1, 64))
@@ -268,48 +277,107 @@ def test_rank1_data_compresses_to_small_relmse():
     # epoch, so the test budgets steps via a smaller batch and more epochs
     cfg = AETrainConfig(max_epochs=2200, batch_size=32, patience=150, plateau_patience=60)
     seed = 46
-    model, scaler, history = train_group_autoencoder(group, X, cfg, seed)
+    model, scaler, history = train_group_autoencoder(group, X, cfg, seed, tmp_path / "g.npz")
     assert history["val_relmse"] < 0.05
     # within 2x of the linear (PCA) oracle on the identical split/scaling
     oracle = pca_holdout_relmse(X, "rank1", 4, seed=seed)
     assert history["val_relmse"] < 2.0 * oracle
 
 
-def test_white_noise_is_incompressible():
+def test_white_noise_is_incompressible(tmp_path):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(400, 64))
     group = FeatureGroup("noise", 0, 64, 4)
-    model, scaler, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=60), 46)
+    model, scaler, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=60), 46,
+                                                     tmp_path / "g.npz")
     assert history["val_relmse"] > 0.8
     assert pca_relmse(X, 4) > 0.8  # the oracle bound itself
 
 
-def test_loss_decreases_over_first_epochs():
+def test_loss_decreases_over_first_epochs(tmp_path):
     rng = np.random.default_rng(8)
     X = _low_rank_data(rng, 300, 32, 3, 0.1)
     group = FeatureGroup("g", 0, 32, 3)
-    _, _, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=5), 46)
+    _, _, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=5), 46,
+                                            tmp_path / "g.npz")
     assert history["train_loss"][-1] < history["train_loss"][0]
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(tmp_path):
     rng = np.random.default_rng(9)
     X = _low_rank_data(rng, 120, 16, 2, 0.1)
     group = FeatureGroup("g", 0, 16, 2)
     cfg = AETrainConfig(max_epochs=12)
-    m1, s1, h1 = train_group_autoencoder(group, X, cfg, 3)
-    m2, s2, h2 = train_group_autoencoder(group, X, cfg, 3)
+    m1, s1, h1 = train_group_autoencoder(group, X, cfg, 3, tmp_path / "1.npz")
+    m2, s2, h2 = train_group_autoencoder(group, X, cfg, 3, tmp_path / "2.npz")
     assert h1["train_loss"] == h2["train_loss"]
     assert h1["val_relmse"] == h2["val_relmse"]
     for a, b in zip(m1.params(), m2.params()):
         assert np.array_equal(a.value, b.value)
+    assert (tmp_path / "1.npz").read_bytes() == (tmp_path / "2.npz").read_bytes()
 
 
-def test_training_holds_at_most_five_param_copies():
-    # values, grads, m, v and one best-epoch snapshot: 5 copies of the params.
-    # Snapshotting into the previous best (not beside it) and stepping in
-    # chunks keep the peak there, plus two largest-param temporaries from
-    # backward and clipping, plus a quarter copy of slack.
+# (max_epochs, batch_size, lr, patience, plateau_patience) for each way an
+# epoch loop can end; the test checks that each case happens
+ORACLE_CASES = {
+    "best-is-last": (6, 32, 3e-3, 25, 10),
+    "best-is-earlier": (11, 16, 0.3, 20, 20),
+    "stops-early": (30, 16, 0.1, 3, 20),
+    "cuts-lr": (30, 16, 0.1, 20, 1),
+    "never-improves": (5, 32, 3e-3, 3, 2),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
+    # the best epoch lives in the checkpoint file, not in a snapshot: the
+    # model, the history and the file's bytes are those of the trainer that
+    # kept the snapshot in memory and saved the checkpoint after training
+    max_epochs, batch_size, lr, patience, plateau_patience = ORACLE_CASES[case]
+    cfg = AETrainConfig(lr=lr, batch_size=batch_size, max_epochs=max_epochs, patience=patience,
+                        plateau_patience=plateau_patience)
+    group = FeatureGroup("g", 0, 16, 3)
+    X = _low_rank_data(np.random.default_rng(21), 120, 16, 2, 0.3)
+    if case == "never-improves":
+        # validation rows so far out of scale that every validation loss
+        # overflows to inf, while training runs on finite losses
+        n_val = int(round(cfg.val_fraction * len(X)))
+        X[rng_for(46, "ae-val-g").permutation(len(X))[:n_val]] *= 1e200
+    loads = []
+    load = popgate.autoenc.train.load_checkpoint
+    monkeypatch.setattr(popgate.autoenc.train, "load_checkpoint",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_model, ref_scaler, ref_history = ref_train_group_autoencoder(group, X, cfg, 46)
+        model, _, history = train_group_autoencoder(group, X, cfg, 46, tmp_path / "g.npz")
+
+    best, ran = history["best_epoch"], history["epochs_run"]
+    control = cfg.control()
+    for val_loss in history["val_loss"]:
+        control.update(val_loss)
+    assert {
+        "best-is-last": best == ran - 1 and ran == max_epochs,
+        "best-is-earlier": 0 <= best < ran - 1 and ran == max_epochs,
+        "stops-early": ran < max_epochs,
+        "cuts-lr": control.num_reductions > 0,
+        "never-improves": best == -1,
+    }[case], (best, ran, control.num_reductions)
+    assert len(loads) == (0 <= best < ran - 1)
+
+    assert json.dumps(history, sort_keys=True) == json.dumps(ref_history, sort_keys=True)
+    ref_state, state = ref_model.state_arrays(), model.state_arrays()
+    assert list(state) == list(ref_state)
+    for key in state:
+        assert state[key].view(np.uint64).tobytes() == ref_state[key].view(np.uint64).tobytes(), key
+    ref_save_group_checkpoint(tmp_path / "ref.npz", group, ref_model, ref_scaler, 46)
+    assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+
+def test_training_holds_at_most_four_param_copies(tmp_path):
+    # values, grads, m and v: 4 copies of the params. The best epoch goes to
+    # the checkpoint file, not to a fifth copy, and stepping in chunks keeps
+    # the peak there, plus two largest-param temporaries from backward and
+    # clipping, plus a quarter copy of slack.
     tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(12)
     X = rng.normal(size=(60, 2000))
@@ -319,21 +387,21 @@ def test_training_holds_at_most_five_param_copies():
     cfg = AETrainConfig(max_epochs=3)
     tracemalloc.start()
     try:
-        _, _, history = train_group_autoencoder(group, X, cfg, 5)
+        _, _, history = train_group_autoencoder(group, X, cfg, 5, tmp_path / "wide.npz")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert history["epochs_run"] == 3
-    assert peak <= 5 * P + 2 * L + 0.25 * P, f"peak {peak / P:.2f}·P ({(peak - 2 * L) / P:.2f}·P + 2·L)"
+    assert peak <= 4 * P + 2 * L + 0.25 * P, f"peak {peak / P:.2f}·P ({(peak - 2 * L) / P:.2f}·P + 2·L)"
 
 
-def test_trained_model_keeps_no_view_of_the_grad_arena():
+def test_trained_model_keeps_no_view_of_the_grad_arena(tmp_path):
     # the optimizer's grad arena is written during training and read by no
     # later step; each param gets its own zeros so the arena can be freed
     rng = np.random.default_rng(13)
     X = _low_rank_data(rng, 80, 16, 2, 0.1)
     model, _, _ = train_group_autoencoder(FeatureGroup("g", 0, 16, 2), X,
-                                          AETrainConfig(max_epochs=3), 46)
+                                          AETrainConfig(max_epochs=3), 46, tmp_path / "g.npz")
     params = model.params()
     assert all(p.grad.base is None and p.grad.shape == p.value.shape for p in params)
     assert not any(p.grad.any() for p in params)
@@ -341,28 +409,35 @@ def test_trained_model_keeps_no_view_of_the_grad_arena():
     assert len({id(p.value.base) for p in params}) == 1
 
 
-def test_train_rejects_wrong_width():
+def test_train_rejects_wrong_width(tmp_path):
     group = FeatureGroup("g", 0, 16, 2)
     with pytest.raises(ShapeError):
-        train_group_autoencoder(group, np.zeros((10, 8)), AETrainConfig(), 46)
+        train_group_autoencoder(group, np.zeros((10, 8)), AETrainConfig(), 46, tmp_path / "g.npz")
+    assert not (tmp_path / "g.npz").exists()
 
 
 # --- ensemble ---------------------------------------------------------------------
 
 
-def _tiny_trained_ensemble(seed=0):
+def _tiny_trained_ensemble(out_dir, seed=0):
+    """Two groups trained with their checkpoints in `out_dir`."""
     rng = np.random.default_rng(seed)
     g1 = FeatureGroup("left", 0, 8, 3)
     g2 = FeatureGroup("right", 8, 12, 5)
     X = np.hstack([_low_rank_data(rng, 150, 8, 2, 0.1), _low_rank_data(rng, 150, 12, 2, 0.1)])
     cfg = AETrainConfig(max_epochs=8)
-    trained = {g.name: train_group_autoencoder(g, X[:, g.cols], cfg, 46) for g in (g1, g2)}
+    trained = {g.name: train_group_autoencoder(g, X[:, g.cols], cfg, 46, out_dir / f"{g.name}.npz")
+               for g in (g1, g2)}
     return (g1, g2), trained, X
+
+
+def _histories(trained):
+    return {name: history for name, (_, _, history) in trained.items()}
 
 
 def _saved(out_dir, registry, trained, seed=46):
     """The ensemble that `save` writes to `out_dir`, read back by `load`."""
-    CompressorEnsemble.save(out_dir, registry, trained, seed)
+    CompressorEnsemble.save(out_dir, registry, _histories(trained), seed)
     return CompressorEnsemble.load(out_dir)
 
 
@@ -373,39 +448,40 @@ def _encode(trained, g, X):
 
 
 def test_ensemble_concatenation_order_and_dims(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
-    ens = _saved(tmp_path / "a", [g1, g2], trained)
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
+    ens = _saved(tmp_path, [g1, g2], trained)
     Z = ens.compress(X)
     assert Z.shape == (150, 8)
     # first 3 columns come from group 1 alone
     assert np.array_equal(Z[:, :3], _encode(trained, g1, X))
     # permuting the registry permutes the blocks and nothing else
-    swapped = _saved(tmp_path / "b", [g2, g1], trained).compress(X)
+    swapped = _saved(tmp_path, [g2, g1], trained).compress(X)
     assert np.array_equal(swapped[:, :5], Z[:, 3:])
     assert np.array_equal(swapped[:, 5:], Z[:, :3])
 
 
 def test_ensemble_eval_determinism(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
     ens = _saved(tmp_path, [g1, g2], trained)
     assert np.array_equal(ens.compress(X), ens.compress(X))
 
 
 def test_ensemble_missing_columns_names_group(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
     ens = _saved(tmp_path, [g1, g2], trained)
     with pytest.raises(ShapeError, match="right"):
         ens.compress(X[:, :10])
 
 
 def test_ensemble_requires_all_groups(tmp_path):
-    (g1, g2), trained, _ = _tiny_trained_ensemble()
+    (g1, g2), trained, _ = _tiny_trained_ensemble(tmp_path)
     with pytest.raises(ConfigError, match="missing"):
-        CompressorEnsemble.save(tmp_path, [g1, g2], {"left": trained["left"]}, 46)
+        CompressorEnsemble.save(tmp_path, [g1, g2], {"left": trained["left"][2]}, 46)
+    assert not (tmp_path / "ensemble.json").exists()
 
 
 def test_ensemble_save_load_round_trip(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
     loaded = _saved(tmp_path, [g1, g2], trained, seed=46)
     assert np.array_equal(loaded.compress(X),
                           np.hstack([_encode(trained, g, X) for g in (g1, g2)]))
@@ -421,8 +497,8 @@ def _rewrite_checkpoint(path, keep):
 
 
 def test_loaded_ensemble_never_reads_decoders(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
-    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
+    CompressorEnsemble.save(tmp_path, [g1, g2], _histories(trained), 46)
     for g in (g1, g2):
         _rewrite_checkpoint(tmp_path / f"{g.name}.npz", lambda k: not k.startswith("dec."))
     expected = np.hstack([_encode(trained, g, X) for g in (g1, g2)])
@@ -430,8 +506,8 @@ def test_loaded_ensemble_never_reads_decoders(tmp_path):
 
 
 def test_loaded_ensemble_builds_no_autoencoder(tmp_path, monkeypatch):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
-    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
+    CompressorEnsemble.save(tmp_path, [g1, g2], _histories(trained), 46)
     expected = np.hstack([_encode(trained, g, X) for g in (g1, g2)])
 
     def no_autoencoder(*args, **kwargs):
@@ -443,8 +519,8 @@ def test_loaded_ensemble_builds_no_autoencoder(tmp_path, monkeypatch):
 
 
 def test_loaded_ensemble_missing_encoder_array_names_path_and_key(tmp_path):
-    (g1, g2), trained, X = _tiny_trained_ensemble()
-    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
+    (g1, g2), trained, X = _tiny_trained_ensemble(tmp_path)
+    CompressorEnsemble.save(tmp_path, [g1, g2], _histories(trained), 46)
     ckpt = tmp_path / "right.npz"
     _rewrite_checkpoint(ckpt, lambda k: k != "enc.layer0.W")
     loaded = CompressorEnsemble.load(tmp_path)
@@ -454,8 +530,8 @@ def test_loaded_ensemble_missing_encoder_array_names_path_and_key(tmp_path):
 
 
 def test_load_checks_every_checkpoint_exists(tmp_path):
-    (g1, g2), trained, _ = _tiny_trained_ensemble()
-    CompressorEnsemble.save(tmp_path, [g1, g2], trained, 46)
+    (g1, g2), trained, _ = _tiny_trained_ensemble(tmp_path)
+    CompressorEnsemble.save(tmp_path, [g1, g2], _histories(trained), 46)
     (tmp_path / "right.npz").unlink()
     with pytest.raises(MissingInputError, match="right.npz"):
         CompressorEnsemble.load(tmp_path)

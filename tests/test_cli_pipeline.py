@@ -17,6 +17,7 @@ import popgate.pipeline
 from popgate.autoenc import FeatureGroup, registry_hash
 from popgate.cli import build_parser, main
 from popgate.codec import from_json
+from popgate.exceptions import MissingInputError
 from popgate.metrics import compute_metrics
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
 
@@ -91,6 +92,12 @@ class TestChainArtifacts:
             assert hist["best_val_mse"] <= hist["val_mse"][0] + 1e-12
         h2 = json.loads((ws / "models/fused/phase2_history.json").read_text())
         assert h2["best_val_mse"] <= h2["initial_val_mse"] + 1e-12
+
+    def test_ae_model_dir_holds_the_ensemble_history_and_group_checkpoints(self, chain_ws):
+        ws, _ = chain_ws
+        groups = [g["name"] for g in chain_config()["ae"]["registry"]]
+        assert sorted(p.name for p in (ws / "models/ae").iterdir()) == sorted(
+            ["ensemble.json", "history.json", *(f"{name}.npz" for name in groups)])
 
     def test_predictions_are_convex_and_in_band(self, chain_ws):
         ws, _ = chain_ws
@@ -481,6 +488,34 @@ class TestCliContract:
         assert str(ckpt) in err and "'enc.layer0.W'" in err
         assert (cfg_path.parent / "data/audio_z.csv").read_bytes() == before
 
+    def test_failed_ae_train_leaves_no_ensemble_for_compress(self, chain_ws, tmp_path,
+                                                              monkeypatch, capsys):
+        # the copy holds a finished run's ensemble.json; a run whose second
+        # group fails must not leave it naming a mix of old and new checkpoints
+        ws, _ = chain_ws
+        copy = _copy_ws(ws, tmp_path / "ws").parent
+        cfg = chain_config()
+        cfg["ae"]["registry"] = [{"name": "lo", "start": 0, "d": 6, "d_enc": 2},
+                                 {"name": "hi", "start": 6, "d": 6, "d_enc": 2}]
+        cfg["ae"]["train"]["max_epochs"] = 2
+        p = write_config(tmp_path, cfg, "two.json")
+        train = popgate.pipeline.train_group_autoencoder
+
+        def second_group_fails(group, *args):
+            if group.name == "hi":
+                raise ValueError("group hi failed")
+            return train(group, *args)
+
+        monkeypatch.setattr(popgate.pipeline, "train_group_autoencoder", second_group_fails)
+        assert (copy / "models/ae/ensemble.json").exists()
+        assert main(["ae-train", "--config", str(p), "--workspace", str(copy)]) == 1
+        assert (copy / "models/ae/lo.npz").exists()
+        assert not (copy / "models/ae/ensemble.json").exists()
+        capsys.readouterr()
+        rc = main(["compress", "--config", str(p), "--workspace", str(copy)])
+        assert rc == MissingInputError.exit_code
+        assert "models/ae/ensemble.json" in capsys.readouterr().err
+
     def test_type_error_inside_step_is_not_a_config_error(self, chain_ws, monkeypatch):
         ws, cfg_path = chain_ws
 
@@ -864,7 +899,7 @@ class TestTracedRun:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        train = {"nn.snapshot", "nn.clip", "nn.optim_step", "nn.checkpoint_save"}
+        train = {"nn.clip", "nn.optim_step", "nn.checkpoint_save"}
         # every subcommand, in chain order: synth rewrites the copy's data
         # with the same bytes
         expect = {
@@ -874,8 +909,8 @@ class TestTracedRun:
             "ctd-extract": {"ctd.ingest", "ctd.build"},
             "ae-train": {"autoenc.train", "autoenc.save", *train},
             "compress": {"autoenc.load", "nn.checkpoint_load"},
-            "train-phase1": {"fusion.phase1", *train},
-            "train-phase2": {"fusion.phase2", "nn.checkpoint_load", *train},
+            "train-phase1": {"fusion.phase1", "nn.snapshot", *train},
+            "train-phase2": {"fusion.phase2", "nn.checkpoint_load", "nn.snapshot", *train},
             "predict": {"pipeline.predict", "fusion.load", "tabular.read_matrix",
                         "data.scaler", "fusion.predict"},
             "evaluate": {"fusion.gate_report"},

@@ -147,6 +147,23 @@ def test_dense_linear_matches_matmul():
     assert np.allclose(out, x @ layer.W.value + layer.b.value)
 
 
+def test_dense_init_draws_what_normal_draws():
+    # the weights are rng.normal(0, scale, shape) bit for bit, He-scaled for
+    # rectifiers and Glorot-scaled otherwise, and the stream is left where
+    # normal leaves it, so the next draw is the same too: the checkpoint
+    # bytes of every trained model rest on both
+    specs = [DenseLayerSpec(3, 5, Elu()), DenseLayerSpec(7, 1, Identity()),
+             DenseLayerSpec(64, 33, LeakyRelu(), batchnorm=True), DenseLayerSpec(1, 128, Sigmoid())]
+    for seed in range(30):
+        for spec in specs:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            gain = 2.0 if isinstance(spec.activation, (Elu, LeakyRelu)) else 1.0
+            W = Dense(spec, rng).W.value
+            expected = ref.normal(0.0, np.sqrt(gain / spec.in_dim), size=(spec.in_dim, spec.out_dim))
+            assert W.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes(), (seed, spec)
+            assert rng.normal(size=3).tobytes() == ref.normal(size=3).tobytes(), (seed, spec)
+
+
 def test_dense_rejects_wrong_width():
     layer = Dense(_spec(), np.random.default_rng(0), name="enc.0")
     with pytest.raises(ShapeError, match=r"enc\.0.*\(batch, 3\)"):

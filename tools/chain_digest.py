@@ -6,26 +6,31 @@ Usage: python tools/chain_digest.py NAME SEED WORKSPACE
 
 NAME is `readme` (the README config), `chain-small` or `chain-paper`; the
 configs come from perfbench/workloads.py. WORKSPACE must be absent or empty.
-The config is written there as run.json, and the steps run in this process
-on the program under src/ beside tools/; their summaries go to stderr.
-Prints `sha256  path` for every file under data/, models/, out/ and
-manifests/, sorted by path. Manifests record paths relative to the
-workspace, so two runs compare at any two workspace paths.
+The config is written there as run.json, and each step runs as its own
+process, `python -m popgate.cli STEP --config run.json`, on the program
+under src/ beside tools/. Its summary goes to stderr, and so does one line
+with its wall time and its peak RSS (from `os.wait4`, so a step's peak is
+its own, not the high-water mark of an earlier one). Prints
+`sha256  path` for every file under data/, models/, out/ and manifests/,
+sorted by path. Manifests record paths relative to the workspace, so two
+runs compare at any two workspace paths.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 
-from popgate.cli import main as popgate  # noqa: E402
 from popgate.codec import write_json  # noqa: E402
 
 ARTIFACT_DIRS = ("data", "models", "out", "manifests")
@@ -36,6 +41,21 @@ def _workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_step(step: str, cfg_path: Path) -> tuple[int, float, float]:
+    """Run one step as a child with its stdout on our stderr: its exit
+    code, wall time in s and peak RSS in MB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "popgate.cli", step, "--config", str(cfg_path)],
+                            stdout=sys.stderr, env=env)
+    # wait4, not Popen.wait: it also returns the child's peak RSS
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0
 
 
 def main(argv: list[str]) -> int:
@@ -57,8 +77,9 @@ def main(argv: list[str]) -> int:
     cfg_path = workspace / "run.json"
     write_json(cfg_path, config)
     for step in wl.CHAIN:
-        with contextlib.redirect_stdout(sys.stderr):
-            rc = popgate([step, "--config", str(cfg_path)])
+        sys.stderr.flush()
+        rc, wall, rss_mb = run_step(step, cfg_path)
+        print(f"{step}: {wall:.2f} s, peak RSS {rss_mb:.1f} MB", file=sys.stderr)
         if rc != 0:
             print(f"error: {step} exited {rc}", file=sys.stderr)
             return 1
