@@ -3,7 +3,10 @@
 All files are UTF-8 CSV with a header row; readers skip a leading UTF-8
 byte-order mark. Floats are written with repr(), which round-trips exactly
 in float64 — rewriting unchanged data yields byte-identical files, which the
-reproducibility guarantees lean on.
+reproducibility guarantees lean on. Every table is written to a temporary
+sibling (`<name>.tmp`) and renamed onto its name only once it is complete,
+so a write that fails leaves the earlier file (or none), never a truncated
+one.
 
 Numeric matrices (the audio descriptors reach 12851 columns) stream one row
 at a time in both directions. The writer quotes only the id through
@@ -11,12 +14,30 @@ at a time in both directions. The writer quotes only the id through
 quoting; the reader parses each row with `float` straight into one float64
 matrix, so it never holds one Python string per cell of the whole file, nor
 a second copy of the matrix.
+
+A matrix of at least PARALLEL_CELLS cells is split into contiguous blocks of
+rows, one per core the process may run on (`os.sched_getaffinity`, which
+`taskset` restricts). The parent handles block 0; blocks 1…k−1 run the same
+per-row code in workers forked through `multiprocessing`. A writer worker
+streams its rows to `<name>.part<b>` beside the target, which the parent
+appends in order after its own rows. A reader worker parses its byte range
+of the file and sends the ids and float64 rows back through a pipe, read
+straight into the parent's matrix. The bytes written, the values read and
+the errors raised do not depend on the block count. Workers are forked,
+not spawned, so that they use the parent's matrix and ids in place, with
+nothing pickled but a block's ids; they call no BLAS routine, and popgate
+starts no threads of its own. They end through `os._exit`, so they run none
+of the caller's `finally` blocks or atexit handlers, and every worker is
+reaped before a call returns or raises.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
+import shutil
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
@@ -27,6 +48,13 @@ import numpy as np
 from .exceptions import MissingInputError, PopgateError
 
 KEY_COLUMN = "track_id"
+
+# The fewest cells a matrix needs before it is split across cores, set
+# between the largest table that two blocks did not reliably speed up in a
+# fresh process (155k cells of CTD features: 6 of 8 alternating runs won)
+# and the smallest that they did (248k cells of random floats: 11 or 12 of
+# 12); BENCH_parallel_matrix_io.json has the runs.
+PARALLEL_CELLS = 200_000
 
 
 def _cell(value) -> str:
@@ -41,11 +69,18 @@ def _cell(value) -> str:
 
 @contextmanager
 def _csv_writer(path: str | Path) -> Iterator[tuple]:
-    """Open `path` for writing -> (file, csv.writer on it)."""
+    """Open a temporary sibling of `path` for writing -> (file, csv.writer on
+    it); it replaces `path` when the block ends without an error, and is
+    removed when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        yield fh, csv.writer(fh, lineterminator="\n")
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh, csv.writer(fh, lineterminator="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -73,8 +108,18 @@ def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
         return header, list(reader)
 
 
-def _ragged(path: str | Path, r: int, header: list[str], row: list[str]) -> PopgateError:
-    return PopgateError(f"{path} row {r}: expected {len(header)} cells, got {len(row)}")
+class _BadRow(Exception):
+    """Row `args[0]` (0-based) of a block is ragged or holds a non-number;
+    `args[1]` is the rest of the message after "<path> row <r>"."""
+
+    def error(self, path: str | Path, first: int) -> PopgateError:
+        """The error, for a block whose first row is data row `first`."""
+        i, detail = self.args
+        return PopgateError(f"{path} row {first + i + 2}{detail}")
+
+
+def _ragged(i: int, header: list[str], row: list[str]) -> _BadRow:
+    return _BadRow(i, f": expected {len(header)} cells, got {len(row)}")
 
 
 def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]:
@@ -84,11 +129,78 @@ def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]
     missing = [n for n in names if n not in header]
     if missing:
         raise PopgateError(f"{path} lacks columns {missing}; has {header}")
-    for r, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows):
         if len(row) != len(header):
-            raise _ragged(path, r, header, row)
+            raise _ragged(i, header, row).error(path, 0)
     idx = {n: header.index(n) for n in names}
     return {n: [row[i] for row in rows] for n, i in idx.items()}
+
+
+@contextmanager
+def _workers() -> Iterator[list]:
+    """A list for `_fork`'s (process, pipe) pairs. On leaving, every pipe is
+    closed and every worker still running is killed, so that each is reaped
+    whether the block returns or raises."""
+    workers: list = []
+    try:
+        yield workers
+    finally:
+        for proc, pipe in workers:
+            pipe.close()
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+
+
+def _child(target, fd: int, *args) -> None:
+    with open(fd, "wb") as out:
+        target(out, *args)
+
+
+def _fork(target, *args) -> tuple:
+    """Start `target(out, *args)` in a forked worker, with `out` the write end
+    of a pipe -> (process, the read end as a binary file)."""
+    # imported here: the CLI's start-up never pays for multiprocessing
+    import multiprocessing
+
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    try:
+        proc = multiprocessing.get_context("fork").Process(target=_child, args=(target, w, *args))
+        proc.start()
+    except BaseException:
+        pipe.close()
+        raise
+    finally:
+        os.close(w)
+    return proc, pipe
+
+
+def _worker_failed(path: Path, proc) -> PopgateError:
+    return PopgateError(f"{path}: a worker process exited with code {proc.exitcode}")
+
+
+def _write_rows(fh, ids: Iterable[str], X: np.ndarray) -> None:
+    """Write one line per row, `csv.writer`'s bytes for `[id, *map(repr, row.tolist())]`."""
+    if not X.shape[1]:  # rows of one cell: csv.writer quotes an empty id alone
+        csv.writer(fh, lineterminator="\n").writerows([tid] for tid in ids)
+        return
+    # the id with its trailing comma, quoted as csv.writer would
+    buf = io.StringIO()
+    prefix = csv.writer(buf, lineterminator="\n")
+    for tid, row in zip(ids, X):
+        buf.seek(0)
+        buf.truncate()
+        prefix.writerow((tid, ""))
+        # tolist() yields Python scalars, whose repr() is what _cell writes;
+        # one row at a time, so no list of the whole matrix is built
+        fh.write(f"{buf.getvalue()[:-1]}{','.join(map(repr, row.tolist()))}\n")
+
+
+def _write_part(_out, part: Path, ids: Sequence[str], X: np.ndarray, lo: int, hi: int) -> None:
+    """A writer worker's block: rows lo..hi-1 into `part`; it sends nothing back."""
+    with open(part, "w", newline="", encoding="utf-8") as fh:
+        _write_rows(fh, islice(ids, lo, hi), X[lo:hi])
 
 
 def write_matrix_csv(
@@ -101,21 +213,26 @@ def write_matrix_csv(
         raise PopgateError(
             f"matrix shape {X.shape} does not match {len(ids)} ids x {len(feature_names)} names"
         )
-    with _csv_writer(path) as (fh, writer):
-        writer.writerow([KEY_COLUMN, *feature_names])
-        if not feature_names:  # rows of one cell: csv.writer quotes an empty id alone
-            writer.writerows([tid] for tid in ids)
-            return
-        # the id with its trailing comma, quoted as csv.writer would
-        buf = io.StringIO()
-        prefix = csv.writer(buf, lineterminator="\n")
-        for tid, row in zip(ids, X):
-            buf.seek(0)
-            buf.truncate()
-            prefix.writerow((tid, ""))
-            # tolist() yields Python scalars, whose repr() is what _cell writes;
-            # one row at a time, so no list of the whole matrix is built
-            fh.write(f"{buf.getvalue()[:-1]}{','.join(map(repr, row.tolist()))}\n")
+    path = Path(path)
+    k = len(os.sched_getaffinity(0)) if X.size >= PARALLEL_CELLS else 1
+    edges = [len(ids) * b // k for b in range(k + 1)]
+    parts = [path.with_name(f"{path.name}.part{b}") for b in range(1, k)]
+    try:
+        with _csv_writer(path) as (fh, writer), _workers() as workers:
+            for part, lo, hi in zip(parts, edges[1:], edges[2:]):
+                workers.append(_fork(_write_part, part, ids, X, lo, hi))
+            writer.writerow([KEY_COLUMN, *feature_names])
+            _write_rows(fh, islice(ids, edges[1]), X[: edges[1]])
+            fh.flush()
+            for (proc, _), part in zip(workers, parts):
+                proc.join()
+                if proc.exitcode:
+                    raise _worker_failed(path, proc)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _row_cells(path: Path, r: int) -> list[str]:
@@ -124,17 +241,120 @@ def _row_cells(path: Path, r: int) -> list[str]:
         return next(islice(reader, r, None))
 
 
-def _max_rows(path: Path) -> int:
-    """An upper bound on the data rows of a CSV file: its line ends (`\\n`,
-    `\\r\\n` or `\\r`), plus one for a last line without one. A `\\r\\n`
-    split across two chunks counts twice, which keeps it a bound."""
-    lines = 1
+_BOM = b"\xef\xbb\xbf"
+
+
+def _quotes_open_fields(chunk: bytes, quotes: int, before: int, first: bool) -> bool:
+    """Whether every quote of `chunk` that the running count `quotes` makes
+    an opening one starts a field (follows a comma, a line end or the start
+    of the file) or doubles the quote before it inside a quoted field.
+    `before` is the byte ahead of the chunk."""
+    a = np.frombuffer(chunk, np.uint8)
+    q = np.flatnonzero(a == ord('"'))
+    opening = q[(quotes + np.arange(q.size)) % 2 == 0]
+    prev = np.where(opening > 0, a[opening - 1], before)
+    if first and chunk.startswith(_BOM):
+        prev[opening == len(_BOM)] = ord("\n")
+    return bool(np.isin(prev, (ord(","), ord("\n"), ord("\r"), ord('"'))).all())
+
+
+def _scan(path: Path, blocks: int) -> tuple[int, list[int]]:
+    """One pass over a CSV file -> (an upper bound on its data rows, the byte
+    offsets that cut it into at most `blocks` blocks of whole records, from
+    0 to the file's size).
+
+    The bound counts line ends (`\\n`, `\\r\\n` or `\\r`), plus one for a last
+    line without one; a `\\r\\n` split across two chunks counts twice, which
+    keeps it a bound. Block b starts just after the first `\\n` from b/blocks
+    of the file on with an even count of `"` before it, which puts it
+    outside any quoted field. That count is exact only where each opening
+    quote starts a field; a file with a quote elsewhere (csv.reader keeps
+    the `"` of `ab"c` as text), or with no such `\\n` (`\\r` line ends), is
+    one block."""
+    size = path.stat().st_size
+    edges = [0]
+    lines, quotes, offset, before, regular = 1, 0, 0, ord("\n"), True
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             lines += chunk.count(b"\n")
             if b"\r" in chunk:
                 lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-    return lines
+            quoted = b'"' in chunk
+            if quoted:
+                regular = regular and _quotes_open_fields(chunk, quotes, before, offset == 0)
+            while len(edges) < blocks and regular:
+                j = chunk.find(b"\n", max(size * len(edges) // blocks, edges[-1], offset) - offset)
+                while j >= 0 and (quotes + chunk.count(b'"', 0, j)) % 2:
+                    j = chunk.find(b"\n", j + 1)
+                if j < 0 or offset + j + 1 >= size:
+                    break
+                edges.append(offset + j + 1)
+            if quoted:
+                quotes += chunk.count(b'"')
+            before = chunk[-1]
+            offset += len(chunk)
+    return lines, [*edges, size] if regular else [0, size]
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [start, stop) of a file, as a raw stream."""
+
+    def __init__(self, path: Path, start: int, stop: int):
+        self._fh = open(path, "rb", buffering=0)
+        self._fh.seek(start)
+        self._left = stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._fh.readinto(memoryview(b)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+
+def _parse_block(path: Path, start: int, stop: int, header: list[str], data: np.ndarray) -> list[str]:
+    """Parse the records in bytes [start, stop) of `path` into `data` from
+    row 0 -> their ids. The block at byte 0 skips the header record, a
+    byte-order mark included: the header starts with `track_id`, with or
+    without quotes, so the mark cannot move the record's end. Raises
+    _BadRow at the first ragged or non-numeric row."""
+    names, n = header[1:], len(header) - 1
+    ids: list[str] = []
+    raw = io.BufferedReader(_ByteRange(path, start, stop))
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if not start:
+            next(reader)
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise _ragged(i, header, row)
+            ids.append(row[0])
+            try:
+                data[i] = np.fromiter(map(float, row[1:]), np.float64, count=n)
+            except ValueError:
+                for c, cell in enumerate(row[1:]):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise _BadRow(i, f", column {names[c]!r}: not a number: {cell!r}") from None
+                raise
+    return ids
+
+
+def _read_part(out, path: Path, start: int, stop: int, header: list[str], data: np.ndarray) -> None:
+    """A worker's block: its ids (or its bad row) pickled, then its rows' bytes."""
+    try:
+        ids = _parse_block(path, start, stop, header, data)
+    except _BadRow as bad:
+        pickle.dump((None, bad.args), out)
+        return
+    pickle.dump((ids, None), out)
+    out.write(data[: len(ids)])
 
 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -144,33 +364,43 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     straight into one matrix sized from a count of the file's lines, then
     shrunk in place to the rows read."""
     path = Path(path)
-    with _csv_rows(path) as (header, reader):
-        if not header or header[0] != KEY_COLUMN:
-            raise PopgateError(f"{path}: first column must be {KEY_COLUMN!r}, got {header[:1]}")
-        names = header[1:]
-        n = len(names)
-        ids: list[str] = []
-        data = np.empty((_max_rows(path), n))
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise _ragged(path, r, header, row)
-            ids.append(row[0])
+    with _csv_rows(path) as (header, _):
+        pass  # the header alone: every block, the first too, parses its own rows
+    if not header or header[0] != KEY_COLUMN:
+        raise PopgateError(f"{path}: first column must be {KEY_COLUMN!r}, got {header[:1]}")
+    names = header[1:]
+    max_rows, edges = _scan(path, len(os.sched_getaffinity(0)))
+    if max_rows * len(names) < PARALLEL_CELLS:
+        edges = [0, edges[-1]]
+    data = np.empty((max_rows, len(names)))
+    with _workers() as workers:
+        for start, stop in zip(edges[1:], edges[2:]):
+            workers.append(_fork(_read_part, path, start, stop, header, data))
+        try:
+            ids = _parse_block(path, edges[0], edges[1], header, data)
+        except _BadRow as bad:
+            raise bad.error(path, 0) from None
+        for proc, pipe in workers:
+            first = len(ids)
             try:
-                data[r - 2] = np.fromiter(map(float, row[1:]), np.float64, count=n)
-            except ValueError:
-                for c, cell in enumerate(row[1:]):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise PopgateError(
-                            f"{path} row {r}, column {names[c]!r}: not a number: {cell!r}"
-                        ) from None
-                raise
+                block_ids, bad = pickle.load(pipe)
+                if bad is None:
+                    rows = data[first : first + len(block_ids)]
+                    if pipe.readinto(rows) != rows.nbytes:
+                        raise EOFError
+            except (EOFError, pickle.UnpicklingError):  # the worker died mid-block
+                block_ids = bad = None
+            proc.join()
+            if bad:
+                raise _BadRow(*bad).error(path, first)
+            if proc.exitcode or block_ids is None:
+                raise _worker_failed(path, proc)
+            ids += block_ids
     # the only reference, so the buffer can shrink where it lies
-    data.resize((len(ids), n), refcheck=False)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
+    data.resize((len(ids), len(names)), refcheck=False)
+    bad_cells = np.argwhere(~np.isfinite(data))
+    if bad_cells.size:
+        r, c = bad_cells[0]
         cell = _row_cells(path, r)[c + 1]
         raise PopgateError(f"{path} row {r + 2}, column {names[c]!r}: not a finite number: {cell!r}")
     return ids, names, data

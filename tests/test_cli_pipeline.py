@@ -866,6 +866,15 @@ class TestImportFootprint:
     def test_cli_import_loads_no_step_package(self):
         assert _packages_loaded() == set()
 
+    def test_cli_import_loads_no_multiprocessing(self):
+        # the matrix CSV codec imports it only when it forks workers
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, popgate.cli; print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
+
     @pytest.mark.parametrize("cmd", ["synth", "clean", "split", "ctd-extract", "evaluate"])
     def test_light_steps_load_no_training_package(self, chain_ws, tmp_path, cmd):
         ws, _ = chain_ws

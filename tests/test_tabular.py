@@ -1,9 +1,18 @@
+import csv
+import io
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import csv_writer_matrix_bytes
+from popgate import tabular
 from popgate.exceptions import MissingInputError, PopgateError
 from popgate.tabular import (
     align_rows,
@@ -222,3 +231,346 @@ class TestAlignRows:
     def test_missing_ids_error_names_offenders(self):
         with pytest.raises(MissingInputError, match="'q1'"):
             align_rows(["a", "q1"], ["a", "b"], "tbl")
+
+
+@pytest.fixture(params=[1, 2, 3])
+def forced_blocks(request, monkeypatch):
+    """Split every matrix into `request.param` row blocks (as many as the
+    table allows), whatever its size and this machine's core count."""
+    monkeypatch.setattr(tabular, "PARALLEL_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def _quoted_table(ids, names, X, line_end="\n") -> tuple[bytes, list[tuple[int, int]]]:
+    """A matrix CSV with every id quoted (csv.writer leaves an id holding a
+    bare \\r unquoted) -> (its bytes, the byte span of each quoted id)."""
+    out = bytearray((",".join(["track_id", *names]) + line_end).encode())
+    spans = []
+    for tid, row in zip(ids, X):
+        cell = ('"' + tid.replace('"', '""') + '"').encode()
+        spans.append((len(out), len(out) + len(cell)))
+        out += cell + "".join("," + repr(v) for v in row.tolist()).encode() + line_end.encode()
+    return bytes(out), spans
+
+
+def _first_rows(p, k) -> list[int]:
+    """The data row each block starts at when `p` is read in `k` blocks."""
+    _, edges = tabular._scan(p, k)
+    text = p.read_bytes().decode("utf-8-sig")
+    return [0] + [len(list(csv.reader(io.StringIO(text[:e], newline="")))) - 1
+                  for e in edges[1:-1]]
+
+
+@pytest.mark.usefixtures("forced_blocks")
+class TestMatrixInBlocks:
+    """The matrix cases above, and cases at the block edges, with every table
+    split into 1, 2 and 3 row blocks: the bytes written, the values read and
+    the errors raised are those of one block."""
+
+    test_matrix_bytes_match_csv_writer = TestCsvRoundTrip.test_matrix_bytes_match_csv_writer
+    test_quoted_ids_round_trip = TestCsvRoundTrip.test_quoted_ids_round_trip
+    test_matrix_requires_track_id_first = TestReadErrors.test_matrix_requires_track_id_first
+    test_matrix_bad_number_names_row_and_column = (
+        TestReadErrors.test_matrix_bad_number_names_row_and_column)
+    test_matrix_non_finite_cell_names_row_and_column = (
+        TestReadErrors.test_matrix_non_finite_cell_names_row_and_column)
+    test_matrix_parse_error_precedes_earlier_non_finite_cell = (
+        TestReadErrors.test_matrix_parse_error_precedes_earlier_non_finite_cell)
+    test_matrix_first_non_finite_is_row_major = TestReadErrors.test_matrix_first_non_finite_is_row_major
+    test_matrix_ragged_row = TestReadErrors.test_matrix_ragged_row
+    test_write_matrix_shape_mismatch = TestReadErrors.test_write_matrix_shape_mismatch
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("char", [",", '"', "\n", "\r"], ids=["comma", "quote", "lf", "cr"])
+    def test_special_ids_on_block_edges(self, tmp_path, forced_blocks, char, line_end):
+        # rows of one length with long ids made of the character, and a
+        # header longer than a row's numbers: each block's nominal start (b/k
+        # of the file) then falls inside an id, and a "\n" there is quoted
+        ids = [f"{char}x" * 40 + f"{i:02d}" for i in range(12)]
+        names = [f"feature_{'x' * 16}_{j}" for j in range(2)]
+        X = np.arange(24.0).reshape(12, 2) % 9 + 1.25
+        body, spans = _quoted_table(ids, names, X, line_end)
+        p = tmp_path / "ids.csv"
+        p.write_bytes(body)
+        for b in range(1, forced_blocks):
+            assert any(lo < len(body) * b // forced_blocks < hi for lo, hi in spans)
+        assert len(_first_rows(p, forced_blocks)) == forced_blocks
+        got_ids, got_names, Y = read_matrix_csv(p)
+        assert (got_ids, got_names) == (ids, names)
+        assert np.array_equal(Y, X)
+        w = tmp_path / "w.csv"
+        write_matrix_csv(w, ids, names, X)
+        assert w.read_bytes() == csv_writer_matrix_bytes(ids, names, X)
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_round_trip(self, tmp_path, forced_blocks, line_end):
+        p = tmp_path / "m.csv"
+        ids = ["a,b", 'say "hi"', "two\nlines", "", *(f"t{i}" for i in range(8))]
+        X = np.random.default_rng(6).normal(size=(12, 3))
+        write_matrix_csv(p, ids, ["x", "y", "z"], X)
+        p.write_bytes(p.read_bytes().replace(b"\n", line_end.encode()))
+        got_ids, _, Y = read_matrix_csv(p)
+        # "\r" line ends leave no "\n" to start a block at: one block
+        expect = ([i.replace("\n", line_end) for i in ids], 1 if line_end == "\r" else forced_blocks)
+        assert (got_ids, len(_first_rows(p, forced_blocks))) == expect
+        assert np.array_equal(Y, X)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0), (1, 4), (2, 5)],
+                             ids=["no-rows", "no-columns", "neither", "one-row", "two-rows"])
+    def test_small_tables_round_trip(self, tmp_path, shape):
+        # fewer rows than blocks leaves some blocks empty
+        p = tmp_path / "s.csv"
+        ids = [f"t{i}" for i in range(shape[0])]
+        X = np.random.default_rng(7).normal(size=shape)
+        names = [f"f{j}" for j in range(shape[1])]
+        write_matrix_csv(p, ids, names, X)
+        assert p.read_bytes() == csv_writer_matrix_bytes(ids, names, X)
+        got_ids, got_names, Y = read_matrix_csv(p)
+        assert (got_ids, got_names, Y.shape) == (ids, names, shape)
+        assert np.array_equal(Y, X)
+
+    def test_ragged_row_in_block_two_beats_nan_in_block_one(self, tmp_path, forced_blocks):
+        rows = [[f"t{i:02d}", "1.5", "2.5"] for i in range(30)]
+        rows[3][1] = "nan"
+        rows[17] = ["t17", "1.5"]
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], rows)
+        starts = _first_rows(p, forced_blocks)
+        if forced_blocks > 1:
+            assert starts[1] <= 17 < (starts + [30])[2] and 3 < starts[1]
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} row 19: expected 3 cells, got 2"
+
+    def test_non_finite_cell_in_block_three_names_its_global_row(self, tmp_path, forced_blocks):
+        rows = [[f"t{i:02d}", "1.5", "2.5"] for i in range(30)]
+        rows[25][2] = "-inf"
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], rows)
+        assert 25 >= _first_rows(p, forced_blocks)[-1]
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} row 27, column 'b': not a finite number: '-inf'"
+
+    def test_byte_order_mark_before_a_quoted_header(self, tmp_path, forced_blocks):
+        # the quote right after the mark opens the first header field, and
+        # the "\n" inside it does not end the header
+        body, _ = _quoted_table([f"t{i:02d}" for i in range(12)], ['a"\nb', "c"], np.ones((12, 2)))
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + body.replace(b'track_id,a"\nb,c', b'"track_id","a""\nb",c', 1))
+        assert len(_first_rows(p, forced_blocks)) == forced_blocks
+        ids, names, Y = read_matrix_csv(p)
+        assert (ids, names) == ([f"t{i:02d}" for i in range(12)], ['a"\nb', "c"])
+        assert np.array_equal(Y, np.ones((12, 2)))
+
+    def test_quote_outside_a_quoted_field_reads_as_one_block(self, tmp_path, forced_blocks):
+        # csv.reader keeps the quote of an unquoted `t"0` as text, so the
+        # quote count no longer tells whether a later "\n" is inside a quoted
+        # id; the file is read whole, as one block
+        body, _ = _quoted_table([f"two\nlines{i}" for i in range(10)], ["a", "b"], np.ones((10, 2)))
+        p = tmp_path / "m.csv"
+        p.write_bytes(body.replace(b"\n", b'\nt"0,1.0,2.0\n', 1))
+        assert _first_rows(p, forced_blocks) == [0]
+        ids, _, Y = read_matrix_csv(p)
+        assert ids == ['t"0'] + [f"two\nlines{i}" for i in range(10)]
+        assert Y.shape == (11, 2)
+
+
+@pytest.mark.usefixtures("forced_blocks")
+class TestByteOrderMarkInBlocks(TestByteOrderMark):
+    pass
+
+
+@pytest.mark.usefixtures("forced_blocks")
+class TestMatrixReadMemoryInBlocks(TestMatrixReadMemory):
+    pass
+
+
+class TestMatrixWriteMemory:
+    def test_write_peak_stays_far_below_the_matrix_size(self, tmp_path, forced_blocks):
+        # rows are formatted and written one at a time, in the parent and in
+        # each worker, so the peak is about one row's text, not the table's
+        import multiprocessing  # noqa: F401  (loaded once per process; not the writer's)
+
+        X = np.random.default_rng(4).normal(size=(400, 2000))
+        p = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            write_matrix_csv(p, [f"t{i}" for i in range(400)], [f"f{j}" for j in range(2000)], X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_matrix_csv(p)[2], X)
+        assert peak <= 0.25 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the matrix"
+
+
+class _IdsFailingAt(list):
+    """Track ids whose iteration raises at index `at`."""
+
+    def __init__(self, ids, at):
+        super().__init__(ids)
+        self.at = at
+
+    def __iter__(self):
+        for i, tid in enumerate(list.__iter__(self)):
+            if i == self.at:
+                raise RuntimeError(f"no id at {i}")
+            yield tid
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_keeps_the_earlier_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["track_id", "a"], [["t0", 1]])
+        before = p.read_bytes()
+
+        def rows():
+            yield ["t1", 2]
+            raise RuntimeError("row 2")
+
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(p, ["track_id", "a"], rows())
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-file", "new-file"])
+    def test_failed_matrix_write_leaves_no_part_file(self, tmp_path, forced_blocks, earlier):
+        # row 7 of 10 fails: in the parent at one block, in the last worker at two or three
+        p = tmp_path / "m.csv"
+        if earlier:
+            write_matrix_csv(p, ["t0"], ["a"], np.ones((1, 1)))
+            before = p.read_bytes()
+        ids = _IdsFailingAt([f"t{i}" for i in range(10)], 7)
+        with pytest.raises((RuntimeError, PopgateError)) as err:
+            write_matrix_csv(p, ids, ["a"], np.zeros((10, 1)))
+        assert isinstance(err.value, RuntimeError) == (forced_blocks == 1)
+        if forced_blocks > 1:
+            assert str(p) in str(err.value)
+        assert os.listdir(tmp_path) == (["m.csv"] if earlier else [])
+        if earlier:
+            assert p.read_bytes() == before
+
+
+def _failing_in_worker(fn, failure):
+    """`fn`, except that in a forked worker it raises, is killed by SIGKILL
+    or hangs."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "hangs":
+                time.sleep(120)
+            raise RuntimeError("worker failed")
+        return fn(*args)
+
+    return wrapped
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pids(self, monkeypatch):
+        """The pid of every worker forked while the test runs."""
+        pids, fork = [], tabular._fork
+
+        def recording(*args):
+            proc, pipe = fork(*args)
+            pids.append(proc.pid)
+            return proc, pipe
+
+        monkeypatch.setattr(tabular, "_fork", recording)
+        return pids
+
+    @pytest.mark.parametrize("forced_blocks", [2, 3], indirect=True)
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_read_worker_raises_naming_the_file(
+            self, tmp_path, monkeypatch, forced_blocks, pids, failure):
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], [[f"t{i:02d}", "1.5", "2.5"] for i in range(40)])
+        monkeypatch.setattr(tabular, "_parse_block", _failing_in_worker(tabular._parse_block, failure))
+        with pytest.raises(PopgateError, match=f"{p}: a worker process exited with code"):
+            read_matrix_csv(p)
+        assert len(pids) == forced_blocks - 1
+        self._assert_reaped(pids)
+
+    @pytest.mark.parametrize("forced_blocks", [2, 3], indirect=True)
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_write_worker_raises_naming_the_file(
+            self, tmp_path, monkeypatch, forced_blocks, pids, failure):
+        p = tmp_path / "m.csv"
+        monkeypatch.setattr(tabular, "_write_rows", _failing_in_worker(tabular._write_rows, failure))
+        with pytest.raises(PopgateError, match=f"{p}: a worker process exited with code"):
+            write_matrix_csv(p, [f"t{i}" for i in range(10)], ["a"], np.zeros((10, 1)))
+        assert len(pids) == forced_blocks - 1
+        assert os.listdir(tmp_path) == []
+        self._assert_reaped(pids)
+
+    @pytest.mark.parametrize("forced_blocks", [2, 3], indirect=True)
+    @pytest.mark.parametrize("row, message", [
+        (1, "row 3: expected 3 cells, got 2"),    # in the parent's block, while workers run
+        (38, "row 40: expected 3 cells, got 2"),  # in the last worker's block
+        (None, "row 2, column 'a': not a finite number: 'nan'"),  # after every block parsed
+    ], ids=["parent-block", "worker-block", "non-finite"])
+    def test_every_worker_is_reaped_after_a_bad_row(self, tmp_path, forced_blocks, pids, row, message):
+        rows = [[f"t{i:02d}", "1.5", "2.5"] for i in range(40)]
+        rows[0][1] = "nan"
+        if row is not None:
+            rows[row] = rows[row][:2]
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], rows)
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} {message}"
+        assert len(pids) == forced_blocks - 1
+        self._assert_reaped(pids)
+
+    @pytest.mark.parametrize("forced_blocks", [2, 3], indirect=True)
+    def test_parent_error_kills_a_hung_worker(self, tmp_path, monkeypatch, forced_blocks, pids):
+        rows = [[f"t{i:02d}", "1.5", "2.5"] for i in range(40)]
+        rows[1] = rows[1][:2]
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a", "b"], rows)
+        monkeypatch.setattr(tabular, "_parse_block", _failing_in_worker(tabular._parse_block, "hangs"))
+        start = time.monotonic()
+        with pytest.raises(PopgateError, match="row 3: expected 3 cells"):
+            read_matrix_csv(p)
+        assert time.monotonic() - start < 60
+        assert len(pids) == forced_blocks - 1
+        self._assert_reaped(pids)
+
+    @staticmethod
+    def _assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_workers_run_no_finally_or_atexit_of_the_caller(self, tmp_path):
+        # perfbench/traced_step.py dumps its spans in a `finally`; a worker
+        # that unwound would run it again and overwrite the parent's file
+        marks = tmp_path / "marks.txt"
+        script = f"""
+import atexit, os, sys
+import numpy as np
+from popgate import tabular
+def mark(what):
+    with open({str(marks)!r}, "a") as fh:
+        fh.write(f"{{what}} {{os.getpid()}}\\n")
+atexit.register(mark, "atexit")
+tabular.PARALLEL_CELLS = 0
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+p = {str(tmp_path / "m.csv")!r}
+try:
+    tabular.write_matrix_csv(p, [f"t{{i}}" for i in range(9)], ["a", "b"], np.ones((9, 2)))
+    tabular.read_matrix_csv(p)
+finally:
+    mark("finally")
+print(os.getpid())
+"""
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pid = proc.stdout.strip()
+        assert marks.read_text().splitlines() == [f"finally {pid}", f"atexit {pid}"]
