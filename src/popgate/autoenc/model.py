@@ -47,6 +47,18 @@ def encoder_specs(d: int, d_enc: int) -> list[DenseLayerSpec]:
     return dense_stack([d, *plan_architecture(d)], Elu(AE_ELU_ALPHA), AE_DROPOUT, out_dim=d_enc)
 
 
+def decoder_specs(d: int, d_enc: int) -> list[DenseLayerSpec]:
+    """The decoder's layers: the encoder's hidden blocks mirrored, then a
+    linear output."""
+    return dense_stack([d_enc, *plan_architecture(d)[::-1]], Elu(AE_ELU_ALPHA), AE_DROPOUT,
+                       out_dim=d)
+
+
+def n_params(d: int, d_enc: int) -> int:
+    """The trainable values of the autoencoder of width d and bottleneck d_enc."""
+    return sum(spec.n_params for spec in (*encoder_specs(d, d_enc), *decoder_specs(d, d_enc)))
+
+
 class Autoencoder(Module):
     """Encoder (hiddens -> linear bottleneck) and mirrored decoder
     (hiddens reversed -> linear output). Hidden layers are ELU(0.1) with
@@ -60,9 +72,7 @@ class Autoencoder(Module):
         self.d_enc = d_enc
         self.name = name
         self.encoder = MLP(encoder_specs(d, d_enc), rng, name=f"{name}.enc")
-        dec_specs = dense_stack([d_enc, *plan_architecture(d)[::-1]], Elu(AE_ELU_ALPHA),
-                                AE_DROPOUT, out_dim=d)
-        self.decoder = MLP(dec_specs, rng, name=f"{name}.dec")
+        self.decoder = MLP(decoder_specs(d, d_enc), rng, name=f"{name}.dec")
 
     def encode(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         return self.encoder.forward(x, train=train, rng=rng)

@@ -228,19 +228,43 @@ class CompressorEnsemble:
         write_json(Path(out_dir) / "ensemble.json", files)
 
     @staticmethod
+    def discard(out_dir: str | Path, registry: Sequence[FeatureGroup]) -> None:
+        """Delete `out_dir`'s `ensemble.json`, and each checkpoint it names
+        that is not the checkpoint of a group of `registry`, before those
+        groups train: no `ensemble.json` may then name a mix of old and new
+        checkpoints, and no group the registry dropped keeps its checkpoint.
+        An `ensemble.json` that cannot be read names no checkpoint."""
+        out_dir = Path(out_dir)
+        try:
+            named = _read(out_dir)[2].values()
+        except MissingInputError:
+            named = ()
+        (out_dir / "ensemble.json").unlink(missing_ok=True)
+        kept = {out_dir / f"{g.name}.npz" for g in registry}
+        for ckpt in named:
+            if ckpt.parent == out_dir and ckpt not in kept:
+                ckpt.unlink(missing_ok=True)
+
+    @staticmethod
     def load(in_dir: str | Path) -> "CompressorEnsemble":
-        path = Path(in_dir) / "ensemble.json"
-        if not path.exists():
-            raise MissingInputError(f"ensemble manifest not found: {path}")
-        with reading(path):
-            saved = from_json(_EnsembleFiles, json.loads(path.read_text()))
-            validate_registry(saved.registry)
-            if registry_hash(saved.registry) != saved.registry_hash:
-                raise ConfigError("registry_hash does not match the registry")
-            groups = {g.name: from_json(_GroupFile, saved.groups.get(g.name, MISSING),
-                                        f"groups.{g.name}") for g in saved.registry}
-        checkpoints = {name: Path(in_dir) / group.checkpoint for name, group in groups.items()}
+        registry, seed, checkpoints = _read(Path(in_dir))
         for ckpt in checkpoints.values():
             if not ckpt.exists():
                 raise MissingInputError(f"checkpoint not found: {ckpt}")
-        return CompressorEnsemble(saved.registry, saved.seed, checkpoints)
+        return CompressorEnsemble(registry, seed, checkpoints)
+
+
+def _read(in_dir: Path) -> tuple[tuple[FeatureGroup, ...], int, dict[str, Path]]:
+    """`in_dir`'s `ensemble.json` -> (registry, seed, each group's checkpoint
+    path by name)."""
+    path = in_dir / "ensemble.json"
+    if not path.exists():
+        raise MissingInputError(f"ensemble manifest not found: {path}")
+    with reading(path):
+        saved = from_json(_EnsembleFiles, json.loads(path.read_text()))
+        validate_registry(saved.registry)
+        if registry_hash(saved.registry) != saved.registry_hash:
+            raise ConfigError("registry_hash does not match the registry")
+        groups = {g.name: from_json(_GroupFile, saved.groups.get(g.name, MISSING),
+                                    f"groups.{g.name}") for g in saved.registry}
+    return saved.registry, saved.seed, {name: in_dir / g.checkpoint for name, g in groups.items()}

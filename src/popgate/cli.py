@@ -5,6 +5,11 @@ Every option can also come from the environment (POPGATE_CONFIG,
 POPGATE_SEED, POPGATE_WORKSPACE) or from top-level config keys; flags win
 over the environment, which wins over the config file. Exit codes: 0 ok,
 1 generic failure, 2 missing input, 3 bad config, 4 shape mismatch.
+
+Every process runs BLAS on one thread, whatever the caller's environment
+says: a product split over more threads sums in another order, and the
+artifacts' last bits would depend on the thread count. The steps that have
+independent work spread it over the cores themselves (`popgate.lanes`).
 """
 
 from __future__ import annotations
@@ -15,8 +20,12 @@ import os
 import sys
 from pathlib import Path
 
-from .exceptions import ConfigError, MissingInputError, PopgateError
-from .pipeline import DEFAULT_SEED, SUBCOMMANDS, run_command
+# before anything imports numpy: BLAS reads these once, when it loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .exceptions import ConfigError, MissingInputError, PopgateError  # noqa: E402
+from .pipeline import DEFAULT_SEED, SUBCOMMANDS, run_command  # noqa: E402
 
 _DESCRIPTIONS = {
     "synth": "generate a synthetic catalog with planted cross-modal structure",

@@ -1,0 +1,154 @@
+"""Forked worker processes, and independent jobs spread over the cores.
+
+`_fork` starts a function in a forked worker with a pipe back to its caller,
+and `_workers` kills and reaps every worker on any way out of a block.
+`popgate.tabular` splits large matrix CSVs over them. `run_lanes` runs
+independent jobs, such as the autoencoder groups or the phase-1 experts,
+on one lane per core the process may run on (`os.sched_getaffinity`, which
+`taskset` restricts): lane 0 is the calling process, lanes 1…k−1 are
+forked workers.
+
+Workers are forked, not spawned, so that they read the caller's arrays and
+call its functions in place; only their results are pickled. A CLI process
+runs BLAS on one thread, so it holds no BLAS thread pool when it forks, and
+popgate starts no threads of its own. Workers end through `os._exit`, so
+they run none of the caller's `finally` blocks or atexit handlers, and
+nothing they record in memory (such as a tracer's spans) reaches the caller.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Callable, Iterator, Mapping
+
+from .exceptions import PopgateError
+
+
+@contextmanager
+def _workers() -> Iterator[list]:
+    """A list for `_fork`'s (process, pipe) pairs. On leaving, every pipe is
+    closed and every worker still running is killed, so that each is reaped
+    whether the block returns or raises."""
+    workers: list = []
+    try:
+        yield workers
+    finally:
+        for proc, pipe in workers:
+            pipe.close()
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+
+
+def _child(target, fd: int, *args) -> None:
+    with open(fd, "wb") as out:
+        target(out, *args)
+
+
+def _fork(target, *args) -> tuple:
+    """Start `target(out, *args)` in a forked worker, with `out` the write end
+    of a pipe -> (process, the read end as a binary file)."""
+    # imported here: the CLI's start-up never pays for multiprocessing
+    import multiprocessing
+
+    r, w = os.pipe()
+    pipe = open(r, "rb")
+    try:
+        proc = multiprocessing.get_context("fork").Process(target=_child, args=(target, w, *args))
+        proc.start()
+    except BaseException:
+        pipe.close()
+        raise
+    finally:
+        os.close(w)
+    return proc, pipe
+
+
+def _worker_failed(path: Path, proc) -> PopgateError:
+    return PopgateError(f"{path}: a worker process exited with code {proc.exitcode}")
+
+
+def _lanes(weights: list[float], k: int) -> list[list[int]]:
+    """Job indices for each of `k` lanes by Graham's LPT rule (1969): by
+    falling weight, each job goes to the lane with the least weight so far,
+    the lowest lane on a tie. Each lane lists its jobs in input order."""
+    load = [0.0] * k
+    lanes: list[list[int]] = [[] for _ in range(k)]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        lane = min(range(k), key=lambda j: load[j])
+        load[lane] += weights[i]
+        lanes[lane].append(i)
+    return [sorted(lane) for lane in lanes]
+
+
+def _run_jobs(jobs: list[Callable]) -> tuple[list, Exception | None]:
+    """Call each job in order until one raises -> (the results so far, its error)."""
+    results = []
+    for job in jobs:
+        try:
+            results.append(job())
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _run_lane(out, jobs: list[Callable]) -> None:
+    """A forked lane: its results and error, pickled. An error that does not
+    survive pickling is sent as a PopgateError with its type and text."""
+    results, error = _run_jobs(jobs)
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:
+            error = PopgateError(f"{type(error).__name__}: {error}")
+    pickle.dump((results, error), out)
+
+
+def run_lanes(step: str, jobs: Mapping[str, tuple[float, Callable]]) -> dict:
+    """Call every job, given by name as (weight, function of no arguments),
+    spread over the lanes -> each job's result by name, in the order of `jobs`.
+
+    Jobs go to lanes by `_lanes`, one lane per core the process may run on
+    and at most one per job, so the heaviest job runs in the calling
+    process. Each lane runs its jobs in the order of `jobs` and stops at
+    its first error. Once every lane has ended and been reaped, the error of
+    the earliest failed job in that order is raised: the error a serial
+    loop would raise. A lane that dies before it reports fails as its first
+    job, with a PopgateError naming `step` and the lane's jobs. With one
+    lane, the jobs run inline, one after another.
+    """
+    names = list(jobs)
+    k = min(len(names), len(os.sched_getaffinity(0)))
+    if k <= 1:
+        return {name: jobs[name][1]() for name in names}
+    lanes = _lanes([jobs[name][0] for name in names], k)
+    results: dict[int, object] = {}
+    errors: dict[int, Exception] = {}
+
+    def record(lane: list[int], done: list, error: Exception | None) -> None:
+        results.update(zip(lane, done))
+        if error is not None:
+            errors[lane[len(done)]] = error
+
+    with _workers() as workers:
+        for lane in lanes[1:]:
+            workers.append(_fork(_run_lane, [jobs[names[i]][1] for i in lane]))
+        record(lanes[0], *_run_jobs([jobs[names[i]][1] for i in lanes[0]]))
+        for (proc, pipe), lane in zip(workers, lanes[1:]):
+            try:
+                done, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the lane died mid-way
+                done = None
+            proc.join()
+            if proc.exitcode or done is None:
+                lane_jobs = ", ".join(names[i] for i in lane)
+                done, error = [], PopgateError(
+                    f"{step}: the worker process running {lane_jobs} exited with code "
+                    f"{proc.exitcode}")
+            record(lane, done, error)
+    if errors:
+        raise errors[min(errors)]
+    return {names[i]: results[i] for i in range(len(names))}

@@ -216,6 +216,11 @@ class DenseLayerSpec:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0,1), got {self.dropout_p}")
 
+    @property
+    def n_params(self) -> int:
+        """The block's trainable values: W, b, and batchnorm's gamma and beta."""
+        return (self.in_dim + 1 + 2 * self.batchnorm) * self.out_dim
+
 
 def dense_stack(widths: Sequence[int], activation: Activation, dropout: float | Sequence[float],
                 batchnorm: bool = True, out_dim: int | None = None) -> list[DenseLayerSpec]:

@@ -16,6 +16,7 @@ their first use, not when this module loads.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, replace
+from functools import partial
 from importlib import import_module
 from inspect import isfunction
 from pathlib import Path
@@ -283,8 +284,16 @@ def _split_of(split_path: Path) -> dict[str, str]:
     return dict(zip(cols["track_id"], cols["split"]))
 
 
+def _ae_history(group: FeatureGroup, X: np.ndarray, cfg, seed: int, ckpt: Path) -> dict:
+    """Train one group into its checkpoint -> its history; the trained model
+    is freed before the lane's next group trains."""
+    return train_group_autoencoder(group, X[:, group.cols], cfg, seed, ckpt)[2]
+
+
 def cmd_ae_train(ctx: RunContext) -> str:
+    from .autoenc.model import n_params
     from .autoenc.train import CompressorEnsemble
+    from .lanes import run_lanes
 
     features, split_path = ctx.inputs["features"], ctx.inputs["split"]
     model_dir = ctx.arg("ae.model_dir")
@@ -303,14 +312,13 @@ def cmd_ae_train(ctx: RunContext) -> str:
     del X  # training reads only the train rows
 
     cfg = ctx.arg("ae.train")
-    # each group's training writes its checkpoint; until every group has
-    # trained, no ensemble.json may name a mix of old and new checkpoints
-    ctx.outputs["ensemble"].unlink(missing_ok=True)
-    histories = {}
+    CompressorEnsemble.discard(model_dir, registry)
+    jobs = {}
     for g in registry:
         ckpt = ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
-        # only the history is kept: a trained model is freed before the next trains
-        histories[g.name] = train_group_autoencoder(g, X_train[:, g.cols], cfg, ctx.seed, ckpt)[2]
+        jobs[g.name] = (n_params(g.d, g.d_enc),
+                        partial(_ae_history, g, X_train, cfg, ctx.seed, ckpt))
+    histories = run_lanes("ae-train", jobs)
     write_json(ctx.outputs["history"], histories)
     CompressorEnsemble.save(model_dir, registry, histories, ctx.seed)
     worst = max(histories.values(), key=lambda h: h["val_relmse"])["val_relmse"]
@@ -438,8 +446,16 @@ def _model_files(dir_key: str) -> dict[str, str]:
     return {name: f"{dir_key}/{f}" for name, f in files.items()}
 
 
+def _phase1_expert(branch, x: np.ndarray, y: np.ndarray, fit_rows: np.ndarray,
+                   val_rows: np.ndarray, cfg, seed: int) -> tuple[dict, dict]:
+    """Train one expert -> its trained state and its history."""
+    history = phase1_train(branch, x[fit_rows], y[fit_rows], x[val_rows], y[val_rows], cfg, seed)
+    return branch.state_arrays(), history
+
+
 def cmd_train_phase1(ctx: RunContext) -> str:
     from .fusion.model import GatedEnsemble
+    from .lanes import run_lanes
 
     ids, pop, xs = _load_table(ctx)
     train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
@@ -453,14 +469,17 @@ def cmd_train_phase1(ctx: RunContext) -> str:
     branch_cfgs = {m: replace(stacks[m], in_dim=xs_scaled[m].shape[1]) for m in MODALITIES}
     model = GatedEnsemble.build(branch_cfgs, ctx.arg("train.gate"), rng_for(ctx.seed, "model-init"))
 
+    cfg = ctx.arg("train.phase1")
+    jobs = {m: (sum(p.value.size for p in branch.params()),
+                partial(_phase1_expert, branch, xs_scaled[m], y_unit, fit_rows, val_rows, cfg,
+                        ctx.seed))
+            for m, branch in model.branches.items()}
     histories = {}
-    for m in MODALITIES:
-        histories[m] = phase1_train(
-            model.branches[m],
-            xs_scaled[m][fit_rows], y_unit[fit_rows],
-            xs_scaled[m][val_rows], y_unit[val_rows],
-            ctx.arg("train.phase1"), ctx.seed,
-        )
+    for m, (state, history) in run_lanes("train-phase1", jobs).items():
+        # an expert trained in a forked lane comes back as its state
+        model.branches[m].load_state(state)
+        model.branches[m].trained = True
+        histories[m] = history
     extra = {
         "phase": 1,
         "seed": ctx.seed,

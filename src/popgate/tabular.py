@@ -6,7 +6,8 @@ in float64 — rewriting unchanged data yields byte-identical files, which the
 reproducibility guarantees lean on. Every table is written to a temporary
 sibling (`<name>.tmp`) and renamed onto its name only once it is complete,
 so a write that fails leaves the earlier file (or none), never a truncated
-one.
+one. Lines end in `\n`, and a cell that holds a `\r` or a `\n` is quoted,
+so that every table popgate writes reads back as it was written.
 
 Numeric matrices (the audio descriptors reach 12851 columns) stream one row
 at a time in both directions. The writer quotes only the id through
@@ -23,12 +24,10 @@ streams its rows to `<name>.part<b>` beside the target, which the parent
 appends in order after its own rows. A reader worker parses its byte range
 of the file and sends the ids and float64 rows back through a pipe, read
 straight into the parent's matrix. The bytes written, the values read and
-the errors raised do not depend on the block count. Workers are forked,
-not spawned, so that they use the parent's matrix and ids in place, with
-nothing pickled but a block's ids; they call no BLAS routine, and popgate
-starts no threads of its own. They end through `os._exit`, so they run none
-of the caller's `finally` blocks or atexit handlers, and every worker is
-reaped before a call returns or raises.
+the errors raised do not depend on the block count. Workers come from
+`popgate.lanes`, forked so that they use the parent's matrix and ids in
+place, with nothing pickled but a block's ids; every worker is reaped
+before a call returns or raises.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import MissingInputError, PopgateError
+from .lanes import _fork, _worker_failed, _workers
 
 KEY_COLUMN = "track_id"
 
@@ -67,6 +67,26 @@ def _cell(value) -> str:
     return str(value)
 
 
+class _LineFeeds:
+    """A text file to which `csv.writer` writes rows ending in `\r\n`,
+    storing each with a `\n` instead: with `\r` in its line terminator,
+    csv.writer quotes a cell that holds a bare `\r`, which it leaves bare
+    under `\n` alone, where a reader would end the row at it."""
+
+    def __init__(self, fh):
+        self._write = fh.write
+
+    def write(self, row: str) -> int:
+        # csv.writer writes each row, its terminator included, in one call
+        return self._write(f"{row[:-2]}\n")
+
+
+def _writer(fh):
+    """A `csv.writer` on `fh` with `\n` line ends that quotes every cell
+    holding a `\r` or a `\n`."""
+    return csv.writer(_LineFeeds(fh), lineterminator="\r\n")
+
+
 @contextmanager
 def _csv_writer(path: str | Path) -> Iterator[tuple]:
     """Open a temporary sibling of `path` for writing -> (file, csv.writer on
@@ -77,7 +97,7 @@ def _csv_writer(path: str | Path) -> Iterator[tuple]:
     tmp = path.with_name(f"{path.name}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh, csv.writer(fh, lineterminator="\n")
+            yield fh, _writer(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -136,58 +156,14 @@ def read_columns(path: str | Path, names: Sequence[str]) -> dict[str, list[str]]
     return {n: [row[i] for row in rows] for n, i in idx.items()}
 
 
-@contextmanager
-def _workers() -> Iterator[list]:
-    """A list for `_fork`'s (process, pipe) pairs. On leaving, every pipe is
-    closed and every worker still running is killed, so that each is reaped
-    whether the block returns or raises."""
-    workers: list = []
-    try:
-        yield workers
-    finally:
-        for proc, pipe in workers:
-            pipe.close()
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-
-
-def _child(target, fd: int, *args) -> None:
-    with open(fd, "wb") as out:
-        target(out, *args)
-
-
-def _fork(target, *args) -> tuple:
-    """Start `target(out, *args)` in a forked worker, with `out` the write end
-    of a pipe -> (process, the read end as a binary file)."""
-    # imported here: the CLI's start-up never pays for multiprocessing
-    import multiprocessing
-
-    r, w = os.pipe()
-    pipe = open(r, "rb")
-    try:
-        proc = multiprocessing.get_context("fork").Process(target=_child, args=(target, w, *args))
-        proc.start()
-    except BaseException:
-        pipe.close()
-        raise
-    finally:
-        os.close(w)
-    return proc, pipe
-
-
-def _worker_failed(path: Path, proc) -> PopgateError:
-    return PopgateError(f"{path}: a worker process exited with code {proc.exitcode}")
-
-
 def _write_rows(fh, ids: Iterable[str], X: np.ndarray) -> None:
-    """Write one line per row, `csv.writer`'s bytes for `[id, *map(repr, row.tolist())]`."""
+    """Write one line per row, `_writer`'s bytes for `[id, *map(repr, row.tolist())]`."""
     if not X.shape[1]:  # rows of one cell: csv.writer quotes an empty id alone
-        csv.writer(fh, lineterminator="\n").writerows([tid] for tid in ids)
+        _writer(fh).writerows([tid] for tid in ids)
         return
-    # the id with its trailing comma, quoted as csv.writer would
+    # the id with its trailing comma, quoted as _writer would
     buf = io.StringIO()
-    prefix = csv.writer(buf, lineterminator="\n")
+    prefix = _writer(buf)
     for tid, row in zip(ids, X):
         buf.seek(0)
         buf.truncate()
@@ -207,7 +183,7 @@ def write_matrix_csv(
     path: str | Path, ids: Sequence[str], feature_names: Sequence[str], X: np.ndarray
 ) -> None:
     """Write a track_id-keyed numeric table; the bytes are those of
-    `csv.writer` over `[id, *map(repr, row.tolist())]` for every row."""
+    `_writer` over `[id, *map(repr, row.tolist())]` for every row."""
     X = np.asarray(X)
     if X.shape != (len(ids), len(feature_names)):
         raise PopgateError(

@@ -197,7 +197,9 @@ def per_param_adam_step(values, grads, ms, vs, decays, t, lr, b1=0.9, b2=0.999, 
 
 def csv_writer_matrix_bytes(ids, names, X) -> bytes:
     """A numeric table as `csv.writer` writes it cell by cell: the header,
-    then `[id, *map(repr, row.tolist())]` per row, "\\n"-terminated, UTF-8."""
+    then `[id, *map(repr, row.tolist())]` per row, "\\n"-terminated, UTF-8.
+    An id that holds a "\\r" is quoted, which csv.writer does only when
+    the "\\r" is part of its line terminator."""
     import csv
     import io
 
@@ -205,7 +207,11 @@ def csv_writer_matrix_bytes(ids, names, X) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["track_id", *names])
     for tid, row in zip(ids, X):
-        writer.writerow([tid, *map(repr, row.tolist())])
+        cells = [tid, *map(repr, row.tolist())]
+        if "\r" in tid:
+            buf.write(",".join(['"' + tid.replace('"', '""') + '"', *cells[1:]]) + "\n")
+        else:
+            writer.writerow(cells)
     return buf.getvalue().encode("utf-8")
 
 

@@ -28,6 +28,7 @@ from popgate.autoenc import (
     train_group_autoencoder,
 )
 from popgate.autoenc.groups import validate_registry
+from popgate.autoenc.model import n_params
 from popgate.codec import from_json, to_json
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
@@ -64,6 +65,12 @@ def test_plan_rule_for_all_registry_dims():
             assert hidden == [g.d // 2, g.d // 4]
         else:
             assert hidden == [g.d // 2]
+
+
+@pytest.mark.parametrize("d, d_enc", [(2, 1), (17, 3), (2048, 64), (4478, 510)])
+def test_n_params_counts_every_trainable_value(d, d_enc):
+    ae = Autoencoder(d, d_enc, None)
+    assert n_params(d, d_enc) == sum(p.value.size for p in ae.params())
 
 
 def test_decoder_mirrors_encoder_across_sweep():
@@ -487,6 +494,18 @@ def test_ensemble_save_load_round_trip(tmp_path):
                           np.hstack([_encode(trained, g, X) for g in (g1, g2)]))
     assert loaded.seed == 46
     assert [g.name for g in loaded.registry] == ["left", "right"]
+
+
+@pytest.mark.parametrize("readable", [True, False], ids=["readable", "unreadable"])
+def test_discard_deletes_the_ensemble_and_only_the_dropped_checkpoints(tmp_path, readable):
+    (g1, g2), trained, _ = _tiny_trained_ensemble(tmp_path)
+    CompressorEnsemble.save(tmp_path, [g1, g2], _histories(trained), 46)
+    (tmp_path / "other.npz").write_bytes(b"not named")
+    if not readable:
+        (tmp_path / "ensemble.json").write_text("{")
+    CompressorEnsemble.discard(tmp_path, [g1])
+    kept = ["left.npz", "other.npz"] if readable else ["left.npz", "other.npz", "right.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
 
 
 def _rewrite_checkpoint(path, keep):

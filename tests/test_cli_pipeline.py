@@ -899,6 +899,26 @@ class TestImportFootprint:
         assert not loaded & _TRAINING, loaded
 
 
+class TestBlasThreads:
+    def test_synth_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at 12851 audio columns, synth's (240, 4) @ (4, 12851) product sums
+        # in another order on two BLAS threads than on one
+        root = Path(__file__).resolve().parents[1]
+        cfg = {"synth": {**chain_config()["synth"], "dims": [12851, 10, 6]}}
+        audio = {}
+        for threads in ("1", "2"):
+            ws = tmp_path / f"threads{threads}"
+            ws.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "popgate.cli", "synth", "--config", str(write_config(ws, cfg))],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            audio[threads] = (ws / "data/audio.csv").read_bytes()
+        assert audio["1"] == audio["2"]
+
+
 class TestTracedRun:
     def test_traced_step_binds_pipeline_names(self, chain_ws, tmp_path):
         """perfbench/traced_step.py wraps names bound in popgate.pipeline; a

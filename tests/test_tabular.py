@@ -316,6 +316,21 @@ class TestMatrixInBlocks:
         assert (got_ids, len(_first_rows(p, forced_blocks))) == expect
         assert np.array_equal(Y, X)
 
+    def test_carriage_returns_in_ids_round_trip(self, tmp_path, forced_blocks):
+        # csv.writer with "\n" line ends leaves a bare "\r" unquoted, and a
+        # reader ends the row there
+        ids = ["cr\rlf", "\r", "two\r\nlines", "a,b\r", "", *(f"t{i}" for i in range(7))]
+        X = np.random.default_rng(8).normal(size=(12, 2))
+        m, c = tmp_path / "m.csv", tmp_path / "c.csv"
+        write_matrix_csv(m, ids, ["x", "y"], X)
+        write_csv(c, ["track_id", "x", "y"], ([tid, *row] for tid, row in zip(ids, X.tolist())))
+        got_ids, _, Y = read_matrix_csv(m)
+        assert got_ids == ids
+        assert np.array_equal(Y, X)
+        assert read_csv(c) == (["track_id", "x", "y"],
+                               [[tid, *map(repr, row)] for tid, row in zip(ids, X.tolist())])
+        assert m.read_bytes() == c.read_bytes() == csv_writer_matrix_bytes(ids, ["x", "y"], X)
+
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0), (1, 4), (2, 5)],
                              ids=["no-rows", "no-columns", "neither", "one-row", "two-rows"])
     def test_small_tables_round_trip(self, tmp_path, shape):
