@@ -9,12 +9,27 @@ characters, each cut at a line end; an iterable of triples is taken in
 batches of `BATCH_ROWS` rows. A block whose lines are plain (three
 comma-separated fields, no quote, NUL or whitespace other than the newline)
 is split by byte position with numpy; any other block goes through
-`csv.reader`, with every cell stripped. Ids become uint64 keys, timestamps of
-at most 11 ASCII digits get their UTC year from `datetime64[s]`, and every
-other timestamp goes through `parse_timestamp_year`. Each batch is reduced to
-distinct (track, year, user) triples with play counts before it is merged,
-so memory is bounded by the block size plus a small multiple of the distinct
-triples, not by the number of events.
+`csv.reader`, with every cell stripped. A batch's text sits in one byte
+buffer, from which each field is read as 8-byte words: an id's first word is
+its uint64 key, and a timestamp of at most 11 ASCII digits is parsed from its
+last two words at once (SWAR) and gets its UTC year from `datetime64[s]`.
+Every other timestamp goes through `parse_timestamp_year`. Each batch is
+reduced to distinct (track, year, user) triples with play counts before it
+is merged, so memory is bounded by the block size plus a small multiple of
+the distinct triples, not by the number of events.
+
+A log of at least PARALLEL_BYTES is read in byte ranges, one per core the
+process may run on (`os.sched_getaffinity`, which `taskset` restricts), cut
+where `popgate.tabular` cuts a matrix CSV: just after a `\n` outside quotes.
+A log with a quote that does not open a field, or with `\r` line ends, stays
+one range. Each range feeds its own accumulator in a lane of
+`popgate.lanes.run_lanes`, range 0 (with the byte-order mark and the header)
+in the calling process. The caller folds the later ranges' accumulators into
+range 0's in order: their ids are re-keyed through its long-id table and
+take its codes, their triples are re-composed with those codes and merged,
+and their tallies add up. Lanes decode no id; the caller decodes each once.
+Counts and tallies do not depend on the range count. A file that is not
+UTF-8 raises a PopgateError naming it and its first bad byte.
 """
 
 from __future__ import annotations
@@ -22,19 +37,29 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigError, MissingInputError
+from ..lanes import run_lanes
+from ..tabular import _ByteRange, _scan, _utf8
 
 DEFAULT_WINDOW: tuple[int, ...] = (2016, 2017, 2018, 2019, 2020)
 
 BLOCK_CHARS = 1 << 20  # characters per file block; peak memory grows with it
+# The smallest log read in byte ranges over the cores, set between the largest
+# log that two ranges did not speed up in a fresh process (4 MiB of the
+# ctd-log workload's rows: 5 of 12 alternating runs won, in two rounds) and
+# the smallest that they did (5 MiB: 11 of 12; 6 MiB: 12 of 12);
+# BENCH_ctd_lanes.json has the runs.
+PARALLEL_BYTES = 5 << 20
 BATCH_ROWS = 1 << 15  # rows per batch when the source is an iterable of triples
 
 _REQUIRED_COLUMNS = ("user_id", "track_id", "timestamp")
@@ -45,10 +70,11 @@ _ASCII_SPECIAL = '"\x00\t\x0b\x0c\r\x1c\x1d\x1e\x1f '
 _SPECIAL = re.compile(r'[^\S\n]|["\x00]')
 
 _DIGITS = 11  # longest timestamp read as epoch seconds without a parse
-_DIGIT_POS = np.arange(_DIGITS)
-_POW10 = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
-_KEY_POS = np.arange(8)
 _LONG_TAG = 0xFF  # low key byte of ids kept in the long-id table; never in UTF-8
+_PAD = 16  # zero bytes around a batch's text, so that every 8-byte word read lies in it
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # the k low bytes
+_EACH_BYTE = np.uint64(0x0101010101010101)  # times a byte value: it in every byte
+_HIGH_BITS = 0x80 * _EACH_BYTE  # the top bit of every byte
 
 
 def parse_timestamp_year(raw: str) -> int:
@@ -73,8 +99,10 @@ class IngestResult:
 
     `track`, `year`, `user` and `plays` are parallel int64 arrays, one entry
     per distinct triple, sorted by (track, year, user). `track` indexes
-    `track_ids` and `user` indexes `user_ids`; both tables list ids in the
-    order the ingest first met them.
+    `track_ids` and `user` indexes `user_ids`. Both tables list ids in the
+    order the ingest first met them; for a log read in byte ranges, the ids
+    of range 0 come first, then each later range's new ones, so the order of
+    the tables (not the ids, counts or tallies) depends on the range count.
     """
 
     track_ids: list[str]
@@ -122,7 +150,8 @@ class _CountsView(Mapping):
 
 
 class _Field(NamedTuple):
-    """One column of a batch: row i is the UTF-8 text buf[start[i]:end[i]]."""
+    """One column of a batch: row i is the UTF-8 text buf[start[i]:end[i]].
+    `buf` holds _PAD zero bytes before and after the text (`_text_buffer`)."""
 
     buf: np.ndarray
     start: np.ndarray
@@ -135,21 +164,51 @@ class _Field(NamedTuple):
         return self.buf[self.start[i]:self.end[i]].tobytes().decode("utf-8", "surrogatepass")
 
 
+def _text_buffer(raw: bytes) -> np.ndarray:
+    """A batch's UTF-8 text as bytes, with _PAD zero bytes on either side."""
+    return np.frombuffer(bytes(_PAD) + raw + bytes(_PAD), np.uint8)
+
+
 def _pack(values: Sequence[str]) -> _Field:
     raw = [v.encode("utf-8", "surrogatepass") for v in values]
     size = np.fromiter(map(len, raw), np.int64, len(raw))
-    end = np.cumsum(size)
-    return _Field(np.frombuffer(b"".join(raw), np.uint8), end - size, end)
+    end = np.cumsum(size) + _PAD
+    return _Field(_text_buffer(b"".join(raw)), end - size, end)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """w[i] is buf[i:i + 8] read as a little-endian uint64, so that bits
+    8j..8j+7 of the word are buf[i + j]. A view: nothing is copied."""
+    return np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+
+
+def _digits(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, whether all eight bytes are ASCII digits) of words of eight
+    characters, the first in the low byte: Lemire's SWAR parse ("Quickly
+    parsing eight digits", 2022), with his eight-digit test."""
+    high = np.uint64(0xF0F0F0F0F0F0F0F0)
+    ok = (word & high) | (((word + 6 * _EACH_BYTE) & high) >> np.uint64(4)) == 0x33 * _EACH_BYTE
+    v = word - 0x30 * _EACH_BYTE
+    v = v * np.uint64(10) + (v >> np.uint64(8))  # each even byte: the value of a digit pair
+    pairs = np.uint64(0x000000FF000000FF)
+    v = ((v & pairs) * np.uint64(100 + (1000000 << 32))
+         + ((v >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    return v.astype(np.int64), ok
 
 
 def _epoch_years(f: _Field) -> tuple[np.ndarray, np.ndarray]:
-    """(UTC year, usable) per non-empty field; usable marks 1..11 ASCII digits."""
+    """(UTC year, usable) per non-empty field; usable marks 1..11 ASCII
+    digits. A field's last 16 bytes are read as two words, with the bytes
+    before the field read as "0"."""
     length = f.end - f.start
-    inside = _DIGIT_POS >= _DIGITS - length[:, None]  # right-aligned window
-    idx = np.maximum(f.end[:, None] - _DIGITS + _DIGIT_POS, 0)
-    digit = f.buf[idx] - np.uint8(48)  # any other byte wraps above 9
-    usable = (length <= _DIGITS) & ~((digit > 9) & inside).any(axis=1)
-    secs = np.where(inside & usable[:, None], digit, 0).astype(np.int64) @ _POW10
+    words, zeros = _words(f.buf), 0x30 * _EACH_BYTE
+    secs, usable = np.zeros(length.size, np.int64), length <= _DIGITS
+    for back, scale in ((16, 10**8), (8, 1)):
+        before = _LOW_BYTES[8 - np.clip(length - (back - 8), 0, 8)]
+        value, digits = _digits((words[f.end - back] & ~before) | (zeros & before))
+        secs += value * scale
+        usable &= digits
+    secs = np.where(usable, secs, 0)
     return secs.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970, usable
 
 
@@ -159,8 +218,10 @@ def run_starts(key: np.ndarray) -> np.ndarray:
 
 
 def _reduce(key: np.ndarray, plays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum `plays` over equal keys: sorted distinct keys and their sums."""
-    order = np.argsort(key)
+    """Sum `plays` over equal keys: sorted distinct keys and their sums.
+    `key` is a concatenation of sorted runs, which a stable sort (timsort)
+    merges in one pass."""
+    order = np.argsort(key, kind="stable")
     key = key[order]
     first = run_starts(key)
     return key[first], np.add.reduceat(plays[order], first)
@@ -236,13 +297,18 @@ class _Accumulator:
         rows = rows[inside]
         track = self.tracks(self._keys(tracks.take(rows)))
         user = self.users(self._keys(users.take(rows)))
+        self._check_size()
+        key = ((track * self.years.size + np.searchsorted(self.years, year[inside])) << 32) | user
+        self._add_pending(np.unique(key, return_counts=True))
+
+    def _check_size(self) -> None:
         if len(self.tracks) * self.years.size >= 1 << 31 or len(self.users) > 1 << 32:
             raise ValueError(
                 f"event log too large: {len(self.tracks)} tracks x {self.years.size} years, "
                 f"{len(self.users)} users"
             )
-        key = ((track * self.years.size + np.searchsorted(self.years, year[inside])) << 32) | user
-        batch = np.unique(key, return_counts=True)
+
+    def _add_pending(self, batch: tuple[np.ndarray, np.ndarray]) -> None:
         self.pending.append(batch)
         self.n_pending += batch[0].size
         if self.n_pending >= self.merged[0].size:
@@ -253,28 +319,62 @@ class _Accumulator:
         self.pending, self.n_pending = [], 0
         self.merged = _reduce(*(np.concatenate(col) for col in zip(*parts)))
 
+    def fold(self, lane: "_Accumulator") -> None:
+        """Add the counts and tallies of `lane`, which ingested a later range
+        of the log over the same window and merged its batches. Its long ids
+        are re-keyed through this accumulator's `long_ids`, and its ids take
+        this accumulator's codes, new ones after the ones it holds."""
+        relong = np.array([self.long_ids.setdefault(raw, len(self.long_ids))
+                           for raw in lane.long_ids], np.uint64)
+
+        def codes(own: _IdCodes, theirs: _IdCodes) -> np.ndarray:
+            """The code in `own` of each of `lane`'s codes in `theirs`."""
+            keys = theirs.keys()
+            long = (keys & 0xFF) == _LONG_TAG
+            keys[long] = (relong[keys[long] >> 8] << 8) | _LONG_TAG
+            return own(keys)
+
+        track, user = codes(self.tracks, lane.tracks), codes(self.users, lane.users)
+        self._check_size()
+        key, plays = lane.merged
+        track_year, user_code = key >> 32, key & 0xFFFFFFFF
+        lane_track, year = np.divmod(track_year, self.years.size)
+        key = ((track[lane_track] * self.years.size + year) << 32) | user[user_code]
+        order = np.argsort(key)  # the keys stay distinct under new codes
+        self._add_pending((key[order], plays[order]))
+        self.n_events += lane.n_events
+        self.n_malformed += lane.n_malformed
+        self.n_out_of_window += lane.n_out_of_window
+
     def _keys(self, f: _Field) -> np.ndarray:
         """uint64 key per non-empty id: its UTF-8 bytes, zero-padded, when they
         fit in 8 bytes and hold no NUL; otherwise `_LONG_TAG` plus its index
         in `long_ids`. No UTF-8 text starts with byte 0xFF, so keys are equal
         exactly when ids are."""
         length = f.end - f.start
-        inside = _KEY_POS < length[:, None]
-        idx = np.minimum(f.start[:, None] + _KEY_POS, f.buf.size - 1)
-        raw = np.where(inside, f.buf[idx], np.uint8(0))
-        keys = raw.view("<u8").ravel()
-        for i in np.flatnonzero((length > 8) | ((raw == 0) & inside).any(axis=1)).tolist():
+        inside = _LOW_BYTES[np.minimum(length, 8)]
+        keys = _words(f.buf)[f.start] & inside
+        # a zero byte inside the id: Mycroft's test on the word with the bytes after it set
+        word = keys | ~inside
+        nul = ((word - _EACH_BYTE) & ~word & _HIGH_BITS) != 0
+        for i in np.flatnonzero((length > 8) | nul).tolist():
             code = self.long_ids.setdefault(f.buf[f.start[i]:f.end[i]].tobytes(), len(self.long_ids))
             keys[i] = (code << 8) | _LONG_TAG
         return keys
 
     def _decode(self, codes: _IdCodes) -> list[str]:
         keys = codes.keys()
+        raw = keys.astype("<u8").view("S8")
+        # a key with no byte above 0x7F is an ASCII id: one numpy cast decodes them all
+        ascii = (keys & _HIGH_BITS) == 0
+        out = np.empty(keys.size, object)
+        out[ascii] = raw[ascii].astype("U8")
         long_ids = list(self.long_ids)
-        return [
-            (long_ids[k >> 8] if k & 0xFF == _LONG_TAG else raw).decode("utf-8", "surrogatepass")
-            for k, raw in zip(keys.tolist(), keys.astype("<u8").view("S8").tolist())
-        ]
+        for i in np.flatnonzero(~ascii).tolist():
+            k = int(keys[i])
+            text = long_ids[k >> 8] if k & 0xFF == _LONG_TAG else raw[i]
+            out[i] = text.decode("utf-8", "surrogatepass")
+        return out.tolist()
 
     def result(self) -> IngestResult:
         self._merge()
@@ -306,7 +406,7 @@ def _add_plain_block(block: str, idx: Sequence[int], acc: _Accumulator) -> bool:
         block += "\n"
     if not _plain_text(block):
         return False
-    buf = np.frombuffer(block.encode("utf-8"), np.uint8)
+    buf = _text_buffer(block.encode("utf-8"))
     ends = np.flatnonzero(buf == ord("\n"))
     commas = np.flatnonzero(buf == ord(","))
     # exactly two commas per line: the 2k-th and (2k+1)-th lie on line k
@@ -314,7 +414,7 @@ def _add_plain_block(block: str, idx: Sequence[int], acc: _Accumulator) -> bool:
         (commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()
     ):
         return False
-    starts = np.r_[0, ends[:-1] + 1]
+    starts = np.r_[_PAD, ends[:-1] + 1]
     bounds = ((starts, commas[0::2]), (commas[0::2] + 1, commas[1::2]), (commas[1::2] + 1, ends))
     acc.add(*(_Field(buf, *bounds[i]) for i in idx))
     return True
@@ -336,27 +436,71 @@ def _add_csv_block(block: str, fh, delim: str, idx: Sequence[int], acc: _Accumul
     acc.add_strings(*cols)
 
 
-def _ingest_file(path: Path, acc: _Accumulator) -> None:
-    """Feed a CSV/TSV log with a header to `acc`. Rows missing a required
-    value carry an empty string there, which the accumulator tallies as
-    malformed."""
+def _header(first: str, path: Path) -> tuple[str, list[int], bool]:
+    """The delimiter of a log whose first line is `first`, the position of
+    each required column, and whether its records may be plain lines."""
+    delim = "\t" if "\t" in first else ","
+    header = [h.strip() for h in next(csv.reader([first], delimiter=delim), [])]
+    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise ConfigError(f"event log {path} lacks columns {missing}; header was {header}")
+    idx = [header.index(c) for c in _REQUIRED_COLUMNS]
+    return delim, idx, delim == "," and len(header) == len(_REQUIRED_COLUMNS)
+
+
+def _feed(fh, delim: str, idx: Sequence[int], plain: bool, acc: _Accumulator) -> _Accumulator:
+    """Feed the records of a text stream to `acc`, block by block -> `acc`."""
+    while block := fh.read(BLOCK_CHARS):
+        block += fh.readline()
+        if not (plain and _add_plain_block(block, idx, acc)):
+            _add_csv_block(block, fh, delim, idx, acc)
+    return acc
+
+
+def _feed_range(path: Path, start: int, stop: int, form: tuple, acc: _Accumulator) -> _Accumulator:
+    """Feed bytes [start, stop) of a log to `acc`; the range at byte 0 skips
+    the byte-order mark and the header line."""
+    raw = io.BufferedReader(_ByteRange(path, start, stop))
+    with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="") as fh:
+        if not start:
+            fh.readline()
+        _feed(fh, *form, acc)
+    acc._merge()
+    return acc
+
+
+def _ingest_file(path: Path, window: Sequence[int]) -> _Accumulator:
+    """Read a CSV/TSV log with a header. Rows missing a required value carry
+    an empty string there, which the accumulator tallies as malformed.
+
+    A log of at least PARALLEL_BYTES is cut into one byte range per core the
+    process may run on (`os.sched_getaffinity`), where `_scan` cuts a matrix
+    CSV: just after a `\n` outside quotes. Each range feeds its own
+    accumulator in a lane of `run_lanes`, range 0 in the calling process,
+    and the later ranges' accumulators are folded into range 0's in order."""
     if not path.exists():
         raise MissingInputError(f"event log not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if not first:
-            return
-        delim = "\t" if "\t" in first else ","
-        header = [h.strip() for h in first.rstrip("\r\n").split(delim)]
-        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(f"event log {path} lacks columns {missing}; header was {header}")
-        idx = [header.index(c) for c in _REQUIRED_COLUMNS]
-        plain = delim == "," and len(header) == len(_REQUIRED_COLUMNS)
-        while block := fh.read(BLOCK_CHARS):
-            block += fh.readline()
-            if not (plain and _add_plain_block(block, idx, acc)):
-                _add_csv_block(block, fh, delim, idx, acc)
+    acc = _Accumulator(window)
+    with _utf8(path):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            first = fh.readline()
+            if not first:
+                return acc
+            form = _header(first, path)
+            size, cores = path.stat().st_size, len(os.sched_getaffinity(0))
+            big = size >= PARALLEL_BYTES and cores > 1
+            edges = _scan(path, cores, form[0])[1] if big else [0, size]
+            if len(edges) == 2:
+                return _feed(fh, *form, acc)
+        jobs = {f"bytes {start}-{stop} of {path}":
+                (1.0, partial(_feed_range, path, start, stop, form,
+                              _Accumulator(window) if start else acc))
+                for start, stop in zip(edges, edges[1:])}
+        # equal weights: range b runs in lane b, range 0 in this process
+        first_range, *later = run_lanes("ctd-extract", jobs).values()
+    for lane in later:
+        first_range.fold(lane)
+    return first_range
 
 
 def ingest_events(
@@ -369,12 +513,13 @@ def ingest_events(
     read from a file are stripped, ids in triples are taken as given.
     A row is malformed if an id is empty or the timestamp does not parse;
     well-formed rows outside the window are counted separately and dropped.
+    A log file of at least PARALLEL_BYTES is read in byte ranges over the
+    cores (see the module docstring).
     """
-    acc = _Accumulator(window)
     if isinstance(source, (str, Path)):
-        _ingest_file(Path(source), acc)
-    else:
-        rows = iter(source)
-        while batch := list(itertools.islice(rows, BATCH_ROWS)):
-            acc.add_strings(*zip(*batch, strict=True))
+        return _ingest_file(Path(source), window).result()
+    acc = _Accumulator(window)
+    rows = iter(source)
+    while batch := list(itertools.islice(rows, BATCH_ROWS)):
+        acc.add_strings(*zip(*batch, strict=True))
     return acc.result()

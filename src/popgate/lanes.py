@@ -3,10 +3,13 @@
 `_fork` starts a function in a forked worker with a pipe back to its caller,
 and `_workers` kills and reaps every worker on any way out of a block.
 `popgate.tabular` splits large matrix CSVs over them. `run_lanes` runs
-independent jobs, such as the autoencoder groups or the phase-1 experts,
-on one lane per core the process may run on (`os.sched_getaffinity`, which
-`taskset` restricts): lane 0 is the calling process, lanes 1…k−1 are
-forked workers.
+independent jobs, such as the autoencoder groups, the phase-1 experts or
+the byte ranges of a large play log (`popgate.ctd.events`), on one lane per
+core the process may run on (`os.sched_getaffinity`, which `taskset`
+restricts): lane 0 is the calling process, lanes 1…k−1 are forked workers.
+A worker starts by moving off its parent's core once, keeping its mask: on
+a machine whose kernel does not balance load between cores, the two would
+otherwise share the core the parent forked on.
 
 Workers are forked, not spawned, so that they read the caller's arrays and
 call its functions in place; only their results are pickled. A CLI process
@@ -43,7 +46,26 @@ def _workers() -> Iterator[list]:
                 proc.join()
 
 
-def _child(target, fd: int, *args) -> None:
+def _core() -> int | None:
+    """The core this process runs on, from /proc where there is one."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _child(target, fd: int, parent_core: int | None, *args) -> None:
+    # A forked process starts on its parent's core. Where the kernel does not
+    # balance load between cores (a cpuset with sched_load_balance off), both
+    # would stay there, so the worker moves off it once, keeping its mask.
+    cores = os.sched_getaffinity(0)
+    if parent_core in cores and len(cores) > 1:
+        try:
+            os.sched_setaffinity(0, cores - {parent_core})
+            os.sched_setaffinity(0, cores)
+        except OSError:
+            pass
     with open(fd, "wb") as out:
         target(out, *args)
 
@@ -57,7 +79,8 @@ def _fork(target, *args) -> tuple:
     r, w = os.pipe()
     pipe = open(r, "rb")
     try:
-        proc = multiprocessing.get_context("fork").Process(target=_child, args=(target, w, *args))
+        proc = multiprocessing.get_context("fork").Process(
+            target=_child, args=(target, w, _core(), *args))
         proc.start()
     except BaseException:
         pipe.close()

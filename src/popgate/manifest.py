@@ -25,6 +25,8 @@ def file_sha256(path: str | Path) -> str:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"cannot hash missing file: {path}")
+    if not path.is_file():
+        raise MissingInputError(f"cannot hash {path}: not a file")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -27,11 +27,17 @@ straight into the parent's matrix. The bytes written, the values read and
 the errors raised do not depend on the block count. Workers come from
 `popgate.lanes`, forked so that they use the parent's matrix and ids in
 place, with nothing pickled but a block's ids; every worker is reaped
-before a call returns or raises.
+before a call returns or raises. `popgate.ctd.events` cuts large play logs
+into byte ranges with the same `_scan` and reads them through `_ByteRange`.
+
+A file that is not UTF-8 raises a PopgateError naming it and the offset of
+its first bad byte from the start of the file, at any block count and
+whatever else is wrong with it.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
@@ -115,12 +121,41 @@ def _csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh, _utf8(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise PopgateError(f"{path} is empty (no header row)")
         yield header, reader
+
+
+@contextmanager
+def _utf8(path: Path) -> Iterator[None]:
+    """Turn a UnicodeDecodeError in the block into `_not_utf8`'s error."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path) or PopgateError(f"{path} is not UTF-8: {e.reason}") from None
+
+
+def _not_utf8(path: Path) -> PopgateError | None:
+    """The error for a file that does not decode as UTF-8, naming the offset
+    of its first bad byte from the start of the file; None for a file that
+    does."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 20)
+            held = len(decoder.getstate()[0])  # bytes of a sequence that the chunk goes on with
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as e:
+                return PopgateError(f"{path} is not UTF-8: byte {offset - held + e.start} is "
+                                    f"0x{e.object[e.start]:02x} ({e.reason})")
+            if not chunk:
+                return None
+            offset += len(chunk)
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -220,21 +255,21 @@ def _row_cells(path: Path, r: int) -> list[str]:
 _BOM = b"\xef\xbb\xbf"
 
 
-def _quotes_open_fields(chunk: bytes, quotes: int, before: int, first: bool) -> bool:
+def _quotes_open_fields(chunk: bytes, quotes: int, before: int, first: bool, sep: int) -> bool:
     """Whether every quote of `chunk` that the running count `quotes` makes
-    an opening one starts a field (follows a comma, a line end or the start
-    of the file) or doubles the quote before it inside a quoted field.
-    `before` is the byte ahead of the chunk."""
+    an opening one starts a field (follows the delimiter `sep`, a line end
+    or the start of the file) or doubles the quote before it inside a quoted
+    field. `before` is the byte ahead of the chunk."""
     a = np.frombuffer(chunk, np.uint8)
     q = np.flatnonzero(a == ord('"'))
     opening = q[(quotes + np.arange(q.size)) % 2 == 0]
     prev = np.where(opening > 0, a[opening - 1], before)
     if first and chunk.startswith(_BOM):
         prev[opening == len(_BOM)] = ord("\n")
-    return bool(np.isin(prev, (ord(","), ord("\n"), ord("\r"), ord('"'))).all())
+    return bool(np.isin(prev, (sep, ord("\n"), ord("\r"), ord('"'))).all())
 
 
-def _scan(path: Path, blocks: int) -> tuple[int, list[int]]:
+def _scan(path: Path, blocks: int, delimiter: str = ",") -> tuple[int, list[int]]:
     """One pass over a CSV file -> (an upper bound on its data rows, the byte
     offsets that cut it into at most `blocks` blocks of whole records, from
     0 to the file's size).
@@ -244,7 +279,8 @@ def _scan(path: Path, blocks: int) -> tuple[int, list[int]]:
     keeps it a bound. Block b starts just after the first `\\n` from b/blocks
     of the file on with an even count of `"` before it, which puts it
     outside any quoted field. That count is exact only where each opening
-    quote starts a field; a file with a quote elsewhere (csv.reader keeps
+    quote starts a field, after `delimiter`, a line end or the start of the
+    file; a file with a quote elsewhere (csv.reader keeps
     the `"` of `ab"c` as text), or with no such `\\n` (`\\r` line ends), is
     one block."""
     size = path.stat().st_size
@@ -257,7 +293,8 @@ def _scan(path: Path, blocks: int) -> tuple[int, list[int]]:
                 lines += chunk.count(b"\r") - chunk.count(b"\r\n")
             quoted = b'"' in chunk
             if quoted:
-                regular = regular and _quotes_open_fields(chunk, quotes, before, offset == 0)
+                regular = regular and _quotes_open_fields(chunk, quotes, before, offset == 0,
+                                                          ord(delimiter))
             while len(edges) < blocks and regular:
                 j = chunk.find(b"\n", max(size * len(edges) // blocks, edges[-1], offset) - offset)
                 while j >= 0 and (quotes + chunk.count(b'"', 0, j)) % 2:
@@ -298,11 +335,12 @@ def _parse_block(path: Path, start: int, stop: int, header: list[str], data: np.
     row 0 -> their ids. The block at byte 0 skips the header record, a
     byte-order mark included: the header starts with `track_id`, with or
     without quotes, so the mark cannot move the record's end. Raises
-    _BadRow at the first ragged or non-numeric row."""
+    _BadRow at the first ragged or non-numeric row, and `_not_utf8`'s error
+    on bytes that are not UTF-8."""
     names, n = header[1:], len(header) - 1
     ids: list[str] = []
     raw = io.BufferedReader(_ByteRange(path, start, stop))
-    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh, _utf8(path):
         reader = csv.reader(fh)
         if not start:
             next(reader)
@@ -323,11 +361,11 @@ def _parse_block(path: Path, start: int, stop: int, header: list[str], data: np.
 
 
 def _read_part(out, path: Path, start: int, stop: int, header: list[str], data: np.ndarray) -> None:
-    """A worker's block: its ids (or its bad row) pickled, then its rows' bytes."""
+    """A worker's block: its ids (or the error it raised) pickled, then its rows' bytes."""
     try:
         ids = _parse_block(path, start, stop, header, data)
-    except _BadRow as bad:
-        pickle.dump((None, bad.args), out)
+    except (_BadRow, PopgateError) as bad:
+        pickle.dump((None, bad), out)
         return
     pickle.dump((ids, None), out)
     out.write(data[: len(ids)])
@@ -336,7 +374,8 @@ def _read_part(out, path: Path, start: int, stop: int, header: list[str], data: 
 def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
     """Read a track_id-keyed numeric table -> (ids, feature_names, float64 matrix).
     Every cell must be a finite number. The first ragged or non-numeric row,
-    in file order, is reported before any non-finite cell. Rows are parsed
+    in file order, is reported before any non-finite cell, and a byte that
+    is not UTF-8 before either. Rows are parsed
     straight into one matrix sized from a count of the file's lines, then
     shrunk in place to the rows read."""
     path = Path(path)
@@ -355,7 +394,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
         try:
             ids = _parse_block(path, edges[0], edges[1], header, data)
         except _BadRow as bad:
-            raise bad.error(path, 0) from None
+            raise _not_utf8(path) or bad.error(path, 0) from None
         for proc, pipe in workers:
             first = len(ids)
             try:
@@ -367,8 +406,10 @@ def read_matrix_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
             except (EOFError, pickle.UnpicklingError):  # the worker died mid-block
                 block_ids = bad = None
             proc.join()
+            if isinstance(bad, _BadRow):
+                raise _not_utf8(path) or bad.error(path, first)
             if bad:
-                raise _BadRow(*bad).error(path, first)
+                raise bad
             if proc.exitcode or block_ids is None:
                 raise _worker_failed(path, proc)
             ids += block_ids

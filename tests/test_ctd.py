@@ -1,13 +1,19 @@
 """Engagement feature pipeline vs. naive oracles, plus its edge-case contracts."""
 
+import os
+import re
+import shutil
+import signal
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _chain import _workloads, chain_config, run_chain, write_config
 from _eventgen import WINDOW, random_event_log, random_track_artist, write_log_file
 from _oracles import (
     naive_artist_features,
@@ -19,8 +25,10 @@ from _oracles import (
 from popgate.ctd import build_ctd_dataset, default_schema, ingest_events
 from popgate.ctd import events
 from popgate.ctd.events import parse_timestamp_year
+from popgate import lanes, tabular
+from popgate.cli import main
 from popgate.ctd.features import _ols_slopes
-from popgate.exceptions import ConfigError, MissingInputError
+from popgate.exceptions import ConfigError, MissingInputError, PopgateError
 
 
 def _ts(year: int, month: int = 6) -> str:
@@ -235,6 +243,27 @@ def test_timestamp_digit_boundary():
     res = ingest_events(rows, window=WINDOW)
     assert res.counts == {("t", 2018): {"u": 4}}
     assert (res.n_events, res.n_out_of_window, res.n_malformed) == (4, 3, 3)
+
+
+@given(st.lists(st.text("0123456789+-. \x00aé\ud800", min_size=1, max_size=14), min_size=1,
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_word_kernels_match_a_reading_of_each_field(values):
+    """The 8-byte word reads of `_keys` and `_epoch_years` agree with the
+    bytes of each field, wherever it lies in the batch's buffer."""
+    f = events._pack(values)
+    year, usable = events._epoch_years(f)
+    keys = events._Accumulator(WINDOW)._keys(f)
+    for v, y, ok, key in zip(values, year.tolist(), usable.tolist(), keys.tolist()):
+        digits = len(v) <= 11 and all(c in "0123456789" for c in v)
+        assert ok == digits
+        if digits:
+            assert y == datetime.fromtimestamp(int(v), tz=timezone.utc).year
+        raw = v.encode("utf-8", "surrogatepass")
+        if len(raw) <= 8 and b"\0" not in raw:
+            assert key == int.from_bytes(raw, "little")
+        else:
+            assert key & 0xFF == 0xFF
 
 
 def test_ids_are_compared_as_whole_strings():
@@ -486,3 +515,249 @@ def test_no_nonfinite_values_anywhere():
     res = ingest_events(rows, WINDOW)
     _, X, _ = build_ctd_dataset(res, random_track_artist(rng, 25), "temporal", WINDOW)
     assert np.all(np.isfinite(X))
+
+
+# --- a log in byte ranges over the cores ---------------------------------------
+
+
+@pytest.fixture
+def forced_lanes(request, monkeypatch):
+    """Cut every log into one byte range per core, whatever its size, with
+    `request.param` cores, whatever this machine has."""
+    monkeypatch.setattr(events, "PARALLEL_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+@pytest.fixture
+def pids(monkeypatch):
+    """The pid of every process forked while the test runs: lanes and
+    matrix CSV workers."""
+    pids = []
+    for module in (lanes, tabular):
+        def recording(*args, fork=module._fork):
+            proc, pipe = fork(*args)
+            pids.append(proc.pid)
+            return proc, pipe
+
+        monkeypatch.setattr(module, "_fork", recording)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _assert_ingests_like_the_truth(path, truth, n_mal, n_out, lanes_forked, pids):
+    res = ingest_events(path)
+    assert res.counts == naive_counts(truth, WINDOW)
+    assert (res.n_events, res.n_malformed, res.n_out_of_window) == (len(truth), n_mal, n_out)
+    assert len(pids) == lanes_forked
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("delim,style", _STYLES)
+@pytest.mark.parametrize("block", [1, 61, 4096])
+def test_exotic_logs_match_bruteforce_in_every_lane_count(
+        tmp_path, monkeypatch, forced_lanes, pids, delim, style, block):
+    test_exotic_logs_match_bruteforce_across_block_sizes(tmp_path, monkeypatch, delim, style, block)
+    assert len(pids) == forced_lanes - 1
+    _assert_reaped(pids)
+
+
+def _random_log(tmp_path, seed=7, style="plain", bom=False, **kw):
+    rows, truth, n_mal, n_out = random_event_log(np.random.default_rng(seed), 900, **kw)
+    path = write_log_file(tmp_path / "log.csv", rows, style=style)
+    if bom:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return path, truth, n_mal, n_out
+
+
+def _newline_at_every_cut(tmp_path, k):
+    """Long quoted track ids made of newlines: each nominal cut point of the
+    log, b/k of its size, falls inside one of them, before a newline."""
+    rows, truth, n_mal, n_out = random_event_log(np.random.default_rng(13), 300, n_tracks=9)
+    rows = [(u, t and "x" + "\n" * 40 + t, ts) for u, t, ts in rows]
+    truth = [(u, "x" + "\n" * 40 + t, y) for u, t, y in truth]
+    path = write_log_file(tmp_path / "log.csv", rows, style="quoted")
+    data = path.read_bytes()
+    for b in range(1, k):
+        cut = len(data) * b // k
+        assert data.count(b'"', 0, cut) % 2 and data.find(b"\n", cut) < data.find(b'"', cut)
+    return path, truth, n_mal, n_out
+
+
+def _long_and_nul_ids(tmp_path):
+    """Ids of more than 8 bytes and ids holding a NUL, kept in the long-id
+    table; the later rows bring new ones and repeat earlier ones."""
+    ts, rows = "1514764800", []
+    for i in range(600):
+        n = i // 2 + i % 7  # rows of the later ranges meet earlier ids and new ones
+        rows.append((f"listener-{n % 40:06d}", f"t\x00{n % 25}" if i % 3 else f"t{n % 25}", ts))
+    path = tmp_path / "log.csv"
+    path.write_text("user_id,track_id,timestamp\n" + "".join(f"{u},{t},{s}\n" for u, t, s in rows))
+    return path, [(u, t, 2018) for u, t, _ in rows], 0, 0
+
+
+_LANE_CASES = {
+    "bom": lambda tmp_path, k: _random_log(tmp_path, bom=True),
+    "bom-quoted": lambda tmp_path, k: _random_log(tmp_path, style="quoted", bom=True, exotic=True),
+    "newline-at-the-cut": _newline_at_every_cut,
+    "long-and-nul-ids": lambda tmp_path, k: _long_and_nul_ids(tmp_path),
+    "iso-and-out-of-window": lambda tmp_path, k: _random_log(tmp_path, out_of_window_frac=0.3),
+    "malformed": lambda tmp_path, k: _random_log(tmp_path, style="messy", malformed_frac=0.3,
+                                                 exotic=True),
+}
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("case", list(_LANE_CASES))
+def test_logs_in_lanes_match_bruteforce(tmp_path, forced_lanes, pids, case):
+    path, truth, n_mal, n_out = _LANE_CASES[case](tmp_path, forced_lanes)
+    _assert_ingests_like_the_truth(path, truth, n_mal, n_out, forced_lanes - 1, pids)
+
+
+@pytest.mark.parametrize("forced_lanes", [2, 3], indirect=True)
+def test_log_with_irregular_quotes_or_cr_line_ends_stays_one_range(tmp_path, forced_lanes, pids):
+    rows, truth, n_mal, n_out = random_event_log(np.random.default_rng(9), 600)
+    path = tmp_path / "log.csv"
+    body = "".join(f"{u},{t},{ts}\n" for u, t, ts in rows)
+    path.write_text('user_id,track_id,timestamp\nu"0,t0,1514764800\n' + body)
+    _assert_ingests_like_the_truth(path, [("u\"0", "t0", 2018), *truth], n_mal, n_out, 0, pids)
+    path.write_text("user_id,track_id,timestamp\r" + body.replace("\n", "\r"))
+    _assert_ingests_like_the_truth(path, truth, n_mal, n_out, 0, pids)
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2, 3], indirect=True)
+def test_id_tables_list_each_range_after_the_ones_before(tmp_path, monkeypatch, forced_lanes):
+    """With one-line blocks, range 0's ids come in the order the log first
+    lists them, and each later range's new ids follow the ranges before."""
+    monkeypatch.setattr(events, "BLOCK_CHARS", 1)
+    path = tmp_path / "log.csv"
+    path.write_text("user_id,track_id,timestamp\n"
+                    + "".join(f"u{i % 7},t{i},1514764800\n" for i in range(90)))
+    data, (_, edges) = path.read_bytes(), tabular._scan(path, forced_lanes)
+    ranges = [[line.split(b",")[1].decode() for line in data[a:b].splitlines()]
+              for a, b in zip(edges, edges[1:])]
+    ranges[0] = ranges[0][1:]  # the header
+    assert len(ranges) == forced_lanes
+    ids = ingest_events(path).track_ids
+    assert ids[:len(ranges[0])] == ranges[0]
+    at = 0
+    for tracks in ranges:
+        assert set(ids[at:at + len(tracks)]) == set(tracks)
+        at += len(tracks)
+    assert at == len(ids) == 90
+
+
+def test_quoted_header_is_read(tmp_path):
+    path = tmp_path / "qh.csv"
+    path.write_text('﻿"user_id" ,"track_id","timestamp"\r\nu1,t1,1514764800\r\n',
+                    encoding="utf-8")
+    assert ingest_events(path).counts == {("t1", 2018): {"u1": 1}}
+
+
+def _latin1(path, rows: int, at: int) -> int:
+    """A log of `rows` plain rows whose row `at` holds a Latin-1 é -> its offset."""
+    tracks = ["t\xe9" if i == at else "t" for i in range(rows)]
+    lines = ["user_id,track_id,timestamp\n"]
+    lines += [f"u{i},{t}{i},1514764800\n" for i, t in enumerate(tracks)]
+    data = "".join(lines).encode("latin-1")
+    path.write_bytes(data)
+    return data.index(b"\xe9")
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2], indirect=True)
+@pytest.mark.parametrize("block", [61, 1 << 20])
+def test_log_that_is_not_utf8_names_the_file_and_the_byte(tmp_path, monkeypatch, forced_lanes,
+                                                          pids, block):
+    monkeypatch.setattr(events, "BLOCK_CHARS", block)
+    path = tmp_path / "log.csv"
+    offset = _latin1(path, 2000, 1800)  # past the first 8 kB that the header's read decodes
+    with pytest.raises(PopgateError) as err:
+        ingest_events(path)
+    assert str(err.value) == (
+        f"{path} is not UTF-8: byte {offset} is 0xe9 (invalid continuation byte)")
+    assert len(pids) == forced_lanes - 1
+    _assert_reaped(pids)
+
+
+# --- ctd-extract in lanes -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def readme_ws(tmp_path_factory):
+    """The README chain through ctd-extract, run with the shipped constants."""
+    ws = tmp_path_factory.mktemp("ctd")
+    run_chain(ws, chain_config(), ("synth", "clean", "ctd-extract"))
+    return ws
+
+
+_CTD_FILES = ("data/ctd.csv", "manifests/ctd-extract.manifest.json")
+
+
+def _ctd_extract(base: Path, dest: Path, config: dict | None = None) -> int:
+    shutil.copytree(base, dest)
+    if config is not None:
+        write_config(dest, config)
+    return main(["ctd-extract", "--config", str(dest / "run.json")])
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2, 3], indirect=True)
+def test_ctd_csv_and_manifest_are_byte_equal_at_every_lane_count(
+        readme_ws, tmp_path, forced_lanes, pids):
+    assert _ctd_extract(readme_ws, tmp_path / "ws") == 0
+    assert len(pids) == forced_lanes - 1
+    _assert_reaped(pids)
+    for rel in _CTD_FILES:
+        assert (tmp_path / "ws" / rel).read_bytes() == (readme_ws / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("forced_lanes", [2, 3], indirect=True)
+def test_killed_lane_exits_1_naming_ctd_extract(readme_ws, tmp_path, monkeypatch, capsys,
+                                               forced_lanes, pids):
+    real, parent = events._feed, os.getpid()
+
+    def feed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(events, "_feed", feed)
+    assert _ctd_extract(readme_ws, tmp_path / "ws") == PopgateError.exit_code
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: ctd-extract: the worker process running bytes \d+-\d+ of "
+                        rf"{re.escape(str(tmp_path / 'ws/data/events.csv'))} "
+                        r"exited with code -9\n", err), err
+    assert len(pids) == forced_lanes - 1
+    _assert_reaped(pids)
+
+
+def test_ctd_extract_forks_nothing_on_the_readme_and_chain_small_logs(readme_ws, tmp_path, pids):
+    assert _ctd_extract(readme_ws, tmp_path / "readme") == 0
+    ws = tmp_path / "chain-small"
+    ws.mkdir()
+    run_chain(ws, _workloads.chain_config("chain-small", 701), ("synth", "clean", "ctd-extract"))
+    assert 0 < (ws / "data/events.csv").stat().st_size < events.PARALLEL_BYTES
+    assert pids == []
+
+
+@pytest.mark.parametrize("forced_lanes", [1, 2], indirect=True)
+def test_ctd_extract_on_a_log_that_is_not_utf8_exits_1_naming_it(
+        readme_ws, tmp_path, capsys, forced_lanes):
+    ws = tmp_path / "ws"
+    shutil.copytree(readme_ws, ws)
+    offset = _latin1(ws / "data/events.csv", 2000, 1800)
+    assert main(["ctd-extract", "--config", str(ws / "run.json")]) == PopgateError.exit_code
+    assert capsys.readouterr().err == (f"error: {ws / 'data/events.csv'} is not UTF-8: byte "
+                                       f"{offset} is 0xe9 (invalid continuation byte)\n")
+
+
+def test_ctd_extract_on_a_directory_exits_2_naming_it_as_not_a_file(readme_ws, tmp_path, capsys):
+    config = chain_config()
+    config["ctd"]["events"] = "data"
+    assert _ctd_extract(readme_ws, tmp_path / "ws", config) == MissingInputError.exit_code
+    assert capsys.readouterr().err == f"error: cannot hash {tmp_path / 'ws/data'}: not a file\n"

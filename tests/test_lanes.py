@@ -114,6 +114,16 @@ class TestRunLanes:
         assert len(pids) == forced_lanes - 1
         _assert_reaped(pids)
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+    def test_a_lane_starts_off_the_callers_core_and_keeps_its_mask(self, monkeypatch):
+        forked_on, core = [], lanes._core
+        monkeypatch.setattr(lanes, "_core", lambda: forked_on.append(core()) or forked_on[-1])
+        jobs = {"caller": (9.0, lambda: 0),
+                "lane": (1.0, lambda: (core(), os.sched_getaffinity(0)))}
+        lane_core, mask = run_lanes("step", jobs)["lane"]
+        assert mask == os.sched_getaffinity(0)
+        assert forked_on and lane_core != forked_on[0]
+
     @pytest.mark.parametrize("forced_lanes", [2], indirect=True)
     def test_an_error_that_cannot_be_pickled_keeps_its_text(self, forced_lanes):
         class Local(Exception):

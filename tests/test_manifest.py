@@ -29,6 +29,10 @@ class TestHashing:
         with pytest.raises(MissingInputError):
             file_sha256(tmp_path / "nope")
 
+    def test_file_sha256_of_a_directory_names_it_as_not_a_file(self, tmp_path):
+        with pytest.raises(MissingInputError, match=f"^cannot hash {tmp_path}: not a file$"):
+            file_sha256(tmp_path)
+
 
 class TestWriteManifest:
     def test_shape_and_relative_paths(self, tmp_path):

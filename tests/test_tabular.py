@@ -589,3 +589,62 @@ print(os.getpid())
         assert proc.returncode == 0, proc.stderr
         pid = proc.stdout.strip()
         assert marks.read_text().splitlines() == [f"finally {pid}", f"atexit {pid}"]
+
+
+def _with_byte(p: Path, row: int, byte: bytes) -> int:
+    """Put `byte` into the id of data row `row` of `p` -> its offset in the file."""
+    data = p.read_bytes()
+    at = data.index(f"\nt{row:04d},".encode()) + 2
+    p.write_bytes(data[:at] + byte + data[at:])
+    return at
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 names the file and the byte's offset from the
+    start of the file, wherever the reader met it."""
+
+    @pytest.mark.parametrize("forced_blocks", [1, 2], indirect=True)
+    @pytest.mark.parametrize("byte, reason", [
+        (b"\xe9", "invalid continuation byte"),
+        (b"\xff", "invalid start byte"),
+    ])
+    def test_matrix(self, tmp_path, forced_blocks, byte, reason):
+        # past the first 8 kB, which the header's read decodes, and in the last block
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a"], [[f"t{i:04d}", "1.5"] for i in range(1200)])
+        at = _with_byte(p, 1100, byte)
+        _, edges = tabular._scan(p, forced_blocks)
+        assert len(edges) == forced_blocks + 1 and max(edges[-2], 8192) < at
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == f"{p} is not UTF-8: byte {at} is 0x{byte[0]:02x} ({reason})"
+
+    @pytest.mark.parametrize("row", [3, 1100])
+    def test_string_table(self, tmp_path, row):
+        p = tmp_path / "meta.csv"
+        write_csv(p, ["track_id", "artist_id"], [[f"t{i:04d}", "a"] for i in range(1200)])
+        at = _with_byte(p, row, b"\xe9")
+        for read in (lambda: read_columns(p, ["artist_id"]), lambda: read_csv(p)):
+            with pytest.raises(PopgateError) as err:
+                read()
+            assert str(err.value) == (
+                f"{p} is not UTF-8: byte {at} is 0xe9 (invalid continuation byte)")
+
+    @pytest.mark.parametrize("forced_blocks", [1, 2], indirect=True)
+    def test_precedes_a_ragged_row_before_it(self, tmp_path, forced_blocks):
+        # one block decodes the bad byte's 8 kB chunk after it parses the
+        # ragged row; the second block decodes both in its first chunk
+        p = tmp_path / "m.csv"
+        write_csv(p, ["track_id", "a"], [[f"t{i:04d}", "1.5"] for i in range(3000)])
+        at = _with_byte(p, 2460, b"\xe9")
+        p.write_bytes(p.read_bytes().replace(b"t2400,1.5\n", b"t2400\n"))
+        with pytest.raises(PopgateError) as err:
+            read_matrix_csv(p)
+        assert str(err.value) == (
+            f"{p} is not UTF-8: byte {at - 4} is 0xe9 (invalid continuation byte)")
+
+    def test_a_sequence_cut_at_the_end_of_the_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"track_id,a\nt1,1.5\nt2\xc3")
+        with pytest.raises(PopgateError, match=r"byte 20 is 0xc3 \(unexpected end of data\)$"):
+            read_matrix_csv(p)
