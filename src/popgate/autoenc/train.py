@@ -56,6 +56,10 @@ def train_group_autoencoder(
     the validation loss writes the group's full checkpoint to `checkpoint`,
     so the file is the only copy of the best epoch: the model is read back
     from it only when a later epoch ran.
+
+    `data` is the only copy of the rows that the trainer holds: each batch
+    and each validation pass scales the rows it reads, so no scaled copy of
+    the whole group is kept, and `data` is left as it was.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != group.d:
@@ -68,8 +72,10 @@ def train_group_autoencoder(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     scaler = scaler_fit(X[train_idx], "zscore")
-    Xtr = scaler_apply(scaler, X[train_idx])
-    Xva = scaler_apply(scaler, X[val_idx])
+
+    def scaled(idx: np.ndarray) -> np.ndarray:
+        rows = X[idx]
+        return scaler_apply(scaler, rows, out=rows)
 
     model = _initial_model(group, seed)
     lam = lambda_for(group.d_enc)
@@ -82,7 +88,7 @@ def train_group_autoencoder(
         drop_rng = rng_for(seed, f"ae-dropout-{group.name}-{epoch}")
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            xb = Xtr[order[lo : lo + cfg.batch_size]]
+            xb = scaled(train_idx[order[lo : lo + cfg.batch_size]])
             opt.zero_grad()
             x_hat, z = model.forward(xb, train=True, rng=drop_rng)
             terms, d_xhat, d_z = ae_loss(xb, x_hat, z, lam)
@@ -92,8 +98,11 @@ def train_group_autoencoder(
             epoch_loss += terms.total * xb.shape[0]
         history["train_loss"].append(epoch_loss / len(train_idx))
 
-        xv_hat, zv = model.forward(Xva, train=False)
-        val_terms, _, _ = ae_loss(Xva, xv_hat, zv, lam)
+        # neither the validation rows nor their outputs are kept into the
+        # next epoch
+        xv = scaled(val_idx)
+        val_terms, _, _ = ae_loss(xv, *model.forward(xv, train=False), lam)
+        del xv
         history["val_loss"].append(val_terms.total)
         opt.lr = control.update(val_terms.total)
         if control.improved:
@@ -114,8 +123,8 @@ def train_group_autoencoder(
         _save_group(checkpoint, group, model, scaler, seed)
     elif control.best_epoch < control.epoch:
         model.load_state(load_checkpoint(checkpoint, prefixes=("enc.", "dec."))[0], checkpoint)
-    xv_hat, _ = model.forward(Xva, train=False)
-    history["val_relmse"] = rel_mse(Xva, xv_hat)
+    xv = scaled(val_idx)
+    history["val_relmse"] = rel_mse(xv, model.forward(xv, train=False)[0])
     history["best_epoch"] = control.best_epoch
     history["epochs_run"] = control.epoch + 1
     return model, scaler, history

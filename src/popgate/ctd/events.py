@@ -99,8 +99,9 @@ class IngestResult:
 
     `track`, `year`, `user` and `plays` are parallel int64 arrays, one entry
     per distinct triple, sorted by (track, year, user). `track` indexes
-    `track_ids` and `user` indexes `user_ids`. Both tables list ids in the
-    order the ingest first met them; for a log read in byte ranges, the ids
+    `track_ids` and `user` indexes `user_ids`. Both tables list ids by the
+    batch in which the ingest first met them, and the new ids of one batch
+    by their uint64 key (`_IdCodes`); for a log read in byte ranges, the ids
     of range 0 come first, then each later range's new ones, so the order of
     the tables (not the ids, counts or tallies) depends on the range count.
     """
@@ -228,7 +229,9 @@ def _reduce(key: np.ndarray, plays: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 class _IdCodes:
-    """Dense codes for uint64 id keys, numbered in order of arrival."""
+    """Dense codes for uint64 id keys. Each call numbers the keys it has not
+    seen before after all earlier ones, and among themselves in key order,
+    not in their order within the call."""
 
     def __init__(self):
         self.sorted_keys = np.zeros(0, np.uint64)

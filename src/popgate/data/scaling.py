@@ -46,15 +46,18 @@ def scaler_fit(train: np.ndarray, kind: str, k: float | None = None) -> ScalerPa
     return ScalerParams(kind, center, scale, degenerate)
 
 
-def scaler_apply(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
+def scaler_apply(params: ScalerParams, rows: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The scaled rows, written to `out` if given (which may be `rows`)."""
     if params is None:
         raise RuntimeError("scaler has not been fit")
     X = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if X.shape[1] != params.center.size:
         raise ShapeError(f"scaler fit on {params.center.size} columns, got {X.shape[1]}")
     if params.kind == "constant":
-        return X * params.k
-    out = (X - params.center) / params.scale
+        return np.multiply(X, params.k, out=out)
+    out = np.subtract(X, params.center, out=out)
+    out /= params.scale
     out[:, params.degenerate] = 0.0
     return out
 

@@ -16,7 +16,6 @@ real ingestion reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -28,6 +27,9 @@ _WORDS = (
     "night", "light", "love", "run", "gold", "river", "home", "fire",
     "echo", "stone", "dance", "rain", "shadow", "call", "wild", "silver",
 )
+# indexed with `rng.integers(0, len(_WORDS), size=k)`: the words and the
+# generator's later state of `rng.choice(_WORDS, size=k)`, without its overhead
+_WORD_ARRAY = np.array(_WORDS)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def _make_lyrics(rng: np.random.Generator) -> str:
     if rng.random() < 0.06:
         lines.append("[Instrumental]")
     for _ in range(int(rng.integers(3, 9))):
-        words = rng.choice(_WORDS, size=int(rng.integers(3, 8)))
+        words = _WORD_ARRAY[rng.integers(0, len(_WORDS), size=int(rng.integers(3, 8)))]
         line = " ".join(words)
         if rng.random() < 0.12:
             line += f" [x{int(rng.integers(2, 4))}]"
@@ -141,12 +143,20 @@ def _make_events(
             year = int(years[int(rng.integers(len(years)))])
             plays = int(rng.integers(1, 4))
             for _ in range(plays):
-                ts = datetime(
-                    year,
-                    int(rng.integers(1, 13)),
-                    int(rng.integers(1, 29)),
-                    int(rng.integers(0, 24)),
-                    tzinfo=timezone.utc,
-                )
-                events.append((f"u{int(u):04d}", track, str(int(ts.timestamp()))))
+                # month, day and hour, drawn in this order
+                ts = _unix_seconds(year, int(rng.integers(1, 13)), int(rng.integers(1, 29)),
+                                   int(rng.integers(0, 24)))
+                events.append((f"u{int(u):04d}", track, str(ts)))
     return events
+
+
+def _unix_seconds(year: int, month: int, day: int, hour: int) -> int:
+    """Seconds from 1970-01-01 00:00 UTC to the start of the given UTC hour,
+    as `calendar.timegm` gives them: the days from the proleptic Gregorian
+    date (Hinnant's `days_from_civil`), in a year counted from March."""
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return (era * 146097 + doe - 719468) * 86400 + hour * 3600

@@ -107,21 +107,38 @@ def _lanes(weights: list[float], k: int) -> list[list[int]]:
     return [sorted(lane) for lane in lanes]
 
 
-def _run_jobs(jobs: list[Callable]) -> tuple[list, Exception | None]:
-    """Call each job in order until one raises -> (the results so far, its error)."""
+def _run_jobs(jobs: list[Callable], release: Callable[[], None] | None = None
+              ) -> tuple[list, Exception | None]:
+    """Call each job in order until one raises -> (the results so far, its
+    error). With `release`, each job returns the function that finishes it:
+    the jobs are called up to the first that raises, then `release()`, then
+    the functions they returned, in order. A job's own error thus comes
+    after the errors of the jobs before it, as in a serial loop."""
+    error = None
+    if release is not None:
+        finishers = []
+        for job in jobs:
+            try:
+                finishers.append(job())
+            except Exception as exc:
+                error = exc
+                break
+        release()
+        jobs = finishers
     results = []
-    for job in jobs:
+    for i in range(len(jobs)):
         try:
-            results.append(job())
+            results.append(jobs[i]())
         except Exception as exc:
             return results, exc
-    return results, None
+        jobs[i] = None  # with it go the inputs it held
+    return results, error
 
 
-def _run_lane(out, jobs: list[Callable]) -> None:
+def _run_lane(out, jobs: list[Callable], release: Callable[[], None] | None) -> None:
     """A forked lane: its results and error, pickled. An error that does not
     survive pickling is sent as a PopgateError with its type and text."""
-    results, error = _run_jobs(jobs)
+    results, error = _run_jobs(jobs, release)
     if error is not None:
         try:
             pickle.loads(pickle.dumps(error))
@@ -130,7 +147,8 @@ def _run_lane(out, jobs: list[Callable]) -> None:
     pickle.dump((results, error), out)
 
 
-def run_lanes(step: str, jobs: Mapping[str, tuple[float, Callable]]) -> dict:
+def run_lanes(step: str, jobs: Mapping[str, tuple[float, Callable]],
+              release: Callable[[], None] | None = None) -> dict:
     """Call every job, given by name as (weight, function of no arguments),
     spread over the lanes -> each job's result by name, in the order of `jobs`.
 
@@ -142,12 +160,21 @@ def run_lanes(step: str, jobs: Mapping[str, tuple[float, Callable]]) -> dict:
     loop would raise. A lane that dies before it reports fails as its first
     job, with a PopgateError naming `step` and the lane's jobs. With one
     lane, the jobs run inline, one after another.
+
+    With `release`, each job's function returns the function that finishes
+    the job (`_run_jobs`). Every lane calls `release()` after its own jobs'
+    first calls and before any finishing one, the calling process only once
+    the other lanes have forked. An input that only the first calls read,
+    such as a matrix they gather rows from, is then dropped in every lane
+    before any job finishes, and a lane holds only what its own jobs'
+    first calls returned.
     """
     names = list(jobs)
     k = min(len(names), len(os.sched_getaffinity(0)))
     if k <= 1:
-        return {name: jobs[name][1]() for name in names}
-    lanes = _lanes([jobs[name][0] for name in names], k)
+        lanes = [list(range(len(names)))]
+    else:
+        lanes = _lanes([jobs[name][0] for name in names], k)
     results: dict[int, object] = {}
     errors: dict[int, Exception] = {}
 
@@ -158,8 +185,8 @@ def run_lanes(step: str, jobs: Mapping[str, tuple[float, Callable]]) -> dict:
 
     with _workers() as workers:
         for lane in lanes[1:]:
-            workers.append(_fork(_run_lane, [jobs[names[i]][1] for i in lane]))
-        record(lanes[0], *_run_jobs([jobs[names[i]][1] for i in lanes[0]]))
+            workers.append(_fork(_run_lane, [jobs[names[i]][1] for i in lane], release))
+        record(lanes[0], *_run_jobs([jobs[names[i]][1] for i in lanes[0]], release))
         for (proc, pipe), lane in zip(workers, lanes[1:]):
             try:
                 done, error = pickle.load(pipe)

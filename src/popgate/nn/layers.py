@@ -265,12 +265,15 @@ class BatchNorm(Module):
             self.running_var += self.momentum * var
             inv_std = np.sqrt(var + self.eps)
             np.divide(1.0, inv_std, out=inv_std)
-            xhat = centered * inv_std
-            self._cache = ("train", xhat, centered, inv_std)
+            # xhat = centered * inv_std is not kept: the backward recomputes
+            # it with the same product, bit for bit
+            self._cache = ("train", centered, inv_std)
+            out = centered * inv_std
+            out *= self.gamma.value
         else:
             xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
             self._cache = ("eval", xhat)
-        out = xhat * self.gamma.value
+            out = xhat * self.gamma.value
         out += self.beta.value
         return out
 
@@ -278,12 +281,16 @@ class BatchNorm(Module):
         if self._cache is None:
             raise RuntimeError("batchnorm backward called before forward")
         add = np.add.reduce
-        xhat = self._cache[1]
+        mode, *cached = self._cache
         self.beta.grad += add(grad, axis=0)
-        self.gamma.grad += add(grad * xhat, axis=0)
-        if self._cache[0] == "eval":
+        if mode == "eval":
+            self.gamma.grad += add(grad * cached[0], axis=0)
             return grad * self.gamma.value / np.sqrt(self.running_var + self.eps)
-        _, _, centered, inv_std = self._cache
+        centered, inv_std = cached
+        gx = centered * inv_std  # the forward's xhat
+        gx *= grad
+        self.gamma.grad += add(gx, axis=0)
+        del gx
         n = centered.shape[0]
         dxhat = grad * self.gamma.value
         dvar = add(dxhat * centered, axis=0) * (-0.5) * inv_std**3

@@ -284,10 +284,15 @@ def _split_of(split_path: Path) -> dict[str, str]:
     return dict(zip(cols["track_id"], cols["split"]))
 
 
-def _ae_history(group: FeatureGroup, X: np.ndarray, cfg, seed: int, ckpt: Path) -> dict:
-    """Train one group into its checkpoint -> its history; the trained model
-    is freed before the lane's next group trains."""
-    return train_group_autoencoder(group, X[:, group.cols], cfg, seed, ckpt)[2]
+def _ae_rows(group: FeatureGroup, parsed: list, rows: np.ndarray, cfg, seed: int,
+             ckpt: Path) -> Callable[[], dict]:
+    """Gather one group's training rows from the parsed matrix `parsed[0]`
+    -> the function that trains the group on them into its checkpoint and
+    returns its history. The trainer scales the rows it reads, so the
+    gather is the only copy of the group's rows; it is freed with the
+    trained model before the lane's next group trains."""
+    data = parsed[0][rows, group.cols]
+    return lambda: train_group_autoencoder(group, data, cfg, seed, ckpt)[2]
 
 
 def cmd_ae_train(ctx: RunContext) -> str:
@@ -305,11 +310,14 @@ def cmd_ae_train(ctx: RunContext) -> str:
             f"feature file has {X.shape[1]} columns but the registry spans {widest}"
         )
     split_of = _split_of(split_path)
-    mask = np.array([split_of.get(tid) == "train" for tid in ids])
-    if not mask.any():
+    rows = np.flatnonzero([split_of.get(tid) == "train" for tid in ids])
+    if not rows.size:
         raise PopgateError(f"no training rows: {features} shares no train ids with {split_path}")
-    X_train = X[mask]
-    del X  # training reads only the train rows
+    # `parsed` holds the only reference to the matrix: each lane gathers its
+    # own groups' training rows from it and then drops it, forked lanes
+    # their inherited copy, before its first group trains
+    parsed = [X]
+    del X, ids, split_of
 
     cfg = ctx.arg("ae.train")
     CompressorEnsemble.discard(model_dir, registry)
@@ -317,13 +325,13 @@ def cmd_ae_train(ctx: RunContext) -> str:
     for g in registry:
         ckpt = ctx.outputs[f"group_{g.name}"] = model_dir / f"{g.name}.npz"
         jobs[g.name] = (n_params(g.d, g.d_enc),
-                        partial(_ae_history, g, X_train, cfg, ctx.seed, ckpt))
-    histories = run_lanes("ae-train", jobs)
+                        partial(_ae_rows, g, parsed, rows, cfg, ctx.seed, ckpt))
+    histories = run_lanes("ae-train", jobs, release=parsed.clear)
     write_json(ctx.outputs["history"], histories)
     CompressorEnsemble.save(model_dir, registry, histories, ctx.seed)
     worst = max(histories.values(), key=lambda h: h["val_relmse"])["val_relmse"]
     return (
-        f"ae-train: {len(registry)} group(s) on {int(mask.sum())} train rows, "
+        f"ae-train: {len(registry)} group(s) on {rows.size} train rows, "
         f"worst val relmse {worst:.4f} -> {model_dir}"
     )
 

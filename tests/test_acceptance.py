@@ -36,7 +36,8 @@ from popgate.autoenc import (
     train_group_autoencoder,
 )
 from popgate.ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
-from popgate.data import SynthSpec, scaler_apply, scaler_fit, stratified_split, synth_generate
+from popgate.data import scaler_apply, scaler_fit, stratified_split
+from popgate.data.synth import SynthSpec, synth_generate
 from popgate.fusion import (
     MODALITIES,
     BranchConfig,

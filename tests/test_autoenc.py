@@ -380,6 +380,18 @@ def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
     assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
 
 
+def test_the_trainer_never_writes_its_rows(tmp_path):
+    # ae-train's gather is the only copy of a group's rows: each batch and
+    # validation pass scales a copy of the rows it reads
+    group = FeatureGroup("g", 0, 16, 3)
+    X = _low_rank_data(np.random.default_rng(22), 120, 16, 2, 0.3)
+    given = X.copy()
+    X.flags.writeable = False
+    train_group_autoencoder(group, X, AETrainConfig(max_epochs=4, batch_size=32), 46,
+                            tmp_path / "g.npz")
+    assert np.array_equal(X, given)
+
+
 def test_training_holds_at_most_four_param_copies(tmp_path):
     # values, grads, m and v: 4 copies of the params. The best epoch goes to
     # the checkpoint file, not to a fifth copy, and stepping in chunks keeps

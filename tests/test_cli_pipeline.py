@@ -884,6 +884,15 @@ class TestImportFootprint:
         if cmd in ("ctd-extract", "evaluate"):
             assert "data" not in loaded
 
+    def test_only_synth_and_ctd_extract_load_ctd(self, chain_ws, tmp_path):
+        # `popgate.data` re-exports nothing from its synth module, which
+        # imports `popgate.ctd`, so the steps that use only its cleaning,
+        # split and scaling load no CTD code
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        loading = [cmd for cmd in CHAIN if "ctd" in _packages_loaded(cmd, "--config", str(cfg_path))]
+        assert loading == ["synth", "ctd-extract"]
+
     def test_gate_report_loads_fusion_only_to_check_given_train_keys(self, chain_ws, tmp_path):
         # the README config sets train.branches, .gate, .phase1 and .phase2,
         # and checking them builds fusion's config classes, which load nn;

@@ -1,5 +1,7 @@
 """Cleaning, lyric normalization, stratified splitting, scaling, synthesis."""
 
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,19 +10,20 @@ from hypothesis import strategies as st
 from popgate.data import (
     CleaningConfig,
     ScalerParams,
-    SynthSpec,
     TrackRecord,
     clean,
     normalize_lyrics,
     scaler_apply,
     scaler_fit,
     stratified_split,
-    synth_generate,
 )
+from popgate.data.synth import _WORD_ARRAY, _WORDS, SynthSpec, _unix_seconds, synth_generate
 from popgate.codec import from_json, to_json
+from popgate.ctd import DEFAULT_WINDOW
 from popgate.data.scaling import scaler_invert
 from popgate.exceptions import ConfigError, ShapeError
 from popgate.metrics import compute_metrics
+from popgate.seeding import rng_for
 
 
 def _rec(track="t1", year=2000, lang="en", lyrics="la la", pop=50):
@@ -335,6 +338,28 @@ def test_synth_catalog_exercises_cleaning():
     assert (data.release_years < 1960).any()
     assert any(l == "xx" for l in data.languages)
     assert any("[x" in t for t in data.lyrics)
+
+
+def test_word_indexing_draws_what_choice_draws():
+    # `_make_lyrics` indexes `_WORD_ARRAY` where it called rng.choice(_WORDS):
+    # the same words, and the generator left in the same state
+    for seed in range(200):
+        a, b = rng_for(seed, "synth-catalog"), rng_for(seed, "synth-catalog")
+        for k in range(3, 8):
+            assert list(a.choice(_WORDS, size=k)) == list(
+                _WORD_ARRAY[b.integers(0, len(_WORDS), size=k)])
+            assert a.random() == b.random()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_unix_seconds_equal_an_aware_datetime_over_the_window():
+    # every (year, month, day, hour) that `_make_events` can draw
+    for year in DEFAULT_WINDOW:
+        for month in range(1, 13):
+            for day in range(1, 29):
+                for hour in range(24):
+                    expect = datetime(year, month, day, hour, tzinfo=timezone.utc).timestamp()
+                    assert _unix_seconds(year, month, day, hour) == int(expect)
 
 
 # --- metrics ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ rules, and ae-train and train-phase1 at forced lane counts."""
 import os
 import shutil
 import signal
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,32 @@ class TestRunLanes:
         with pytest.raises(ShapeError, match="^job 0 failed$"):
             run_lanes("step", jobs)
         assert len(pids) == forced_lanes - 1
+        _assert_reaped(pids)
+
+    @pytest.mark.parametrize("forced_lanes", [1, 2, 3], indirect=True)
+    def test_release_comes_after_each_lanes_first_calls_and_before_any_finish(
+            self, forced_lanes, pids):
+        shared = ["input"]
+
+        def job(name):
+            seen = list(shared)
+            return lambda: (name, seen, list(shared))
+
+        jobs = {name: (w, partial(job, name)) for name, w in (("a", 3.0), ("b", 2.0), ("c", 1.0))}
+        assert run_lanes("step", jobs, release=shared.clear) == {
+            name: (name, ["input"], []) for name in jobs}
+        assert shared == []
+        assert len(pids) == forced_lanes - 1
+        _assert_reaped(pids)
+
+    @pytest.mark.parametrize("forced_lanes", [1, 2], indirect=True)
+    def test_a_first_call_error_comes_after_the_earlier_jobs_finish(self, forced_lanes, pids):
+        def finish_fails():
+            raise ShapeError("a failed")
+
+        jobs = {"a": (1.0, lambda: finish_fails), "b": (1.0, _job(1, "raises"))}
+        with pytest.raises(ShapeError, match="^a failed$"):
+            run_lanes("step", jobs, release=lambda: None)
         _assert_reaped(pids)
 
     @pytest.mark.parametrize("forced_lanes", [2, 3], indirect=True)

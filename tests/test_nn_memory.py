@@ -1,4 +1,5 @@
-"""The training step's weight-sized work allocates no weight-sized array.
+"""The training step's weight-sized work allocates no weight-sized array,
+and BatchNorm's forward keeps no batch-sized array its backward recomputes.
 
 numpy reports each array buffer it allocates to `tracemalloc`, so these peaks
 are deterministic; BLAS's own work buffers are not counted. The layer is
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from popgate.nn import Dense, DenseLayerSpec, Elu, Param, clip_grad_norm
+from popgate.nn import BatchNorm, Dense, DenseLayerSpec, Elu, Param, clip_grad_norm
 
 D_IN, D_OUT, BATCH = 2000, 1000, 64
 
@@ -21,6 +22,16 @@ def _peak(fn) -> int:
     try:
         fn()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _held(fn) -> int:
+    """Bytes of numpy allocations that `fn` leaves alive, its result included."""
+    tracemalloc.start()
+    try:
+        kept = fn()  # noqa: F841  (alive while measured)
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
@@ -52,3 +63,12 @@ def test_clip_allocates_no_weight_sized_array():
     factors = []
     assert _peak(lambda: factors.append(clip_grad_norm([p], 1.0))) < p.value.nbytes / 4
     assert factors[0] < 1.0
+
+
+def test_batchnorm_train_forward_keeps_only_centered_beside_its_output():
+    # its cache is `centered` and two vectors: the backward recomputes
+    # xhat = centered * inv_std, and the oracle tests pin the gradients' bits
+    bn = BatchNorm(D_OUT)
+    x = np.random.default_rng(2).normal(size=(BATCH, D_OUT))
+    held = _held(lambda: bn.forward(x, train=True))
+    assert 2 * x.nbytes <= held < 2.5 * x.nbytes

@@ -2,10 +2,13 @@
 every file it wrote, so that the artifacts of two checkouts compare with one
 `diff`.
 
-Usage: python tools/chain_digest.py NAME SEED WORKSPACE
+Usage: python tools/chain_digest.py NAME SEED WORKSPACE [ROWS]
 
 NAME is `readme` (the README config), `chain-small` or `chain-paper`; the
-configs come from perfbench/workloads.py. WORKSPACE must be absent or empty.
+configs come from perfbench/workloads.py. ROWS, if given, replaces the
+config's `synth.n_samples`, so that one config runs at several row counts
+(the peak RSS of the training steps grows with them). WORKSPACE must be
+absent or empty.
 The config is written there as run.json, and each step runs as its own
 process, `python -m popgate.cli STEP --config run.json`, on the program
 under src/ beside tools/. Its summary goes to stderr, and so does one line
@@ -59,7 +62,7 @@ def run_step(step: str, cfg_path: Path) -> tuple[int, float, float]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
+    if len(argv) not in (3, 4):
         print(__doc__, file=sys.stderr)
         return 2
     name, seed, workspace = argv[0], int(argv[1]), Path(argv[2])
@@ -71,6 +74,8 @@ def main(argv: list[str]) -> int:
     else:
         print(f"error: NAME must be readme or one of {sorted(wl.CHAIN_OVERRIDES)}", file=sys.stderr)
         return 2
+    if len(argv) == 4:
+        config["synth"]["n_samples"] = int(argv[3])
     if workspace.exists() and any(workspace.iterdir()):
         print(f"error: workspace {workspace} is not empty", file=sys.stderr)
         return 2
