@@ -111,11 +111,11 @@ def train_group_autoencoder(
             break
 
     # no step reads the moments or the grads again: m and v go with `opt`,
-    # and the grad arena once each param has its own unmapped zeros, all
-    # before the best epoch is read back
+    # and the grad arena and the wide weights' recorded products once each
+    # param has its own unmapped zeros, all before the best epoch is read back
     del opt
     for p in model.params():
-        p.grad = np.zeros(p.value.shape)
+        p.release_grad()
     if control.best_epoch < 0:
         # no epoch improved (a non-finite validation loss): the initial
         # weights are drawn again, not kept

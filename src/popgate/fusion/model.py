@@ -10,6 +10,7 @@ ensemble's `model.json` and checkpoint metadata are written and read with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
@@ -30,10 +31,10 @@ class LossWeights:
     lambda_individual: float = 0.3
 
     def __post_init__(self):
-        if self.lambda_final < 0 or self.lambda_individual < 0:
-            raise ValueError(
-                f"loss weights must be >= 0, got {self.lambda_final}, {self.lambda_individual}"
-            )
+        for name in ("lambda_final", "lambda_individual"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
         if self.lambda_final == 0 and self.lambda_individual == 0:
             raise ValueError("loss weights must not both be zero")
 

@@ -10,6 +10,7 @@ worse than it started.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,8 +41,8 @@ class Phase2Config(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:  # NaN fails too
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay!r}")
 
 
 def _unit_targets(y: np.ndarray, where: str) -> np.ndarray:

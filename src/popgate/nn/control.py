@@ -87,8 +87,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("lr", "batch_size", "max_epochs", "patience", "plateau_patience", "clip_norm"):
             value = getattr(self, name)
-            if not value > 0:  # NaN fails too
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
 
     def control(self) -> TrainControl:
         """A fresh early-stopping and plateau machine for this loop."""

@@ -54,7 +54,7 @@ def check_gradients(
     Returns {param name: max relative error}.
     """
     loss_and_backward()
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: p.gradient().copy() for p in params}
     errors = {}
     for p in params:
         numeric = numerical_gradient(loss_only, p, step=step)

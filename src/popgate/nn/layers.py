@@ -23,7 +23,9 @@ class Param:
 
     The grad starts as `np.zeros`, whose pages stay unmapped until first
     written, so a model that only runs inference never pays for it. An
-    optimizer moves both arrays into its arena (see `popgate.nn.optim`).
+    optimizer moves both arrays into its arena (see `popgate.nn.optim`),
+    except the grad of a wide `Weight`. Clipping and the optimizer read the
+    gradient through `gradient()` and scale it through `scale_grad`.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -40,8 +42,89 @@ class Param:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
+    def gradient(self, buf: np.ndarray | None = None) -> np.ndarray:
+        """The accumulated gradient; `buf` is storage that a `Weight` may
+        rebuild it in."""
+        return self.grad
+
+    def scale_grad(self, factor: float) -> None:
+        self.grad *= factor
+
+    def release_grad(self) -> None:
+        """Give the param its own zeroed gradient, apart from any optimizer."""
+        self.grad = np.zeros(self.value.shape)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
+
+
+class Weight(Param):
+    """A dense layer's weight: its gradient is only ever added to as a
+    product `a @ b`, by `add_product`.
+
+    An optimizer may therefore hold no gradient for it (see
+    `popgate.nn.optim`): after `defer()` its `grad` is None, `products`
+    keeps each (a, b) pair added since, uncopied, and `factors` each scale
+    applied since. `gradient()` rebuilds the gradient from them by the
+    operations that the stored gradient would have seen, so bit for bit;
+    the caller must not write a recorded array before then.
+    """
+
+    __slots__ = ("products", "factors")
+
+    def __init__(self, value: np.ndarray, name: str = ""):
+        super().__init__(value, name)
+        self.products: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.factors: list[float] | None = None
+
+    def defer(self) -> None:
+        """Drop the stored gradient: from now on it is zero plus the
+        products recorded."""
+        self.grad = None
+        self.products, self.factors = [], []
+
+    def zero_grad(self) -> None:
+        if self.grad is None:
+            self.defer()
+        else:
+            super().zero_grad()
+
+    def add_product(self, a: np.ndarray, b: np.ndarray) -> None:
+        """`grad += a @ b`."""
+        if self.grad is None:
+            self.products.append((a, b))
+        else:
+            _add_product(self.grad, a, b)
+
+    def gradient(self, buf: np.ndarray | None = None) -> np.ndarray:
+        """The stored gradient, or else the one rebuilt in the front of
+        `buf`, a flat array at least the weight's size, or in fresh storage."""
+        if self.grad is not None:
+            return self.grad
+        n = self.value.size
+        g = (np.empty(n) if buf is None else buf[:n]).reshape(self.value.shape)
+        if not self.products:
+            g.fill(0.0)
+        else:
+            # the first product into zeroed storage, as `_add_product` writes it
+            (a, b), *rest = self.products
+            np.matmul(a, b, out=g)
+            g += 0.0
+            for a, b in rest:
+                g += a @ b
+        for factor in self.factors:
+            g *= factor
+        return g
+
+    def scale_grad(self, factor: float) -> None:
+        if self.grad is None:
+            self.factors.append(factor)
+        else:
+            super().scale_grad(factor)
+
+    def release_grad(self) -> None:
+        super().release_grad()
+        self.products = self.factors = None
 
 
 class Module:
@@ -319,7 +402,7 @@ class Dense(Module):
         self.name = name
         shape = (spec.in_dim, spec.out_dim)
         W = np.zeros(shape) if rng is None else rng.normal(0.0, _init_scale(spec), size=shape)
-        self.W = Param(W, name=f"{name}.W")
+        self.W = Weight(W, name=f"{name}.W")
         self.b = Param(np.zeros(spec.out_dim), name=f"{name}.b")
         self.bn = BatchNorm(spec.out_dim, name=f"{name}.bn") if spec.batchnorm else None
         self._cache = None
@@ -363,7 +446,7 @@ class Dense(Module):
         grad = activation_backward(grad, act_out, self.spec.activation)
         if self.bn is not None:
             grad = self.bn.backward(grad)
-        _add_product(self.W.grad, x.T, grad)
+        self.W.add_product(x.T, grad)
         self.b.grad += np.add.reduce(grad, axis=0)
         return grad @ self.W.value.T if input_grad else None
 

@@ -5,18 +5,33 @@ Update per step t:
     theta -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 AdamW applies decoupled decay theta -= lr * wd * theta before the Adam update.
 
-The optimizer owns its parameters' storage. Construction copies every value
-and every gradient, in the order given, into one flat float64 buffer each
-(the arena) and rebinds `p.value` and `p.grad` to reshaped views of it.
-Layers keep reading and accumulating into those views in place; nothing may
-rebind them afterwards. A second optimizer built over the same params moves
-them into its own arena, and the first one no longer sees them.
+The optimizer owns its parameters' storage. Construction copies every value,
+in the order given, into one flat float64 buffer (the arena) and rebinds
+`p.value` to a reshaped view of it. The gradients go into a second arena
+the same way, except a wide weight's: a `Weight` of at least
+`SMALL_PRODUCT` elements. So the grad arena holds only the gradients of
+params below that size, and those params come first in the value arena,
+the wide weights after them. Layers keep reading and accumulating into
+those views in place; nothing may rebind them afterwards. A second
+optimizer built over the same params moves them into its own arenas, and
+the first one is not to be used again.
+
+A wide weight's gradient is held nowhere between backward and step:
+`zero_grad` defers it (`Weight.defer`), so backward records the products
+it is the sum of. `clip_grad_norm` rebuilds each such gradient in turn for
+its sum of squares and records its factor, and `step` rebuilds it again,
+scaled, for the update. Each call rebuilds them one after another in one
+buffer the size of the largest, dropped when it returns, so at most one
+weight-sized gradient is alive at a time. That costs one more product per
+wide weight and step, and the rebuilt gradient is bit for bit the one a
+stored gradient would hold.
 
 With the arena, `zero_grad` is one fill, and `step` walks each contiguous
-run of equal decay in chunks of `CHUNK` elements through two chunk-sized
-scratch buffers, instead of building full-size temporaries per parameter.
-The step performs the same elementwise operations in the same order as the
-per-parameter form above, so params and moments are bit-identical to it.
+run of equal decay, and each wide weight, in chunks of `CHUNK` elements
+through two chunk-sized scratch buffers, instead of building full-size
+temporaries per parameter. The step performs the same elementwise
+operations in the same order as the per-parameter form above, so params
+and moments are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .layers import Param
+from .layers import SMALL_PRODUCT, Param, Weight
 
 ParamGroups = Sequence[tuple[Sequence[Param], float]]
 
@@ -51,19 +66,27 @@ class Adam:
         self.lr = lr
         self.step_count = 0
         self._params = [p for p, _ in entries]
-        self._values, self._grads = _build_arena(self._params)
+        stored = [(p, wd) for p, wd in entries if not _is_wide(p)]
+        wide = [(p, wd) for p, wd in entries if _is_wide(p)]
+        self._values = _build_arena([p for p, _ in stored + wide], "value")
+        self._grads = _build_arena([p for p, _ in stored], "grad")
         self.m = np.zeros(self._values.size)
         self.v = np.zeros(self._values.size)
-        # [lo, hi) spans of the arena with one decay, adjacent equal decays merged
+        # [lo, hi) spans of the stored params with one decay, adjacent equal
+        # decays merged, then each wide weight's offset and decay
         self._runs: list[tuple[int, int, float]] = []
         lo = 0
-        for p, wd in entries:
+        for p, wd in stored:
             hi = lo + p.value.size
             if self._runs and self._runs[-1][2] == wd:
                 self._runs[-1] = (self._runs[-1][0], hi, wd)
             else:
                 self._runs.append((lo, hi, wd))
             lo = hi
+        self._wide: list[tuple[Weight, int, float]] = []
+        for p, wd in wide:
+            self._wide.append((p, lo, wd))
+            lo += p.value.size
         width = min(CHUNK, self._values.size)
         self._scratch = (np.empty(width), np.empty(width))
 
@@ -73,35 +96,45 @@ class Adam:
 
     def zero_grad(self) -> None:
         self._grads.fill(0.0)
+        for p, _, _ in self._wide:
+            p.defer()
 
     def step(self) -> None:
         self.step_count += 1
+        for lo, hi, wd in self._runs:
+            self._update(lo, hi, wd, self._grads[lo:hi])
+        buf = _rebuild_buffer([p for p, _, _ in self._wide])
+        for p, lo, wd in self._wide:
+            self._update(lo, lo + p.value.size, wd, p.gradient(buf).reshape(-1))
+
+    def _update(self, lo: int, hi: int, wd: float, grad: np.ndarray) -> None:
+        """Step the arena span [lo, hi) with decay `wd`, given its flat
+        gradient `grad`."""
         t = self.step_count
         lr, b1, b2, eps = self.lr, self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
-        for lo, hi, wd in self._runs:
-            for a in range(lo, hi, CHUNK):
-                b = min(a + CHUNK, hi)
-                x, g, m, v = self._values[a:b], self._grads[a:b], self.m[a:b], self.v[a:b]
-                s, u = self._scratch[0][: b - a], self._scratch[1][: b - a]
-                if wd != 0.0:
-                    np.multiply(x, lr * wd, out=s)
-                    x -= s
-                m *= b1
-                np.multiply(g, 1.0 - b1, out=s)
-                m += s
-                np.multiply(g, g, out=s)
-                s *= 1.0 - b2
-                v *= b2
-                v += s
-                np.divide(m, bc1, out=s)
-                s *= lr
-                np.divide(v, bc2, out=u)
-                np.sqrt(u, out=u)
-                u += eps
-                s /= u
+        for a in range(lo, hi, CHUNK):
+            b = min(a + CHUNK, hi)
+            x, g, m, v = self._values[a:b], grad[a - lo : b - lo], self.m[a:b], self.v[a:b]
+            s, u = self._scratch[0][: b - a], self._scratch[1][: b - a]
+            if wd != 0.0:
+                np.multiply(x, lr * wd, out=s)
                 x -= s
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
+            v *= b2
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            s /= u
+            x -= s
 
 
 class AdamW(Adam):
@@ -131,23 +164,31 @@ def _decay_pairs(params: Sequence[Param] | ParamGroups, default_decay: float) ->
     return entries
 
 
-def _build_arena(params: list[Param]) -> tuple[np.ndarray, np.ndarray]:
-    """Move every value and grad into one flat buffer each, in order, and
-    rebind them as views. Each old array is released as soon as it is copied."""
-    total = sum(p.value.size for p in params)
-    values = np.empty(total)
-    grads = np.empty(total)
+def _is_wide(p: Param) -> bool:
+    """Whether `p` is a weight whose gradient the optimizer does not store."""
+    return isinstance(p, Weight) and p.value.size >= SMALL_PRODUCT
+
+
+def _rebuild_buffer(params: list[Param]) -> np.ndarray:
+    """Storage for the deferred gradients among `params` to be rebuilt in,
+    one after another: the largest one's size, so that its pages are mapped
+    once per call, not once per weight."""
+    return np.empty(max((p.value.size for p in params if p.grad is None), default=0))
+
+
+def _build_arena(params: list[Param], attr: str) -> np.ndarray:
+    """Move each param's `attr` array ("value" or "grad") into one flat
+    buffer, in order, and rebind it as a view. Each old array is released
+    as soon as it is copied."""
+    arena = np.empty(sum(p.value.size for p in params))
     lo = 0
     for p in params:
         hi = lo + p.value.size
-        view = values[lo:hi].reshape(p.shape)
-        view[...] = p.value
-        p.value = view
-        view = grads[lo:hi].reshape(p.shape)
-        view[...] = p.grad
-        p.grad = view
+        view = arena[lo:hi].reshape(p.shape)
+        view[...] = getattr(p, attr)
+        setattr(p, attr, view)
         lo = hi
-    return values, grads
+    return arena
 
 
 def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
@@ -155,21 +196,25 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
 
     Returns the applied factor (1.0 when no scaling occurred). The sum of
     squares is taken per param and then added up, so each param's pairwise
-    summation order is fixed regardless of where its storage lives. Scaling
-    is in place, so no step allocates more than `CHUNK` elements.
+    summation order is fixed regardless of where its storage lives. A
+    stored gradient is scaled in place, so no step allocates more than
+    `CHUNK` elements for it; a deferred one (see `Weight`) is rebuilt for
+    its sum of squares in storage the next one is rebuilt in, and records
+    the factor.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     params = list(params)
+    buf = _rebuild_buffer(params)
     total = 0.0
     for p in params:
-        total += float(_sum_squares(p.grad))
+        total += float(_sum_squares(p.gradient(buf)))
     norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm
     for p in params:
-        p.grad *= factor
+        p.scale_grad(factor)
     return factor
 
 

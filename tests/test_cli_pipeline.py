@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -571,6 +572,9 @@ MALFORMED_KEYS = [
     # names train.branches.audio.activation.slope
     ("train-phase1", "train.branches.audio.activation", {"kind": "elu", "slope": 0.2}),
     ("split", "split_seed", 7),  # a second key for the split seed; `split.seed` is the one
+    # a NaN or infinite loss weight passed the old `< 0` check
+    ("train-phase2", "train.loss_weights", {"lambda_final": math.nan}),
+    ("train-phase2", "train.loss_weights", {"lambda_individual": math.inf}),
 ]
 
 # (step, section, field, value): each of these once exited 1 after the step
@@ -581,6 +585,11 @@ BAD_LOOP_SETTINGS = [
     ("ae-train", "ae.train", "val_fraction", -0.5),  # "rel_mse undefined for zero-variance input"
     ("train-phase1", "train.phase1", "plateau_patience", 0),
     ("train-phase2", "train.phase2", "clip_norm", -1),
+    # non-finite values: "activation input contains ... non-finite entries"
+    ("ae-train", "ae.train", "lr", math.inf),
+    ("train-phase1", "train.phase1", "clip_norm", math.inf),
+    ("train-phase2", "train.phase2", "lr", math.inf),
+    ("train-phase2", "train.phase2", "weight_decay", math.nan),
 ]
 
 

@@ -1,5 +1,6 @@
 """The training step's weight-sized work allocates no weight-sized array,
-and BatchNorm's forward keeps no batch-sized array its backward recomputes.
+or, for a wide weight in an optimizer, one at a time; and BatchNorm's
+forward keeps no batch-sized array its backward recomputes.
 
 numpy reports each array buffer it allocates to `tracemalloc`, so these peaks
 are deterministic; BLAS's own work buffers are not counted. The layer is
@@ -11,7 +12,8 @@ import tracemalloc
 
 import numpy as np
 
-from popgate.nn import BatchNorm, Dense, DenseLayerSpec, Elu, Param, clip_grad_norm
+from popgate.nn import (MLP, Adam, BatchNorm, Dense, DenseLayerSpec, Elu, Identity, Param,
+                        clip_grad_norm)
 
 D_IN, D_OUT, BATCH = 2000, 1000, 64
 
@@ -72,3 +74,40 @@ def test_batchnorm_train_forward_keeps_only_centered_beside_its_output():
     x = np.random.default_rng(2).normal(size=(BATCH, D_OUT))
     held = _held(lambda: bn.forward(x, train=True))
     assert 2 * x.nbytes <= held < 2.5 * x.nbytes
+
+
+def _wide_mlp() -> tuple[MLP, np.ndarray]:
+    """Two 16 MB weights, and a batch."""
+    rng = np.random.default_rng(3)
+    mlp = MLP([DenseLayerSpec(D_IN, D_OUT, Elu(), batchnorm=True, dropout_p=0.1),
+               DenseLayerSpec(D_OUT, D_IN, Identity())], rng)
+    return mlp, rng.normal(size=(16, D_IN))
+
+
+def _optimizer_after_backward(mlp: MLP, x: np.ndarray) -> Adam:
+    opt = Adam(mlp.params(), lr=1e-3)
+    opt.zero_grad()
+    mlp.backward(mlp.forward(x, train=True, rng=np.random.default_rng(4)) - x, input_grad=False)
+    return opt
+
+
+def test_an_optimizer_holds_no_gradient_of_a_wide_weight_between_backward_and_step():
+    # the values, m and v arenas are three copies of the params, and the
+    # batch-sized caches, recorded products and step scratch ~2 MB; a grad
+    # arena would be a fourth copy, one wide weight's gradient 16 MB
+    mlp, x = _wide_mlp()
+    held = _held(lambda: _optimizer_after_backward(mlp, x))
+    P = sum(p.value.nbytes for p in mlp.params())
+    assert held < 3 * P + mlp.layers[0].W.value.nbytes / 4
+    assert all(layer.W.grad is None and layer.W.products for layer in mlp.layers)
+
+
+def test_clip_and_step_hold_one_wide_gradient_at_a_time():
+    mlp, x = _wide_mlp()
+    opt = _optimizer_after_backward(mlp, x)
+    W = mlp.layers[0].W.value.nbytes
+    assert all(layer.W.value.nbytes == W for layer in mlp.layers)
+    factors = []
+    assert W <= _peak(lambda: factors.append(clip_grad_norm(opt.params, 1e-3))) < 1.25 * W
+    assert factors[0] < 1.0
+    assert W <= _peak(opt.step) < 1.25 * W
