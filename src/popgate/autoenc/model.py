@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import Elu
 from ..exceptions import ShapeError
-from ..nn import DenseLayerSpec, Elu, MLP, Module, dense_stack, mse_loss
+from ..nn import DenseLayerSpec, MLP, Module, dense_stack, mse_loss
 # no caller here: perfbench/traced_step.py patches this name, so it stays
 # bound until the tracer moves into the program (ROADMAP item 9)
 from ..nn.layers import snapshot_state  # noqa: F401

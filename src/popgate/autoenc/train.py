@@ -5,6 +5,7 @@ written, with `popgate.codec`, the reader that also checks run configs."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import MISSING, dataclass
 from pathlib import Path
@@ -12,13 +13,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..codec import from_json, reading, write_json
+from ..codec import canonical_json, from_json, reading, write_json
+from ..config import AETrainConfig, FeatureGroup, validate_registry
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import MLP, Adam, TrainConfig, clip_grad_norm, load_checkpoint, save_checkpoint
+from ..nn import MLP, Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
 from ..nn.checkpoint import check_arrays
 from ..seeding import derive_seed, rng_for
-from .groups import FeatureGroup, registry_hash, validate_registry
 from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
 
 
@@ -32,16 +33,6 @@ def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
     if sst == 0.0:
         raise ValueError("rel_mse undefined for zero-variance input")
     return float(np.sum((x - x_hat) ** 2)) / sst
-
-
-@dataclass(frozen=True)
-class AETrainConfig(TrainConfig):
-    val_fraction: float = 0.1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
 
 
 def train_group_autoencoder(
@@ -80,7 +71,7 @@ def train_group_autoencoder(
     model = _initial_model(group, seed)
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
-    control = cfg.control()
+    control = TrainControl.from_config(cfg)
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
     for epoch in range(cfg.max_epochs):
@@ -150,6 +141,10 @@ def _save_group(path: str | Path, group: FeatureGroup, model: Autoencoder,
         "decoder_specs": [layer.spec for layer in model.decoder.layers],
     }
     save_checkpoint(path, arrays, meta)
+
+
+def registry_hash(groups: Sequence[FeatureGroup]) -> str:
+    return hashlib.sha256(canonical_json(tuple(groups)).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

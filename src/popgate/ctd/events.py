@@ -47,11 +47,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ..config import DEFAULT_WINDOW
 from ..exceptions import ConfigError, MissingInputError
 from ..lanes import run_lanes
 from ..tabular import _ByteRange, _scan, _utf8
-
-DEFAULT_WINDOW: tuple[int, ...] = (2016, 2017, 2018, 2019, 2020)
 
 BLOCK_CHARS = 1 << 20  # characters per file block; peak memory grows with it
 # The smallest log read in byte ranges over the cores, set between the largest

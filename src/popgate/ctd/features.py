@@ -23,8 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..config import DEFAULT_WINDOW
 from ..exceptions import ConfigError
-from .events import DEFAULT_WINDOW, IngestResult, run_starts
+from .events import IngestResult, run_starts
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:

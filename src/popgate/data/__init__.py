@@ -1,10 +1,8 @@
-from .cleaning import DEFAULT_LANGUAGES, CleaningConfig, TrackRecord, clean, normalize_lyrics
+from .cleaning import TrackRecord, clean, normalize_lyrics
 from .scaling import ScalerParams, scaler_apply, scaler_fit, scaler_invert
 from .split import SplitAssignment, stratified_split
 
 __all__ = [
-    "DEFAULT_LANGUAGES",
-    "CleaningConfig",
     "ScalerParams",
     "SplitAssignment",
     "TrackRecord",

@@ -6,6 +6,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..config import CleaningConfig
+
 
 @dataclass(frozen=True)
 class TrackRecord:
@@ -21,22 +23,6 @@ class TrackRecord:
             raise ValueError(
                 f"track {self.track_id!r}: popularity must be in [0,100], got {self.popularity}"
             )
-
-
-DEFAULT_LANGUAGES = ("en", "es", "de", "fr")  # top-4 allowlist
-
-
-@dataclass(frozen=True)
-class CleaningConfig:
-    min_year: int = 1960
-    languages: tuple[str, ...] = DEFAULT_LANGUAGES
-    lyric_bounds: tuple[int, int] | None = None  # e.g. (100, 7000) for char-length gating
-
-    def __post_init__(self):
-        if self.lyric_bounds is not None:
-            lo, hi = self.lyric_bounds
-            if lo <= 0 or hi <= 0 or lo >= hi:
-                raise ValueError(f"lyric bounds must be positive with min < max, got {self.lyric_bounds}")
 
 
 def clean(records: Iterable[TrackRecord], cfg: CleaningConfig) -> tuple[list[TrackRecord], dict[str, int]]:

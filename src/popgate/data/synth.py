@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ctd.events import DEFAULT_WINDOW
-from ..metrics import MODALITIES
+from ..config import DEFAULT_WINDOW, MODALITIES, SynthSpec
 from ..seeding import rng_for
 
 _WORDS = (
@@ -30,24 +29,6 @@ _WORDS = (
 # indexed with `rng.integers(0, len(_WORDS), size=k)`: the words and the
 # generator's later state of `rng.choice(_WORDS, size=k)`, without its overhead
 _WORD_ARRAY = np.array(_WORDS)
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    n_samples: int = 1000
-    dims: tuple[int, int, int] = (64, 128, 16)  # audio, lyrics, social feature widths
-    latent_dim: int = 8
-    coeffs: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    noise: float = 0.1  # target noise stdev
-    feature_noise: float = 0.05  # observation noise on features
-    n_artists: int = 50
-    n_users: int = 400
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
-        if any(d < 1 for d in self.dims) or self.latent_dim < 1:
-            raise ValueError("dims and latent_dim must be >= 1")
 
 
 @dataclass

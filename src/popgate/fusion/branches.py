@@ -8,65 +8,10 @@ gating network, so `forward` returns both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..exceptions import ConfigError
-from ..metrics import MODALITIES
-from ..nn import (MLP, Activation, Dense, DenseLayerSpec, Elu, LeakyRelu, Module, Sigmoid,
-                  dense_stack)
-
-
-@dataclass(frozen=True)
-class BranchConfig:
-    """Architecture of one modality expert.
-
-    `hidden` lists trunk widths; the last entry is the representation the
-    gate consumes. `dropout` gives one rate per trunk layer.
-    """
-
-    modality: str
-    in_dim: int
-    hidden: tuple[int, ...]
-    activation: Activation
-    dropout: tuple[float, ...]
-    batchnorm: bool = True
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ConfigError(f"unknown modality {self.modality!r}; expected one of {MODALITIES}")
-        if self.in_dim < 1:
-            raise ConfigError(f"{self.modality} branch in_dim must be >= 1, got {self.in_dim}")
-        if not self.hidden:
-            raise ConfigError(f"{self.modality} branch needs at least one trunk layer")
-        if len(self.dropout) != len(self.hidden):
-            raise ConfigError(
-                f"{self.modality} branch: {len(self.hidden)} trunk layers but "
-                f"{len(self.dropout)} dropout rates"
-            )
-
-    @property
-    def repr_dim(self) -> int:
-        return self.hidden[-1]
-
-
-# Full-scale expert stacks, {modality: (hidden, activation, dropout)}. Audio
-# and social use a [512, 256, 128, 64] trunk; lyrics inputs are wider and
-# sparser, so that branch goes one layer deeper. The social branch gets
-# LeakyReLU and lighter dropout.
-_DEFAULT_STACKS = {
-    "audio": ((512, 256, 128, 64), Elu(0.1), (0.3, 0.2, 0.2, 0.1)),
-    "lyrics": ((1024, 512, 256, 128, 64), Elu(0.1), (0.3, 0.2, 0.2, 0.1, 0.1)),
-    "social": ((512, 256, 128, 64), LeakyRelu(0.05), (0.1, 0.1, 0.05, 0.0)),
-}
-
-
-def default_branch_config(modality: str, in_dim: int) -> BranchConfig:
-    """The full-scale architecture of `modality` (see `_DEFAULT_STACKS`)."""
-    if modality not in _DEFAULT_STACKS:
-        raise ConfigError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
-    return BranchConfig(modality, in_dim, *_DEFAULT_STACKS[modality])
+from ..config import BranchConfig, Sigmoid
+from ..nn import MLP, Dense, DenseLayerSpec, Module, dense_stack
 
 
 class ExpertBranch(Module):

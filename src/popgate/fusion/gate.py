@@ -8,13 +8,11 @@ layer starts at zero, which makes the initial mixture exactly uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..config import MODALITIES, GateConfig, LeakyRelu
 from ..exceptions import ShapeError
-from ..nn import MLP, LeakyRelu, Module, Param, dense_stack, softmax, softmax_backward
-from .branches import MODALITIES
+from ..nn import MLP, Module, Param, dense_stack, softmax, softmax_backward
 
 
 class LearnableStandardize(Module):
@@ -57,21 +55,6 @@ class LearnableStandardize(Module):
 
     def parts(self) -> list:
         return [("shift", self.shift), ("scale", self.scale)]
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    repr_dim: int = 64
-    hidden: tuple[int, ...] = (128, 64)
-    slope: float = 0.05
-    dropout_p: float = 0.01
-    eps: float = 1e-6
-
-    def __post_init__(self):
-        if self.repr_dim < 1:
-            raise ValueError(f"repr_dim must be >= 1, got {self.repr_dim}")
-        if not self.hidden:
-            raise ValueError("gate needs at least one hidden layer")
 
 
 class GatingNetwork(Module):

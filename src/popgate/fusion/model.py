@@ -10,33 +10,17 @@ ensemble's `model.json` and checkpoint metadata are written and read with
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..codec import from_json, reading, write_json
+from ..config import MODALITIES, BranchConfig, GateConfig, LossWeights
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn import Module, load_checkpoint, mse_loss, save_checkpoint
-from .branches import MODALITIES, BranchConfig, ExpertBranch
-from .gate import GateConfig, GatingNetwork
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Balance between the ensemble error and the per-branch errors."""
-
-    lambda_final: float = 1.0
-    lambda_individual: float = 0.3
-
-    def __post_init__(self):
-        for name in ("lambda_final", "lambda_individual"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
-        if self.lambda_final == 0 and self.lambda_individual == 0:
-            raise ValueError("loss weights must not both be zero")
+from .branches import ExpertBranch
+from .gate import GatingNetwork
 
 
 @dataclass(frozen=True)

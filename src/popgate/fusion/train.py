@@ -10,39 +10,17 @@ worse than it started.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ..config import MODALITIES, LossWeights, Phase1Config, Phase2Config, TrainConfig
 from ..exceptions import PopgateError, ShapeError
-from ..nn import Adam, AdamW, Module, TrainConfig, TrainControl, clip_grad_norm, mse_loss
+from ..nn import Adam, AdamW, Module, TrainControl, clip_grad_norm, mse_loss
 from ..nn.layers import snapshot_state
 from ..seeding import rng_for
-from .branches import MODALITIES, ExpertBranch
-from .model import GatedEnsemble, LossWeights, ensemble_loss
-
-
-@dataclass(frozen=True)
-class Phase1Config(TrainConfig):
-    """Each expert's loop: the shared settings and defaults."""
-
-
-@dataclass(frozen=True)
-class Phase2Config(TrainConfig):
-    """The gate's loop: a smaller lr and fewer epochs by default, and AdamW
-    decay on fine-tuned branches unless they are frozen."""
-
-    lr: float = 5e-6
-    max_epochs: int = 150
-    weight_decay: float = 0.01
-    freeze_branches: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0 <= self.weight_decay < math.inf:  # NaN fails too
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay!r}")
+from .branches import ExpertBranch
+from .model import GatedEnsemble, ensemble_loss
 
 
 def _unit_targets(y: np.ndarray, where: str) -> np.ndarray:
@@ -142,7 +120,7 @@ def phase1_train(
         _, yv_hat = branch.forward(x_val, train=False)
         return mse_loss(yv_hat, yv_col)[0]
 
-    history = _fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, cfg.control(),
+    history = _fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, TrainControl.from_config(cfg),
                    x_train.shape[0], batch_loss, val_mse, f"phase1-{branch.modality}", seed)
     branch.trained = True
     return history
@@ -191,7 +169,7 @@ def phase2_train(
         return mse_loss(model.forward(xs_val, train=False).yhat, y_val)[0]
 
     opt = AdamW(groups, lr=cfg.lr)
-    control = cfg.control()
+    control = TrainControl.from_config(cfg)
     initial_val = val_mse()
     control.update(initial_val)
     history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2", seed)

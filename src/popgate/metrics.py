@@ -8,10 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import MODALITIES
 from .exceptions import ShapeError
-
-# the experts, in the column order of every per-modality array
-MODALITIES = ("audio", "lyrics", "social")
 
 
 @dataclass(frozen=True)

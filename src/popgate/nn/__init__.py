@@ -1,38 +1,27 @@
 from .layers import (
-    Activation,
     BatchNorm,
     Dense,
     DenseLayerSpec,
-    Elu,
-    Identity,
-    LeakyRelu,
     MLP,
     Module,
     Param,
-    Sigmoid,
     activation_forward,
     dense_stack,
 )
 from .losses import mse_loss, softmax, softmax_backward
 from .optim import Adam, AdamW, clip_grad_norm
-from .control import TrainConfig, TrainControl
+from .control import TrainControl
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Activation",
     "Adam",
     "AdamW",
     "BatchNorm",
     "Dense",
     "DenseLayerSpec",
-    "Elu",
-    "Identity",
-    "LeakyRelu",
     "MLP",
     "Module",
     "Param",
-    "Sigmoid",
-    "TrainConfig",
     "TrainControl",
     "activation_forward",
     "clip_grad_norm",

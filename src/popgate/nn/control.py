@@ -1,5 +1,4 @@
-"""Early stopping and learning-rate plateau scheduling on a validation metric,
-and the loop settings every trainer shares.
+"""Early stopping and learning-rate plateau scheduling on a validation metric.
 
 Both machines treat "improvement" as a strict decrease by more than a small
 tolerance, so a metric that drifts sideways within rounding noise still
@@ -9,7 +8,8 @@ counts as stalled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ..config import TrainConfig
 
 
 class TrainControl:
@@ -42,6 +42,11 @@ class TrainControl:
         self.num_reductions = 0
         self.should_stop = False
 
+    @classmethod
+    def from_config(cls, cfg: TrainConfig) -> TrainControl:
+        """A fresh machine for the loop that `cfg` sets."""
+        return cls(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
+
     def update(self, val_metric: float) -> float:
         if self.should_stop:
             raise RuntimeError("update() called after stop was signalled")
@@ -69,27 +74,3 @@ class TrainControl:
         """True when the most recent update() set a new best metric."""
         return self.epochs_since_improve == 0 and self.epoch >= 0
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """The settings of one mini-batch training loop: the autoencoder's and
-    both fusion phases' configs extend it. A bad value is rejected at
-    construction, naming the field. The seed is not a setting: each trainer
-    takes the run's seed."""
-
-    lr: float = 1e-4
-    batch_size: int = 256
-    max_epochs: int = 200
-    patience: int = 25
-    plateau_patience: int = 10
-    clip_norm: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lr", "batch_size", "max_epochs", "patience", "plateau_patience", "clip_norm"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
-
-    def control(self) -> TrainControl:
-        """A fresh early-stopping and plateau machine for this loop."""
-        return TrainControl(self.lr, patience=self.patience, plateau_patience=self.plateau_patience)

@@ -14,6 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..config import Activation, Elu, Identity, LeakyRelu, Sigmoid
 from ..exceptions import ShapeError
 from .checkpoint import check_arrays
 
@@ -188,40 +189,6 @@ class Module:
 
 # ---------------------------------------------------------------------------
 # activations
-
-
-@dataclass(frozen=True)
-class Elu:
-    alpha: float = 0.1
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"ELU alpha must be > 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class LeakyRelu:
-    slope: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.slope < 1.0:
-            raise ValueError(f"LeakyReLU slope must be in (0,1), got {self.slope}")
-
-
-@dataclass(frozen=True)
-class Sigmoid:
-    pass
-
-
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-# in JSON an activation is tagged with its class name in snake case, as in
-# {"kind": "leaky_relu", "slope": 0.05} (see `popgate.codec`): renaming a
-# class changes the checkpoints it writes and breaks reading old ones
-Activation = Elu | LeakyRelu | Sigmoid | Identity
 
 
 # open-interval clamp for sigmoid outputs: float64 saturates to exactly

@@ -7,10 +7,11 @@ or invalid keys before any file is read, resolves paths against the
 workspace root, runs the body and writes the step's manifest (config hash,
 seed, input/output hashes). Nothing here depends on wall time, so identical
 config + inputs reproduce identical artifacts. Config values are read with
-`popgate.codec`, the same reader that decodes the JSON of model artifacts.
-Every step is a fresh process, so the packages that only some steps use
-(`data`, `ctd`, `autoenc`, `fusion` and with them `nn`) are imported at
-their first use, not when this module loads.
+`popgate.codec`, the same reader that decodes the JSON of model artifacts,
+into the classes of `popgate.config`, which loads no step package. Every
+step is a fresh process, so the packages that only some steps use (`data`,
+`ctd`, `autoenc`, `fusion` and with them `nn`) are imported at their first
+use, not when this module loads.
 """
 
 from __future__ import annotations
@@ -25,39 +26,36 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from .codec import check_object, dataclass_from_json, from_json, reading, write_json
+from .config import (DEFAULT_WINDOW, MODALITIES, AETrainConfig, BranchConfig, CleaningConfig,
+                     FeatureGroup, GateConfig, LossWeights, Phase1Config, Phase2Config, SynthSpec,
+                     default_branch_config, default_registry, validate_registry)
 from .exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
 from .manifest import hash_files, write_manifest
-from .metrics import MODALITIES, compute_metrics, gate_report
+from .metrics import compute_metrics, gate_report
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
 
 if TYPE_CHECKING:
-    from .autoenc import FeatureGroup
     from .data import ScalerParams
-    from .fusion import BranchConfig, GatedEnsemble
-
-
-def _named(ref: str):
-    """The object `name` of the popgate module `module`, for a `module:name`
-    reference: importing it loads that module and the packages it needs."""
-    module, _, name = ref.partition(":")
-    return getattr(import_module(f".{module}", __package__), name)
+    from .fusion import GatedEnsemble
 
 
 def _on_first_call(ref: str) -> Callable:
-    """A stand-in for the function `module:name` (see `_named`) that imports
-    it when first called and then calls it; steps that never call it never
-    load its packages. The stand-in stays bound here for good, so a wrapper
-    installed over it from outside sees every call."""
+    """A stand-in for the function `name` of the popgate module `module`,
+    given as `module:name`, that imports it when first called and then calls
+    it; steps that never call it never load its packages. The stand-in
+    stays bound here for good, so a wrapper installed over it from outside
+    sees every call."""
+    module, _, name = ref.partition(":")
     fn = None
 
     def call(*args, **kwargs):
         nonlocal fn
         if fn is None:
-            fn = _named(ref)
+            fn = getattr(import_module(f".{module}", __package__), name)
         return fn(*args, **kwargs)
 
-    call.__name__ = call.__qualname__ = ref.partition(":")[2]
+    call.__name__ = call.__qualname__ = name
     return call
 
 
@@ -111,7 +109,7 @@ class RunContext:
 
     def knobs(self, name: str):
         """The dataclass that the keys of section `name` outside SECTIONS build."""
-        return dataclass_from_json(_named(FLAT_KNOBS[name]), self.config.get(name, {}), name,
+        return dataclass_from_json(FLAT_KNOBS[name], self.config.get(name, {}), name,
                                    extra=SECTIONS[name])
 
     def file(self, ref: str) -> Path:
@@ -132,8 +130,6 @@ def _resolve(ctx: RunContext, where: str, raw, tp, default=MISSING, need="", ok=
         if callable(default):
             return default(ctx)
         raw = default
-    if isinstance(tp, str):
-        tp = _named(tp)
     value = tp(ctx, raw, where) if isfunction(tp) else from_json(tp, raw, where)
     if ok is not None and not ok(value):
         raise ConfigError(f"{where} must be {need}, got {raw!r}")
@@ -263,15 +259,7 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
 # autoencoder training / compression
 
 
-def _registry(ctx: RunContext, raw, where: str) -> tuple[FeatureGroup, ...]:
-    from .autoenc.groups import FeatureGroup
-
-    return from_json(tuple[FeatureGroup, ...], raw, where)
-
-
 def _valid_registry(groups: tuple[FeatureGroup, ...]) -> bool:
-    from .autoenc.groups import validate_registry
-
     try:
         validate_registry(groups)
     except ConfigError as e:
@@ -374,8 +362,6 @@ _BRANCH_KEYS = ("hidden", "dropout", "activation", "batchnorm")
 def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
     """Each modality's expert stack: the default one with the given fields
     replaced. The phase sets `in_dim` from the data."""
-    from .fusion.branches import BranchConfig, default_branch_config
-
     given = check_object(raw, where, MODALITIES)
     types = get_type_hints(BranchConfig)
     stacks = {}
@@ -385,7 +371,10 @@ def _branches(ctx: RunContext, raw, where: str) -> dict[str, BranchConfig]:
                 for k, v in check_object(given.get(m, {}), at, _BRANCH_KEYS).items()}
         if "hidden" in over and "dropout" not in over:
             over["dropout"] = tuple(0.1 for _ in over["hidden"])  # sane default for custom stacks
-        stacks[m] = replace(default_branch_config(m, 1), **over)
+        try:
+            stacks[m] = replace(default_branch_config(m, 1), **over)
+        except ConfigError as e:
+            raise ConfigError(f"{at}: {e}") from None
     return stacks
 
 
@@ -638,10 +627,9 @@ def cmd_gate_report(ctx: RunContext) -> str:
 
 
 # Every key of every section: (type, default, what a valid value is, a check
-# of it). Keys without a default are required; a callable default reads
-# another key or a constant of another module. A type written "module:Name"
-# is imported when a key of that type is checked, so a step loads only the
-# packages of the sections it reads. Paths are relative to the workspace.
+# of it). Keys without a default are required; a callable default is called
+# with the run's context, and its value is not checked. Paths are relative
+# to the workspace.
 SECTIONS = {
     "synth": {"out_dir": (Path, "data")},
     "clean": {"metadata": (Path,), "lyrics": (Path,),
@@ -652,21 +640,20 @@ SECTIONS = {
               "seed": (int, 42)},
     "ctd": {"events": (Path,), "metadata": (Path,), "out": (Path, "data/ctd.csv"),
             "mode": (str, "temporal", *_one_of("aggregate", "temporal")),
-            "window": (tuple[int, ...], lambda ctx: _named("ctd.events:DEFAULT_WINDOW"),
-                       "a non-empty list of years", len)},
+            "window": (tuple[int, ...], DEFAULT_WINDOW, "a non-empty list of distinct years",
+                       lambda years: 0 < len(years) == len(set(years)))},
     "ae": {"features": (Path,), "split": (Path,), "model_dir": (Path, "models/ae"),
-           "registry": (_registry, lambda ctx: _named("autoenc.groups:default_registry")(),
+           "registry": (tuple[FeatureGroup, ...], lambda ctx: default_registry(),
                         "a non-empty list of groups", _valid_registry),
-           "train": ("autoenc.train:AETrainConfig", {})},
+           "train": (AETrainConfig, {})},
     "compress": {"features": (Path,), "model_dir": (Path, "models/ae"),
                  "out": (Path, "data/audio_compressed.csv")},
     "train": {"metadata": (Path,), "split": (Path,), "inputs": (_modality_inputs,),
               "model_dir": (Path, "models/fused"),
               "val_fraction": (float, 0.1, *_FRACTION), "val_bins": (int, 5, *_AT_LEAST_1),
-              "branches": (_branches, {}), "gate": ("fusion.gate:GateConfig", {}),
-              "phase1": ("fusion.train:Phase1Config", {}),
-              "phase2": ("fusion.train:Phase2Config", {}),
-              "loss_weights": ("fusion.model:LossWeights", {})},
+              "branches": (_branches, {}), "gate": (GateConfig, {}),
+              "phase1": (Phase1Config, {}), "phase2": (Phase2Config, {}),
+              "loss_weights": (LossWeights, {})},
     "predict": {"out": (Path, "out/predictions.csv"),
                 "model_dir": (Path, lambda ctx: ctx.arg("train.model_dir"))},
     "evaluate": {"predictions": (Path,), "metadata": (Path,), "split": (Path,),
@@ -675,8 +662,8 @@ SECTIONS = {
     "gate_report": {"out": (Path, "out/gate_report.json"),
                     "group_by": (str, "decade", *_one_of("decade", "none"))},
 }
-# sections whose other keys are the fields of a dataclass ("module:Name")
-FLAT_KNOBS = {"synth": "data.synth:SynthSpec", "clean": "data.cleaning:CleaningConfig"}
+# sections whose other keys are the fields of a dataclass
+FLAT_KNOBS = {"synth": SynthSpec, "clean": CleaningConfig}
 CLI_KEYS = ("seed", "workspace")  # top-level keys that popgate.cli reads
 
 

@@ -414,7 +414,7 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
 
 def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed) -> dict:
     from popgate.exceptions import PopgateError
-    from popgate.fusion.branches import MODALITIES
+    from popgate.config import MODALITIES
     from popgate.fusion.model import ensemble_loss
     from popgate.fusion.train import _unit_targets
     from popgate.nn import AdamW, TrainControl, clip_grad_norm, mse_loss
@@ -491,7 +491,7 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
     from popgate.autoenc.train import rel_mse
     from popgate.data.scaling import scaler_apply, scaler_fit
     from popgate.exceptions import ShapeError
-    from popgate.nn import Adam, clip_grad_norm
+    from popgate.nn import Adam, TrainControl, clip_grad_norm
     from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
@@ -511,7 +511,7 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
                         name=group.name)
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
-    control = cfg.control()
+    control = TrainControl.from_config(cfg)
     best_state = snapshot_state(model.state_arrays())
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 

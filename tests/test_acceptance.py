@@ -26,32 +26,26 @@ import time
 import numpy as np
 
 from popgate.autoenc import (
-    AETrainConfig,
     Autoencoder,
-    FeatureGroup,
     ae_loss,
-    default_registry,
     lambda_for,
     plan_architecture,
     train_group_autoencoder,
 )
-from popgate.ctd import DEFAULT_WINDOW, build_ctd_dataset, ingest_events
+from popgate.config import (DEFAULT_WINDOW, MODALITIES, AETrainConfig, BranchConfig, Elu,
+                            FeatureGroup, GateConfig, Identity, LeakyRelu, LossWeights,
+                            Phase1Config, Phase2Config, Sigmoid, SynthSpec, default_registry)
+from popgate.ctd import build_ctd_dataset, ingest_events
 from popgate.data import scaler_apply, scaler_fit, stratified_split
-from popgate.data.synth import SynthSpec, synth_generate
+from popgate.data.synth import synth_generate
 from popgate.fusion import (
-    MODALITIES,
-    BranchConfig,
-    GateConfig,
     GatedEnsemble,
-    LossWeights,
-    Phase1Config,
-    Phase2Config,
     ensemble_loss,
     phase1_train,
     phase2_train,
 )
 from popgate.metrics import compute_metrics, gate_report
-from popgate.nn import MLP, DenseLayerSpec, Elu, Identity, LeakyRelu, Sigmoid, mse_loss
+from popgate.nn import MLP, DenseLayerSpec, mse_loss
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 

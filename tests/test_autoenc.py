@@ -15,24 +15,21 @@ from _oracles import (
     ref_train_group_autoencoder,
 )
 from popgate.autoenc import (
-    AETrainConfig,
     Autoencoder,
     CompressorEnsemble,
-    FeatureGroup,
     ae_loss,
-    default_registry,
     lambda_for,
     plan_architecture,
     registry_hash,
     rel_mse,
     train_group_autoencoder,
 )
-from popgate.autoenc.groups import validate_registry
 from popgate.autoenc.model import n_params
 from popgate.codec import from_json, to_json
+from popgate.config import AETrainConfig, FeatureGroup, default_registry, validate_registry
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
-from popgate.nn import Adam, mse_loss
+from popgate.nn import Adam, TrainControl, mse_loss
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 
@@ -359,7 +356,7 @@ def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
         model, _, history = train_group_autoencoder(group, X, cfg, 46, tmp_path / "g.npz")
 
     best, ran = history["best_epoch"], history["epochs_run"]
-    control = cfg.control()
+    control = TrainControl.from_config(cfg)
     for val_loss in history["val_loss"]:
         control.update(val_loss)
     assert {

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import popgate.pipeline
-from popgate.autoenc import FeatureGroup, registry_hash
+from popgate.autoenc import registry_hash
 from popgate.cli import build_parser, main
 from popgate.codec import from_json
+from popgate.config import FeatureGroup
 from popgate.exceptions import MissingInputError
 from popgate.metrics import compute_metrics
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
@@ -575,6 +576,22 @@ MALFORMED_KEYS = [
     # a NaN or infinite loss weight passed the old `< 0` check
     ("train-phase2", "train.loss_weights", {"lambda_final": math.nan}),
     ("train-phase2", "train.loss_weights", {"lambda_individual": math.inf}),
+    # building the model rejected these only after the step read its inputs
+    ("train-phase1", "train.gate", {"dropout_p": 1.5}),
+    ("train-phase1", "train.gate", {"slope": 1.0}),
+    ("train-phase1", "train.gate", {"eps": 0}),
+    ("train-phase1", "train.gate", {"hidden": [8, 0]}),
+    ("train-phase1", "train.branches.audio", {"hidden": [8, 0]}),
+    ("train-phase1", "train.branches.audio", {"hidden": [8, 4], "dropout": [0.1, 1.0]}),
+    # "activation input contains ... non-finite entries", naming a layer
+    ("train-phase1", "train.branches.audio.activation", {"kind": "elu", "alpha": math.nan}),
+    # numpy's "high <= 0", a NaN audio.csv and a negative noise stdev
+    ("synth", "synth", {**chain_config()["synth"], "n_artists": 0}),
+    ("synth", "synth", {**chain_config()["synth"], "n_users": 0}),
+    ("synth", "synth", {**chain_config()["synth"], "feature_noise": math.nan}),
+    ("synth", "synth", {**chain_config()["synth"], "noise": -0.1}),
+    ("synth", "synth", {**chain_config()["synth"], "coeffs": [0.7, math.inf, 0.9]}),
+    ("ctd-extract", "ctd.window", [2018, 2018]),  # wrote each y2018_* column twice
 ]
 
 # (step, section, field, value): each of these once exited 1 after the step
@@ -893,28 +910,31 @@ class TestImportFootprint:
         if cmd in ("ctd-extract", "evaluate"):
             assert "data" not in loaded
 
-    def test_only_synth_and_ctd_extract_load_ctd(self, chain_ws, tmp_path):
-        # `popgate.data` re-exports nothing from its synth module, which
-        # imports `popgate.ctd`, so the steps that use only its cleaning,
-        # split and scaling load no CTD code
+    def test_only_ctd_extract_loads_ctd(self, chain_ws, tmp_path):
+        # synth takes its event years from `popgate.config`
         ws, _ = chain_ws
         cfg_path = _copy_ws(ws, tmp_path / "ws")
         loading = [cmd for cmd in CHAIN if "ctd" in _packages_loaded(cmd, "--config", str(cfg_path))]
-        assert loading == ["synth", "ctd-extract"]
+        assert loading == ["ctd-extract"]
 
-    def test_gate_report_loads_fusion_only_to_check_given_train_keys(self, chain_ws, tmp_path):
-        # the README config sets train.branches, .gate, .phase1 and .phase2,
-        # and checking them builds fusion's config classes, which load nn;
-        # without them gate-report loads no training package
+    def test_gate_report_loads_no_training_package(self, chain_ws, tmp_path):
+        # with the README config, which sets train.branches, .gate, .phase1
+        # and .phase2: their classes are in `popgate.config`
         ws, _ = chain_ws
         cfg_path = _copy_ws(ws, tmp_path / "ws")
-        assert {"fusion", "nn"} <= _packages_loaded("gate-report", "--config", str(cfg_path))
-        cfg = json.loads(cfg_path.read_text())
-        for key in ("branches", "gate", "phase1", "phase2"):
-            del cfg["train"][key]
-        slim = write_config(cfg_path.parent, cfg, "slim.json")
-        loaded = _packages_loaded("gate-report", "--config", str(slim))
+        loaded = _packages_loaded("gate-report", "--config", str(cfg_path))
         assert not loaded & _TRAINING, loaded
+
+    def test_config_module_loads_only_codec_and_exceptions(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, sys, popgate.config; "
+             "print(json.dumps([m for m in sys.modules if m.startswith('popgate')]))"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout)) - {"popgate", "popgate.config"}
+        assert loaded <= {"popgate.codec", "popgate.exceptions"}, loaded
 
 
 class TestBlasThreads:

@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from popgate.autoenc import FeatureGroup, registry_hash
+from popgate.autoenc import registry_hash
 from popgate.codec import from_json, to_json
+from popgate.config import (Activation, BranchConfig, Elu, FeatureGroup, GateConfig, Identity,
+                            LeakyRelu, LossWeights, Sigmoid)
 from popgate.data import ScalerParams
 from popgate.exceptions import ConfigError
-from popgate.fusion import BranchConfig, GateConfig, LossWeights
 from popgate.metrics import GateReport, MetricsReport
-from popgate.nn import Activation, DenseLayerSpec, Elu, Identity, LeakyRelu, Sigmoid
+from popgate.nn import DenseLayerSpec
 
 _BRANCH = ('"batchnorm": true, "dropout": [0.1, 0.05], "hidden": [8, 4], "in_dim": 12, '
            '"modality": "audio"}')

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popgate.config import DEFAULT_WINDOW, CleaningConfig, SynthSpec
 from popgate.data import (
-    CleaningConfig,
     ScalerParams,
     TrackRecord,
     clean,
@@ -17,9 +17,8 @@ from popgate.data import (
     scaler_fit,
     stratified_split,
 )
-from popgate.data.synth import _WORD_ARRAY, _WORDS, SynthSpec, _unix_seconds, synth_generate
+from popgate.data.synth import _WORD_ARRAY, _WORDS, _unix_seconds, synth_generate
 from popgate.codec import from_json, to_json
-from popgate.ctd import DEFAULT_WINDOW
 from popgate.data.scaling import scaler_invert
 from popgate.exceptions import ConfigError, ShapeError
 from popgate.metrics import compute_metrics

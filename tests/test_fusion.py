@@ -10,19 +10,14 @@ import numpy as np
 import pytest
 
 from popgate.codec import from_json, to_json
+from popgate.config import (MODALITIES, BranchConfig, Elu, GateConfig, LeakyRelu, LossWeights,
+                            Phase1Config, Phase2Config, default_branch_config)
 from popgate.exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
 from popgate.fusion import (
-    MODALITIES,
-    BranchConfig,
     ExpertBranch,
-    GateConfig,
     GatedEnsemble,
     GatingNetwork,
     LearnableStandardize,
-    LossWeights,
-    Phase1Config,
-    Phase2Config,
-    default_branch_config,
     ensemble_loss,
     load_ensemble,
     phase1_train,
@@ -30,7 +25,7 @@ from popgate.fusion import (
     save_ensemble,
 )
 from popgate.metrics import compute_metrics, gate_report
-from popgate.nn import Adam, Elu, LeakyRelu, Param
+from popgate.nn import Adam, Param
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 

@@ -11,18 +11,13 @@ import copy
 import numpy as np
 import pytest
 
+from popgate.config import (MODALITIES, BranchConfig, Elu, GateConfig, LeakyRelu, LossWeights,
+                            Phase1Config, Phase2Config)
 from popgate.fusion import (
-    MODALITIES,
-    BranchConfig,
-    GateConfig,
     GatedEnsemble,
-    LossWeights,
-    Phase1Config,
-    Phase2Config,
     phase1_train,
     phase2_train,
 )
-from popgate.nn import Elu, LeakyRelu
 from popgate.seeding import rng_for
 
 from _oracles import ref_phase1_train, ref_phase2_train

@@ -11,12 +11,11 @@ import pytest
 
 import popgate.pipeline
 from popgate import lanes
-from popgate.autoenc import default_registry
 from popgate.autoenc.model import n_params
 from popgate.cli import main
+from popgate.config import MODALITIES, default_registry
 from popgate.exceptions import PopgateError, ShapeError
 from popgate.lanes import _lanes, run_lanes
-from popgate.metrics import MODALITIES
 
 from _chain import chain_config, run_chain, write_config
 

@@ -4,9 +4,8 @@ from dataclasses import asdict
 
 import pytest
 
-from popgate.autoenc import AETrainConfig
-from popgate.fusion import Phase1Config, Phase2Config
-from popgate.nn import TrainConfig, TrainControl
+from popgate.config import AETrainConfig, Phase1Config, Phase2Config, TrainConfig
+from popgate.nn import TrainControl
 
 
 def test_early_stop_on_constant_metric():
@@ -128,5 +127,5 @@ def test_loop_config_defaults():
     assert asdict(AETrainConfig()) == {**shared, "val_fraction": 0.1}
     assert asdict(Phase2Config()) == {**shared, "lr": 5e-6, "max_epochs": 150,
                                       "weight_decay": 0.01, "freeze_branches": False}
-    control = Phase2Config(patience=7, plateau_patience=3).control()
+    control = TrainControl.from_config(Phase2Config(patience=7, plateau_patience=3))
     assert (control.lr, control.patience, control.plateau_patience) == (5e-6, 7, 3)

@@ -7,15 +7,12 @@ mask is identical across the +h / -h probes.
 import numpy as np
 import pytest
 
+from popgate.config import Elu, Identity, LeakyRelu, Sigmoid
 from popgate.nn import (
     Dense,
     DenseLayerSpec,
-    Elu,
-    Identity,
-    LeakyRelu,
     MLP,
     Param,
-    Sigmoid,
     mse_loss,
     softmax,
     softmax_backward,

@@ -21,15 +21,12 @@ from _oracles import (
     ref_weight_grad,
 )
 
+from popgate.config import Elu, Identity, LeakyRelu, Sigmoid
 from popgate.nn import (
     BatchNorm,
     Dense,
     DenseLayerSpec,
-    Elu,
-    Identity,
-    LeakyRelu,
     Param,
-    Sigmoid,
     activation_forward,
     clip_grad_norm,
     mse_loss,

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from popgate.codec import from_json, to_json
+from popgate.config import Activation, Elu, Identity, LeakyRelu, Sigmoid
 from popgate.exceptions import ConfigError, ShapeError
 from popgate.nn import (
-    Activation,
     BatchNorm,
     Dense,
     DenseLayerSpec,
-    Elu,
-    Identity,
-    LeakyRelu,
     MLP,
-    Sigmoid,
     activation_forward,
 )
 from popgate.nn.layers import activation_backward, snapshot_state

@@ -12,8 +12,8 @@ import tracemalloc
 
 import numpy as np
 
-from popgate.nn import (MLP, Adam, BatchNorm, Dense, DenseLayerSpec, Elu, Identity, Param,
-                        clip_grad_norm)
+from popgate.config import Elu, Identity
+from popgate.nn import MLP, Adam, BatchNorm, Dense, DenseLayerSpec, Param, clip_grad_norm
 
 D_IN, D_OUT, BATCH = 2000, 1000, 64
 

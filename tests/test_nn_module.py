@@ -8,16 +8,13 @@ import numpy as np
 import pytest
 
 from popgate.autoenc import Autoencoder
+from popgate.config import MODALITIES, BranchConfig, Elu, GateConfig
 from popgate.exceptions import MissingInputError, ShapeError
 from popgate.fusion import (
-    MODALITIES,
-    BranchConfig,
     ExpertBranch,
-    GateConfig,
     GatedEnsemble,
     GatingNetwork,
 )
-from popgate.nn import Elu
 
 BN = ["bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"]
 
