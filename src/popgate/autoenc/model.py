@@ -12,10 +12,11 @@ import numpy as np
 
 from ..config import Elu
 from ..exceptions import ShapeError
-from ..nn import DenseLayerSpec, MLP, Module, dense_stack, mse_loss
-# no caller here: perfbench/traced_step.py patches this name, so it stays
-# bound until the tracer moves into the program (ROADMAP item 9)
-from ..nn.layers import snapshot_state  # noqa: F401
+# `snapshot_state` has no caller here: perfbench/traced_step.py patches
+# this name, so it stays bound until the tracer moves into the program
+# (ROADMAP item 9)
+from ..nn.layers import DenseLayerSpec, MLP, Module, dense_stack, snapshot_state  # noqa: F401
+from ..nn.losses import mse_loss
 
 AE_DROPOUT = 0.05
 AE_ELU_ALPHA = 0.1
@@ -75,9 +76,6 @@ class Autoencoder(Module):
         self.encoder = MLP(encoder_specs(d, d_enc), rng, name=f"{name}.enc")
         self.decoder = MLP(decoder_specs(d, d_enc), rng, name=f"{name}.dec")
 
-    def encode(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        return self.encoder.forward(x, train=train, rng=rng)
-
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> tuple[np.ndarray, np.ndarray]:
         z = self.encoder.forward(x, train=train, rng=rng)
         return self.decoder.forward(z, train=train, rng=rng), z
@@ -97,7 +95,6 @@ class Autoencoder(Module):
 class AELossTerms:
     recon: float
     latent_penalty: float
-    lambda_k: float
 
     @property
     def total(self) -> float:
@@ -118,4 +115,4 @@ def ae_loss(
     batch = z.shape[0]
     penalty = lambda_k * float(np.add.reduce(z * z, axis=None)) / batch
     d_z = 2.0 * lambda_k * z / batch
-    return AELossTerms(recon, penalty, lambda_k), d_xhat, d_z
+    return AELossTerms(recon, penalty), d_xhat, d_z

@@ -17,8 +17,10 @@ from ..codec import canonical_json, from_json, reading, write_json
 from ..config import AETrainConfig, FeatureGroup, validate_registry
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import MLP, Adam, TrainControl, clip_grad_norm, load_checkpoint, save_checkpoint
-from ..nn.checkpoint import check_arrays
+from ..nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
+from ..nn.control import TrainControl
+from ..nn.layers import MLP
+from ..nn.optim import Adam, clip_grad_norm
 from ..seeding import derive_seed, rng_for
 from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
 

@@ -63,10 +63,10 @@ def _env(name: str) -> str | None:
     return v if v else None
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value: str, what: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
@@ -96,7 +96,9 @@ def main(argv: list[str] | None = None) -> int:
         elif _env("POPGATE_SEED"):
             seed = _as_int(_env("POPGATE_SEED"), "POPGATE_SEED")
         else:
-            seed = _as_int(config.get("seed", DEFAULT_SEED), "config key 'seed'")
+            seed = config.get("seed", DEFAULT_SEED)
+            if type(seed) is not int:
+                raise ConfigError(f"config key 'seed' must be an integer, got {seed!r}")
 
         configured = config.get("workspace")
         if configured is not None and type(configured) is not str:

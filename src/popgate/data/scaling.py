@@ -1,4 +1,4 @@
-"""Column scalers fit on the train split only: zscore, minmax, constant(k)."""
+"""Column scalers fit on the train split only: zscore or minmax."""
 
 from __future__ import annotations
 
@@ -9,19 +9,19 @@ from numpy.typing import NDArray
 
 from ..exceptions import ConfigError, ShapeError
 
-KINDS = ("zscore", "minmax", "constant")
+KINDS = ("zscore", "minmax")
 
 
 @dataclass(frozen=True)
 class ScalerParams:
     kind: str
-    center: NDArray[np.float64]  # mean (zscore) / min (minmax) / zeros (constant)
-    scale: NDArray[np.float64]  # std / (max-min) / 1s — degenerate columns hold 1.0
+    center: NDArray[np.float64]  # mean (zscore) / min (minmax)
+    scale: NDArray[np.float64]  # std / (max-min) — degenerate columns hold 1.0
     degenerate: NDArray[np.bool_]  # mask of zero-spread columns, mapped to 0
-    k: float = 1.0  # constant multiplier
+    k: float = 1.0  # unused; kept because every saved model.json stores it
 
 
-def scaler_fit(train: np.ndarray, kind: str, k: float | None = None) -> ScalerParams:
+def scaler_fit(train: np.ndarray, kind: str) -> ScalerParams:
     """Fit per-column statistics on train rows only.
 
     Zero-spread columns get scale 1 and a degeneracy flag; their transform
@@ -34,11 +34,6 @@ def scaler_fit(train: np.ndarray, kind: str, k: float | None = None) -> ScalerPa
     elif kind == "minmax":
         center = X.min(axis=0)
         spread = X.max(axis=0) - center
-    elif kind == "constant":
-        if k is None:
-            raise ConfigError("constant scaler needs a multiplier k")
-        d = X.shape[1]
-        return ScalerParams("constant", np.zeros(d), np.ones(d), np.zeros(d, dtype=bool), float(k))
     else:
         raise ConfigError(f"unknown scaler kind {kind!r}; expected one of {KINDS}")
     degenerate = spread == 0.0
@@ -49,13 +44,9 @@ def scaler_fit(train: np.ndarray, kind: str, k: float | None = None) -> ScalerPa
 def scaler_apply(params: ScalerParams, rows: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The scaled rows, written to `out` if given (which may be `rows`)."""
-    if params is None:
-        raise RuntimeError("scaler has not been fit")
     X = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if X.shape[1] != params.center.size:
         raise ShapeError(f"scaler fit on {params.center.size} columns, got {X.shape[1]}")
-    if params.kind == "constant":
-        return np.multiply(X, params.k, out=out)
     out = np.subtract(X, params.center, out=out)
     out /= params.scale
     out[:, params.degenerate] = 0.0
@@ -64,10 +55,6 @@ def scaler_apply(params: ScalerParams, rows: np.ndarray,
 
 def scaler_invert(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
     """Inverse transform; degenerate columns recover the train constant."""
-    if params is None:
-        raise RuntimeError("scaler has not been fit")
     X = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if params.kind == "constant":
-        return X / params.k
     return X * params.scale + params.center
 

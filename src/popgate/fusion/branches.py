@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import BranchConfig, Sigmoid
-from ..nn import MLP, Dense, DenseLayerSpec, Module, dense_stack
+from ..nn.layers import MLP, Dense, DenseLayerSpec, Module, dense_stack
 
 
 class ExpertBranch(Module):

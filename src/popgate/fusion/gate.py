@@ -12,7 +12,8 @@ import numpy as np
 
 from ..config import MODALITIES, GateConfig, LeakyRelu
 from ..exceptions import ShapeError
-from ..nn import MLP, Module, Param, dense_stack, softmax, softmax_backward
+from ..nn.layers import MLP, Module, Param, dense_stack
+from ..nn.losses import softmax, softmax_backward
 
 
 class LearnableStandardize(Module):

@@ -18,7 +18,9 @@ import numpy as np
 from ..codec import from_json, reading, write_json
 from ..config import MODALITIES, BranchConfig, GateConfig, LossWeights
 from ..exceptions import ConfigError, MissingInputError, ShapeError
-from ..nn import Module, load_checkpoint, mse_loss, save_checkpoint
+from ..nn.checkpoint import load_checkpoint, save_checkpoint
+from ..nn.layers import Module
+from ..nn.losses import mse_loss
 from .branches import ExpertBranch
 from .gate import GatingNetwork
 

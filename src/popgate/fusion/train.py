@@ -16,8 +16,10 @@ import numpy as np
 
 from ..config import MODALITIES, LossWeights, Phase1Config, Phase2Config, TrainConfig
 from ..exceptions import PopgateError, ShapeError
-from ..nn import Adam, AdamW, Module, TrainControl, clip_grad_norm, mse_loss
-from ..nn.layers import snapshot_state
+from ..nn.control import TrainControl
+from ..nn.layers import Module, snapshot_state
+from ..nn.losses import mse_loss
+from ..nn.optim import Adam, AdamW, clip_grad_norm
 from ..seeding import rng_for
 from .branches import ExpertBranch
 from .model import GatedEnsemble, ensemble_loss

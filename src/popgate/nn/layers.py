@@ -462,14 +462,6 @@ class MLP(Module):
         self.name = name
         self.layers = [Dense(s, rng, name=f"{name}.{i}") for i, s in enumerate(specs)]
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].spec.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].spec.out_dim
-
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, train=train, rng=rng)

@@ -9,13 +9,15 @@ seed, input/output hashes). Nothing here depends on wall time, so identical
 config + inputs reproduce identical artifacts. Config values are read with
 `popgate.codec`, the same reader that decodes the JSON of model artifacts,
 into the classes of `popgate.config`, which loads no step package. Every
-step is a fresh process, so the packages that only some steps use (`data`,
-`ctd`, `autoenc`, `fusion` and with them `nn`) are imported at their first
-use, not when this module loads.
+step is a fresh process, so the modules of the packages that only some steps
+use (`data`, `ctd`, `autoenc`, `fusion` and with them `nn`) are imported at
+their first use, not when this module loads; the packages import none of
+their modules, so a step loads only the modules it uses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, replace
 from functools import partial
 from importlib import import_module
@@ -30,14 +32,15 @@ from .config import (DEFAULT_WINDOW, MODALITIES, AETrainConfig, BranchConfig, Cl
                      FeatureGroup, GateConfig, LossWeights, Phase1Config, Phase2Config, SynthSpec,
                      default_branch_config, default_registry, validate_registry)
 from .exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
+from .lanes import run_lanes
 from .manifest import hash_files, write_manifest
 from .metrics import compute_metrics, gate_report
 from .seeding import derive_seed, rng_for
 from .tabular import align_rows, read_columns, read_matrix_csv, write_csv, write_matrix_csv
 
 if TYPE_CHECKING:
-    from .data import ScalerParams
-    from .fusion import GatedEnsemble
+    from .data.scaling import ScalerParams
+    from .fusion.model import GatedEnsemble
 
 
 def _on_first_call(ref: str) -> Callable:
@@ -153,6 +156,22 @@ _SYNTH_FILES = ("metadata", "lyrics", "events", "audio", "lyrics_features", "soc
 METADATA_COLUMNS = ("track_id", "artist_id", "year", "language", "popularity")
 
 
+def _numbers(path: Path, cols: dict[str, list[str]], name: str, kind=float) -> list:
+    """The cells of column `name` of `cols`, read from `path`, as `kind`; a
+    cell that is not a finite number is an error naming its row."""
+    values = []
+    for r, cell in enumerate(cols[name]):
+        try:
+            values.append(kind(cell))
+            if abs(values[-1]) < math.inf:  # not NaN or infinite; any int passes
+                continue
+            what = "a finite number"
+        except ValueError:
+            what = "a number"
+        raise PopgateError(f"{path} row {r + 2}, column {name!r}: not {what}: {cell!r}")
+    return values
+
+
 def cmd_synth(ctx: RunContext) -> str:
     spec = ctx.knobs("synth")
     data = synth_generate(spec, ctx.seed)
@@ -181,17 +200,19 @@ def cmd_synth(ctx: RunContext) -> str:
 def cmd_clean(ctx: RunContext) -> str:
     from .data.cleaning import TrackRecord
 
-    cols = read_columns(ctx.inputs["metadata"], METADATA_COLUMNS)
+    meta = ctx.inputs["metadata"]
+    cols = read_columns(meta, METADATA_COLUMNS)
+    years, pops = _numbers(meta, cols, "year", int), _numbers(meta, cols, "popularity", int)
     lyr = read_columns(ctx.inputs["lyrics"], ["track_id", "lyrics"])
     lyrics_map = dict(zip(lyr["track_id"], lyr["lyrics"]))
     records = [
         TrackRecord(
             track_id=tid,
             artist_id=cols["artist_id"][i],
-            release_year=int(cols["year"][i]),
+            release_year=years[i],
             language=cols["language"][i],
             lyrics=lyrics_map.get(tid, ""),
-            popularity=int(cols["popularity"][i]),
+            popularity=pops[i],
         )
         for i, tid in enumerate(cols["track_id"])
     ]
@@ -215,8 +236,9 @@ def cmd_clean(ctx: RunContext) -> str:
 
 
 def cmd_split(ctx: RunContext) -> str:
-    cols = read_columns(ctx.inputs["metadata"], ["track_id", "popularity"])
-    pop = np.array([float(p) for p in cols["popularity"]])
+    meta = ctx.inputs["metadata"]
+    cols = read_columns(meta, ["track_id", "popularity"])
+    pop = np.array(_numbers(meta, cols, "popularity"))
     bins = ctx.arg("split.bins")
     asg = stratified_split(
         pop, bins=bins, test_fraction=ctx.arg("split.test_fraction"), seed=ctx.arg("split.seed")
@@ -286,7 +308,6 @@ def _ae_rows(group: FeatureGroup, parsed: list, rows: np.ndarray, cfg, seed: int
 def cmd_ae_train(ctx: RunContext) -> str:
     from .autoenc.model import n_params
     from .autoenc.train import CompressorEnsemble
-    from .lanes import run_lanes
 
     features, split_path = ctx.inputs["features"], ctx.inputs["split"]
     model_dir = ctx.arg("ae.model_dir")
@@ -382,9 +403,10 @@ def _load_table(ctx: RunContext):
     """Track ids and popularity from `train.metadata`, and the unscaled
     per-modality matrices aligned to its row order. The manifest records
     each modality file as `{modality}_{i}`."""
-    cols = read_columns(ctx.arg("train.metadata"), ["track_id", "popularity"])
+    meta = ctx.arg("train.metadata")
+    cols = read_columns(meta, ["track_id", "popularity"])
     ids = cols["track_id"]
-    pop = np.array([float(p) for p in cols["popularity"]])
+    pop = np.array(_numbers(meta, cols, "popularity"))
     xs = {}
     for m, paths in ctx.arg("train.inputs").items():
         parts = []
@@ -452,7 +474,6 @@ def _phase1_expert(branch, x: np.ndarray, y: np.ndarray, fit_rows: np.ndarray,
 
 def cmd_train_phase1(ctx: RunContext) -> str:
     from .fusion.model import GatedEnsemble
-    from .lanes import run_lanes
 
     ids, pop, xs = _load_table(ctx)
     train_rows, fit_rows, val_rows = _phase_splits(ctx, ids, pop)
@@ -542,11 +563,13 @@ def cmd_predict(ctx: RunContext) -> str:
     return f"predict: {len(ids)} rows -> {out}"
 
 
-def _metadata_of(meta: Path, track_ids: list[str], names: list[str]) -> dict[str, list[str]]:
-    """The `names` columns of `meta`, one entry per track in `track_ids`."""
-    cols = read_columns(meta, ["track_id", *names])
+def _metadata_of(meta: Path, track_ids: list[str], kinds: dict[str, type]) -> dict[str, list]:
+    """The numeric columns of `meta` named in `kinds`, each read as its
+    kind, one entry per track in `track_ids`."""
+    cols = read_columns(meta, ["track_id", *kinds])
     rows = align_rows(track_ids, cols["track_id"], str(meta))
-    return {n: [cols[n][r] for r in rows] for n in names}
+    values = {n: _numbers(meta, cols, n, kind) for n, kind in kinds.items()}
+    return {n: [v[r] for r in rows] for n, v in values.items()}
 
 
 def _read_predictions(path: Path) -> tuple[list[str], np.ndarray]:
@@ -557,8 +580,8 @@ def _read_predictions(path: Path) -> tuple[list[str], np.ndarray]:
     return ids, P
 
 
-def _decade(year: str) -> str:
-    return f"{(int(year) // 10) * 10}s"
+def _decade(year: int) -> str:
+    return f"{(year // 10) * 10}s"
 
 
 def _residual_summary(residuals: np.ndarray) -> dict:
@@ -579,13 +602,13 @@ def _distribution(v: np.ndarray) -> dict:
 def cmd_evaluate(ctx: RunContext) -> str:
     subset = ctx.arg("evaluate.subset")
     ids, P = _read_predictions(ctx.inputs["predictions"])
-    mcols = _metadata_of(ctx.inputs["metadata"], ids, ["year", "popularity"])
+    mcols = _metadata_of(ctx.inputs["metadata"], ids, {"year": int, "popularity": float})
     split_of = _split_of(ctx.inputs["split"])
 
     keep = [i for i, tid in enumerate(ids) if subset == "all" or split_of.get(tid) == subset]
     if len(keep) < 2:
         raise PopgateError(f"evaluate: fewer than 2 rows in subset {subset!r}")
-    y = np.array([float(mcols["popularity"][i]) for i in keep])
+    y = np.array([mcols["popularity"][i] for i in keep])
     y_hat = P[keep, 0]
 
     report = compute_metrics(y, y_hat)
@@ -613,7 +636,7 @@ def cmd_evaluate(ctx: RunContext) -> str:
 def cmd_gate_report(ctx: RunContext) -> str:
     """Summarize the mixture weights that `predict` wrote; needs no model."""
     ids, P = _read_predictions(ctx.inputs["predictions"])
-    years = _metadata_of(ctx.inputs["metadata"], ids, ["year"])["year"]
+    years = _metadata_of(ctx.inputs["metadata"], ids, {"year": int})["year"]
     labels = [_decade(y) for y in years] if ctx.arg("gate_report.group_by") == "decade" else None
     report = gate_report(P[:, _ALPHA], group_labels=labels)
     out = ctx.outputs["report"]

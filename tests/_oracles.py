@@ -353,7 +353,9 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
 
     from popgate.exceptions import ShapeError
     from popgate.fusion.train import _unit_targets
-    from popgate.nn import Adam, TrainControl, clip_grad_norm, mse_loss
+    from popgate.nn.control import TrainControl
+    from popgate.nn.losses import mse_loss
+    from popgate.nn.optim import Adam, clip_grad_norm
     from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
@@ -417,7 +419,9 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
     from popgate.config import MODALITIES
     from popgate.fusion.model import ensemble_loss
     from popgate.fusion.train import _unit_targets
-    from popgate.nn import AdamW, TrainControl, clip_grad_norm, mse_loss
+    from popgate.nn.control import TrainControl
+    from popgate.nn.losses import mse_loss
+    from popgate.nn.optim import AdamW, clip_grad_norm
     from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
@@ -491,7 +495,8 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
     from popgate.autoenc.train import rel_mse
     from popgate.data.scaling import scaler_apply, scaler_fit
     from popgate.exceptions import ShapeError
-    from popgate.nn import Adam, TrainControl, clip_grad_norm
+    from popgate.nn.control import TrainControl
+    from popgate.nn.optim import Adam, clip_grad_norm
     from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
@@ -552,7 +557,7 @@ def ref_save_group_checkpoint(path, group, model, scaler, seed) -> None:
     model and its scaler, before training wrote it."""
     import numpy as np
 
-    from popgate.nn import save_checkpoint
+    from popgate.nn.checkpoint import save_checkpoint
     from popgate.seeding import derive_seed
 
     arrays = model.state_arrays()

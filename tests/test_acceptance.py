@@ -25,27 +25,21 @@ import time
 
 import numpy as np
 
-from popgate.autoenc import (
-    Autoencoder,
-    ae_loss,
-    lambda_for,
-    plan_architecture,
-    train_group_autoencoder,
-)
+from popgate.autoenc.model import Autoencoder, ae_loss, lambda_for, plan_architecture
+from popgate.autoenc.train import train_group_autoencoder
 from popgate.config import (DEFAULT_WINDOW, MODALITIES, AETrainConfig, BranchConfig, Elu,
                             FeatureGroup, GateConfig, Identity, LeakyRelu, LossWeights,
                             Phase1Config, Phase2Config, Sigmoid, SynthSpec, default_registry)
-from popgate.ctd import build_ctd_dataset, ingest_events
-from popgate.data import scaler_apply, scaler_fit, stratified_split
+from popgate.ctd.events import ingest_events
+from popgate.ctd.features import build_ctd_dataset
+from popgate.data.scaling import scaler_apply, scaler_fit
+from popgate.data.split import stratified_split
 from popgate.data.synth import synth_generate
-from popgate.fusion import (
-    GatedEnsemble,
-    ensemble_loss,
-    phase1_train,
-    phase2_train,
-)
+from popgate.fusion.model import GatedEnsemble, ensemble_loss
+from popgate.fusion.train import phase1_train, phase2_train
 from popgate.metrics import compute_metrics, gate_report
-from popgate.nn import MLP, DenseLayerSpec, mse_loss
+from popgate.nn.layers import MLP, DenseLayerSpec
+from popgate.nn.losses import mse_loss
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 

@@ -14,23 +14,20 @@ from _oracles import (
     ref_save_group_checkpoint,
     ref_train_group_autoencoder,
 )
-from popgate.autoenc import (
-    Autoencoder,
+from popgate.autoenc.model import Autoencoder, ae_loss, lambda_for, n_params, plan_architecture
+from popgate.autoenc.train import (
     CompressorEnsemble,
-    ae_loss,
-    lambda_for,
-    plan_architecture,
     registry_hash,
     rel_mse,
     train_group_autoencoder,
 )
-from popgate.autoenc.model import n_params
 from popgate.codec import from_json, to_json
 from popgate.config import AETrainConfig, FeatureGroup, default_registry, validate_registry
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
-from popgate.nn import Adam, TrainControl, mse_loss
+from popgate.nn.control import TrainControl
 from popgate.nn.gradcheck import check_gradients
+from popgate.nn.optim import Adam
 from popgate.seeding import rng_for
 
 
@@ -460,7 +457,7 @@ def _saved(out_dir, registry, trained, seed=46):
 def _encode(trained, g, X):
     """Group g's codes from its in-memory model and scaler."""
     model, scaler, _ = trained[g.name]
-    return model.encode(scaler_apply(scaler, X[:, g.cols]))
+    return model.encoder.forward(scaler_apply(scaler, X[:, g.cols]))
 
 
 def test_ensemble_concatenation_order_and_dims(tmp_path):

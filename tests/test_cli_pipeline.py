@@ -1,5 +1,6 @@
 """End-to-end tests for the CLI subcommands against a small synthetic run."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import popgate.pipeline
-from popgate.autoenc import registry_hash
+from popgate.autoenc.train import registry_hash
 from popgate.cli import build_parser, main
 from popgate.codec import from_json
 from popgate.config import FeatureGroup
@@ -549,6 +550,9 @@ SILENT_WRONG_RESULTS = [
     ("train-phase1", "train.val_fracton", 0.5),  # typo: trained the default
     ("train-phase1", "train.branches.audio.hiden", [99]),  # typo: default stack
     ("split", "split_sed", 7),  # typo'd top-level key
+    ("synth", "seed", 2.7),  # ran as seed 2
+    ("synth", "seed", "2"),  # ran as seed 2
+    ("synth", "seed", True),  # ran as seed 1
 ]
 
 # (step, dotted key, value): each of these once ended in a traceback, in
@@ -861,6 +865,39 @@ class TestPredictionCells:
         assert str(pred) in err and "alpha_video" in err
 
 
+# (step, metadata file it reads, column, cell, what the message calls the
+# cell): the first of each kind once exited 1 with Python's bare "invalid
+# literal for int()" or "could not convert string to float", and split ran
+# on a NaN popularity
+BAD_METADATA_CELLS = [
+    ("clean", "data/metadata.csv", "year", "19x0", "not a number"),
+    ("clean", "data/metadata.csv", "popularity", "5o", "not a number"),
+    ("split", "data/metadata_clean.csv", "popularity", "5o", "not a number"),
+    ("split", "data/metadata_clean.csv", "popularity", "nan", "not a finite number"),
+    ("train-phase1", "data/metadata_clean.csv", "popularity", "5o", "not a number"),
+    ("train-phase1", "data/metadata_clean.csv", "popularity", "inf", "not a finite number"),
+    ("evaluate", "data/metadata_clean.csv", "year", "19x0", "not a number"),
+    ("evaluate", "data/metadata_clean.csv", "popularity", "-inf", "not a finite number"),
+    ("gate-report", "data/metadata_clean.csv", "year", "19x0", "not a number"),
+]
+
+
+@pytest.mark.parametrize("step,rel,column,cell,what", BAD_METADATA_CELLS)
+def test_bad_metadata_cell_exits_1_and_names_file_row_and_column(chain_ws, tmp_path, capsys, step,
+                                                                 rel, column, cell, what):
+    ws, _ = chain_ws
+    copy = _copy_ws(ws, tmp_path / "ws").parent
+    lines = (copy / rel).read_text().splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index(column)] = cell
+    lines[3] = ",".join(row)
+    (copy / rel).write_text("\n".join(lines) + "\n")
+    before = _files(copy)
+    assert main([step, "--config", str(copy / "run.json")]) == 1
+    assert f"{copy / rel} row 4, column {column!r}: {what}: {cell!r}" in capsys.readouterr().err
+    assert _files(copy) == before
+
+
 # prints, as its last stdout line, the popgate modules loaded once `cli.main`
 # ran the subcommand given in argv (with no argv: once popgate.cli is imported)
 _LOADED_AFTER_MAIN = """
@@ -874,15 +911,21 @@ _STEP_PACKAGES = {"nn", "fusion", "autoenc", "data", "ctd"}
 _TRAINING = {"nn", "fusion", "autoenc"}
 
 
-def _packages_loaded(*argv: str) -> set[str]:
-    """The popgate subpackages a fresh interpreter loads running `argv`."""
+def _modules_loaded(*argv: str) -> set[str]:
+    """The popgate modules, named without `popgate.`, that a fresh
+    interpreter loads running `argv`."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MAIN, *argv],
                           env=dict(os.environ, PYTHONPATH=str(root / "src")),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout.splitlines()[-1])
-    return {m.split(".")[1] for m in modules if "." in m} & _STEP_PACKAGES
+    return {m.partition(".")[2] for m in modules if "." in m}
+
+
+def _packages_loaded(*argv: str) -> set[str]:
+    """The popgate subpackages a fresh interpreter loads running `argv`."""
+    return {m.split(".")[0] for m in _modules_loaded(*argv)} & _STEP_PACKAGES
 
 
 class TestImportFootprint:
@@ -924,6 +967,32 @@ class TestImportFootprint:
         cfg_path = _copy_ws(ws, tmp_path / "ws")
         loaded = _packages_loaded("gate-report", "--config", str(cfg_path))
         assert not loaded & _TRAINING, loaded
+
+    # (step, modules of the step packages that it does not use): a package
+    # imports none of its modules, so a step loads only the ones it names
+    @pytest.mark.parametrize("cmd,unused", [
+        ("synth", {"data.cleaning", "data.scaling", "data.split"}),
+        ("ae-train", {"data.cleaning", "data.split"}),
+        ("compress", {"data.cleaning", "data.split"}),
+        ("predict", {"fusion.train", "nn.optim", "nn.control", "data.cleaning", "data.split"}),
+    ])
+    def test_step_loads_no_module_it_does_not_use(self, chain_ws, tmp_path, cmd, unused):
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        loaded = _modules_loaded(cmd, "--config", str(cfg_path))
+        assert not loaded & unused, loaded & unused
+
+    def test_no_package_init_binds_a_public_name(self):
+        """Every name is imported from the module that defines it: a
+        package's __init__ holds its docstring and dunders only, so that
+        re-exports cannot return."""
+        for init in sorted(Path(popgate.__file__).parent.rglob("__init__.py")):
+            for stmt in ast.parse(init.read_text(encoding="utf-8")).body:
+                if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+                    continue  # the docstring
+                bound = ([t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                         if isinstance(stmt, ast.Assign) else [])
+                assert bound and all(n.startswith("__") for n in bound), f"{init}:{stmt.lineno}"
 
     def test_config_module_loads_only_codec_and_exceptions(self):
         root = Path(__file__).resolve().parents[1]

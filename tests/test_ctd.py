@@ -22,8 +22,9 @@ from _oracles import (
     naive_ols_slope,
     naive_track_year,
 )
-from popgate.ctd import build_ctd_dataset, default_schema, ingest_events
 from popgate.ctd import events
+from popgate.ctd.events import ingest_events
+from popgate.ctd.features import build_ctd_dataset, default_schema
 from popgate.ctd.events import parse_timestamp_year
 from popgate import lanes, tabular
 from popgate.cli import main

@@ -8,18 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popgate.config import DEFAULT_WINDOW, CleaningConfig, SynthSpec
-from popgate.data import (
-    ScalerParams,
-    TrackRecord,
-    clean,
-    normalize_lyrics,
-    scaler_apply,
-    scaler_fit,
-    stratified_split,
-)
+from popgate.data.cleaning import TrackRecord, clean, normalize_lyrics
+from popgate.data.scaling import ScalerParams, scaler_apply, scaler_fit, scaler_invert
+from popgate.data.split import stratified_split
 from popgate.data.synth import _WORD_ARRAY, _WORDS, _unix_seconds, synth_generate
 from popgate.codec import from_json, to_json
-from popgate.data.scaling import scaler_invert
 from popgate.exceptions import ConfigError, ShapeError
 from popgate.metrics import compute_metrics
 from popgate.seeding import rng_for
@@ -226,24 +219,9 @@ def test_zscore_constant_column_maps_to_zero():
     assert np.isclose(out[:, 0].mean(), 0.0) and np.isclose(out[:, 0].std(), 1.0)
 
 
-def test_constant_scaler_multiplies():
-    params = scaler_fit(np.array([[0.0031]]), "constant", k=100.0)
-    assert np.isclose(scaler_apply(params, np.array([[0.0031]]))[0, 0], 0.31)
-
-
-def test_constant_scaler_requires_k():
-    with pytest.raises(ConfigError):
-        scaler_fit(np.zeros((2, 2)), "constant")
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError):
         scaler_fit(np.zeros((2, 2)), "robust")
-
-
-def test_unfit_scaler_raises():
-    with pytest.raises(RuntimeError, match="not been fit"):
-        scaler_apply(None, np.zeros((1, 2)))
 
 
 def test_scaler_width_mismatch():
@@ -266,8 +244,8 @@ def test_fit_never_touches_test_rows():
 def test_scaler_round_trip_inverse():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 4)) * 7 + 3
-    for kind, k in (("zscore", None), ("minmax", None), ("constant", 100.0)):
-        params = scaler_fit(X, kind, k)
+    for kind in ("zscore", "minmax"):
+        params = scaler_fit(X, kind)
         back = scaler_invert(params, scaler_apply(params, X))
         assert np.allclose(back, X, atol=1e-10)
 

@@ -19,10 +19,12 @@ import pytest
 import popgate.autoenc.train
 import popgate.fusion.train
 import popgate.nn.optim
-from popgate.autoenc import train_group_autoencoder
+from popgate.autoenc.train import train_group_autoencoder
 from popgate.config import AETrainConfig, BranchConfig, Elu, FeatureGroup, Identity, Phase1Config
-from popgate.fusion import ExpertBranch, phase1_train
-from popgate.nn import MLP, Adam, Dense, DenseLayerSpec, clip_grad_norm
+from popgate.fusion.branches import ExpertBranch
+from popgate.fusion.train import phase1_train
+from popgate.nn.layers import MLP, Dense, DenseLayerSpec
+from popgate.nn.optim import Adam, clip_grad_norm
 from popgate.nn.layers import SMALL_PRODUCT, _add_product
 from popgate.seeding import rng_for
 

@@ -13,19 +13,13 @@ from popgate.codec import from_json, to_json
 from popgate.config import (MODALITIES, BranchConfig, Elu, GateConfig, LeakyRelu, LossWeights,
                             Phase1Config, Phase2Config, default_branch_config)
 from popgate.exceptions import ConfigError, MissingInputError, PopgateError, ShapeError
-from popgate.fusion import (
-    ExpertBranch,
-    GatedEnsemble,
-    GatingNetwork,
-    LearnableStandardize,
-    ensemble_loss,
-    load_ensemble,
-    phase1_train,
-    phase2_train,
-    save_ensemble,
-)
+from popgate.fusion.branches import ExpertBranch
+from popgate.fusion.gate import GatingNetwork, LearnableStandardize
+from popgate.fusion.model import GatedEnsemble, ensemble_loss, load_ensemble, save_ensemble
+from popgate.fusion.train import phase1_train, phase2_train
 from popgate.metrics import compute_metrics, gate_report
-from popgate.nn import Adam, Param
+from popgate.nn.layers import Param
+from popgate.nn.optim import Adam
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 

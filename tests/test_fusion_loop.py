@@ -13,11 +13,8 @@ import pytest
 
 from popgate.config import (MODALITIES, BranchConfig, Elu, GateConfig, LeakyRelu, LossWeights,
                             Phase1Config, Phase2Config)
-from popgate.fusion import (
-    GatedEnsemble,
-    phase1_train,
-    phase2_train,
-)
+from popgate.fusion.model import GatedEnsemble
+from popgate.fusion.train import phase1_train, phase2_train
 from popgate.seeding import rng_for
 
 from _oracles import ref_phase1_train, ref_phase2_train

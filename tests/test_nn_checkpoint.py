@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from popgate.exceptions import MissingInputError
-from popgate.nn import load_checkpoint, save_checkpoint
+from popgate.nn.checkpoint import load_checkpoint, save_checkpoint
 
 
 def test_round_trip_is_bit_exact(tmp_path):

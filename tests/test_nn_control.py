@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from popgate.config import AETrainConfig, Phase1Config, Phase2Config, TrainConfig
-from popgate.nn import TrainControl
+from popgate.nn.control import TrainControl
 
 
 def test_early_stop_on_constant_metric():

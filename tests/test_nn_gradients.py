@@ -8,15 +8,8 @@ import numpy as np
 import pytest
 
 from popgate.config import Elu, Identity, LeakyRelu, Sigmoid
-from popgate.nn import (
-    Dense,
-    DenseLayerSpec,
-    MLP,
-    Param,
-    mse_loss,
-    softmax,
-    softmax_backward,
-)
+from popgate.nn.layers import MLP, Dense, DenseLayerSpec, Param
+from popgate.nn.losses import mse_loss, softmax, softmax_backward
 from popgate.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
 
 TOL = 1e-4

@@ -22,18 +22,17 @@ from _oracles import (
 )
 
 from popgate.config import Elu, Identity, LeakyRelu, Sigmoid
-from popgate.nn import (
+from popgate.nn.layers import (
+    SMALL_PRODUCT,
     BatchNorm,
     Dense,
     DenseLayerSpec,
     Param,
+    activation_backward,
     activation_forward,
-    clip_grad_norm,
-    mse_loss,
-    softmax,
 )
-from popgate.nn.layers import SMALL_PRODUCT, activation_backward
-from popgate.nn.optim import CHUNK
+from popgate.nn.losses import mse_loss, softmax
+from popgate.nn.optim import CHUNK, clip_grad_norm
 
 SHAPES = [(1, 5), (64, 32), (256, 2239)]
 # a batch of 37 rows: dividing by a power of two is exact, so the shapes above

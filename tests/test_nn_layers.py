@@ -6,14 +6,15 @@ import pytest
 from popgate.codec import from_json, to_json
 from popgate.config import Activation, Elu, Identity, LeakyRelu, Sigmoid
 from popgate.exceptions import ConfigError, ShapeError
-from popgate.nn import (
+from popgate.nn.layers import (
+    MLP,
     BatchNorm,
     Dense,
     DenseLayerSpec,
-    MLP,
+    activation_backward,
     activation_forward,
+    snapshot_state,
 )
-from popgate.nn.layers import activation_backward, snapshot_state
 
 
 # --- activations ------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_mlp_forward_shape_and_param_count():
     assert out.shape == (4, 1)
     # W,b for both layers + gamma,beta for the batchnormed one
     assert len(mlp.params()) == 6
-    assert mlp.in_dim == 6 and mlp.out_dim == 1
+    assert mlp.layers[0].spec.in_dim == 6 and mlp.layers[-1].spec.out_dim == 1
 
 
 def test_mlp_state_round_trip_is_bit_exact():

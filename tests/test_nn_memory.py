@@ -13,7 +13,8 @@ import tracemalloc
 import numpy as np
 
 from popgate.config import Elu, Identity
-from popgate.nn import MLP, Adam, BatchNorm, Dense, DenseLayerSpec, Param, clip_grad_norm
+from popgate.nn.layers import MLP, BatchNorm, Dense, DenseLayerSpec, Param
+from popgate.nn.optim import Adam, clip_grad_norm
 
 D_IN, D_OUT, BATCH = 2000, 1000, 64
 

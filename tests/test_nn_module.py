@@ -7,14 +7,12 @@ a change to any of them changes the bytes of saved models.
 import numpy as np
 import pytest
 
-from popgate.autoenc import Autoencoder
+from popgate.autoenc.model import Autoencoder
 from popgate.config import MODALITIES, BranchConfig, Elu, GateConfig
 from popgate.exceptions import MissingInputError, ShapeError
-from popgate.fusion import (
-    ExpertBranch,
-    GatedEnsemble,
-    GatingNetwork,
-)
+from popgate.fusion.branches import ExpertBranch
+from popgate.fusion.gate import GatingNetwork
+from popgate.fusion.model import GatedEnsemble
 
 BN = ["bn.gamma", "bn.beta", "bn.running_mean", "bn.running_var"]
 

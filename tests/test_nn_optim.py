@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _oracles import per_param_adam_step
-from popgate.nn import Adam, AdamW, Param, clip_grad_norm
+from popgate.nn.layers import Param
+from popgate.nn.optim import Adam, AdamW, clip_grad_norm
 from popgate.nn.optim import CHUNK
 
 
