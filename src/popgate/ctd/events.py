@@ -4,32 +4,34 @@ Events are (user_id, track_id, timestamp) rows; timestamps are epoch seconds
 or ISO-8601, interpreted in UTC. Only events inside the configured calendar
 window count; malformed and out-of-window rows are tallied, never fatal.
 
-Ingestion is columnar. A log file is read in blocks of about `BLOCK_CHARS`
-characters, each cut at a line end; an iterable of triples is taken in
-batches of `BATCH_ROWS` rows. A block whose lines are plain (three
+Ingestion reads a CSV or TSV log file with a header line, and is columnar.
+The log is cut into byte ranges, and every range, whether the log has one
+or several, is read by `_feed_range` in blocks of about `BLOCK_CHARS`
+characters, each cut at a line end. A block whose lines are plain (three
 comma-separated fields, no quote, NUL or whitespace other than the newline)
 is split by byte position with numpy; any other block goes through
-`csv.reader`, with every cell stripped. A batch's text sits in one byte
+`csv.reader`, with every cell stripped. A block's text sits in one byte
 buffer, from which each field is read as 8-byte words: an id's first word is
 its uint64 key, and a timestamp of at most 11 ASCII digits is parsed from its
 last two words at once (SWAR) and gets its UTC year from `datetime64[s]`.
-Every other timestamp goes through `parse_timestamp_year`. Each batch is
+Every other timestamp goes through `parse_timestamp_year`. Each block is
 reduced to distinct (track, year, user) triples with play counts before it
 is merged, so memory is bounded by the block size plus a small multiple of
 the distinct triples, not by the number of events.
 
-A log of at least PARALLEL_BYTES is read in byte ranges, one per core the
-process may run on (`os.sched_getaffinity`, which `taskset` restricts), cut
-where `popgate.tabular` cuts a matrix CSV: just after a `\n` outside quotes.
-A log with a quote that does not open a field, or with `\r` line ends, stays
-one range. Each range feeds its own accumulator in a lane of
-`popgate.lanes.run_lanes`, range 0 (with the byte-order mark and the header)
-in the calling process. The caller folds the later ranges' accumulators into
-range 0's in order: their ids are re-keyed through its long-id table and
-take its codes, their triples are re-composed with those codes and merged,
-and their tallies add up. Lanes decode no id; the caller decodes each once.
-Counts and tallies do not depend on the range count. A file that is not
-UTF-8 raises a PopgateError naming it and its first bad byte.
+A log of at least PARALLEL_BYTES is cut into one range per core the process
+may run on (`os.sched_getaffinity`, which `taskset` restricts), where
+`popgate.tabular` cuts a matrix CSV: just after a `\n` outside quotes. A
+smaller log, a log on one core, and a log with a quote that does not open a
+field or with `\r` line ends are one range, `[0, size)`. Each range is a job
+of `popgate.lanes.run_lanes` that feeds its own accumulator; range 0 (with
+the byte-order mark and the header) runs in the calling process, so a log
+of one range forks nothing. The caller folds the later ranges'
+accumulators into range 0's in order: their ids are re-keyed through its
+long-id table and take its codes, their triples are re-composed with those
+codes and merged, and their tallies add up. Lanes decode no id; the caller
+decodes each once. Counts and tallies do not depend on the range count. A
+file that is not UTF-8 raises a PopgateError naming it and its first bad byte.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +61,6 @@ BLOCK_CHARS = 1 << 20  # characters per file block; peak memory grows with it
 # the smallest that they did (5 MiB: 11 of 12; 6 MiB: 12 of 12);
 # BENCH_ctd_lanes.json has the runs.
 PARALLEL_BYTES = 5 << 20
-BATCH_ROWS = 1 << 15  # rows per batch when the source is an iterable of triples
 
 _REQUIRED_COLUMNS = ("user_id", "track_id", "timestamp")
 
@@ -277,9 +278,6 @@ class _Accumulator:
         self.n_pending = 0
         self.n_events = self.n_malformed = self.n_out_of_window = 0
 
-    def add_strings(self, users: Sequence[str], tracks: Sequence[str], stamps: Sequence[str]) -> None:
-        self.add(_pack(users), _pack(tracks), _pack(stamps))
-
     def add(self, users: _Field, tracks: _Field, stamps: _Field) -> None:
         rows = np.flatnonzero(
             (users.end > users.start) & (tracks.end > tracks.start) & (stamps.end > stamps.start)
@@ -317,9 +315,10 @@ class _Accumulator:
             self._merge()
 
     def _merge(self) -> None:
-        parts = [self.merged, *self.pending]
-        self.pending, self.n_pending = [], 0
-        self.merged = _reduce(*(np.concatenate(col) for col in zip(*parts)))
+        if self.pending:  # else `merged` is reduced already
+            parts = [self.merged, *self.pending]
+            self.pending, self.n_pending = [], 0
+            self.merged = _reduce(*(np.concatenate(col) for col in zip(*parts)))
 
     def fold(self, lane: "_Accumulator") -> None:
         """Add the counts and tallies of `lane`, which ingested a later range
@@ -435,7 +434,7 @@ def _add_csv_block(block: str, fh, delim: str, idx: Sequence[int], acc: _Accumul
                 col.append(row[i].strip() if i < len(row) else "")
         if reader.line_num >= len(lines):
             break
-    acc.add_strings(*cols)
+    acc.add(*map(_pack, cols))
 
 
 def _header(first: str, path: Path) -> tuple[str, list[int], bool]:
@@ -450,78 +449,55 @@ def _header(first: str, path: Path) -> tuple[str, list[int], bool]:
     return delim, idx, delim == "," and len(header) == len(_REQUIRED_COLUMNS)
 
 
-def _feed(fh, delim: str, idx: Sequence[int], plain: bool, acc: _Accumulator) -> _Accumulator:
-    """Feed the records of a text stream to `acc`, block by block -> `acc`."""
-    while block := fh.read(BLOCK_CHARS):
-        block += fh.readline()
-        if not (plain and _add_plain_block(block, idx, acc)):
-            _add_csv_block(block, fh, delim, idx, acc)
-    return acc
-
-
-def _feed_range(path: Path, start: int, stop: int, form: tuple, acc: _Accumulator) -> _Accumulator:
-    """Feed bytes [start, stop) of a log to `acc`; the range at byte 0 skips
-    the byte-order mark and the header line."""
+def _feed_range(path: Path, start: int, stop: int, form: tuple, window: Sequence[int]
+                ) -> _Accumulator:
+    """Feed the records in bytes [start, stop) of a log, block by block, to a
+    new accumulator -> it, merged. The range at byte 0 skips the byte-order
+    mark and the header line."""
+    delim, idx, plain = form
+    acc = _Accumulator(window)
     raw = io.BufferedReader(_ByteRange(path, start, stop))
     with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", newline="") as fh:
         if not start:
             fh.readline()
-        _feed(fh, *form, acc)
+        while block := fh.read(BLOCK_CHARS):
+            block += fh.readline()
+            if not (plain and _add_plain_block(block, idx, acc)):
+                _add_csv_block(block, fh, delim, idx, acc)
     acc._merge()
     return acc
 
 
-def _ingest_file(path: Path, window: Sequence[int]) -> _Accumulator:
-    """Read a CSV/TSV log with a header. Rows missing a required value carry
-    an empty string there, which the accumulator tallies as malformed.
+def ingest_events(path: str | Path, window: Sequence[int] = DEFAULT_WINDOW) -> IngestResult:
+    """Aggregate a CSV/TSV play log with a header into per-(track, year, user)
+    play counts.
 
-    A log of at least PARALLEL_BYTES is cut into one byte range per core the
-    process may run on (`os.sched_getaffinity`), where `_scan` cuts a matrix
-    CSV: just after a `\n` outside quotes. Each range feeds its own
-    accumulator in a lane of `run_lanes`, range 0 in the calling process,
-    and the later ranges' accumulators are folded into range 0's in order."""
+    Every cell is stripped. A row is malformed if an id is empty (a short
+    row's missing cells are empty) or the timestamp does not parse;
+    well-formed rows outside the window are counted separately and dropped.
+    The log is cut into byte ranges, one per core for a log of at least
+    PARALLEL_BYTES and one otherwise, and each range is fed by
+    `_feed_range`, a job of `run_lanes` (see the module docstring).
+    """
+    path = Path(path)
     if not path.exists():
         raise MissingInputError(f"event log not found: {path}")
-    acc = _Accumulator(window)
     with _utf8(path):
         with open(path, newline="", encoding="utf-8-sig") as fh:
             first = fh.readline()
-            if not first:
-                return acc
-            form = _header(first, path)
-            size, cores = path.stat().st_size, len(os.sched_getaffinity(0))
-            big = size >= PARALLEL_BYTES and cores > 1
-            edges = _scan(path, cores, form[0])[1] if big else [0, size]
-            if len(edges) == 2:
-                return _feed(fh, *form, acc)
+        if not first:
+            return _Accumulator(window).result()
+        form = _header(first, path)
+        size, cores = path.stat().st_size, len(os.sched_getaffinity(0))
+        big = size >= PARALLEL_BYTES and cores > 1
+        edges = _scan(path, cores, form[0])[1] if big else [0, size]
         jobs = {f"bytes {start}-{stop} of {path}":
-                (1.0, partial(_feed_range, path, start, stop, form,
-                              _Accumulator(window) if start else acc))
+                (1.0, partial(_feed_range, path, start, stop, form, window))
                 for start, stop in zip(edges, edges[1:])}
-        # equal weights: range b runs in lane b, range 0 in this process
-        first_range, *later = run_lanes("ctd-extract", jobs).values()
-    for lane in later:
-        first_range.fold(lane)
-    return first_range
-
-
-def ingest_events(
-    source: str | Path | Iterable[tuple[str, str, str]],
-    window: Sequence[int] = DEFAULT_WINDOW,
-) -> IngestResult:
-    """Aggregate an event stream into per-(track, year, user) play counts.
-
-    `source` is a log file path or an iterable of raw string triples; ids
-    read from a file are stripped, ids in triples are taken as given.
-    A row is malformed if an id is empty or the timestamp does not parse;
-    well-formed rows outside the window are counted separately and dropped.
-    A log file of at least PARALLEL_BYTES is read in byte ranges over the
-    cores (see the module docstring).
-    """
-    if isinstance(source, (str, Path)):
-        return _ingest_file(Path(source), window).result()
-    acc = _Accumulator(window)
-    rows = iter(source)
-    while batch := list(itertools.islice(rows, BATCH_ROWS)):
-        acc.add_strings(*zip(*batch, strict=True))
+        # equal weights: range b runs in lane b, range 0 (the only one of a
+        # small log, which forks nothing) in this process
+        ranges = list(run_lanes("ctd-extract", jobs).values())
+    acc = ranges.pop(0)
+    while ranges:  # a range's tables go as soon as they are folded
+        acc.fold(ranges.pop(0))
     return acc.result()

@@ -20,6 +20,10 @@ class ScalerParams:
     degenerate: NDArray[np.bool_]  # mask of zero-spread columns, mapped to 0
     k: float = 1.0  # unused; kept because every saved model.json stores it
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown scaler kind {self.kind!r}; expected one of {KINDS}")
+
 
 def scaler_fit(train: np.ndarray, kind: str) -> ScalerParams:
     """Fit per-column statistics on train rows only.

@@ -264,6 +264,7 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
     # per catalog track so downstream joins never lose rows; `ids` is sorted
     all_ids = cols["track_id"]
     full = np.zeros((len(all_ids), len(schema)))
+    found = np.zeros(len(all_ids), bool)
     if ids:
         sorted_ids = np.array(ids, dtype=object)
         catalog = np.array(all_ids, dtype=object)
@@ -272,7 +273,7 @@ def cmd_ctd_extract(ctx: RunContext) -> str:
         full[found] = matrix[pos[found]]
     write_matrix_csv(ctx.outputs["ctd"], all_ids, schema.names, full)
     return (
-        f"ctd-extract: {len(ids)} tracks with events, {len(all_ids) - len(ids)} zero-filled, "
+        f"ctd-extract: {len(ids)} tracks with events, {int((~found).sum())} zero-filled, "
         f"{ingest.n_malformed} malformed and {ingest.n_out_of_window} out-of-window rows dropped"
     )
 

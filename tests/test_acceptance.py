@@ -44,7 +44,7 @@ from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 
 from _chain import CHAIN, run_chain
-from _eventgen import random_event_log, random_track_artist
+from _eventgen import random_event_log, random_track_artist, write_log_file
 from _oracles import naive_ctd_matrix, pca_holdout_relmse
 
 GRAD_TOL = 1e-4
@@ -221,10 +221,11 @@ def test_criterion_01_gradient_fidelity():
 # -- 02 CTD oracle equivalence ---------------------------------------------------
 
 
-def test_criterion_02_ctd_matches_naive_oracle():
-    """Fifty randomized event logs, both feature modes: the streaming
-    extractor agrees with a naive recomputation — counts exactly, ratios and
-    slopes to 1e-12."""
+def test_criterion_02_ctd_matches_naive_oracle(tmp_path):
+    """Fifty randomized event log files, both feature modes, both parsers:
+    the streaming extractor agrees with a naive recomputation — counts
+    exactly, ratios and slopes to 1e-12. Logs 0, 1, 4, 5, … are plain lines,
+    split by byte position; the others quote every cell, for csv.reader."""
     t0 = time.monotonic()
     rng = np.random.default_rng(12)
     total_events = 0
@@ -235,7 +236,12 @@ def test_criterion_02_ctd_matches_naive_oracle():
         rows, truth, _, _ = random_event_log(rng, n_events, n_tracks=25, n_users=80)
         track_artist = random_track_artist(rng, n_tracks=25)
         mode = "temporal" if i % 2 else "aggregate"
-        ingest = ingest_events(rows, window=DEFAULT_WINDOW)
+        if i // 2 % 2:
+            path = write_log_file(tmp_path / f"log{i}.csv", rows, style="quoted")
+        else:  # "T" for the space of naive ISO times, which would send a block to csv.reader
+            rows = [(u, t, ts.replace(" ", "T")) for u, t, ts in rows]
+            path = write_log_file(tmp_path / f"log{i}.csv", rows, style="plain")
+        ingest = ingest_events(path, window=DEFAULT_WINDOW)
         ids, X, schema = build_ctd_dataset(ingest, track_artist, mode, DEFAULT_WINDOW)
         ref_ids, ref_rows = naive_ctd_matrix(truth, track_artist, mode, DEFAULT_WINDOW)
         assert ids == ref_ids, f"log {i}: track set diverged"

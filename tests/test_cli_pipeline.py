@@ -293,7 +293,7 @@ class TestCliContract:
         p = write_config(tmp_path, {"seed": 1}, "nosec.json")
         assert main(["synth", "--config", str(p)]) == 3
 
-    def test_ctd_extract_fills_every_catalog_row_including_duplicates(self, tmp_path):
+    def test_ctd_extract_fills_every_catalog_row_including_duplicates(self, tmp_path, capsys):
         (tmp_path / "events.csv").write_text(
             "user_id,track_id,timestamp\nu1,t2,1514764800\nu2,t2,1514764800\nu1,t9,1514764800\n"
         )
@@ -301,6 +301,9 @@ class TestCliContract:
         cfg = {"ctd": {"events": "events.csv", "metadata": "meta.csv", "out": "ctd.csv",
                        "mode": "aggregate"}}
         assert main(["ctd-extract", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert capsys.readouterr().out == (
+            "ctd-extract: 1 tracks with events, 1 zero-filled, 0 malformed and 0 out-of-window "
+            "rows dropped\n")  # t9 has no metadata row; only t1's row stays at zero
         ids, _, X = read_matrix_csv(tmp_path / "ctd.csv")
         assert ids == ["t2", "t1", "t2"]  # catalog order, duplicates kept
         assert X[0, 0] == 2.0 and not X[1].any() and np.array_equal(X[2], X[0])
@@ -692,6 +695,14 @@ def _drop_from_npz(key: str, meta_key: str | None = None):
     return edit
 
 
+def _set_in_json(dotted: str, value):
+    def edit(path: Path) -> None:
+        doc = json.loads(path.read_text())
+        _set(doc, dotted, value)
+        path.write_text(json.dumps(doc))
+    return edit
+
+
 def _truncate_json(path: Path) -> None:
     path.write_text(path.read_text()[:40])
 
@@ -737,8 +748,9 @@ def _replace_npz_meta(blob: bytes):
 # (step, artifact, how to corrupt it, the key the error must name): each of
 # these once ended in a KeyError traceback, in exit 1 with only the parser's
 # message (not valid JSON), in exit 1 (no metadata entry), in a BadZipFile
-# or EOFError traceback (a cut or empty archive, a member's bad CRC-32), or
-# in a TypeError traceback (a bare .npy array)
+# or EOFError traceback (a cut or empty archive, a member's bad CRC-32), in
+# a TypeError traceback (a bare .npy array), or loaded and was applied as
+# if valid (a scaler kind other than zscore and minmax)
 MALFORMED_ARTIFACTS = [
     ("compress", "models/ae/aud.npz", _drop_from_npz("scaler.center"), "'scaler.center'"),
     ("compress", "models/ae/ensemble.json", _drop_from_json("groups.aud"), "'groups.aud'"),
@@ -746,6 +758,10 @@ MALFORMED_ARTIFACTS = [
      "'branch_checkpoints.lyrics'"),
     ("predict", "models/fused/branch_audio.npz", _drop_from_npz("__meta__", "config.hidden"),
      "'config.hidden'"),
+    ("predict", "models/fused/model.json", _set_in_json("extra.target_scaler.kind", "robust"),
+     "'robust'"),
+    ("train-phase2", "models/fused/model.json",
+     _set_in_json("extra.feature_scalers.social.kind", "constant"), "'constant'"),
     ("compress", "models/ae/ensemble.json", _truncate_json, "not valid JSON"),
     ("predict", "models/fused/model.json", _truncate_json, "not valid JSON"),
     ("predict", "models/fused/gate.npz", _replace_npz_meta(b'{"kind": "gate", "config": {'),

@@ -5,6 +5,7 @@ import re
 import shutil
 import signal
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,9 +50,15 @@ def _listeners(track: str, unique_repeat_by_year: dict) -> list:
     return rows
 
 
+def _ingest(rows, window=WINDOW):
+    """ingest_events on a log of `rows` that write_log_file writes in plain style."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return ingest_events(write_log_file(Path(tmp) / "log.csv", rows, style="plain"), window)
+
+
 def _features(rows, mode="temporal", artist=None, window=WINDOW, years=WINDOW) -> dict:
     """{track_id: {feature name: value}} through ingest and build."""
-    res = ingest_events(rows, window=window)
+    res = _ingest(rows, window=window)
     artist = artist or {t: "a" for t in res.track_ids}
     ids, X, schema = build_ctd_dataset(res, artist, mode, years)
     return {t: dict(zip(schema.names, row.tolist())) for t, row in zip(ids, X)}
@@ -71,13 +78,16 @@ _WIDE = (2015, *WINDOW)
 # --- ingestion ----------------------------------------------------------------
 
 
-def test_empty_stream_gives_empty_map():
-    res = ingest_events([])
+def test_empty_stream_gives_empty_map(tmp_path):
+    res = _ingest([])
+    assert res.counts == {} and res.n_events == 0
+    (tmp_path / "empty.csv").write_bytes(b"")  # no header either
+    res = ingest_events(tmp_path / "empty.csv")
     assert res.counts == {} and res.n_events == 0
 
 
 def test_single_event():
-    res = ingest_events([("u1", "t1", "2018-06-01T12:00:00Z")])
+    res = _ingest([("u1", "t1", "2018-06-01T12:00:00Z")])
     assert res.counts == {("t1", 2018): {"u1": 1}}
     assert res.n_events == 1
 
@@ -101,7 +111,7 @@ def test_malformed_and_out_of_window_are_tallied():
         ("u1", "t1", "whenever"),  # bad timestamp
         ("u1", "t1", "2009-01-05T00:00:00Z"),  # outside 2016–2020
     ]
-    res = ingest_events(rows, window=WINDOW)
+    res = _ingest(rows)
     assert res.n_events == 1
     assert res.n_malformed == 2
     assert res.n_out_of_window == 1
@@ -162,7 +172,7 @@ def test_log_with_utf8_bom_is_read(tmp_path):
 def test_ingest_matches_bruteforce_scan_10k(tmp_path):
     rng = np.random.default_rng(123)
     rows, truth, n_mal, n_out = random_event_log(rng, 10_000)
-    res = ingest_events(rows, window=WINDOW)
+    res = _ingest(rows)
     assert res.counts == naive_counts(truth, WINDOW)
     assert len(res.counts) == len(naive_counts(truth, WINDOW))
     assert res.n_malformed == n_mal
@@ -191,17 +201,17 @@ def test_exotic_logs_match_bruteforce_across_block_sizes(tmp_path, monkeypatch, 
     assert (res.n_events, res.n_malformed, res.n_out_of_window) == (len(truth), n_mal, n_out)
 
 
-@given(seed=st.integers(0, 2**16), batch=st.integers(1, 300))
+@given(seed=st.integers(0, 2**16), block=st.integers(1, 1 << 14))
 @settings(max_examples=30, deadline=None)
-def test_exotic_triples_match_bruteforce_in_any_batch_size(seed, batch):
+def test_exotic_logs_match_bruteforce_in_any_block_size(seed, block):
     rng = np.random.default_rng(seed)
     rows, truth, n_mal, n_out = random_event_log(rng, 400, n_tracks=12, n_users=30, exotic=True)
-    old = events.BATCH_ROWS
-    events.BATCH_ROWS = batch
+    old = events.BLOCK_CHARS
+    events.BLOCK_CHARS = block
     try:
-        res = ingest_events(rows, window=WINDOW)
+        res = _ingest(rows)
     finally:
-        events.BATCH_ROWS = old
+        events.BLOCK_CHARS = old
     assert res.counts == naive_counts(truth, WINDOW)
     assert (res.n_events, res.n_malformed, res.n_out_of_window) == (len(truth), n_mal, n_out)
 
@@ -241,7 +251,7 @@ def test_timestamp_digit_boundary():
         ("u", "t", "nan"),
         ("u", "t", "１５１４７６４８００"),  # full-width digits: float() reads them
     ]
-    res = ingest_events(rows, window=WINDOW)
+    res = _ingest(rows)
     assert res.counts == {("t", 2018): {"u": 4}}
     assert (res.n_events, res.n_out_of_window, res.n_malformed) == (4, 3, 3)
 
@@ -270,10 +280,10 @@ def test_word_kernels_match_a_reading_of_each_field(values):
 def test_ids_are_compared_as_whole_strings():
     ts = "1514764800"
     rows = [("u", "t", ts), ("u\x00", "t", ts), ("u\x00\x00", "t", ts), ("u" * 9, "t", ts),
-            ("u" * 8, "t", ts), ("\ud800", "t", ts), ("ü", "t", ts), ("ü", "t", ts)]
-    res = ingest_events(rows, window=WINDOW)
+            ("u" * 8, "t", ts), ("ü", "t", ts), ("ü", "t", ts)]
+    res = _ingest(rows)
     assert res.counts == {("t", 2018): {"u": 1, "u\x00": 1, "u\x00\x00": 1, "u" * 9: 1,
-                                        "u" * 8: 1, "\ud800": 1, "ü": 2}}
+                                        "u" * 8: 1, "ü": 2}}
 
 
 # --- track-year stats -----------------------------------------------------------
@@ -428,7 +438,7 @@ def test_all_zero_vector_except_consistencies():
 
 
 def test_build_rejects_unknown_mode():
-    res = ingest_events(_plays("t", 2018, {"u1": 1}), WINDOW)
+    res = _ingest(_plays("t", 2018, {"u1": 1}))
     with pytest.raises(ConfigError, match="mode"):
         build_ctd_dataset(res, {"t": "a"}, "yearly", WINDOW)
 
@@ -441,7 +451,7 @@ def test_pipeline_matches_naive_recompute(seed, mode):
     rng = np.random.default_rng(seed)
     rows, truth, _, _ = random_event_log(rng, 4000, n_tracks=15, n_users=40)
     track_artist = random_track_artist(rng, n_tracks=15)
-    res = ingest_events(rows, window=WINDOW)
+    res = _ingest(rows)
     ids, X, schema = build_ctd_dataset(res, track_artist, mode, WINDOW)
     ref_ids, ref_rows = naive_ctd_matrix(truth, track_artist, mode, WINDOW)
     assert ids == ref_ids
@@ -460,7 +470,7 @@ def test_pipeline_matches_naive_recompute_on_other_windows(years):
     rng = np.random.default_rng(len(years))
     rows, truth, _, _ = random_event_log(rng, 4000, n_tracks=15, n_users=40, window=sorted(set(years)))
     track_artist = random_track_artist(rng, n_tracks=15)
-    ids, X, schema = build_ctd_dataset(ingest_events(rows, years), track_artist, "temporal", years)
+    ids, X, schema = build_ctd_dataset(_ingest(rows, years), track_artist, "temporal", years)
     ref_ids, ref_rows = naive_ctd_matrix(truth, track_artist, "temporal", years)
     assert ids == ref_ids and schema.years == years
     assert np.allclose(X, np.array(ref_rows), rtol=0, atol=1e-12)
@@ -468,7 +478,7 @@ def test_pipeline_matches_naive_recompute_on_other_windows(years):
 
 def test_tracks_without_artist_metadata_are_excluded():
     rows = [("u1", "t_known", "2018-02-01T00:00:00Z"), ("u1", "t_unknown", "2018-02-01T00:00:00Z")]
-    res = ingest_events(rows, window=WINDOW)
+    res = _ingest(rows)
     ids, X, _ = build_ctd_dataset(res, {"t_known": "a1"}, "aggregate", WINDOW)
     assert ids == ["t_known"]
     assert X.shape[0] == 1
@@ -484,7 +494,7 @@ def test_event_order_never_matters(order):
         (f"u{i % 4}", f"t{i % 3}", f"201{6 + (i % 5)}-06-01T00:00:00Z") for i in range(12)
     ]
     shuffled = [base[i] for i in order]
-    assert ingest_events(shuffled, WINDOW).counts == ingest_events(base, WINDOW).counts
+    assert _ingest(shuffled).counts == _ingest(base).counts
 
 
 def test_new_user_event_is_monotone():
@@ -513,7 +523,7 @@ def test_duplicating_every_event_doubles_plays_and_saturates_repeat():
 def test_no_nonfinite_values_anywhere():
     rng = np.random.default_rng(9)
     rows, _, _, _ = random_event_log(rng, 3000, n_tracks=25, n_users=10)
-    res = ingest_events(rows, WINDOW)
+    res = _ingest(rows)
     _, X, _ = build_ctd_dataset(res, random_track_artist(rng, 25), "temporal", WINDOW)
     assert np.all(np.isfinite(X))
 
@@ -720,14 +730,14 @@ def test_ctd_csv_and_manifest_are_byte_equal_at_every_lane_count(
 @pytest.mark.parametrize("forced_lanes", [2, 3], indirect=True)
 def test_killed_lane_exits_1_naming_ctd_extract(readme_ws, tmp_path, monkeypatch, capsys,
                                                forced_lanes, pids):
-    real, parent = events._feed, os.getpid()
+    real, parent = events._feed_range, os.getpid()
 
     def feed(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 
-    monkeypatch.setattr(events, "_feed", feed)
+    monkeypatch.setattr(events, "_feed_range", feed)
     assert _ctd_extract(readme_ws, tmp_path / "ws") == PopgateError.exit_code
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: ctd-extract: the worker process running bytes \d+-\d+ of "
