@@ -32,15 +32,34 @@ through two chunk-sized scratch buffers, instead of building full-size
 temporaries per parameter. The step performs the same elementwise
 operations in the same order as the per-parameter form above, so params
 and moments are bit-identical to it.
+
+The moments of the params with a stored gradient live in RAM, in `m` and
+`v`, which line up with the front of the value arena. A wide weight's
+moments live in one unlinked temporary file (`tempfile.TemporaryFile`,
+under `TMPDIR`), sized once with `ftruncate`: each chunk's `m` and then
+its `v`, side by side, in the order `step` walks them. Per chunk, one
+`preadv` reads both into two chunk-sized buffers, and after the update one
+`pwritev` writes them back. The file is read and written, never mapped,
+because the file pages a process maps count in its resident set. Step 1
+reads nothing: the moments start at zero. An optimizer without a wide
+weight opens no file and allocates no buffer for it. The file is closed
+when its optimizer goes and on any error in a step, and a step from a
+process other than the one that opened it is refused, so each forked
+process builds its own optimizer. A failing read or write ends the step
+with a `PopgateError` that names the file's directory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..exceptions import PopgateError
 from .layers import SMALL_PRODUCT, Param, Weight
 
 ParamGroups = Sequence[tuple[Sequence[Param], float]]
@@ -70,8 +89,8 @@ class Adam:
         wide = [(p, wd) for p, wd in entries if _is_wide(p)]
         self._values = _build_arena([p for p, _ in stored + wide], "value")
         self._grads = _build_arena([p for p, _ in stored], "grad")
-        self.m = np.zeros(self._values.size)
-        self.v = np.zeros(self._values.size)
+        self.m = np.zeros(self._grads.size)
+        self.v = np.zeros(self._grads.size)
         # [lo, hi) spans of the stored params with one decay, adjacent equal
         # decays merged, then each wide weight's offset and decay
         self._runs: list[tuple[int, int, float]] = []
@@ -87,6 +106,7 @@ class Adam:
         for p, wd in wide:
             self._wide.append((p, lo, wd))
             lo += p.value.size
+        self._moments = _MomentFile(lo - self.m.size) if wide else None
         width = min(CHUNK, self._values.size)
         self._scratch = (np.empty(width), np.empty(width))
 
@@ -102,39 +122,111 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         for lo, hi, wd in self._runs:
-            self._update(lo, hi, wd, self._grads[lo:hi])
-        buf = _rebuild_buffer([p for p, _, _ in self._wide])
-        for p, lo, wd in self._wide:
-            self._update(lo, lo + p.value.size, wd, p.gradient(buf).reshape(-1))
+            for a in range(lo, hi, CHUNK):
+                b = min(a + CHUNK, hi)
+                self._update(self._values[a:b], self._grads[a:b], self.m[a:b], self.v[a:b], wd)
+        if self._moments is None:
+            return
+        moments = self._moments
+        moments.check_owner()
+        try:
+            buf = _rebuild_buffer([p for p, _, _ in self._wide])
+            for p, lo, wd in self._wide:
+                grad = p.gradient(buf).reshape(-1)
+                for a in range(0, grad.size, CHUNK):
+                    b = min(a + CHUNK, grad.size)
+                    # the file's elements follow those of `m` in arena order
+                    at = lo + a - self.m.size
+                    m, v = moments.read(at, b - a, fresh=self.step_count == 1)
+                    self._update(self._values[lo + a : lo + b], grad[a:b], m, v, wd)
+                    moments.write(at, b - a)
+        except BaseException:
+            moments.close()
+            raise
 
-    def _update(self, lo: int, hi: int, wd: float, grad: np.ndarray) -> None:
-        """Step the arena span [lo, hi) with decay `wd`, given its flat
-        gradient `grad`."""
+    def _update(self, x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                wd: float) -> None:
+        """Step the values `x` of one chunk with decay `wd`, given their
+        gradient `g` and moments `m` and `v`, all of one length."""
         t = self.step_count
         lr, b1, b2, eps = self.lr, self.beta1, self.beta2, self.eps
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
-        for a in range(lo, hi, CHUNK):
-            b = min(a + CHUNK, hi)
-            x, g, m, v = self._values[a:b], grad[a - lo : b - lo], self.m[a:b], self.v[a:b]
-            s, u = self._scratch[0][: b - a], self._scratch[1][: b - a]
-            if wd != 0.0:
-                np.multiply(x, lr * wd, out=s)
-                x -= s
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=s)
-            m += s
-            np.multiply(g, g, out=s)
-            s *= 1.0 - b2
-            v *= b2
-            v += s
-            np.divide(m, bc1, out=s)
-            s *= lr
-            np.divide(v, bc2, out=u)
-            np.sqrt(u, out=u)
-            u += eps
-            s /= u
+        s, u = self._scratch[0][: x.size], self._scratch[1][: x.size]
+        if wd != 0.0:
+            np.multiply(x, lr * wd, out=s)
             x -= s
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v *= b2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        s /= u
+        x -= s
+
+
+class _MomentFile:
+    """`m` and `v` of `size` elements, in an unlinked temporary file that
+    holds each chunk's `m` and then its `v`. `read` moves a chunk's pair
+    into the two chunk-sized buffers `m` and `v`, `write` moves it back."""
+
+    def __init__(self, size: int):
+        self.pid = os.getpid()
+        try:
+            file = tempfile.TemporaryFile(buffering=0)
+        except OSError as e:
+            raise _moments_failed(f"cannot create it: {e}") from e
+        self.fileno = file.fileno
+        self.close = weakref.finalize(self, file.close)
+        try:
+            os.ftruncate(file.fileno(), 16 * size)
+        except OSError as e:
+            self.close()
+            raise _moments_failed(f"cannot size it to {16 * size} bytes: {e}") from e
+        self.m, self.v = np.empty(CHUNK), np.empty(CHUNK)
+
+    def check_owner(self) -> None:
+        if os.getpid() != self.pid:
+            raise PopgateError(
+                f"the optimizer's moments file belongs to process {self.pid}, not {os.getpid()}:"
+                " a forked process must build its own optimizer")
+
+    def read(self, at: int, n: int, fresh: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The moments of elements [at, at + n), zeros if `fresh`."""
+        m, v = self.m[:n], self.v[:n]
+        if fresh:
+            m.fill(0.0)
+            v.fill(0.0)
+        else:
+            self._move("preadv", at, n)
+        return m, v
+
+    def write(self, at: int, n: int) -> None:
+        self._move("pwritev", at, n)
+
+    def _move(self, op: str, at: int, n: int) -> None:
+        """`os.preadv` or `os.pwritev` of the buffers' first `n` elements, at
+        the pair of element `at`; anything short of all 16·n bytes fails."""
+        offset = 16 * at
+        try:
+            moved = getattr(os, op)(self.fileno(), [self.m[:n], self.v[:n]], offset)
+        except OSError as e:
+            raise _moments_failed(f"{op} at byte {offset}: {e}") from e
+        if moved != 16 * n:
+            raise _moments_failed(f"{op} moved {moved} of {16 * n} bytes at byte {offset}")
+
+
+def _moments_failed(what: str) -> PopgateError:
+    return PopgateError(
+        f"optimizer scratch file (Adam's moments, unlinked, in {tempfile.gettempdir()};"
+        f" TMPDIR sets the directory): {what}")
 
 
 class AdamW(Adam):

@@ -2,6 +2,7 @@
 compression training against PCA oracles."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn.control import TrainControl
 from popgate.nn.gradcheck import check_gradients
+from popgate.nn.layers import SMALL_PRODUCT
 from popgate.nn.optim import Adam
 from popgate.seeding import rng_for
 
@@ -406,6 +408,33 @@ def test_training_holds_at_most_four_param_copies(tmp_path):
         tracemalloc.stop()
     assert history["epochs_run"] == 3
     assert peak <= 4 * P + 2 * L + 0.25 * P, f"peak {peak / P:.2f}·P ({(peak - 2 * L) / P:.2f}·P + 2·L)"
+
+
+def test_training_holds_no_moments_of_wide_weights(tmp_path):
+    # the wide weights (99.8% of P here) keep m and v in the optimizer's
+    # scratch file, so only their values and grads are traced: each param's
+    # initial zeros grad counts in full until the first zero_grad defers it.
+    # Measured: 2.26·P + 2·L; with both moments in RAM, 3.31·P + 2·L
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(60, 2000))
+    group = FeatureGroup("wide", 0, 2000, 400)
+    params = Autoencoder(2000, 400, rng).params()
+    sizes = [p.value.nbytes for p in params]
+    P, L = sum(sizes), max(sizes)
+    assert sum(s for p, s in zip(params, sizes) if p.value.size >= SMALL_PRODUCT) > 0.99 * P
+    fds = sorted(os.listdir("/proc/self/fd"))
+    tracemalloc.start()
+    try:
+        _, _, history = train_group_autoencoder(group, X, AETrainConfig(max_epochs=3), 5,
+                                                tmp_path / "wide.npz")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert history["epochs_run"] == 3
+    assert peak <= 2.5 * P + 2 * L, f"peak {(peak - 2 * L) / P:.2f}·P + 2·L"
+    # the moments file went with the optimizer
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_trained_model_keeps_no_view_of_the_grad_arena(tmp_path):

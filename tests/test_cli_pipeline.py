@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -315,6 +316,26 @@ class TestCliContract:
         assert main(["split", "--config", str(p)]) == 1
         assert f"{meta} row 3: expected 5 cells, got 2" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+    def test_moments_file_failure_exits_1_names_it_and_leaves_no_fd_open(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        # one AE group of 600 columns, so one lane, and an encoder weight of
+        # 600 x 300: its moments go through the optimizer's scratch file
+        cfg = chain_config()
+        cfg["synth"].update(n_samples=120, dims=[600, 10, 6])
+        cfg["ae"]["registry"] = [{"name": "wide", "start": 0, "d": 600, "d_enc": 20}]
+        cfg["ae"]["train"]["max_epochs"] = 2
+        cfg_path = run_chain(tmp_path, cfg, ("synth", "clean", "split"))
+        capsys.readouterr()
+        real = os.pwritev
+        monkeypatch.setattr(os, "pwritev", lambda fd, bufs, offset: real(fd, bufs, offset) - 8)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        assert main(["ae-train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: optimizer scratch file") and "Traceback" not in err
+        assert f"in {tempfile.gettempdir()}" in err and "pwritev moved" in err
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert not (tmp_path / "models/ae/ensemble.json").exists()
 
     def test_missing_input_file_exits_2(self, tmp_path):
         cfg = {"clean": {"metadata": "nope.csv", "lyrics": "also-nope.csv"}}

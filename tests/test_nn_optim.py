@@ -1,10 +1,15 @@
 """Adam/AdamW update math and global gradient clipping."""
 
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _oracles import per_param_adam_step
-from popgate.nn.layers import Param
+from popgate.exceptions import PopgateError
+from popgate.nn.layers import SMALL_PRODUCT, Param, Weight, _add_product
 from popgate.nn.optim import Adam, AdamW, clip_grad_norm
 from popgate.nn.optim import CHUNK
 
@@ -167,3 +172,118 @@ def test_optimizer_rejects_a_param_listed_twice():
         Adam([a, b, a], lr=0.1)
     with pytest.raises(ValueError, match="enc.b"):
         AdamW([([a, b], 0.0), ([b], 0.1)], lr=0.1)
+
+
+def _staged_moments(opt) -> tuple[np.ndarray, np.ndarray]:
+    """The wide weights' m and v, read back from the optimizer's moments
+    file, where each chunk's m is followed by its v."""
+    n = opt._values.size - opt.m.size
+    raw = np.frombuffer(os.pread(opt._moments.fileno(), 16 * n, 0), dtype=np.float64)
+    m, v, lo = [], [], 0
+    for p, _, _ in opt._wide:
+        for a in range(0, p.value.size, CHUNK):
+            k = min(CHUNK, p.value.size - a)
+            m.append(raw[2 * lo : 2 * lo + k])
+            v.append(raw[2 * lo + k : 2 * lo + 2 * k])
+            lo += k
+    return np.concatenate(m), np.concatenate(v)
+
+
+def test_staged_moments_step_bit_identical_to_per_param_update():
+    # stored params (one a weight below SMALL_PRODUCT) and wide weights at
+    # SMALL_PRODUCT (a chunk multiple) and above it (not one), in two decay
+    # groups; the wide weights' gradients are deferred products
+    assert SMALL_PRODUCT == CHUNK
+    rng = np.random.default_rng(27)
+    shapes = [(1000,), (256, 256), (CHUNK + 5,), (30, 20), (300, 257)]
+    wide = [False, True, False, False, True]
+    decays = [0.0, 0.0, 0.05, 0.05, 0.05]
+    init = [rng.normal(size=s) for s in shapes]
+    # the 2-d ones are weights; (30, 20) is below SMALL_PRODUCT, so stored
+    params = [(Weight if v.ndim == 2 else Param)(v.copy(), name=f"p{i}")
+              for i, v in enumerate(init)]
+    opt = AdamW([(params[:2], 0.0), (params[2:], 0.05)], lr=0.01)
+    assert opt._moments is not None and opt.m.size == 1000 + CHUNK + 5 + 600
+    ref = [Param(v.copy(), name=f"r{i}") for i, v in enumerate(init)]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        opt.zero_grad()
+        for p, r, w in zip(params, ref, wide):
+            if w:
+                a = rng.normal(size=(p.shape[0], 7))
+                b = rng.normal(scale=3.0, size=(7, p.shape[1]))
+                p.add_product(a, b)
+                _add_product(r.grad, a, b)
+            else:
+                g = rng.normal(scale=3.0, size=p.shape)
+                p.grad += g
+                r.grad += g
+        assert params[1].grad is None and params[4].grad is None
+        factor = clip_grad_norm(opt.params, 1.0)
+        assert factor < 1.0
+        assert factor == clip_grad_norm(ref, 1.0)
+        opt.step()
+        per_param_adam_step([r.value for r in ref], [r.grad for r in ref], ms, vs, decays, t, lr=0.01)
+        for r in ref:
+            r.zero_grad()
+    for p, r in zip(params, ref):
+        assert p.value.tobytes() == r.value.tobytes(), p.name
+    stored = [i for i, w in enumerate(wide) if not w]
+    assert opt.m.tobytes() == np.concatenate([ms[i].ravel() for i in stored]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([vs[i].ravel() for i in stored]).tobytes()
+    m, v = _staged_moments(opt)
+    assert m.tobytes() == np.concatenate([ms[1].ravel(), ms[4].ravel()]).tobytes()
+    assert v.tobytes() == np.concatenate([vs[1].ravel(), vs[4].ravel()]).tobytes()
+
+
+def test_optimizer_without_a_wide_weight_opens_no_file_nor_staging_buffer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened a moments file")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    # a weight below SMALL_PRODUCT keeps a stored gradient, as a plain param does
+    params = [Weight(np.ones((30, 20)), name="w"), _param(np.ones(50), "b")]
+    tracemalloc.start()
+    try:
+        opt = AdamW(params, lr=0.01)
+        for _ in range(3):
+            opt.zero_grad()
+            params[0].grad += 1.0
+            opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert opt._moments is None
+    # arenas, moments and scratch of 650 elements each: ~31 kB, where two
+    # chunk-sized staging buffers would take 1 MB
+    assert peak < 128 * 1024, peak
+
+
+def test_a_wide_weight_stepped_by_another_process_is_refused(monkeypatch):
+    w = Weight(np.zeros((256, 256)), name="w")
+    opt = Adam([w], lr=0.01)
+    opt.zero_grad()
+    monkeypatch.setattr(os, "getpid", lambda: opt._moments.pid + 1)
+    with pytest.raises(PopgateError, match="a forked process must build its own optimizer"):
+        opt.step()
+    assert opt.step_count == 1 and not w.value.any()
+
+
+@pytest.mark.parametrize("op", ["pwritev", "preadv"])
+def test_a_short_moments_transfer_closes_the_file_and_names_it(monkeypatch, op):
+    w = Weight(np.zeros((300, 257)), name="w")
+    opt = Adam([w], lr=0.01)
+    opt.zero_grad()
+    w.add_product(np.ones((300, 1)), np.ones((1, 257)))
+    opt.step()
+    real = getattr(os, op)
+    monkeypatch.setattr(os, op, lambda fd, bufs, offset: real(fd, bufs, offset) - 8)
+    with pytest.raises(PopgateError) as info:
+        opt.step()
+    message = str(info.value)
+    assert "optimizer scratch file" in message and tempfile.gettempdir() in message
+    assert f"{op} moved {16 * CHUNK - 8} of {16 * CHUNK} bytes at byte 0" in message
+    assert not opt._moments.close.alive
+    with pytest.raises(ValueError, match="closed file"):
+        opt._moments.fileno()

@@ -12,8 +12,13 @@ absent or empty.
 The config is written there as run.json, and each step runs as its own
 process, `python -m popgate.cli STEP --config run.json`, on the program
 under src/ beside tools/. Its summary goes to stderr, and so does one line
-with its wall time and its peak RSS (from `os.wait4`, so a step's peak is
-its own, not the high-water mark of an earlier one). Prints
+with its wall time, its peak RSS and the MB it wrote, both from `os.wait4`
+(so a step's peak is its own, not the high-water mark of an earlier one).
+The MB written is `ru_oublock` × 512 B: the bytes the step and its lanes
+dirtied in the page cache, whether or not they reached the disk. A page
+counts each time it turns dirty, so a file rewritten in place (such as an
+optimizer's moments file) counts again only once the kernel has written
+it back. Prints
 `sha256  path` for every file under data/, models/, out/ and manifests/,
 sorted by path. Manifests record paths relative to the workspace, so two
 runs compare at any two workspace paths.
@@ -46,19 +51,20 @@ def _workloads():
     return module
 
 
-def run_step(step: str, cfg_path: Path) -> tuple[int, float, float]:
+def run_step(step: str, cfg_path: Path) -> tuple[int, float, float, float]:
     """Run one step as a child with its stdout on our stderr: its exit
-    code, wall time in s and peak RSS in MB."""
+    code, wall time in s, peak RSS in MB and MB written."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "popgate.cli", step, "--config", str(cfg_path)],
                             stdout=sys.stderr, env=env)
-    # wait4, not Popen.wait: it also returns the child's peak RSS
+    # wait4, not Popen.wait: it also returns the child's peak RSS and the
+    # blocks it wrote, its reaped lanes' included
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0, usage.ru_oublock * 512 / 1e6
 
 
 def main(argv: list[str]) -> int:
@@ -83,8 +89,9 @@ def main(argv: list[str]) -> int:
     write_json(cfg_path, config)
     for step in wl.CHAIN:
         sys.stderr.flush()
-        rc, wall, rss_mb = run_step(step, cfg_path)
-        print(f"{step}: {wall:.2f} s, peak RSS {rss_mb:.1f} MB", file=sys.stderr)
+        rc, wall, rss_mb, written_mb = run_step(step, cfg_path)
+        print(f"{step}: {wall:.2f} s, peak RSS {rss_mb:.1f} MB, wrote {written_mb:.1f} MB",
+              file=sys.stderr)
         if rc != 0:
             print(f"error: {step} exited {rc}", file=sys.stderr)
             return 1
