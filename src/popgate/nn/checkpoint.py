@@ -21,9 +21,12 @@ _UNREADABLE = (zipfile.BadZipFile, EOFError, ValueError)
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write arrays + metadata. `meta` is stored as `canonical_json`, so it
-    holds JSON values and dataclasses; keys in `arrays` must not collide with
-    the reserved metadata entry."""
+    """Write arrays + metadata to `path` exactly. `meta` is stored as
+    `canonical_json`, so it holds JSON values and dataclasses; keys in
+    `arrays` must not collide with the reserved metadata entry.
+
+    The file's bytes are those `np.savez` writes, but each member's data
+    goes to the archive from the array's own memory, not through copies."""
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     full_meta = {"format_version": FORMAT_VERSION, **meta}
@@ -32,11 +35,18 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict)
     payload[_META_KEY] = np.frombuffer(blob, dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **payload)
-    # np.savez appends .npz when missing; keep the caller's exact path.
-    written = path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
-    if written != path:
-        written.replace(path)
+    with zipfile.ZipFile(path, "w") as archive:
+        for key, value in payload.items():
+            value = np.asanyarray(value)
+            # as np.lib.format.write_array lays a member out: a Fortran-ordered
+            # array's data in memory order, any other in C order
+            fortran = value.flags.f_contiguous and not value.flags.c_contiguous
+            data = value.T if fortran else np.ascontiguousarray(value)
+            # zip64 always, as np.savez forces it
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(value))
+                member.write(data.reshape(-1))
 
 
 def check_arrays(arrays: Mapping[str, np.ndarray], shapes: Mapping, source: str | Path) -> None:

@@ -68,15 +68,21 @@ class Weight(Param):
     keeps each (a, b) pair added since, uncopied, and `factors` each scale
     applied since. `gradient()` rebuilds the gradient from them by the
     operations that the stored gradient would have seen, so bit for bit;
-    the caller must not write a recorded array before then.
+    the caller must not write a recorded array before then. `lender` is a
+    weak reference to the optimizer that holds the weight's value, which
+    lends the storage a gradient is rebuilt in: during its `step`, and
+    during a `clip_grad_norm` over its params, the largest wide weight's
+    values wait in that optimizer's scratch file and its arena slice holds
+    the rebuilt gradients; each call puts the values back before it returns.
     """
 
-    __slots__ = ("products", "factors")
+    __slots__ = ("products", "factors", "lender")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         super().__init__(value, name)
         self.products: list[tuple[np.ndarray, np.ndarray]] | None = None
         self.factors: list[float] | None = None
+        self.lender = None
 
     def defer(self) -> None:
         """Drop the stored gradient: from now on it is zero plus the
@@ -99,11 +105,11 @@ class Weight(Param):
 
     def gradient(self, buf: np.ndarray | None = None) -> np.ndarray:
         """The stored gradient, or else the one rebuilt in the front of
-        `buf`, a flat array at least the weight's size, or in fresh storage."""
+        `buf`, a flat array, or in fresh storage if `buf` is shorter."""
         if self.grad is not None:
             return self.grad
         n = self.value.size
-        g = (np.empty(n) if buf is None else buf[:n]).reshape(self.value.shape)
+        g = (np.empty(n) if buf is None or buf.size < n else buf[:n]).reshape(self.value.shape)
         if not self.products:
             g.fill(0.0)
         else:

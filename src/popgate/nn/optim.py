@@ -20,11 +20,20 @@ A wide weight's gradient is held nowhere between backward and step:
 `zero_grad` defers it (`Weight.defer`), so backward records the products
 it is the sum of. `clip_grad_norm` rebuilds each such gradient in turn for
 its sum of squares and records its factor, and `step` rebuilds it again,
-scaled, for the update. Each call rebuilds them one after another in one
-buffer the size of the largest, dropped when it returns, so at most one
-weight-sized gradient is alive at a time. That costs one more product per
-wide weight and step, and the rebuilt gradient is bit for bit the one a
-stored gradient would hold.
+scaled, for the update. Each call rebuilds them one after another in the
+arena slice of the largest wide weight (L), whose values wait in the
+optimizer's scratch file for the length of the call, so no weight-sized
+array is allocated: `clip_grad_norm` parks L's values there and reads them
+back before it returns; `step` parks them, steps every other wide weight,
+then steps L last, reading each chunk of its values from the file and
+writing the updated chunk over the chunk of L's gradient just consumed, so
+that L is whole again when it returns. Between calls every value is in the
+arena. Construction moves L the same way: its drawn values go to the file
+and are dropped before the other params are copied in, and are read into
+L's slice last, so the arena never sits beside a second copy of L. That
+costs one more product per wide weight and step, and two passes over L's
+values per call through the file; the rebuilt gradient is bit for bit the
+one a stored gradient would hold.
 
 With the arena, `zero_grad` is one fill, and `step` walks each contiguous
 run of equal decay, and each wide weight, in chunks of `CHUNK` elements
@@ -37,20 +46,23 @@ The moments of the params with a stored gradient live in RAM, in `m` and
 `v`, which line up with the front of the value arena. A wide weight's
 moments live in one unlinked temporary file (`tempfile.TemporaryFile`,
 under `TMPDIR`), sized once with `ftruncate`: each chunk's `m` and then
-its `v`, side by side, in the order `step` walks them. Per chunk, one
-`preadv` reads both into two chunk-sized buffers, and after the update one
-`pwritev` writes them back. The file is read and written, never mapped,
-because the file pages a process maps count in its resident set. Step 1
-reads nothing: the moments start at zero. An optimizer without a wide
-weight opens no file and allocates no buffer for it. The file is closed
-when its optimizer goes and on any error in a step, and a step from a
-process other than the one that opened it is refused, so each forked
-process builds its own optimizer. A failing read or write ends the step
-with a `PopgateError` that names the file's directory.
+its `v`, side by side, in arena order, and after them the region where L's
+values are parked. Per chunk, one `preadv` reads both moments into two
+chunk-sized buffers, and after the update one `pwritev` writes them back.
+The file is read and written, never mapped, because the file pages a
+process maps count in its resident set. Step 1 reads no moments: they
+start at zero. An optimizer without a wide weight opens no file and
+allocates no buffer for it. The file is closed when its optimizer goes,
+on any failed or short read or write, and on any error in a step; a clip
+that fails otherwise still reads L back. A call from a process other than
+the one that opened the file is refused, so each forked process builds its
+own optimizer. A failing read or write ends the call with a `PopgateError`
+that names the file's directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -87,12 +99,23 @@ class Adam:
         self._params = [p for p, _ in entries]
         stored = [(p, wd) for p, wd in entries if not _is_wide(p)]
         wide = [(p, wd) for p, wd in entries if _is_wide(p)]
-        self._values = _build_arena([p for p, _ in stored + wide], "value")
+        # the largest wide weight, L: its slice is the storage each wide
+        # gradient is rebuilt in, while its values wait in the moments file
+        self._largest = max((p for p, _ in wide), key=lambda p: p.value.size, default=None)
+        self._moments = None
+        if wide:
+            self._moments = _MomentFile(sum(p.value.size for p, _ in wide),
+                                        self._largest.value.size)
+            self._moments.park(self._largest.value)
+        self._values = _build_arena([p for p, _ in stored + wide], "value", self._largest)
+        if wide:
+            self._moments.unpark(self._largest.value)
         self._grads = _build_arena([p for p, _ in stored], "grad")
         self.m = np.zeros(self._grads.size)
         self.v = np.zeros(self._grads.size)
         # [lo, hi) spans of the stored params with one decay, adjacent equal
-        # decays merged, then each wide weight's offset and decay
+        # decays merged, then each wide weight's offset and decay, L last: its
+        # slice holds each other wide weight's gradient in turn
         self._runs: list[tuple[int, int, float]] = []
         lo = 0
         for p, wd in stored:
@@ -105,8 +128,9 @@ class Adam:
         self._wide: list[tuple[Weight, int, float]] = []
         for p, wd in wide:
             self._wide.append((p, lo, wd))
+            p.lender = weakref.ref(self)
             lo += p.value.size
-        self._moments = _MomentFile(lo - self.m.size) if wide else None
+        self._wide.sort(key=lambda w: w[0] is self._largest)
         width = min(CHUNK, self._values.size)
         self._scratch = (np.empty(width), np.empty(width))
 
@@ -130,7 +154,8 @@ class Adam:
         moments = self._moments
         moments.check_owner()
         try:
-            buf = _rebuild_buffer([p for p, _, _ in self._wide])
+            buf = self._largest.value.reshape(-1)
+            moments.park(buf)
             for p, lo, wd in self._wide:
                 grad = p.gradient(buf).reshape(-1)
                 for a in range(0, grad.size, CHUNK):
@@ -138,11 +163,28 @@ class Adam:
                     # the file's elements follow those of `m` in arena order
                     at = lo + a - self.m.size
                     m, v = moments.read(at, b - a, fresh=self.step_count == 1)
-                    self._update(self._values[lo + a : lo + b], grad[a:b], m, v, wd)
+                    if p is self._largest:
+                        x = moments.read_parked(a, b - a)
+                        self._update(x, grad[a:b], m, v, wd)
+                        buf[a:b] = x  # over the gradient chunk just used
+                    else:
+                        self._update(self._values[lo + a : lo + b], grad[a:b], m, v, wd)
                     moments.write(at, b - a)
         except BaseException:
             moments.close()
             raise
+
+    @contextlib.contextmanager
+    def _lend(self):
+        """L's arena slice, flat, as storage for the block; L's values wait
+        in the moments file meanwhile and are back when the block ends."""
+        self._moments.check_owner()
+        buf = self._largest.value.reshape(-1)
+        self._moments.park(buf)
+        try:
+            yield buf
+        finally:
+            self._moments.unpark(buf)
 
     def _update(self, x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 wd: float) -> None:
@@ -174,10 +216,12 @@ class Adam:
 
 class _MomentFile:
     """`m` and `v` of `size` elements, in an unlinked temporary file that
-    holds each chunk's `m` and then its `v`. `read` moves a chunk's pair
-    into the two chunk-sized buffers `m` and `v`, `write` moves it back."""
+    holds each chunk's `m` and then its `v`, followed by a region of
+    `parked` elements for the values of the largest wide weight. `read`
+    moves a chunk's pair into the two chunk-sized buffers `m` and `v`,
+    `write` moves it back; `park` and `unpark` move the values."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, parked: int):
         self.pid = os.getpid()
         try:
             file = tempfile.TemporaryFile(buffering=0)
@@ -185,12 +229,13 @@ class _MomentFile:
             raise _moments_failed(f"cannot create it: {e}") from e
         self.fileno = file.fileno
         self.close = weakref.finalize(self, file.close)
+        self.base = 16 * size
         try:
-            os.ftruncate(file.fileno(), 16 * size)
+            os.ftruncate(file.fileno(), self.base + 8 * parked)
         except OSError as e:
             self.close()
-            raise _moments_failed(f"cannot size it to {16 * size} bytes: {e}") from e
-        self.m, self.v = np.empty(CHUNK), np.empty(CHUNK)
+            raise _moments_failed(f"cannot size it to {self.base + 8 * parked} bytes: {e}") from e
+        self.m, self.v, self.x = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK)
 
     def check_owner(self) -> None:
         if os.getpid() != self.pid:
@@ -205,27 +250,47 @@ class _MomentFile:
             m.fill(0.0)
             v.fill(0.0)
         else:
-            self._move("preadv", at, n)
+            self._move("preadv", [m, v], 16 * at)
         return m, v
 
     def write(self, at: int, n: int) -> None:
-        self._move("pwritev", at, n)
+        self._move("pwritev", [self.m[:n], self.v[:n]], 16 * at)
 
-    def _move(self, op: str, at: int, n: int) -> None:
-        """`os.preadv` or `os.pwritev` of the buffers' first `n` elements, at
-        the pair of element `at`; anything short of all 16·n bytes fails."""
-        offset = 16 * at
+    def park(self, values: np.ndarray) -> None:
+        """Write `values`, a contiguous float64 array, to the parked region."""
+        flat = values.reshape(-1)
+        for a in range(0, flat.size, CHUNK):
+            self._move("pwritev", [flat[a : a + CHUNK]], self.base + 8 * a)
+
+    def unpark(self, values: np.ndarray) -> None:
+        """Read the parked region into `values`, a contiguous float64 array."""
+        flat = values.reshape(-1)
+        for a in range(0, flat.size, CHUNK):
+            self._move("preadv", [flat[a : a + CHUNK]], self.base + 8 * a)
+
+    def read_parked(self, a: int, n: int) -> np.ndarray:
+        """Parked elements [a, a + n), in the chunk-sized buffer `x`."""
+        x = self.x[:n]
+        self._move("preadv", [x], self.base + 8 * a)
+        return x
+
+    def _move(self, op: str, bufs: list[np.ndarray], offset: int) -> None:
+        """`os.preadv` or `os.pwritev` of `bufs` at byte `offset`; anything
+        short of all their bytes closes the file and fails."""
+        want = sum(b.nbytes for b in bufs)
         try:
-            moved = getattr(os, op)(self.fileno(), [self.m[:n], self.v[:n]], offset)
+            moved = getattr(os, op)(self.fileno(), bufs, offset)
         except OSError as e:
+            self.close()
             raise _moments_failed(f"{op} at byte {offset}: {e}") from e
-        if moved != 16 * n:
-            raise _moments_failed(f"{op} moved {moved} of {16 * n} bytes at byte {offset}")
+        if moved != want:
+            self.close()
+            raise _moments_failed(f"{op} moved {moved} of {want} bytes at byte {offset}")
 
 
 def _moments_failed(what: str) -> PopgateError:
     return PopgateError(
-        f"optimizer scratch file (Adam's moments, unlinked, in {tempfile.gettempdir()};"
+        f"optimizer scratch file (Adam's moments and parked values, unlinked, in {tempfile.gettempdir()};"
         f" TMPDIR sets the directory): {what}")
 
 
@@ -261,25 +326,21 @@ def _is_wide(p: Param) -> bool:
     return isinstance(p, Weight) and p.value.size >= SMALL_PRODUCT
 
 
-def _rebuild_buffer(params: list[Param]) -> np.ndarray:
-    """Storage for the deferred gradients among `params` to be rebuilt in,
-    one after another: the largest one's size, so that its pages are mapped
-    once per call, not once per weight."""
-    return np.empty(max((p.value.size for p in params if p.grad is None), default=0))
-
-
-def _build_arena(params: list[Param], attr: str) -> np.ndarray:
+def _build_arena(params: list[Param], attr: str, parked: Param | None = None) -> np.ndarray:
     """Move each param's `attr` array ("value" or "grad") into one flat
     buffer, in order, and rebind it as a view. Each old array is released
-    as soon as it is copied."""
+    as soon as it is copied. `parked`, whose values the caller has put
+    elsewhere, is rebound first and its slice left unwritten, so its old
+    array is gone before any other is copied."""
     arena = np.empty(sum(p.value.size for p in params))
-    lo = 0
-    for p in params:
-        hi = lo + p.value.size
-        view = arena[lo:hi].reshape(p.shape)
-        view[...] = getattr(p, attr)
-        setattr(p, attr, view)
-        lo = hi
+    bounds = np.cumsum([0] + [p.value.size for p in params]).tolist()
+    views = [arena[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
+    if parked is not None:
+        setattr(parked, attr, views[params.index(parked)])
+    for p, view in zip(params, views):
+        if p is not parked:
+            view[...] = getattr(p, attr)
+            setattr(p, attr, view)
     return arena
 
 
@@ -291,16 +352,19 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
     summation order is fixed regardless of where its storage lives. A
     stored gradient is scaled in place, so no step allocates more than
     `CHUNK` elements for it; a deferred one (see `Weight`) is rebuilt for
-    its sum of squares in storage the next one is rebuilt in, and records
-    the factor.
+    its sum of squares, and records the factor. The rebuilds borrow the
+    largest wide weight's storage from the optimizer that the first
+    deferred weight names (see the module docstring); a deferred weight
+    whose optimizer is gone is rebuilt in fresh storage.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     params = list(params)
-    buf = _rebuild_buffer(params)
+    lender = next((o for p in params if p.grad is None and (o := p.lender and p.lender())), None)
     total = 0.0
-    for p in params:
-        total += float(_sum_squares(p.gradient(buf)))
+    with (lender._lend() if lender is not None else contextlib.nullcontext()) as buf:
+        for p in params:
+            total += float(_sum_squares(p.gradient(buf)))
     norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0

@@ -319,8 +319,10 @@ class TestCliContract:
 
     def test_moments_file_failure_exits_1_names_it_and_leaves_no_fd_open(self, tmp_path, capsys,
                                                                           monkeypatch):
-        # one AE group of 600 columns, so one lane, and an encoder weight of
-        # 600 x 300: its moments go through the optimizer's scratch file
+        # one AE group of 600 columns, so one lane, and wide weights of
+        # 600 x 300 and 300 x 600: their moments take the optimizer's scratch
+        # file's first 16 * 360000 bytes, and the first transfer to fail
+        # parks the larger's values after them as the optimizer is built
         cfg = chain_config()
         cfg["synth"].update(n_samples=120, dims=[600, 10, 6])
         cfg["ae"]["registry"] = [{"name": "wide", "start": 0, "d": 600, "d_enc": 20}]
@@ -333,7 +335,9 @@ class TestCliContract:
         assert main(["ae-train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: optimizer scratch file") and "Traceback" not in err
-        assert f"in {tempfile.gettempdir()}" in err and "pwritev moved" in err
+        assert f"in {tempfile.gettempdir()}" in err
+        # parked in chunks of 65536 elements
+        assert f"pwritev moved {8 * 65536 - 8} of {8 * 65536} bytes at byte {16 * 360000}" in err
         assert sorted(os.listdir("/proc/self/fd")) == fds
         assert not (tmp_path / "models/ae/ensemble.json").exists()
 

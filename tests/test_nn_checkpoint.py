@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from popgate.codec import canonical_json
 from popgate.exceptions import MissingInputError
-from popgate.nn.checkpoint import load_checkpoint, save_checkpoint
+from popgate.nn.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -33,6 +34,27 @@ def test_save_keeps_exact_path_without_npz_suffix(tmp_path):
     assert path.exists()
     arrays, _ = load_checkpoint(path)
     assert np.array_equal(arrays["a"], np.zeros(2))
+
+
+def test_file_bytes_equal_what_np_savez_writes(tmp_path):
+    # each member is written from the array's own memory, laid out as
+    # np.savez lays it out: C-ordered, F-ordered, empty and 3-D arrays, and
+    # the uint8 metadata blob last
+    rng = np.random.default_rng(1)
+    arrays = {
+        "c": rng.normal(size=(17, 5)),
+        "f": np.asfortranarray(rng.normal(size=(6, 9))),
+        "empty": np.empty((0, 4)),
+        "cube": rng.normal(size=(3, 4, 5)),
+        "strided": rng.normal(size=(8, 6))[::2, 1:],
+    }
+    assert arrays["f"].flags.f_contiguous and not arrays["f"].flags.c_contiguous
+    meta = {"seed": 46, "name": "g"}
+    save_checkpoint(tmp_path / "ours.ckpt", arrays, meta)
+    blob = np.frombuffer(canonical_json({"format_version": FORMAT_VERSION, **meta}).encode(),
+                         dtype=np.uint8)
+    np.savez(tmp_path / "numpy.npz", **arrays, __meta__=blob)
+    assert (tmp_path / "ours.ckpt").read_bytes() == (tmp_path / "numpy.npz").read_bytes()
 
 
 def test_missing_file_raises_missing_input(tmp_path):

@@ -175,39 +175,36 @@ def test_optimizer_rejects_a_param_listed_twice():
 
 
 def _staged_moments(opt) -> tuple[np.ndarray, np.ndarray]:
-    """The wide weights' m and v, read back from the optimizer's moments
-    file, where each chunk's m is followed by its v."""
+    """The wide weights' m and v, in arena order, read back from the
+    optimizer's moments file, where each chunk's m is followed by its v."""
     n = opt._values.size - opt.m.size
     raw = np.frombuffer(os.pread(opt._moments.fileno(), 16 * n, 0), dtype=np.float64)
-    m, v, lo = [], [], 0
-    for p, _, _ in opt._wide:
+    m, v = [], []
+    for p, lo, _ in sorted(opt._wide, key=lambda w: w[1]):
         for a in range(0, p.value.size, CHUNK):
             k = min(CHUNK, p.value.size - a)
-            m.append(raw[2 * lo : 2 * lo + k])
-            v.append(raw[2 * lo + k : 2 * lo + 2 * k])
-            lo += k
+            at = lo + a - opt.m.size
+            m.append(raw[2 * at : 2 * at + k])
+            v.append(raw[2 * at + k : 2 * at + 2 * k])
     return np.concatenate(m), np.concatenate(v)
 
 
-def test_staged_moments_step_bit_identical_to_per_param_update():
-    # stored params (one a weight below SMALL_PRODUCT) and wide weights at
-    # SMALL_PRODUCT (a chunk multiple) and above it (not one), in two decay
-    # groups; the wide weights' gradients are deferred products
-    assert SMALL_PRODUCT == CHUNK
-    rng = np.random.default_rng(27)
-    shapes = [(1000,), (256, 256), (CHUNK + 5,), (30, 20), (300, 257)]
-    wide = [False, True, False, False, True]
-    decays = [0.0, 0.0, 0.05, 0.05, 0.05]
+def _clipped_steps_match_per_param(shapes, wide, n_front, decay, steps, seed):
+    """`steps` clipped AdamW steps over params of `shapes`, the first
+    `n_front` at decay 0 and the rest at `decay`, where the `wide` ones get
+    their gradient as deferred products: values, RAM moments and the moments
+    in the file equal `per_param_adam_step` bit for bit. Returns the optimizer."""
+    rng = np.random.default_rng(seed)
+    decays = [0.0] * n_front + [decay] * (len(shapes) - n_front)
     init = [rng.normal(size=s) for s in shapes]
-    # the 2-d ones are weights; (30, 20) is below SMALL_PRODUCT, so stored
+    # the 2-d ones are weights; those below SMALL_PRODUCT keep a stored gradient
     params = [(Weight if v.ndim == 2 else Param)(v.copy(), name=f"p{i}")
               for i, v in enumerate(init)]
-    opt = AdamW([(params[:2], 0.0), (params[2:], 0.05)], lr=0.01)
-    assert opt._moments is not None and opt.m.size == 1000 + CHUNK + 5 + 600
+    opt = AdamW([(params[:n_front], 0.0), (params[n_front:], decay)], lr=0.01)
     ref = [Param(v.copy(), name=f"r{i}") for i, v in enumerate(init)]
     ms = [np.zeros(s) for s in shapes]
     vs = [np.zeros(s) for s in shapes]
-    for t in range(1, 6):
+    for t in range(1, steps + 1):
         opt.zero_grad()
         for p, r, w in zip(params, ref, wide):
             if w:
@@ -219,7 +216,7 @@ def test_staged_moments_step_bit_identical_to_per_param_update():
                 g = rng.normal(scale=3.0, size=p.shape)
                 p.grad += g
                 r.grad += g
-        assert params[1].grad is None and params[4].grad is None
+        assert all(p.grad is None for p, w in zip(params, wide) if w)
         factor = clip_grad_norm(opt.params, 1.0)
         assert factor < 1.0
         assert factor == clip_grad_norm(ref, 1.0)
@@ -233,8 +230,74 @@ def test_staged_moments_step_bit_identical_to_per_param_update():
     assert opt.m.tobytes() == np.concatenate([ms[i].ravel() for i in stored]).tobytes()
     assert opt.v.tobytes() == np.concatenate([vs[i].ravel() for i in stored]).tobytes()
     m, v = _staged_moments(opt)
-    assert m.tobytes() == np.concatenate([ms[1].ravel(), ms[4].ravel()]).tobytes()
-    assert v.tobytes() == np.concatenate([vs[1].ravel(), vs[4].ravel()]).tobytes()
+    assert m.tobytes() == np.concatenate([ms[i].ravel() for i, w in enumerate(wide) if w]).tobytes()
+    assert v.tobytes() == np.concatenate([vs[i].ravel() for i, w in enumerate(wide) if w]).tobytes()
+    return opt
+
+
+def test_staged_moments_step_bit_identical_to_per_param_update():
+    # stored params (one a weight below SMALL_PRODUCT) and wide weights at
+    # SMALL_PRODUCT (a chunk multiple) and above it (not one), in two decay
+    # groups; the wide weights' gradients are deferred products
+    assert SMALL_PRODUCT == CHUNK
+    shapes = [(1000,), (256, 256), (CHUNK + 5,), (30, 20), (300, 257)]
+    opt = _clipped_steps_match_per_param(
+        shapes, [False, True, False, False, True], 2, 0.05, steps=5, seed=27)
+    assert opt._moments is not None and opt.m.size == 1000 + CHUNK + 5 + 600
+
+
+def test_two_equal_largest_wide_weights_step_bit_identical_to_per_param_update():
+    # blf's case: two wide weights of one size, the largest, in the two
+    # decay groups; the first is L, whose storage holds every rebuilt
+    # gradient, and the second's gradient is rebuilt in it too
+    shapes = [(1000,), (300, 257), (256, 256), (30, 20), (257, 300), (CHUNK + 5,)]
+    opt = _clipped_steps_match_per_param(
+        shapes, [False, True, True, False, True, False], 3, 0.05, steps=4, seed=28)
+    assert opt._largest.name == "p1" and opt._wide[-1][0] is opt._largest
+
+
+def _deferred(shapes, seed) -> tuple[list[Weight], list[Param]]:
+    """Wide weights, each with two recorded products, and stored-gradient
+    copies of them."""
+    rng = np.random.default_rng(seed)
+    ws = [Weight(rng.normal(size=s), name=f"w{i}") for i, s in enumerate(shapes)]
+    refs = [Param(w.value.copy(), name=f"r{i}") for i, w in enumerate(ws)]
+    return ws, refs
+
+
+def _record(ws, refs, seed) -> None:
+    rng = np.random.default_rng(seed)
+    for w, r in zip(ws, refs):
+        for _ in range(2):
+            a, b = rng.normal(size=(w.shape[0], 3)), rng.normal(size=(3, w.shape[1]))
+            w.add_product(a, b)
+            _add_product(r.grad, a, b)
+
+
+def test_clip_leaves_the_largest_weights_values_as_they_were():
+    ws, refs = _deferred([(300, 257), (256, 256)], 30)
+    opt = Adam(ws, lr=0.01)
+    assert opt._largest is ws[0] and ws[0].value.base is opt._values
+    before = [w.value.tobytes() for w in ws]
+    opt.zero_grad()
+    _record(ws, refs, 31)
+    assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
+    assert [w.value.tobytes() for w in ws] == before
+    assert ws[0].value.base is opt._values
+
+
+def test_a_deferred_weight_whose_optimizer_is_gone_is_rebuilt_in_fresh_storage():
+    ws, refs = _deferred([(300, 257), (256, 256)], 32)
+    opt = Adam(ws, lr=0.01)
+    opt.zero_grad()
+    _record(ws, refs, 33)
+    del opt
+    assert all(w.lender() is None for w in ws)
+    before = [w.value.tobytes() for w in ws]
+    assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
+    assert [w.value.tobytes() for w in ws] == before
+    for w, r in zip(ws, refs):
+        assert w.gradient().tobytes() == r.grad.tobytes()
 
 
 def test_optimizer_without_a_wide_weight_opens_no_file_nor_staging_buffer(monkeypatch):
@@ -270,20 +333,76 @@ def test_a_wide_weight_stepped_by_another_process_is_refused(monkeypatch):
     assert opt.step_count == 1 and not w.value.any()
 
 
+def test_clip_over_two_optimizers_rebuilds_what_the_lent_storage_cannot_hold():
+    # the first deferred weight names the lender, whose largest weight is
+    # the smaller one here: the larger gradient is rebuilt in fresh storage
+    ws, refs = _deferred([(256, 256), (300, 257)], 34)
+    opts = [Adam([w], lr=0.01) for w in ws]
+    for opt in opts:
+        opt.zero_grad()
+    _record(ws, refs, 35)
+    before = [w.value.tobytes() for w in ws]
+    assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
+    assert [w.value.tobytes() for w in ws] == before
+
+
+def _failing(monkeypatch, op: str) -> None:
+    """`os.preadv` or `os.pwritev` moving 8 bytes short from now on."""
+    real = getattr(os, op)
+    monkeypatch.setattr(os, op, lambda fd, bufs, offset: real(fd, bufs, offset) - 8)
+
+
+def _assert_closed_and_named(info, opt, expected: str) -> None:
+    message = str(info.value)
+    assert "optimizer scratch file" in message and tempfile.gettempdir() in message
+    assert expected in message
+    assert not opt._moments.close.alive
+    with pytest.raises(ValueError, match="closed file"):
+        opt._moments.fileno()
+
+
+# w's 77100 elements: its moments take the file's first 16 * 77100 bytes, and
+# its values, as the largest wide weight, are parked after them
+PARKED_AT = 16 * 300 * 257
+
+
 @pytest.mark.parametrize("op", ["pwritev", "preadv"])
 def test_a_short_moments_transfer_closes_the_file_and_names_it(monkeypatch, op):
+    # a step's first write parks w's values; its first read is w's moments
     w = Weight(np.zeros((300, 257)), name="w")
     opt = Adam([w], lr=0.01)
     opt.zero_grad()
     w.add_product(np.ones((300, 1)), np.ones((1, 257)))
     opt.step()
-    real = getattr(os, op)
-    monkeypatch.setattr(os, op, lambda fd, bufs, offset: real(fd, bufs, offset) - 8)
+    _failing(monkeypatch, op)
     with pytest.raises(PopgateError) as info:
         opt.step()
-    message = str(info.value)
-    assert "optimizer scratch file" in message and tempfile.gettempdir() in message
-    assert f"{op} moved {16 * CHUNK - 8} of {16 * CHUNK} bytes at byte 0" in message
-    assert not opt._moments.close.alive
-    with pytest.raises(ValueError, match="closed file"):
-        opt._moments.fileno()
+    expected = {"pwritev": f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {PARKED_AT}",
+                "preadv": f"preadv moved {16 * CHUNK - 8} of {16 * CHUNK} bytes at byte 0"}[op]
+    _assert_closed_and_named(info, opt, expected)
+
+
+def test_a_short_unpark_in_clip_closes_the_file_and_names_it(monkeypatch):
+    # clipping parks w's values and reads them back before it returns; the
+    # read is its first
+    w = Weight(np.zeros((300, 257)), name="w")
+    opt = Adam([w], lr=0.01)
+    opt.zero_grad()
+    w.add_product(np.ones((300, 1)), np.ones((1, 257)))
+    _failing(monkeypatch, "preadv")
+    with pytest.raises(PopgateError) as info:
+        clip_grad_norm([w], 1.0)
+    _assert_closed_and_named(
+        info, opt, f"preadv moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {PARKED_AT}")
+
+
+def test_a_short_park_while_building_closes_the_file_and_keeps_the_values(monkeypatch):
+    w = Weight(np.arange(300 * 257, dtype=np.float64).reshape(300, 257), name="w")
+    drawn = w.value
+    fds = sorted(os.listdir("/proc/self/fd"))
+    _failing(monkeypatch, "pwritev")
+    with pytest.raises(PopgateError, match=f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} "
+                                           f"bytes at byte {PARKED_AT}"):
+        Adam([w], lr=0.01)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert w.value is drawn
