@@ -67,7 +67,7 @@ class Autoencoder(Module):
     batchnorm and dropout; bottleneck and output are plain linear maps so
     embeddings and reconstructions span all of R."""
 
-    def __init__(self, d: int, d_enc: int, rng: np.random.Generator, name: str = "ae"):
+    def __init__(self, d: int, d_enc: int, rng: np.random.Generator | None, name: str = "ae"):
         if d_enc >= d:
             raise ValueError(f"{name}: bottleneck {d_enc} must be < input dim {d}")
         self.d = d

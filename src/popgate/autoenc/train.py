@@ -70,9 +70,8 @@ def train_group_autoencoder(
         rows = X[idx]
         return scaler_apply(scaler, rows, out=rows)
 
-    model = _initial_model(group, seed)
+    model, opt = _initial_model(group, seed, cfg.lr)
     lam = lambda_for(group.d_enc)
-    opt = Adam(model.params(), lr=cfg.lr)
     control = TrainControl.from_config(cfg)
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
@@ -105,17 +104,19 @@ def train_group_autoencoder(
 
     # no step reads the moments or the grads again: m and v go with `opt`,
     # and the grad arena and the wide weights' recorded products once each
-    # param has its own unmapped zeros, all before the best epoch is read back
+    # param has its own unmapped zeros, all before the best epoch is read back;
+    # the wide weights' values stay in the scratch file, which they hold
     del opt
     for p in model.params():
         p.release_grad()
     if control.best_epoch < 0:
         # no epoch improved (a non-finite validation loss): the initial
         # weights are drawn again, not kept
-        model = _initial_model(group, seed)
+        del model
+        model, _ = _initial_model(group, seed, cfg.lr)
         _save_group(checkpoint, group, model, scaler, seed)
     elif control.best_epoch < control.epoch:
-        model.load_state(load_checkpoint(checkpoint, prefixes=("enc.", "dec."))[0], checkpoint)
+        load_checkpoint(checkpoint, prefixes=("enc.", "dec."), into=model)
     xv = scaled(val_idx)
     history["val_relmse"] = rel_mse(xv, model.forward(xv, train=False)[0])
     history["best_epoch"] = control.best_epoch
@@ -123,15 +124,24 @@ def train_group_autoencoder(
     return model, scaler, history
 
 
-def _initial_model(group: FeatureGroup, seed: int) -> Autoencoder:
-    return Autoencoder(group.d, group.d_enc, rng_for(seed, f"ae-init-{group.name}"), name=group.name)
+def _initial_model(group: FeatureGroup, seed: int, lr: float) -> tuple[Autoencoder, Adam]:
+    """The group's initial model and its optimizer. The model is built with
+    zero weights on unmapped pages, so the optimizer's scratch file takes no
+    values from it; then each layer's W is drawn from the group's init
+    stream, in layer order, and written there before the next is drawn."""
+    model = Autoencoder(group.d, group.d_enc, None, name=group.name)
+    opt = Adam(model.params(), lr=lr)
+    rng = rng_for(seed, f"ae-init-{group.name}")
+    for layer in model.encoder.layers + model.decoder.layers:
+        layer.draw(rng)
+    return model, opt
 
 
 def _save_group(path: str | Path, group: FeatureGroup, model: Autoencoder,
                 scaler: ScalerParams, seed: int) -> None:
     """Write one group's checkpoint: the model's state (decoder included),
-    its scaler, and the metadata naming the group, its init stream's seed
-    and its layers."""
+    read one array at a time, its scaler, and the metadata naming the
+    group, its init stream's seed and its layers."""
     arrays = model.state_arrays()
     arrays["scaler.center"] = scaler.center
     arrays["scaler.scale"] = scaler.scale

@@ -8,9 +8,10 @@ Dropout is inverted (scaled at train time), so eval applies no rescale.
 from __future__ import annotations
 
 import math
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +26,10 @@ class Param:
     The grad starts as `np.zeros`, whose pages stay unmapped until first
     written, so a model that only runs inference never pays for it. An
     optimizer moves both arrays into its arena (see `popgate.nn.optim`),
-    except the grad of a wide `Weight`. Clipping and the optimizer read the
-    gradient through `gradient()` and scale it through `scale_grad`.
+    except those of a wide `Weight`. Layers and state walkers read the
+    values through `read()` and write them through `write()`; clipping and
+    the optimizer read the gradient through `gradient()` and scale it
+    through `scale_grad`.
     """
 
     __slots__ = ("name", "value", "grad")
@@ -40,12 +43,19 @@ class Param:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    def read(self) -> np.ndarray:
+        """The values."""
+        return self.value
+
+    def write(self, values: np.ndarray) -> None:
+        """Copy `values`, of the param's shape, into the values."""
+        self.value[...] = values
+
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def gradient(self, buf: np.ndarray | None = None) -> np.ndarray:
-        """The accumulated gradient; `buf` is storage that a `Weight` may
-        rebuild it in."""
+    def gradient(self) -> np.ndarray:
+        """The accumulated gradient."""
         return self.grad
 
     def scale_grad(self, factor: float) -> None:
@@ -68,21 +78,35 @@ class Weight(Param):
     keeps each (a, b) pair added since, uncopied, and `factors` each scale
     applied since. `gradient()` rebuilds the gradient from them by the
     operations that the stored gradient would have seen, so bit for bit;
-    the caller must not write a recorded array before then. `lender` is a
-    weak reference to the optimizer that holds the weight's value, which
-    lends the storage a gradient is rebuilt in: during its `step`, and
-    during a `clip_grad_norm` over its params, the largest wide weight's
-    values wait in that optimizer's scratch file and its arena slice holds
-    the rebuilt gradients; each call puts the values back before it returns.
+    the caller must not write a recorded array before then.
+
+    An optimizer may also keep a wide weight's values in its scratch file
+    for as long as the weight lives: `store` is then that file and `at` the
+    weight's first element in it, and `value` is a read-only placeholder of
+    the weight's shape that holds no memory (every entry NaN), so `shape`
+    and `value.size` cost no I/O and a write into `value` raises. `read()`
+    returns the values in the file's slot, read-only and valid only until
+    the slot is next read into or lent; `write()` writes through to the
+    file; `gradient()` rebuilds a deferred gradient in the slot.
     """
 
-    __slots__ = ("products", "factors", "lender")
+    __slots__ = ("products", "factors", "store", "at")
 
     def __init__(self, value: np.ndarray, name: str = ""):
         super().__init__(value, name)
         self.products: list[tuple[np.ndarray, np.ndarray]] | None = None
         self.factors: list[float] | None = None
-        self.lender = None
+        self.store = None
+        self.at = 0
+
+    def read(self) -> np.ndarray:
+        return self.value if self.store is None else self.store.read_values(self)
+
+    def write(self, values: np.ndarray) -> None:
+        if self.store is None:
+            super().write(values)
+        else:
+            self.store.write_values(self, values)
 
     def defer(self) -> None:
         """Drop the stored gradient: from now on it is zero plus the
@@ -103,13 +127,13 @@ class Weight(Param):
         else:
             _add_product(self.grad, a, b)
 
-    def gradient(self, buf: np.ndarray | None = None) -> np.ndarray:
-        """The stored gradient, or else the one rebuilt in the front of
-        `buf`, a flat array, or in fresh storage if `buf` is shorter."""
+    def gradient(self) -> np.ndarray:
+        """The stored gradient, or else the one rebuilt in the slot of the
+        file that holds the values, or in fresh storage if none does."""
         if self.grad is not None:
             return self.grad
         n = self.value.size
-        g = (np.empty(n) if buf is None or buf.size < n else buf[:n]).reshape(self.value.shape)
+        g = (np.empty(n) if self.store is None else self.store.lend()[:n]).reshape(self.value.shape)
         if not self.products:
             g.fill(0.0)
         else:
@@ -160,12 +184,10 @@ class Module:
     def params(self) -> list[Param]:
         return [part for _, part in self._state_parts() if isinstance(part, Param)]
 
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        """The live (uncopied) state arrays, keyed by `prefix` + dotted path."""
-        return {
-            key: part.value if isinstance(part, Param) else part
-            for key, part in self._state_parts(prefix)
-        }
+    def state_arrays(self, prefix: str = "") -> "StateArrays":
+        """The live (uncopied) state arrays, keyed by `prefix` + dotted path,
+        each read when looked up (see `StateArrays`)."""
+        return StateArrays(self._state_parts(prefix))
 
     def load_state(
         self,
@@ -175,9 +197,11 @@ class Module:
         copy: bool = True,
     ) -> None:
         """Copy saved arrays, keyed by `prefix` + dotted path, into the live
-        state in place. Every key must be present with the live array's exact
-        shape, else nothing is loaded; errors name `source` (the checkpoint
-        path) and the key. Keys the model lacks are ignored.
+        state in place, looking each up once, in state order, and writing it
+        before the next (so `arrays` may read them one at a time, as an open
+        checkpoint does). Every key must be present with the live array's
+        exact shape, else nothing is loaded; errors name `source` (the
+        checkpoint path) and the key. Keys the model lacks are ignored.
 
         With `copy=False` each `Param` takes the saved array itself instead
         (plain arrays are still copied): for models that only run inference,
@@ -188,9 +212,39 @@ class Module:
             if not isinstance(part, Param):
                 part[...] = arrays[key]
             elif copy:
-                part.value[...] = arrays[key]
+                part.write(arrays[key])
             else:
                 part.value = np.asarray(arrays[key], dtype=np.float64)
+
+
+class StateArrays(MutableMapping):
+    """A model's state arrays by key, in checkpoint order. Looking up a
+    param's key reads its values (`Param.read`), so a file-resident
+    weight's array is valid only until its file's slot is next read: take
+    one at a time, as `save_checkpoint` and `snapshot_state` do. A key set
+    here holds the plain array given."""
+
+    def __init__(self, parts: Iterable[tuple[str, "Param | np.ndarray"]]):
+        self._parts = dict(parts)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        part = self._parts[key]
+        return part.read() if isinstance(part, Param) else part
+
+    def __setitem__(self, key: str, value: np.ndarray) -> None:
+        self._parts[key] = value
+
+    def __delitem__(self, key: str) -> None:
+        del self._parts[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._parts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._parts)
+
+    def __len__(self) -> int:
+        return len(self._parts)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +422,24 @@ class Dense(Module):
     """Dense block: y = dropout(activation(batchnorm(x W + b))).
 
     `rng` draws the initial weights; None leaves them zero (unmapped pages),
-    for a layer whose state is loaded next."""
+    for a layer whose state is loaded or drawn (`draw`) next."""
 
     def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator | None, name: str = "dense"):
         self.spec = spec
         self.name = name
         shape = (spec.in_dim, spec.out_dim)
-        W = np.zeros(shape) if rng is None else rng.normal(0.0, _init_scale(spec), size=shape)
-        self.W = Weight(W, name=f"{name}.W")
+        self.W = Weight(np.zeros(shape) if rng is None else self._drawn(rng), name=f"{name}.W")
         self.b = Param(np.zeros(spec.out_dim), name=f"{name}.b")
         self.bn = BatchNorm(spec.out_dim, name=f"{name}.bn") if spec.batchnorm else None
         self._cache = None
+
+    def _drawn(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(0.0, _init_scale(self.spec), size=(self.spec.in_dim, self.spec.out_dim))
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Draw W from `rng` as a construction with `rng` does, and write it
+        wherever the weight's values live."""
+        self.W.write(self._drawn(rng))
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -386,7 +447,7 @@ class Dense(Module):
             raise ShapeError(
                 f"layer {self.name!r} expects input (batch, {self.spec.in_dim}), got {x.shape}"
             )
-        z = x @ self.W.value
+        z = x @ self.W.read()
         z += self.b.value
         h = self.bn.forward(z, train) if self.bn is not None else z
         a = activation_forward(h, self.spec.activation, self.name)
@@ -421,7 +482,7 @@ class Dense(Module):
             grad = self.bn.backward(grad)
         self.W.add_product(x.T, grad)
         self.b.grad += np.add.reduce(grad, axis=0)
-        return grad @ self.W.value.T if input_grad else None
+        return grad @ self.W.read().T if input_grad else None
 
     def parts(self) -> list:
         return [("W", self.W), ("b", self.b), ("bn", self.bn)]
@@ -486,7 +547,8 @@ class MLP(Module):
 def snapshot_state(
     arrays: Mapping[str, np.ndarray], into: dict[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
-    """Deep-copy a state mapping (used to retain best-epoch weights).
+    """Deep-copy a state mapping (used to retain best-epoch weights), one
+    array at a time, so a `StateArrays` may read each into one slot.
 
     `into`, an earlier snapshot of the same state, is overwritten in place
     and returned, so keeping the best epoch holds one copy, not two.

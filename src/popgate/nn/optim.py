@@ -5,64 +5,68 @@ Update per step t:
     theta -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
 AdamW applies decoupled decay theta -= lr * wd * theta before the Adam update.
 
-The optimizer owns its parameters' storage. Construction copies every value,
-in the order given, into one flat float64 buffer (the arena) and rebinds
-`p.value` to a reshaped view of it. The gradients go into a second arena
-the same way, except a wide weight's: a `Weight` of at least
-`SMALL_PRODUCT` elements. So the grad arena holds only the gradients of
-params below that size, and those params come first in the value arena,
-the wide weights after them. Layers keep reading and accumulating into
-those views in place; nothing may rebind them afterwards. A second
-optimizer built over the same params moves them into its own arenas, and
-the first one is not to be used again.
+The optimizer owns its parameters' storage. A wide weight is a `Weight` of
+at least `SMALL_PRODUCT` elements; every other param is stored. Construction
+copies each stored param's value, in the order given, into one flat float64
+buffer (the arena) and rebinds `p.value` to a reshaped view of it, and its
+gradient into a second arena the same way. Layers keep reading and
+accumulating into those views in place; nothing may rebind them afterwards.
+`m` and `v`, the stored params' moments, line up with the arena. With the
+arena, `zero_grad` is one fill, and `step` walks each contiguous run of
+equal decay in chunks of `CHUNK` elements through two chunk-sized scratch
+buffers, instead of building full-size temporaries per parameter.
 
+Where the values live. A wide weight's values, and its moments, live in the
+optimizer's scratch file for as long as the weight lives, not in RAM: the
+weight holds the file (`Weight.store`), so the file outlives the optimizer,
+and its `value` becomes a read-only placeholder that holds no memory.
+Construction writes every wide weight's values there before any weight
+gives up its own array, skipping all-zero chunks (the file starts as
+zeros), so a model built with zero weights on unmapped pages, and then
+drawn one weight at a time (`Dense.draw`), never holds all its values.
+
+The slot. RAM holds one array the size of the largest wide weight, the
+slot, and in turn it holds:
+- the values of the weight that a `Dense.forward` or `Dense.backward`
+  multiplies by, read in by `Weight.read` when the slot does not already
+  hold them, and read-only: a checkpoint or snapshot of the state reads
+  each weight the same way, one at a time;
+- each deferred gradient that `clip_grad_norm` and `step` rebuild
+  (`Weight.gradient`).
 A wide weight's gradient is held nowhere between backward and step:
-`zero_grad` defers it (`Weight.defer`), so backward records the products
-it is the sum of. `clip_grad_norm` rebuilds each such gradient in turn for
-its sum of squares and records its factor, and `step` rebuilds it again,
-scaled, for the update. Each call rebuilds them one after another in the
-arena slice of the largest wide weight (L), whose values wait in the
-optimizer's scratch file for the length of the call, so no weight-sized
-array is allocated: `clip_grad_norm` parks L's values there and reads them
-back before it returns; `step` parks them, steps every other wide weight,
-then steps L last, reading each chunk of its values from the file and
-writing the updated chunk over the chunk of L's gradient just consumed, so
-that L is whole again when it returns. Between calls every value is in the
-arena. Construction moves L the same way: its drawn values go to the file
-and are dropped before the other params are copied in, and are read into
-L's slice last, so the arena never sits beside a second copy of L. That
-costs one more product per wide weight and step, and two passes over L's
-values per call through the file; the rebuilt gradient is bit for bit the
-one a stored gradient would hold.
+`zero_grad` defers it (`Weight.defer`), so backward records the products it
+is the sum of. `clip_grad_norm` rebuilds each such gradient in turn in the
+slot for its sum of squares and records its factor, and `step` rebuilds it
+again, scaled, for the update. That costs one more product per wide weight
+and step; the rebuilt gradient is bit for bit the one a stored gradient
+would hold. The step then reads each chunk of the weight's values with its
+moments into three chunk-sized buffers, updates them, and writes them back.
+It performs the same elementwise operations in the same order as the
+per-parameter form above, so params and moments are bit-identical to it.
 
-With the arena, `zero_grad` is one fill, and `step` walks each contiguous
-run of equal decay, and each wide weight, in chunks of `CHUNK` elements
-through two chunk-sized scratch buffers, instead of building full-size
-temporaries per parameter. The step performs the same elementwise
-operations in the same order as the per-parameter form above, so params
-and moments are bit-identical to it.
+The file. One unlinked temporary file (`tempfile.TemporaryFile`, under
+`TMPDIR`), sized once with `ftruncate`. Each wide weight, in the order
+given, is cut into chunks of `CHUNK` elements from its start (the last one
+shorter), and each chunk of n elements takes 24 n bytes: its `m`, its `v`,
+then its values. So one `preadv` reads a chunk's moments and values, one
+`pwritev` writes them back, and a weight's values are read into the slot
+one chunk per `preadv`. The file is read and written, never mapped,
+because the file pages a process maps count in its resident set. Step 1
+reads no moments: they start at zero. An optimizer without a wide weight
+opens no file and allocates no slot or buffer.
 
-The moments of the params with a stored gradient live in RAM, in `m` and
-`v`, which line up with the front of the value arena. A wide weight's
-moments live in one unlinked temporary file (`tempfile.TemporaryFile`,
-under `TMPDIR`), sized once with `ftruncate`: each chunk's `m` and then
-its `v`, side by side, in arena order, and after them the region where L's
-values are parked. Per chunk, one `preadv` reads both moments into two
-chunk-sized buffers, and after the update one `pwritev` writes them back.
-The file is read and written, never mapped, because the file pages a
-process maps count in its resident set. Step 1 reads no moments: they
-start at zero. An optimizer without a wide weight opens no file and
-allocates no buffer for it. The file is closed when its optimizer goes,
-on any failed or short read or write, and on any error in a step; a clip
-that fails otherwise still reads L back. A call from a process other than
-the one that opened the file is refused, so each forked process builds its
-own optimizer. A failing read or write ends the call with a `PopgateError`
-that names the file's directory.
+Errors. The file is closed when the last of its optimizer and weights goes,
+on any failed or short read or write, and on any error in a step; its
+weights' values are then gone, and using one raises. A call from a process
+other than the one that opened the file is refused, so each forked process
+builds its own optimizer. A failing read or write, or any use of a closed
+file, ends the call with a `PopgateError` that names the operation, the
+byte offset and the file's directory. A construction that fails leaves
+every weight its own values.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import tempfile
@@ -99,23 +103,23 @@ class Adam:
         self._params = [p for p, _ in entries]
         stored = [(p, wd) for p, wd in entries if not _is_wide(p)]
         wide = [(p, wd) for p, wd in entries if _is_wide(p)]
-        # the largest wide weight, L: its slice is the storage each wide
-        # gradient is rebuilt in, while its values wait in the moments file
-        self._largest = max((p for p, _ in wide), key=lambda p: p.value.size, default=None)
-        self._moments = None
+        # each wide weight's offset in the scratch file, and its decay
+        self._wide: list[tuple[Weight, int, float]] = []
+        self._file = None
         if wide:
-            self._moments = _MomentFile(sum(p.value.size for p, _ in wide),
-                                        self._largest.value.size)
-            self._moments.park(self._largest.value)
-        self._values = _build_arena([p for p, _ in stored + wide], "value", self._largest)
-        if wide:
-            self._moments.unpark(self._largest.value)
+            self._file = _ScratchFile(sum(p.value.size for p, _ in wide),
+                                      max(p.value.size for p, _ in wide))
+            at = 0
+            for p, wd in wide:
+                self._wide.append((p, at, wd))
+                at += p.value.size
+            self._file.adopt([(p, at) for p, at, _ in self._wide])
+        self._values = _build_arena([p for p, _ in stored], "value")
         self._grads = _build_arena([p for p, _ in stored], "grad")
         self.m = np.zeros(self._grads.size)
         self.v = np.zeros(self._grads.size)
         # [lo, hi) spans of the stored params with one decay, adjacent equal
-        # decays merged, then each wide weight's offset and decay, L last: its
-        # slice holds each other wide weight's gradient in turn
+        # decays merged
         self._runs: list[tuple[int, int, float]] = []
         lo = 0
         for p, wd in stored:
@@ -125,13 +129,7 @@ class Adam:
             else:
                 self._runs.append((lo, hi, wd))
             lo = hi
-        self._wide: list[tuple[Weight, int, float]] = []
-        for p, wd in wide:
-            self._wide.append((p, lo, wd))
-            p.lender = weakref.ref(self)
-            lo += p.value.size
-        self._wide.sort(key=lambda w: w[0] is self._largest)
-        width = min(CHUNK, self._values.size)
+        width = min(CHUNK, sum(p.value.size for p in self._params))
         self._scratch = (np.empty(width), np.empty(width))
 
     @property
@@ -149,42 +147,21 @@ class Adam:
             for a in range(lo, hi, CHUNK):
                 b = min(a + CHUNK, hi)
                 self._update(self._values[a:b], self._grads[a:b], self.m[a:b], self.v[a:b], wd)
-        if self._moments is None:
+        if self._file is None:
             return
-        moments = self._moments
-        moments.check_owner()
+        file = self._file
+        file.check_owner()
         try:
-            buf = self._largest.value.reshape(-1)
-            moments.park(buf)
-            for p, lo, wd in self._wide:
-                grad = p.gradient(buf).reshape(-1)
+            for p, at, wd in self._wide:
+                grad = p.gradient().reshape(-1)  # in the slot
                 for a in range(0, grad.size, CHUNK):
                     b = min(a + CHUNK, grad.size)
-                    # the file's elements follow those of `m` in arena order
-                    at = lo + a - self.m.size
-                    m, v = moments.read(at, b - a, fresh=self.step_count == 1)
-                    if p is self._largest:
-                        x = moments.read_parked(a, b - a)
-                        self._update(x, grad[a:b], m, v, wd)
-                        buf[a:b] = x  # over the gradient chunk just used
-                    else:
-                        self._update(self._values[lo + a : lo + b], grad[a:b], m, v, wd)
-                    moments.write(at, b - a)
+                    x, m, v = file.read_chunk(at + a, b - a, fresh=self.step_count == 1)
+                    self._update(x, grad[a:b], m, v, wd)
+                    file.write_chunk(at + a, b - a)
         except BaseException:
-            moments.close()
+            file.close()
             raise
-
-    @contextlib.contextmanager
-    def _lend(self):
-        """L's arena slice, flat, as storage for the block; L's values wait
-        in the moments file meanwhile and are back when the block ends."""
-        self._moments.check_owner()
-        buf = self._largest.value.reshape(-1)
-        self._moments.park(buf)
-        try:
-            yield buf
-        finally:
-            self._moments.unpark(buf)
 
     def _update(self, x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                 wd: float) -> None:
@@ -214,84 +191,116 @@ class Adam:
         x -= s
 
 
-class _MomentFile:
-    """`m` and `v` of `size` elements, in an unlinked temporary file that
-    holds each chunk's `m` and then its `v`, followed by a region of
-    `parked` elements for the values of the largest wide weight. `read`
-    moves a chunk's pair into the two chunk-sized buffers `m` and `v`,
-    `write` moves it back; `park` and `unpark` move the values."""
+class _ScratchFile:
+    """The values and moments of `size` wide elements in an unlinked
+    temporary file, and the slot of `largest` elements: see the module
+    docstring for the layout. Its weights hold it, each at its element
+    offset `Weight.at`; `holds` is the offset of the weight whose values
+    the slot holds, -1 for none."""
 
-    def __init__(self, size: int, parked: int):
+    def __init__(self, size: int, largest: int):
         self.pid = os.getpid()
         try:
             file = tempfile.TemporaryFile(buffering=0)
         except OSError as e:
-            raise _moments_failed(f"cannot create it: {e}") from e
+            raise _scratch_failed(f"cannot create it: {e}") from e
         self.fileno = file.fileno
         self.close = weakref.finalize(self, file.close)
-        self.base = 16 * size
         try:
-            os.ftruncate(file.fileno(), self.base + 8 * parked)
+            os.ftruncate(file.fileno(), 24 * size)
         except OSError as e:
             self.close()
-            raise _moments_failed(f"cannot size it to {self.base + 8 * parked} bytes: {e}") from e
+            raise _scratch_failed(f"cannot size it to {24 * size} bytes: {e}") from e
+        self.slot = np.empty(largest)
+        self.holds = -1
         self.m, self.v, self.x = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK)
 
     def check_owner(self) -> None:
         if os.getpid() != self.pid:
             raise PopgateError(
-                f"the optimizer's moments file belongs to process {self.pid}, not {os.getpid()}:"
+                f"the optimizer's scratch file belongs to process {self.pid}, not {os.getpid()}:"
                 " a forked process must build its own optimizer")
 
-    def read(self, at: int, n: int, fresh: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The moments of elements [at, at + n), zeros if `fresh`."""
-        m, v = self.m[:n], self.v[:n]
+    def adopt(self, weights: list[tuple[Weight, int]]) -> None:
+        """Write each weight's values at its offset, then make the file
+        their home; until every write is done, each keeps its own array."""
+        for w, at in weights:
+            values = w.read().reshape(-1)
+            for a, n in _chunks(values.size):
+                if values[a : a + n].any():  # the file holds zeros until written
+                    self._move("pwritev", [values[a : a + n]], 24 * (at + a) + 16 * n)
+        for w, at in weights:
+            w.value = np.broadcast_to(np.float64(np.nan), w.value.shape)
+            w.store, w.at = self, at
+
+    def read_values(self, w: Weight) -> np.ndarray:
+        """`w`'s values in the slot, read in unless it holds them already."""
+        self.check_owner()
+        flat = self.slot[: w.value.size]
+        if self.holds != w.at or not self.close.alive:
+            self.holds = -1
+            for a, n in _chunks(flat.size):
+                self._move("preadv", [flat[a : a + n]], 24 * (w.at + a) + 16 * n)
+            self.holds = w.at
+        view = flat.reshape(w.value.shape)
+        view.flags.writeable = False
+        return view
+
+    def write_values(self, w: Weight, values: np.ndarray) -> None:
+        """Write `values`, of `w`'s shape, as `w`'s."""
+        self.check_owner()
+        if self.holds == w.at:
+            self.holds = -1
+        flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+        for a, n in _chunks(w.value.size):
+            self._move("pwritev", [flat[a : a + n]], 24 * (w.at + a) + 16 * n)
+
+    def lend(self) -> np.ndarray:
+        """The slot, flat, as storage for a rebuilt gradient."""
+        self.check_owner()
+        self.holds = -1
+        return self.slot
+
+    def read_chunk(self, at: int, n: int, fresh: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values, `m` and `v` of the chunk of elements [at, at + n), in
+        three chunk-sized buffers; the moments are zeros if `fresh`."""
+        x, m, v = self.x[:n], self.m[:n], self.v[:n]
         if fresh:
             m.fill(0.0)
             v.fill(0.0)
+            self._move("preadv", [x], 24 * at + 16 * n)
         else:
-            self._move("preadv", [m, v], 16 * at)
-        return m, v
+            self._move("preadv", [m, v, x], 24 * at)
+        return x, m, v
 
-    def write(self, at: int, n: int) -> None:
-        self._move("pwritev", [self.m[:n], self.v[:n]], 16 * at)
-
-    def park(self, values: np.ndarray) -> None:
-        """Write `values`, a contiguous float64 array, to the parked region."""
-        flat = values.reshape(-1)
-        for a in range(0, flat.size, CHUNK):
-            self._move("pwritev", [flat[a : a + CHUNK]], self.base + 8 * a)
-
-    def unpark(self, values: np.ndarray) -> None:
-        """Read the parked region into `values`, a contiguous float64 array."""
-        flat = values.reshape(-1)
-        for a in range(0, flat.size, CHUNK):
-            self._move("preadv", [flat[a : a + CHUNK]], self.base + 8 * a)
-
-    def read_parked(self, a: int, n: int) -> np.ndarray:
-        """Parked elements [a, a + n), in the chunk-sized buffer `x`."""
-        x = self.x[:n]
-        self._move("preadv", [x], self.base + 8 * a)
-        return x
+    def write_chunk(self, at: int, n: int) -> None:
+        """Write back the chunk that `read_chunk` read."""
+        self._move("pwritev", [self.m[:n], self.v[:n], self.x[:n]], 24 * at)
 
     def _move(self, op: str, bufs: list[np.ndarray], offset: int) -> None:
         """`os.preadv` or `os.pwritev` of `bufs` at byte `offset`; anything
-        short of all their bytes closes the file and fails."""
+        short of all their bytes closes the file and fails, and so does a
+        file already closed."""
         want = sum(b.nbytes for b in bufs)
         try:
             moved = getattr(os, op)(self.fileno(), bufs, offset)
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: the file is closed
             self.close()
-            raise _moments_failed(f"{op} at byte {offset}: {e}") from e
+            raise _scratch_failed(f"{op} at byte {offset}: {e}") from e
         if moved != want:
             self.close()
-            raise _moments_failed(f"{op} moved {moved} of {want} bytes at byte {offset}")
+            raise _scratch_failed(f"{op} moved {moved} of {want} bytes at byte {offset}")
 
 
-def _moments_failed(what: str) -> PopgateError:
+def _chunks(size: int) -> Iterable[tuple[int, int]]:
+    """(start, length) of each chunk of an array of `size` elements."""
+    return ((a, min(CHUNK, size - a)) for a in range(0, size, CHUNK))
+
+
+def _scratch_failed(what: str) -> PopgateError:
     return PopgateError(
-        f"optimizer scratch file (Adam's moments and parked values, unlinked, in {tempfile.gettempdir()};"
-        f" TMPDIR sets the directory): {what}")
+        f"optimizer scratch file (wide weights' values and Adam's moments, unlinked, in"
+        f" {tempfile.gettempdir()}; TMPDIR sets the directory): {what}")
 
 
 class AdamW(Adam):
@@ -326,21 +335,18 @@ def _is_wide(p: Param) -> bool:
     return isinstance(p, Weight) and p.value.size >= SMALL_PRODUCT
 
 
-def _build_arena(params: list[Param], attr: str, parked: Param | None = None) -> np.ndarray:
+def _build_arena(params: list[Param], attr: str) -> np.ndarray:
     """Move each param's `attr` array ("value" or "grad") into one flat
     buffer, in order, and rebind it as a view. Each old array is released
-    as soon as it is copied. `parked`, whose values the caller has put
-    elsewhere, is rebound first and its slice left unwritten, so its old
-    array is gone before any other is copied."""
+    as soon as it is copied."""
     arena = np.empty(sum(p.value.size for p in params))
-    bounds = np.cumsum([0] + [p.value.size for p in params]).tolist()
-    views = [arena[lo:hi].reshape(p.shape) for p, lo, hi in zip(params, bounds, bounds[1:])]
-    if parked is not None:
-        setattr(parked, attr, views[params.index(parked)])
-    for p, view in zip(params, views):
-        if p is not parked:
-            view[...] = getattr(p, attr)
-            setattr(p, attr, view)
+    lo = 0
+    for p in params:
+        hi = lo + p.value.size
+        view = arena[lo:hi].reshape(p.shape)
+        view[...] = getattr(p, attr)
+        setattr(p, attr, view)
+        lo = hi
     return arena
 
 
@@ -352,19 +358,14 @@ def clip_grad_norm(params: Iterable[Param], max_norm: float) -> float:
     summation order is fixed regardless of where its storage lives. A
     stored gradient is scaled in place, so no step allocates more than
     `CHUNK` elements for it; a deferred one (see `Weight`) is rebuilt for
-    its sum of squares, and records the factor. The rebuilds borrow the
-    largest wide weight's storage from the optimizer that the first
-    deferred weight names (see the module docstring); a deferred weight
-    whose optimizer is gone is rebuilt in fresh storage.
+    its sum of squares, in its scratch file's slot, and records the factor.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
     params = list(params)
-    lender = next((o for p in params if p.grad is None and (o := p.lender and p.lender())), None)
     total = 0.0
-    with (lender._lend() if lender is not None else contextlib.nullcontext()) as buf:
-        for p in params:
-            total += float(_sum_squares(p.gradient(buf)))
+    for p in params:
+        total += float(_sum_squares(p.gradient()))
     norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0

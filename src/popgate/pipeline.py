@@ -468,9 +468,12 @@ def _model_files(dir_key: str) -> dict[str, str]:
 
 def _phase1_expert(branch, x: np.ndarray, y: np.ndarray, fit_rows: np.ndarray,
                    val_rows: np.ndarray, cfg, seed: int) -> tuple[dict, dict]:
-    """Train one expert -> its trained state and its history."""
+    """Train one expert -> a copy of its trained state, taken one array at
+    a time, and its history."""
+    from .nn.layers import snapshot_state
+
     history = phase1_train(branch, x[fit_rows], y[fit_rows], x[val_rows], y[val_rows], cfg, seed)
-    return branch.state_arrays(), history
+    return snapshot_state(branch.state_arrays()), history
 
 
 def cmd_train_phase1(ctx: RunContext) -> str:

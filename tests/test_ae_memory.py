@@ -1,4 +1,5 @@
-"""ae-train holds one copy of each group's training rows while the group trains.
+"""ae-train holds one copy of each group's training rows while the group
+trains, and reads its best epoch back one checkpoint member at a time.
 
 numpy reports each array buffer it allocates to `tracemalloc`, and a forked
 lane inherits its caller's traces, so each process reads the bytes it holds
@@ -8,15 +9,21 @@ training rows fits under the bounds, and at two lanes the other lane's group
 does not either.
 """
 
+import json
 import multiprocessing  # noqa: F401  (imported before tracing: `run_lanes` forks with it)
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popgate
 import popgate.autoenc.train
 import popgate.pipeline
+from popgate.autoenc.model import n_params
 from popgate.cli import main
 from popgate.tabular import write_csv, write_matrix_csv
 
@@ -93,3 +100,49 @@ def test_a_training_group_holds_its_rows_once(workspace, held, monkeypatch, n_la
     for name, bound in expect.items():
         assert rows[name] <= got[name] <= bound + SLACK, (name, got[name], bound)
         assert got[name] < all_columns
+
+
+def test_a_best_epoch_read_back_loads_one_member_at_a_time(tmp_path):
+    # a wide group (2200 -> 1100 -> 550 -> 50, mirrored: 49 MB of params,
+    # 19.4 MB the largest) whose last epoch is not its best, so the best
+    # epoch is read back from the checkpoint into the scratch file, one
+    # member at a time. Peak over the process's own start, in a fresh
+    # process: 65 MB measured here (1.33 P: the slot, one member, the rest);
+    # 94 MB (1.92 P) reading every member at once, and 45.7 MB with no read-back.
+    # The oracle runs in the same process once the peak is read, so its
+    # GEMMs round with the trainer's BLAS settings
+    code = f"""
+import json
+import sys
+import numpy as np
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from _oracles import ref_save_group_checkpoint, ref_train_group_autoencoder
+from popgate.autoenc.train import train_group_autoencoder
+from popgate.config import AETrainConfig, FeatureGroup
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+X = np.load({str(tmp_path / "X.npy")!r})
+group, cfg = FeatureGroup("wide", 0, 2200, 50), AETrainConfig(lr=1.0, batch_size=16, max_epochs=3)
+before = status("VmRSS")
+_, _, history = train_group_autoencoder(group, X, cfg, 46, {str(tmp_path / "g.npz")!r})
+rise = status("VmHWM") - before
+ref_model, ref_scaler, ref_history = ref_train_group_autoencoder(group, X, cfg, 46)
+ref_save_group_checkpoint({str(tmp_path / "ref.npz")!r}, group, ref_model, ref_scaler, 46)
+print(rise, json.dumps([history, ref_history], sort_keys=True))
+"""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 2)) @ rng.normal(size=(2, 2200)) + 0.3 * rng.normal(size=(60, 2200))
+    np.save(tmp_path / "X.npy", X)
+    src = str(Path(popgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    rise, histories = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                     text=True, check=True).stdout.split(" ", 1)
+    history, ref_history = json.loads(histories)
+    assert 0 <= ref_history["best_epoch"] < ref_history["epochs_run"] - 1 == 2
+    assert history == ref_history
+    assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+    P = n_params(2200, 50) * 8
+    assert int(rise) < 1.6 * P, int(rise) / P

@@ -433,7 +433,7 @@ def test_training_holds_no_moments_of_wide_weights(tmp_path):
         tracemalloc.stop()
     assert history["epochs_run"] == 3
     assert peak <= 2.5 * P + 2 * L, f"peak {(peak - 2 * L) / P:.2f}·P + 2·L"
-    # the moments file went with the optimizer
+    # the scratch file went with the model and its optimizer
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 

@@ -320,9 +320,10 @@ class TestCliContract:
     def test_moments_file_failure_exits_1_names_it_and_leaves_no_fd_open(self, tmp_path, capsys,
                                                                           monkeypatch):
         # one AE group of 600 columns, so one lane, and wide weights of
-        # 600 x 300 and 300 x 600: their moments take the optimizer's scratch
-        # file's first 16 * 360000 bytes, and the first transfer to fail
-        # parks the larger's values after them as the optimizer is built
+        # 600 x 300 and 300 x 600, kept in the optimizer's scratch file in
+        # chunks of 65536 elements, each chunk's m, v and values side by
+        # side: the first transfer to fail writes the first drawn weight's
+        # first chunk of values, 16 * 65536 bytes into the file
         cfg = chain_config()
         cfg["synth"].update(n_samples=120, dims=[600, 10, 6])
         cfg["ae"]["registry"] = [{"name": "wide", "start": 0, "d": 600, "d_enc": 20}]
@@ -334,10 +335,10 @@ class TestCliContract:
         fds = sorted(os.listdir("/proc/self/fd"))
         assert main(["ae-train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: optimizer scratch file") and "Traceback" not in err
-        assert f"in {tempfile.gettempdir()}" in err
-        # parked in chunks of 65536 elements
-        assert f"pwritev moved {8 * 65536 - 8} of {8 * 65536} bytes at byte {16 * 360000}" in err
+        assert err == (
+            "error: optimizer scratch file (wide weights' values and Adam's moments, unlinked, in"
+            f" {tempfile.gettempdir()}; TMPDIR sets the directory): pwritev moved"
+            f" {8 * 65536 - 8} of {8 * 65536} bytes at byte {16 * 65536}\n")
         assert sorted(os.listdir("/proc/self/fd")) == fds
         assert not (tmp_path / "models/ae/ensemble.json").exists()
 

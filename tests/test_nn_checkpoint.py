@@ -1,13 +1,18 @@
 """Checkpoint round-trips: values bit-exact, metadata intact, versioned."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from popgate.codec import canonical_json
-from popgate.exceptions import MissingInputError
+from popgate.exceptions import MissingInputError, ShapeError
 from popgate.nn.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from popgate.nn.layers import snapshot_state
+from popgate.nn.optim import clip_grad_norm
+
+from test_nn_layers import wide_twins
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -80,3 +85,47 @@ def test_non_checkpoint_npz_rejected(tmp_path):
     np.savez(path, a=np.zeros(3))
     with pytest.raises(MissingInputError, match="missing metadata"):
         load_checkpoint(path)
+
+
+def test_a_file_resident_models_checkpoint_has_the_resident_twins_bytes(tmp_path):
+    # each wide weight is read into the slot and written before the next
+    filed, resident, opt = wide_twins()
+    x = np.random.default_rng(9).normal(size=(16, 300))
+    opt.zero_grad()
+    filed.backward(filed.forward(x, train=True, rng=np.random.default_rng(10)) - x)
+    clip_grad_norm(opt.params, 1e-3)
+    opt.step()
+    resident.load_state(snapshot_state(filed.state_arrays()))
+    save_checkpoint(tmp_path / "filed.npz", filed.state_arrays(), {"seed": 1})
+    save_checkpoint(tmp_path / "resident.npz", resident.state_arrays(), {"seed": 1})
+    assert (tmp_path / "filed.npz").read_bytes() == (tmp_path / "resident.npz").read_bytes()
+
+
+def test_loading_into_a_model_checks_every_shape_first_and_reads_one_array_at_a_time(
+        tmp_path, monkeypatch):
+    filed, resident, _ = wide_twins(11)
+    for p in resident.params():
+        p.value += 1.0
+    path = tmp_path / "resident.npz"
+    save_checkpoint(path, resident.state_arrays(), {"seed": 1})
+    alive = []
+    real = np.lib.npyio.NpzFile.__getitem__
+
+    def counted(self, key):
+        array = real(self, key)
+        alive.append(weakref.ref(array))
+        assert sum(r() is not None for r in alive) == 1, key
+        return array
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    assert load_checkpoint(path, into=filed) == ({}, {"seed": 1})
+    monkeypatch.undo()
+    ours, ref = filed.state_arrays(), resident.state_arrays()
+    for key in ours:
+        assert np.array_equal(ours[key], ref[key]), key
+    # a wrong shape in the last member loads nothing: the headers are read first
+    arrays = dict(snapshot_state(resident.state_arrays()), **{"layer1.b": np.zeros(7)})
+    save_checkpoint(path, arrays, {})
+    with pytest.raises(ShapeError, match="'layer1.b' has shape \\(7,\\)"):
+        load_checkpoint(path, into=filed)
+    assert np.array_equal(filed.layers[0].W.read(), resident.layers[0].W.value)

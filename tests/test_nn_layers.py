@@ -15,6 +15,7 @@ from popgate.nn.layers import (
     activation_forward,
     snapshot_state,
 )
+from popgate.nn.optim import Adam
 
 
 # --- activations ------------------------------------------------------------
@@ -259,3 +260,57 @@ def test_spec_validation():
         DenseLayerSpec(0, 3)
     with pytest.raises(ValueError):
         DenseLayerSpec(3, 3, dropout_p=1.0)
+
+
+# --- file-resident weights ---------------------------------------------------
+
+
+def wide_twins(seed: int = 5) -> tuple[MLP, MLP, Adam]:
+    """Two MLPs drawn alike, with two wide weights (300 x 256 and 256 x 300):
+    the first's in its optimizer's scratch file, the second's in RAM."""
+    specs = [DenseLayerSpec(300, 256, Elu(), batchnorm=True, dropout_p=0.1),
+             DenseLayerSpec(256, 300, Identity())]
+    filed, resident = (MLP(specs, np.random.default_rng(seed)) for _ in range(2))
+    opt = Adam(filed.params(), lr=1e-2)
+    assert all(layer.W.store is opt._file for layer in filed.layers)
+    assert all(layer.W.store is None for layer in resident.layers)
+    return filed, resident, opt
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return a.view(np.uint64).tobytes()
+
+
+def test_file_resident_weights_give_the_resident_twins_outputs_and_gradients():
+    filed, resident, opt = wide_twins()
+    x = np.random.default_rng(6).normal(size=(16, 300))
+    for step in range(2):
+        opt.zero_grad()
+        for p in resident.params():
+            p.zero_grad()
+        outs = [m.forward(x, train=True, rng=np.random.default_rng(7 + step))
+                for m in (filed, resident)]
+        assert _bits(outs[0]) == _bits(outs[1])
+        # the last layer's weight is still in the slot: backward reads no other
+        grads = [m.backward(out - x) for m, out in zip((filed, resident), outs)]
+        assert _bits(grads[0]) == _bits(grads[1])
+        for ours, ref in zip(filed.params(), resident.params()):
+            assert _bits(ours.gradient()) == _bits(ref.grad), ours.name
+        for m in (filed, resident):
+            m.forward(x)  # eval mode, as a validation pass
+        # a step changes the values, so the twins part: copy the new ones over
+        opt.step()
+        resident.load_state(snapshot_state(filed.state_arrays()))
+    assert _bits(filed.forward(x)) == _bits(resident.forward(x))
+
+
+def test_load_state_writes_file_resident_values_through():
+    filed, resident, _ = wide_twins(8)
+    for p in resident.params():
+        p.value += 1.0
+    filed.load_state(resident.state_arrays())
+    # each array is read as it is looked up, after the slot held another
+    ours, ref = filed.state_arrays(), resident.state_arrays()
+    assert list(ours) == list(ref)
+    for key in ours:
+        assert _bits(ours[key]) == _bits(ref[key]), key

@@ -1,6 +1,7 @@
 """The training step's weight-sized work allocates no weight-sized array,
-building an optimizer holds no second copy of a wide weight, and
-BatchNorm's forward keeps no batch-sized array its backward recomputes.
+building an optimizer holds no second copy of a wide weight, a model drawn
+into its optimizer holds one wide weight in RAM, and BatchNorm's forward
+keeps no batch-sized array its backward recomputes.
 
 numpy reports each array buffer it allocates to `tracemalloc`, so these peaks
 are deterministic; BLAS's own work buffers are not counted. The layer is
@@ -108,47 +109,87 @@ def test_an_optimizer_holds_no_gradient_of_a_wide_weight_between_backward_and_st
     assert all(layer.W.grad is None and layer.W.products for layer in mlp.layers)
 
 
-def test_clip_and_step_rebuild_wide_gradients_in_the_largest_weights_storage():
-    # each wide gradient is rebuilt in the slice of the largest weight, whose
-    # values wait in the optimizer's scratch file, so neither call allocates
-    # one; the rest is CHUNK-sized
+def test_clip_and_step_rebuild_wide_gradients_in_the_slot():
+    # each wide gradient is rebuilt in the slot of the optimizer's scratch
+    # file, allocated with it, so neither call allocates one; the rest is
+    # CHUNK-sized
     mlp, x = _wide_mlp()
     opt = _optimizer_after_backward(mlp, x)
     W = mlp.layers[0].W.value.nbytes
     assert all(layer.W.value.nbytes == W for layer in mlp.layers)
+    assert opt._file.slot.nbytes == W
     factors = []
     assert _peak(lambda: factors.append(clip_grad_norm(opt.params, 1e-3))) < W / 4
     assert factors[0] < 1.0
     assert _peak(opt.step) < W / 4
 
 
+def _fresh_process(code: str) -> list[str]:
+    """Run `code` in a fresh process (so its high-water mark is its own)
+    with `status(key)`, a /proc/self/status field in bytes, defined -> the
+    words it prints."""
+    code = """
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+""" + code
+    src = str(Path(popgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
 def test_building_an_optimizer_holds_no_second_copy_of_a_wide_weight():
-    # resident bytes, not traced ones: the arena is allocated whole, and what
-    # counts is how many of its pages are written while the drawn arrays are
-    # still alive. The largest weight goes through the scratch file, so the
-    # other weight is copied in while the largest's drawn array is gone and
-    # its slice unwritten. A fresh process, so the high-water mark is this
-    # build's; at a second copy of one 16 MB weight it would read 16 MB more
-    code = f"""
+    # resident bytes, not traced ones: the drawn weights' values go to the
+    # optimizer's scratch file before any gives up its array, and the arena
+    # holds the small params only. At a second copy of one 16 MB weight it
+    # would read 16 MB more
+    out = _fresh_process(f"""
 import numpy as np
 from popgate.config import Elu, Identity
 from popgate.nn.layers import MLP, DenseLayerSpec
 from popgate.nn.optim import Adam
 
-def status(key):
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
-
 mlp = MLP([DenseLayerSpec({D_IN}, {D_OUT}, Elu(), batchnorm=True, dropout_p=0.1),
            DenseLayerSpec({D_OUT}, {D_IN}, Identity())], np.random.default_rng(3))
 before = status("VmRSS")
 opt = Adam(mlp.params(), lr=1e-3)
-print(before, status("VmHWM"), opt._largest is mlp.layers[0].W)
-"""
-    src = str(Path(popgate.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout.split()
+print(before, status("VmHWM"), all(layer.W.store is opt._file for layer in mlp.layers))
+""")
     before, peak = int(out[0]), int(out[1])
     assert out[2] == "True"
     assert peak - before < D_IN * D_OUT * 8 / 4, (before, peak)
+
+
+def test_a_model_drawn_into_its_optimizer_holds_one_wide_weight_through_a_step():
+    # eight 8 MB wide weights built as zeros on unmapped pages, an optimizer
+    # over them, then each drawn and written to its scratch file in turn,
+    # and one forward, backward, clip and step: the slot is one weight, and
+    # the heap keeps a freed draw (malloc raises its mmap threshold to the
+    # size of a freed block, so the next draws come from the heap); the
+    # step's buffers are 2.5 MB, the batch's arrays small. Measured: 20.4 MB
+    # here. All the values in RAM, as an arena holds them, would be 64 MB
+    d, n = 1000, 8
+    out = _fresh_process(f"""
+import numpy as np
+from popgate.config import Elu, Identity
+from popgate.nn.layers import MLP, DenseLayerSpec
+from popgate.nn.optim import Adam, clip_grad_norm
+
+rng = np.random.default_rng(41)
+x = rng.normal(size=(16, {d}))
+before = status("VmRSS")
+mlp = MLP([DenseLayerSpec({d}, {d}, Elu(), batchnorm=True)] * {n - 1}
+          + [DenseLayerSpec({d}, {d}, Identity())], None)
+opt = Adam(mlp.params(), lr=1e-3)
+for layer in mlp.layers:
+    layer.draw(rng)
+opt.zero_grad()
+mlp.backward(mlp.forward(x, train=True) - x, input_grad=False)
+clip_grad_norm(opt.params, 1e-3)
+opt.step()
+print(before, status("VmHWM"), sum(layer.W.value.nbytes for layer in mlp.layers))
+""")
+    before, peak, wide = (int(v) for v in out)
+    assert wide == n * d * d * 8
+    assert peak - before < wide / 2, (before, peak)

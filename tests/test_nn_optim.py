@@ -9,7 +9,7 @@ import pytest
 
 from _oracles import per_param_adam_step
 from popgate.exceptions import PopgateError
-from popgate.nn.layers import SMALL_PRODUCT, Param, Weight, _add_product
+from popgate.nn.layers import SMALL_PRODUCT, Dense, DenseLayerSpec, Param, Weight, _add_product
 from popgate.nn.optim import Adam, AdamW, clip_grad_norm
 from popgate.nn.optim import CHUNK
 
@@ -174,26 +174,29 @@ def test_optimizer_rejects_a_param_listed_twice():
         AdamW([([a, b], 0.0), ([b], 0.1)], lr=0.1)
 
 
-def _staged_moments(opt) -> tuple[np.ndarray, np.ndarray]:
-    """The wide weights' m and v, in arena order, read back from the
-    optimizer's moments file, where each chunk's m is followed by its v."""
-    n = opt._values.size - opt.m.size
-    raw = np.frombuffer(os.pread(opt._moments.fileno(), 16 * n, 0), dtype=np.float64)
-    m, v = [], []
-    for p, lo, _ in sorted(opt._wide, key=lambda w: w[1]):
+def _staged(opt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The wide weights' m, v and values, in the order given, read back from
+    the optimizer's scratch file, where each chunk of n elements holds its
+    m, its v, then its values."""
+    n = sum(p.value.size for p, _, _ in opt._wide)
+    raw = np.frombuffer(os.pread(opt._file.fileno(), 24 * n, 0), dtype=np.float64)
+    m, v, x = [], [], []
+    for p, at, _ in opt._wide:
         for a in range(0, p.value.size, CHUNK):
             k = min(CHUNK, p.value.size - a)
-            at = lo + a - opt.m.size
-            m.append(raw[2 * at : 2 * at + k])
-            v.append(raw[2 * at + k : 2 * at + 2 * k])
-    return np.concatenate(m), np.concatenate(v)
+            chunk = raw[3 * (at + a) : 3 * (at + a + k)]
+            m.append(chunk[:k])
+            v.append(chunk[k : 2 * k])
+            x.append(chunk[2 * k :])
+    return np.concatenate(m), np.concatenate(v), np.concatenate(x)
 
 
 def _clipped_steps_match_per_param(shapes, wide, n_front, decay, steps, seed):
     """`steps` clipped AdamW steps over params of `shapes`, the first
     `n_front` at decay 0 and the rest at `decay`, where the `wide` ones get
-    their gradient as deferred products: values, RAM moments and the moments
-    in the file equal `per_param_adam_step` bit for bit. Returns the optimizer."""
+    their gradient as deferred products: values (read through `read()` and
+    straight from the file), RAM moments and the moments in the file equal
+    `per_param_adam_step` bit for bit. Returns the optimizer."""
     rng = np.random.default_rng(seed)
     decays = [0.0] * n_front + [decay] * (len(shapes) - n_front)
     init = [rng.normal(size=s) for s in shapes]
@@ -201,6 +204,7 @@ def _clipped_steps_match_per_param(shapes, wide, n_front, decay, steps, seed):
     params = [(Weight if v.ndim == 2 else Param)(v.copy(), name=f"p{i}")
               for i, v in enumerate(init)]
     opt = AdamW([(params[:n_front], 0.0), (params[n_front:], decay)], lr=0.01)
+    assert [p.store is opt._file for p, w in zip(params, wide) if w] == [True] * sum(wide)
     ref = [Param(v.copy(), name=f"r{i}") for i, v in enumerate(init)]
     ms = [np.zeros(s) for s in shapes]
     vs = [np.zeros(s) for s in shapes]
@@ -225,13 +229,15 @@ def _clipped_steps_match_per_param(shapes, wide, n_front, decay, steps, seed):
         for r in ref:
             r.zero_grad()
     for p, r in zip(params, ref):
-        assert p.value.tobytes() == r.value.tobytes(), p.name
+        assert p.read().tobytes() == r.value.tobytes(), p.name
     stored = [i for i, w in enumerate(wide) if not w]
     assert opt.m.tobytes() == np.concatenate([ms[i].ravel() for i in stored]).tobytes()
     assert opt.v.tobytes() == np.concatenate([vs[i].ravel() for i in stored]).tobytes()
-    m, v = _staged_moments(opt)
-    assert m.tobytes() == np.concatenate([ms[i].ravel() for i, w in enumerate(wide) if w]).tobytes()
-    assert v.tobytes() == np.concatenate([vs[i].ravel() for i, w in enumerate(wide) if w]).tobytes()
+    m, v, x = _staged(opt)
+    wides = [i for i, w in enumerate(wide) if w]
+    assert m.tobytes() == np.concatenate([ms[i].ravel() for i in wides]).tobytes()
+    assert v.tobytes() == np.concatenate([vs[i].ravel() for i in wides]).tobytes()
+    assert x.tobytes() == np.concatenate([ref[i].value.ravel() for i in wides]).tobytes()
     return opt
 
 
@@ -243,17 +249,19 @@ def test_staged_moments_step_bit_identical_to_per_param_update():
     shapes = [(1000,), (256, 256), (CHUNK + 5,), (30, 20), (300, 257)]
     opt = _clipped_steps_match_per_param(
         shapes, [False, True, False, False, True], 2, 0.05, steps=5, seed=27)
-    assert opt._moments is not None and opt.m.size == 1000 + CHUNK + 5 + 600
+    assert opt._file is not None and opt.m.size == 1000 + CHUNK + 5 + 600
 
 
 def test_two_equal_largest_wide_weights_step_bit_identical_to_per_param_update():
     # blf's case: two wide weights of one size, the largest, in the two
-    # decay groups; the first is L, whose storage holds every rebuilt
-    # gradient, and the second's gradient is rebuilt in it too
+    # decay groups, beside one of SMALL_PRODUCT elements; every wide
+    # weight's values and rebuilt gradient pass through the one slot, the
+    # size of the largest
     shapes = [(1000,), (300, 257), (256, 256), (30, 20), (257, 300), (CHUNK + 5,)]
     opt = _clipped_steps_match_per_param(
         shapes, [False, True, True, False, True, False], 3, 0.05, steps=4, seed=28)
-    assert opt._largest.name == "p1" and opt._wide[-1][0] is opt._largest
+    assert opt._file.slot.size == 300 * 257
+    assert [p.name for p, _, _ in opt._wide] == ["p1", "p2", "p4"]
 
 
 def _deferred(shapes, seed) -> tuple[list[Weight], list[Param]]:
@@ -274,35 +282,48 @@ def _record(ws, refs, seed) -> None:
             _add_product(r.grad, a, b)
 
 
-def test_clip_leaves_the_largest_weights_values_as_they_were():
+def test_clip_leaves_the_wide_weights_values_as_they_were():
     ws, refs = _deferred([(300, 257), (256, 256)], 30)
     opt = Adam(ws, lr=0.01)
-    assert opt._largest is ws[0] and ws[0].value.base is opt._values
-    before = [w.value.tobytes() for w in ws]
+    assert all(w.store is opt._file for w in ws)
     opt.zero_grad()
     _record(ws, refs, 31)
     assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
-    assert [w.value.tobytes() for w in ws] == before
-    assert ws[0].value.base is opt._values
+    assert [w.read().tobytes() for w in ws] == [r.value.tobytes() for r in refs]
 
 
-def test_a_deferred_weight_whose_optimizer_is_gone_is_rebuilt_in_fresh_storage():
+def test_a_wide_weight_keeps_its_file_when_its_optimizer_is_gone():
+    # the weights hold the file: their values stay there, and a deferred
+    # gradient is still rebuilt in its slot
     ws, refs = _deferred([(300, 257), (256, 256)], 32)
     opt = Adam(ws, lr=0.01)
     opt.zero_grad()
     _record(ws, refs, 33)
+    file, close = opt._file, opt._file.close
     del opt
-    assert all(w.lender() is None for w in ws)
-    before = [w.value.tobytes() for w in ws]
+    assert close.alive and all(w.store is file for w in ws)
     assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
-    assert [w.value.tobytes() for w in ws] == before
+    assert [w.read().tobytes() for w in ws] == [r.value.tobytes() for r in refs]
     for w, r in zip(ws, refs):
-        assert w.gradient().tobytes() == r.grad.tobytes()
+        g = w.gradient()
+        assert g.base is file.slot and g.tobytes() == r.grad.tobytes()
+    # the last of them takes it along
+    del ws, w, g, file
+    assert not close.alive
+
+
+def test_a_deferred_weight_in_no_file_is_rebuilt_in_fresh_storage():
+    ws, refs = _deferred([(300, 257)], 36)
+    ws[0].defer()
+    _record(ws, refs, 37)
+    assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
+    assert ws[0].gradient().tobytes() == refs[0].grad.tobytes()
+    assert ws[0].value.tobytes() == refs[0].value.tobytes()
 
 
 def test_optimizer_without_a_wide_weight_opens_no_file_nor_staging_buffer(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("opened a moments file")
+        raise AssertionError("opened a scratch file")
 
     monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
     # a weight below SMALL_PRODUCT keeps a stored gradient, as a plain param does
@@ -317,7 +338,7 @@ def test_optimizer_without_a_wide_weight_opens_no_file_nor_staging_buffer(monkey
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert opt._moments is None
+    assert opt._file is None and params[0].store is None
     # arenas, moments and scratch of 650 elements each: ~31 kB, where two
     # chunk-sized staging buffers would take 1 MB
     assert peak < 128 * 1024, peak
@@ -327,23 +348,41 @@ def test_a_wide_weight_stepped_by_another_process_is_refused(monkeypatch):
     w = Weight(np.zeros((256, 256)), name="w")
     opt = Adam([w], lr=0.01)
     opt.zero_grad()
-    monkeypatch.setattr(os, "getpid", lambda: opt._moments.pid + 1)
+    monkeypatch.setattr(os, "getpid", lambda: opt._file.pid + 1)
     with pytest.raises(PopgateError, match="a forked process must build its own optimizer"):
         opt.step()
-    assert opt.step_count == 1 and not w.value.any()
+    with pytest.raises(PopgateError, match="a forked process must build its own optimizer"):
+        w.read()
+    monkeypatch.undo()
+    assert opt.step_count == 1 and not w.read().any()
 
 
-def test_clip_over_two_optimizers_rebuilds_what_the_lent_storage_cannot_hold():
-    # the first deferred weight names the lender, whose largest weight is
-    # the smaller one here: the larger gradient is rebuilt in fresh storage
+def test_clip_over_two_optimizers_rebuilds_each_gradient_in_its_own_slot():
     ws, refs = _deferred([(256, 256), (300, 257)], 34)
     opts = [Adam([w], lr=0.01) for w in ws]
     for opt in opts:
         opt.zero_grad()
     _record(ws, refs, 35)
-    before = [w.value.tobytes() for w in ws]
     assert clip_grad_norm(ws, 1e-3) == clip_grad_norm(refs, 1e-3) < 1.0
-    assert [w.value.tobytes() for w in ws] == before
+    assert [w.read().tobytes() for w in ws] == [r.value.tobytes() for r in refs]
+    for w, r, opt in zip(ws, refs, opts):
+        g = w.gradient()
+        assert g.base is opt._file.slot and g.tobytes() == r.grad.tobytes()
+
+
+def test_writing_into_a_file_resident_weights_value_raises():
+    # the placeholder holds no memory; `read()` is the one way to the values,
+    # and its array is read-only too, as it is the slot's
+    w = Weight(np.ones((300, 257)), name="w")
+    Adam([w], lr=0.01)
+    assert w.value.shape == (300, 257) and w.value.size == 300 * 257
+    assert w.value.strides == (0, 0) and np.isnan(w.value).all()
+    with pytest.raises(ValueError, match="read-only"):
+        w.value[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        w.read()[0, 0] = 2.0
+    w.write(np.full((300, 257), 3.0))
+    assert (w.read() == 3.0).all()
 
 
 def _failing(monkeypatch, op: str) -> None:
@@ -352,23 +391,25 @@ def _failing(monkeypatch, op: str) -> None:
     monkeypatch.setattr(os, op, lambda fd, bufs, offset: real(fd, bufs, offset) - 8)
 
 
-def _assert_closed_and_named(info, opt, expected: str) -> None:
+def _assert_closed_and_named(info, file, expected: str) -> None:
     message = str(info.value)
-    assert "optimizer scratch file" in message and tempfile.gettempdir() in message
-    assert expected in message
-    assert not opt._moments.close.alive
+    assert message == (
+        "optimizer scratch file (wide weights' values and Adam's moments, unlinked, in"
+        f" {tempfile.gettempdir()}; TMPDIR sets the directory): {expected}")
+    assert not file.close.alive
     with pytest.raises(ValueError, match="closed file"):
-        opt._moments.fileno()
+        file.fileno()
 
 
-# w's 77100 elements: its moments take the file's first 16 * 77100 bytes, and
-# its values, as the largest wide weight, are parked after them
-PARKED_AT = 16 * 300 * 257
+# a chunk of 65536 elements takes 24 * 65536 bytes: its m, its v, then its
+# values, which start 16 * 65536 bytes in
+VALUES_AT = 16 * CHUNK
 
 
 @pytest.mark.parametrize("op", ["pwritev", "preadv"])
 def test_a_short_moments_transfer_closes_the_file_and_names_it(monkeypatch, op):
-    # a step's first write parks w's values; its first read is w's moments
+    # a step's first read is w's first chunk of moments and values, its
+    # first write the same chunk back
     w = Weight(np.zeros((300, 257)), name="w")
     opt = Adam([w], lr=0.01)
     opt.zero_grad()
@@ -377,32 +418,57 @@ def test_a_short_moments_transfer_closes_the_file_and_names_it(monkeypatch, op):
     _failing(monkeypatch, op)
     with pytest.raises(PopgateError) as info:
         opt.step()
-    expected = {"pwritev": f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {PARKED_AT}",
-                "preadv": f"preadv moved {16 * CHUNK - 8} of {16 * CHUNK} bytes at byte 0"}[op]
-    _assert_closed_and_named(info, opt, expected)
+    _assert_closed_and_named(info, opt._file,
+                             f"{op} moved {24 * CHUNK - 8} of {24 * CHUNK} bytes at byte 0")
 
 
-def test_a_short_unpark_in_clip_closes_the_file_and_names_it(monkeypatch):
-    # clipping parks w's values and reads them back before it returns; the
-    # read is its first
-    w = Weight(np.zeros((300, 257)), name="w")
-    opt = Adam([w], lr=0.01)
-    opt.zero_grad()
-    w.add_product(np.ones((300, 1)), np.ones((1, 257)))
+def test_a_short_read_in_a_forward_closes_the_file_and_names_it(monkeypatch):
+    layer = Dense(DenseLayerSpec(300, 257), np.random.default_rng(38))
+    opt = Adam(layer.params(), lr=0.01)
     _failing(monkeypatch, "preadv")
     with pytest.raises(PopgateError) as info:
-        clip_grad_norm([w], 1.0)
+        layer.forward(np.ones((4, 300)))
     _assert_closed_and_named(
-        info, opt, f"preadv moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {PARKED_AT}")
+        info, opt._file, f"preadv moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {VALUES_AT}")
 
 
-def test_a_short_park_while_building_closes_the_file_and_keeps_the_values(monkeypatch):
-    w = Weight(np.arange(300 * 257, dtype=np.float64).reshape(300, 257), name="w")
-    drawn = w.value
-    fds = sorted(os.listdir("/proc/self/fd"))
+def test_a_short_write_in_load_state_closes_the_file_and_names_it(monkeypatch):
+    layer = Dense(DenseLayerSpec(300, 257), np.random.default_rng(39))
+    opt = Adam(layer.params(), lr=0.01)
+    state = {k: np.ones_like(v) for k, v in layer.state_arrays().items()}
     _failing(monkeypatch, "pwritev")
+    with pytest.raises(PopgateError) as info:
+        layer.load_state(state)
+    _assert_closed_and_named(
+        info, opt._file, f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {VALUES_AT}")
+
+
+def test_a_weight_whose_file_is_closed_raises_the_same_error():
+    # also when the slot still holds its values: they are no longer the file's
+    layer = Dense(DenseLayerSpec(300, 257), np.random.default_rng(40))
+    opt = Adam(layer.params(), lr=0.01)
+    layer.forward(np.ones((4, 300)))
+    opt._file.close()
+    with pytest.raises(PopgateError) as info:
+        layer.forward(np.ones((4, 300)))
+    _assert_closed_and_named(
+        info, opt._file, f"preadv at byte {VALUES_AT}: I/O operation on closed file")
+    with pytest.raises(PopgateError, match=f"preadv at byte {VALUES_AT}: I/O operation on closed"):
+        opt.step()
+
+
+def test_a_short_write_while_building_closes_the_file_and_keeps_the_values(monkeypatch):
+    ws = [Weight(np.arange(300 * 257, dtype=np.float64).reshape(300, 257) + k, name=f"w{k}")
+          for k in range(2)]
+    drawn = [w.value for w in ws]
+    fds = sorted(os.listdir("/proc/self/fd"))
+    real = os.pwritev
+    # the first weight's two chunks go through; the second's first fails
+    calls = []
+    monkeypatch.setattr(os, "pwritev", lambda fd, bufs, offset:
+                        real(fd, bufs, offset) - 8 * (calls.append(offset) or len(calls) > 2))
     with pytest.raises(PopgateError, match=f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} "
-                                           f"bytes at byte {PARKED_AT}"):
-        Adam([w], lr=0.01)
+                                           f"bytes at byte {24 * 300 * 257 + VALUES_AT}"):
+        Adam(ws, lr=0.01)
     assert sorted(os.listdir("/proc/self/fd")) == fds
-    assert w.value is drawn
+    assert [w.value for w in ws] == drawn and all(w.store is None for w in ws)

@@ -17,7 +17,7 @@ with its wall time, its peak RSS and the MB it wrote, both from `os.wait4`
 The MB written is `ru_oublock` × 512 B: the bytes the step and its lanes
 dirtied in the page cache, whether or not they reached the disk. A page
 counts each time it turns dirty, so a file rewritten in place (such as an
-optimizer's moments file) counts again only once the kernel has written
+optimizer's scratch file) counts again only once the kernel has written
 it back. Prints
 `sha256  path` for every file under data/, models/, out/ and manifests/,
 sorted by path. Manifests record paths relative to the workspace, so two
