@@ -19,7 +19,7 @@ from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from ..nn.control import TrainControl
-from ..nn.layers import MLP
+from ..nn.layers import MLP, snapshot_state
 from ..nn.optim import Adam, clip_grad_norm
 from ..seeding import derive_seed, rng_for
 from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
@@ -45,10 +45,11 @@ def train_group_autoencoder(
 
     `data` holds only this group's training-split columns (width group.d);
     a fixed `cfg.val_fraction` of its rows is held out for early stopping.
-    The run's `seed` names every random stream. Each epoch that improves
-    the validation loss writes the group's full checkpoint to `checkpoint`,
-    so the file is the only copy of the best epoch: the model is read back
-    from it only when a later epoch ran.
+    The run's `seed` names every random stream. The state is snapshotted
+    (`snapshot_state`) before the first epoch and on each improving one, a
+    wide weight's values within the optimizer's scratch file, and restored
+    when a later epoch ran, the initial state when none improved. The
+    group's checkpoint is written to `checkpoint` once, from that state.
 
     `data` is the only copy of the rows that the trainer holds: each batch
     and each validation pass scales the rows it reads, so no scaled copy of
@@ -70,9 +71,18 @@ def train_group_autoencoder(
         rows = X[idx]
         return scaler_apply(scaler, rows, out=rows)
 
-    model, opt = _initial_model(group, seed, cfg.lr)
+    # the model is built with zero weights on unmapped pages, so the
+    # optimizer's scratch file takes no values from it; then each layer's W
+    # is drawn from the group's init stream, in layer order, and written
+    # there before the next is drawn
+    model = Autoencoder(group.d, group.d_enc, None, name=group.name)
+    opt = Adam(model.params(), lr=cfg.lr)
+    init_rng = rng_for(seed, f"ae-init-{group.name}")
+    for layer in model.encoder.layers + model.decoder.layers:
+        layer.draw(init_rng)
     lam = lambda_for(group.d_enc)
     control = TrainControl.from_config(cfg)
+    best = snapshot_state(model)
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
     for epoch in range(cfg.max_epochs):
@@ -98,43 +108,25 @@ def train_group_autoencoder(
         history["val_loss"].append(val_terms.total)
         opt.lr = control.update(val_terms.total)
         if control.improved:
-            _save_group(checkpoint, group, model, scaler, seed)
+            snapshot_state(model, into=best)
         if control.should_stop:
             break
 
     # no step reads the moments or the grads again: m and v go with `opt`,
     # and the grad arena and the wide weights' recorded products once each
-    # param has its own unmapped zeros, all before the best epoch is read back;
-    # the wide weights' values stay in the scratch file, which they hold
+    # param has its own unmapped zeros; the wide weights' values stay in the
+    # scratch file, which they hold
     del opt
     for p in model.params():
         p.release_grad()
-    if control.best_epoch < 0:
-        # no epoch improved (a non-finite validation loss): the initial
-        # weights are drawn again, not kept
-        del model
-        model, _ = _initial_model(group, seed, cfg.lr)
-        _save_group(checkpoint, group, model, scaler, seed)
-    elif control.best_epoch < control.epoch:
-        load_checkpoint(checkpoint, prefixes=("enc.", "dec."), into=model)
+    if control.best_epoch < control.epoch:
+        best.restore()
+    _save_group(checkpoint, group, model, scaler, seed)
     xv = scaled(val_idx)
     history["val_relmse"] = rel_mse(xv, model.forward(xv, train=False)[0])
     history["best_epoch"] = control.best_epoch
     history["epochs_run"] = control.epoch + 1
     return model, scaler, history
-
-
-def _initial_model(group: FeatureGroup, seed: int, lr: float) -> tuple[Autoencoder, Adam]:
-    """The group's initial model and its optimizer. The model is built with
-    zero weights on unmapped pages, so the optimizer's scratch file takes no
-    values from it; then each layer's W is drawn from the group's init
-    stream, in layer order, and written there before the next is drawn."""
-    model = Autoencoder(group.d, group.d_enc, None, name=group.name)
-    opt = Adam(model.params(), lr=lr)
-    rng = rng_for(seed, f"ae-init-{group.name}")
-    for layer in model.encoder.layers + model.decoder.layers:
-        layer.draw(rng)
-    return model, opt
 
 
 def _save_group(path: str | Path, group: FeatureGroup, model: Autoencoder,

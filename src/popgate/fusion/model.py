@@ -166,7 +166,11 @@ class _ModelFiles:
 
 
 def save_ensemble(model: GatedEnsemble, out_dir: str | Path, extra: dict | None = None) -> None:
+    """Write each branch's checkpoint and the gate's, then `model.json`
+    over them. An earlier `model.json` is deleted first, so none names a
+    mix of old and new checkpoints when a write fails."""
     out_dir = Path(out_dir)
+    (out_dir / "model.json").unlink(missing_ok=True)
     for m in MODALITIES:
         branch = model.branches[m]
         save_checkpoint(

@@ -52,9 +52,11 @@ def _fit(
     rows and draws dropout from the run `seed`'s streams named by `tag` and
     the epoch (counted from 1); `batch_loss(rows, rng)` runs one batch's
     forward and backward and returns its mean loss, then the grads are
-    clipped and stepped. After each epoch `val_mse()` drives `control`; the best epoch's
-    state is restored into `module` at the end. Returns the history."""
-    best = snapshot_state(module.state_arrays())
+    clipped and stepped. After each epoch `val_mse()` drives `control`. The
+    state is snapshotted (`snapshot_state`) before the first epoch and on
+    each improving one, and restored at the end when a later epoch ran.
+    Returns the history."""
+    best = snapshot_state(module)
     history: dict = {"train_loss": [], "val_mse": []}
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -75,11 +77,12 @@ def _fit(
         history["val_mse"].append(val)
         opt.lr = control.update(val)
         if control.improved:
-            snapshot_state(module.state_arrays(), into=best)
+            snapshot_state(module, into=best)
         if control.should_stop:
             break
 
-    module.load_state(best)
+    if control.best_epoch < control.epoch:
+        best.restore()
     history.update(
         best_epoch=control.best_epoch,
         best_val_mse=control.best_metric,

@@ -6,17 +6,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..codec import canonical_json, from_json, reading
 from ..exceptions import MissingInputError, ShapeError
-
-if TYPE_CHECKING:
-    from .layers import Module
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -33,7 +31,9 @@ def save_checkpoint(path: str | Path, arrays: Mapping[str, np.ndarray], meta: di
     goes to the archive from the array's own memory, not through copies.
     Each array is looked up once, in order, and written before the next
     is looked up, so `arrays` may be a `StateArrays` that reads them all
-    into one slot."""
+    into one slot. The archive is written to a sibling `<name>.tmp` and
+    renamed onto `path` only once it is complete; a failed write removes
+    it and leaves whatever `path` held."""
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     full_meta = {"format_version": FORMAT_VERSION, **meta}
@@ -41,42 +41,40 @@ def save_checkpoint(path: str | Path, arrays: Mapping[str, np.ndarray], meta: di
     payload = itertools.chain(arrays.items(), [(_META_KEY, np.frombuffer(blob, dtype=np.uint8))])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with zipfile.ZipFile(path, "w") as archive:
-        for key, value in payload:
-            value = np.asanyarray(value)
-            # as np.lib.format.write_array lays a member out: a Fortran-ordered
-            # array's data in memory order, any other in C order
-            fortran = value.flags.f_contiguous and not value.flags.c_contiguous
-            data = value.T if fortran else np.ascontiguousarray(value)
-            # zip64 always, as np.savez forces it
-            with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(value))
-                member.write(data.reshape(-1))
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w") as archive:
+            for key, value in payload:
+                value = np.asanyarray(value)
+                # as np.lib.format.write_array lays a member out: a Fortran-ordered
+                # array's data in memory order, any other in C order
+                fortran = value.flags.f_contiguous and not value.flags.c_contiguous
+                data = value.T if fortran else np.ascontiguousarray(value)
+                # zip64 always, as np.savez forces it
+                with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(value))
+                    member.write(data.reshape(-1))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def check_arrays(arrays: Mapping[str, np.ndarray], shapes: Mapping, source: str | Path) -> None:
     """Each key of `shapes` is in `arrays` with that shape; errors name
-    `source` (the checkpoint path) and the key. The arrays of an open
-    checkpoint are checked by their headers, without reading their data."""
+    `source` (the checkpoint path) and the key."""
     for key, shape in shapes.items():
         if key not in arrays:
             raise MissingInputError(f"{source}: no array {key!r}")
-        have = arrays.shape(key) if isinstance(arrays, _Members) else arrays[key].shape
-        if have != shape:
+        if (have := arrays[key].shape) != shape:
             raise ShapeError(f"{source}: array {key!r} has shape {have}, the model expects {shape}")
 
 
 def load_checkpoint(
-    path: str | Path, prefixes: tuple[str, ...] | None = None, into: "Module | None" = None
+    path: str | Path, prefixes: tuple[str, ...] | None = None
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Arrays + metadata. With `prefixes`, only the arrays whose names start
-    with one of them are read; the archive's other entries are never read.
-
-    With `into`, a model, the arrays are not returned but loaded into its
-    state (`Module.load_state`, errors naming `path`) one at a time, each
-    read from the archive as it is loaded: the shapes are checked from the
-    members' headers first, so no more than one array is held at once."""
+    with one of them are read; the archive's other entries are never read."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"checkpoint not found: {path}")
@@ -100,45 +98,7 @@ def load_checkpoint(
             )
         names = [k for k in data.files
                  if k != _META_KEY and (prefixes is None or k.startswith(prefixes))]
-        arrays = _Members(data, names, path)
-        if into is None:
-            return dict(arrays), meta
-        into.load_state(arrays, path)
-        return {}, meta
-
-
-class _Members(Mapping):
-    """Named arrays of an open archive. Each lookup reads a fresh array from
-    it, so no copy is needed; `shape` reads only a member's header."""
-
-    def __init__(self, data: np.lib.npyio.NpzFile, names: list[str], path: Path):
-        self._data, self._names, self._path = data, dict.fromkeys(names), path
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        if key not in self._names:
-            raise KeyError(key)
-        return _member(self._data, key, self._path)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def shape(self, key: str) -> tuple[int, ...]:
-        read_header = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
-        try:
-            with self._data.zip.open(key + ".npy") as member:
-                version = np.lib.format.read_magic(member)
-                if version in read_header:
-                    return read_header[version](member)[0]
-        except _UNREADABLE as e:
-            raise MissingInputError(f"{self._path}: member {key!r} is unreadable: {e}") from None
-        return self[key].shape
+        return {k: _member(data, k, path) for k in names}, meta
 
 
 def _member(data, key: str, path: Path) -> np.ndarray:

@@ -221,8 +221,8 @@ class StateArrays(MutableMapping):
     """A model's state arrays by key, in checkpoint order. Looking up a
     param's key reads its values (`Param.read`), so a file-resident
     weight's array is valid only until its file's slot is next read: take
-    one at a time, as `save_checkpoint` and `snapshot_state` do. A key set
-    here holds the plain array given."""
+    one at a time, as `save_checkpoint` does. A key set here holds the plain
+    array given."""
 
     def __init__(self, parts: Iterable[tuple[str, "Param | np.ndarray"]]):
         self._parts = dict(parts)
@@ -544,17 +544,42 @@ class MLP(Module):
         return [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]
 
 
-def snapshot_state(
-    arrays: Mapping[str, np.ndarray], into: dict[str, np.ndarray] | None = None
-) -> dict[str, np.ndarray]:
-    """Deep-copy a state mapping (used to retain best-epoch weights), one
-    array at a time, so a `StateArrays` may read each into one slot.
+class Snapshot:
+    """A copy of a module's state, taken by `snapshot_state` to keep a
+    training run's best epoch; `restore` writes it back in place.
 
-    `into`, an earlier snapshot of the same state, is overwritten in place
-    and returned, so keeping the best epoch holds one copy, not two.
-    """
-    if into is None:
-        return {k: v.copy() for k, v in arrays.items()}
-    for k, v in arrays.items():
-        np.copyto(into[k], v)
-    return into
+    A file-resident weight's values are copied to the best region of its
+    scratch file (see `popgate.nn.optim`), so they take no RAM, and a file
+    holds one snapshot of its weights. Every other entry, a stored param or
+    a plain array such as batchnorm's running statistics, is copied into an
+    array of its own, allocated once and overwritten by each later take."""
+
+    def __init__(self, module: Module):
+        self._parts = [part for _, part in module._state_parts()]
+        self._copies = [None if isinstance(part, Weight) and part.store is not None
+                        else np.empty(part.shape) for part in self._parts]
+
+    def take(self) -> None:
+        for part, copy in zip(self._parts, self._copies):
+            if copy is None:
+                part.store.copy_best(part, keep=True)
+            else:
+                np.copyto(copy, part.read() if isinstance(part, Param) else part)
+
+    def restore(self) -> None:
+        for part, copy in zip(self._parts, self._copies):
+            if copy is None:
+                part.store.copy_best(part, keep=False)
+            elif isinstance(part, Param):
+                part.write(copy)
+            else:
+                part[...] = copy
+
+
+def snapshot_state(module: Module, into: Snapshot | None = None) -> Snapshot:
+    """Take a `Snapshot` of `module`'s state, one array at a time. `into`,
+    an earlier snapshot of the same module, is taken again in place and
+    returned, so keeping the best epoch holds one copy, not two."""
+    snapshot = Snapshot(module) if into is None else into
+    snapshot.take()
+    return snapshot

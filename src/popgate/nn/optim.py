@@ -29,8 +29,8 @@ The slot. RAM holds one array the size of the largest wide weight, the
 slot, and in turn it holds:
 - the values of the weight that a `Dense.forward` or `Dense.backward`
   multiplies by, read in by `Weight.read` when the slot does not already
-  hold them, and read-only: a checkpoint or snapshot of the state reads
-  each weight the same way, one at a time;
+  hold them, and read-only: a checkpoint of the state reads each weight
+  the same way, one at a time;
 - each deferred gradient that `clip_grad_norm` and `step` rebuild
   (`Weight.gradient`).
 A wide weight's gradient is held nowhere between backward and step:
@@ -45,15 +45,21 @@ It performs the same elementwise operations in the same order as the
 per-parameter form above, so params and moments are bit-identical to it.
 
 The file. One unlinked temporary file (`tempfile.TemporaryFile`, under
-`TMPDIR`), sized once with `ftruncate`. Each wide weight, in the order
-given, is cut into chunks of `CHUNK` elements from its start (the last one
-shorter), and each chunk of n elements takes 24 n bytes: its `m`, its `v`,
-then its values. So one `preadv` reads a chunk's moments and values, one
-`pwritev` writes them back, and a weight's values are read into the slot
-one chunk per `preadv`. The file is read and written, never mapped,
-because the file pages a process maps count in its resident set. Step 1
-reads no moments: they start at zero. An optimizer without a wide weight
-opens no file and allocates no slot or buffer.
+`TMPDIR`), sized once with `ftruncate` to 32 bytes per wide element, in
+two regions. In the first, each wide weight, in the order given, is cut
+into chunks of `CHUNK` elements from its start (the last one shorter), and
+each chunk of n elements takes 24 n bytes: its `m`, its `v`, then its
+values. So one `preadv` reads a chunk's moments and values, one `pwritev`
+writes them back, and a weight's values are read into the slot one chunk
+per `preadv`. The second, the best region, holds 8 bytes per element, the
+weights in the same order: the values of the state that a trainer keeps
+as its best epoch (`popgate.nn.layers.snapshot_state`). `copy_best`
+copies a weight's values there or back, each chunk through a chunk
+buffer, so the best epoch takes no RAM; a file holds one best epoch of its
+weights. The file is read and written, never mapped, because the file
+pages a process maps count in its resident set. Step 1 reads no moments:
+they start at zero. An optimizer without a wide weight opens no file and
+allocates no slot or buffer.
 
 Errors. The file is closed when the last of its optimizer and weights goes,
 on any failed or short read or write, and on any error in a step; its
@@ -192,11 +198,12 @@ class Adam:
 
 
 class _ScratchFile:
-    """The values and moments of `size` wide elements in an unlinked
-    temporary file, and the slot of `largest` elements: see the module
-    docstring for the layout. Its weights hold it, each at its element
-    offset `Weight.at`; `holds` is the offset of the weight whose values
-    the slot holds, -1 for none."""
+    """The values, moments and best values of `size` wide elements in an
+    unlinked temporary file, and the slot of `largest` elements: see the
+    module docstring for the layout. Its weights hold it, each at its
+    element offset `Weight.at`; `holds` is the offset of the weight whose
+    values the slot holds, -1 for none; `best` is the byte offset of the
+    best region."""
 
     def __init__(self, size: int, largest: int):
         self.pid = os.getpid()
@@ -207,10 +214,11 @@ class _ScratchFile:
         self.fileno = file.fileno
         self.close = weakref.finalize(self, file.close)
         try:
-            os.ftruncate(file.fileno(), 24 * size)
+            os.ftruncate(file.fileno(), 32 * size)
         except OSError as e:
             self.close()
-            raise _scratch_failed(f"cannot size it to {24 * size} bytes: {e}") from e
+            raise _scratch_failed(f"cannot size it to {32 * size} bytes: {e}") from e
+        self.best = 24 * size
         self.slot = np.empty(largest)
         self.holds = -1
         self.m, self.v, self.x = np.empty(CHUNK), np.empty(CHUNK), np.empty(CHUNK)
@@ -254,6 +262,17 @@ class _ScratchFile:
         flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
         for a, n in _chunks(w.value.size):
             self._move("pwritev", [flat[a : a + n]], 24 * (w.at + a) + 16 * n)
+
+    def copy_best(self, w: Weight, keep: bool) -> None:
+        """Copy `w`'s values into the best region if `keep`, else back."""
+        self.check_owner()
+        if not keep and self.holds == w.at:
+            self.holds = -1
+        for a, n in _chunks(w.value.size):
+            spots = [24 * (w.at + a) + 16 * n, self.best + 8 * (w.at + a)]
+            src, dst = spots if keep else spots[::-1]
+            self._move("preadv", [self.x[:n]], src)
+            self._move("pwritev", [self.x[:n]], dst)
 
     def lend(self) -> np.ndarray:
         """The slot, flat, as storage for a rebuilt gradient."""

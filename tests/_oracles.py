@@ -342,10 +342,23 @@ def ref_weight_grad(acc, x, grad):
 # ---------------------------------------------------------------------------
 # reference training loops: the two hand-written epoch loops that phase 1 and
 # phase 2 ran before they shared one, and the autoencoder's loop from when it
-# kept its best epoch in memory. They drive the package's own layers,
+# kept its best epoch in memory. Each keeps its best epoch as a RAM copy of
+# the whole state and loads it back at the end. They drive the package's own layers,
 # optimizers and early-stopping machine, so they check only the loop around
 # them: the streams, the batch order, the clip/step order, the snapshot and
 # the history.
+
+
+def _copy_state(arrays, into=None) -> dict:
+    """A RAM copy of a state mapping, one array at a time; `into`, an
+    earlier copy of the same state, is overwritten in place and returned."""
+    import numpy as np
+
+    if into is None:
+        return {k: v.copy() for k, v in arrays.items()}
+    for k, v in arrays.items():
+        np.copyto(into[k], v)
+    return into
 
 
 def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
@@ -356,7 +369,6 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
     from popgate.nn.control import TrainControl
     from popgate.nn.losses import mse_loss
     from popgate.nn.optim import Adam, clip_grad_norm
-    from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
     y_train = _unit_targets(y_train, f"{branch.modality} phase 1 train")
@@ -373,7 +385,7 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
     yv_col = y_val.reshape(-1, 1)
     opt = Adam(branch.params(), lr=cfg.lr)
     control = TrainControl(cfg.lr, patience=cfg.patience, plateau_patience=cfg.plateau_patience)
-    best = snapshot_state(branch.state_arrays())
+    best = _copy_state(branch.state_arrays())
     history: dict = {"train_loss": [], "val_mse": []}
     tag = f"phase1-{branch.modality}"
 
@@ -399,7 +411,7 @@ def ref_phase1_train(branch, x_train, y_train, x_val, y_val, cfg, seed) -> dict:
         history["val_mse"].append(val_mse)
         opt.lr = control.update(val_mse)
         if control.improved:
-            snapshot_state(branch.state_arrays(), into=best)
+            _copy_state(branch.state_arrays(), into=best)
         if control.should_stop:
             break
 
@@ -422,7 +434,6 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
     from popgate.nn.control import TrainControl
     from popgate.nn.losses import mse_loss
     from popgate.nn.optim import AdamW, clip_grad_norm
-    from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
     untrained = [m for m in MODALITIES if not model.branches[m].trained]
@@ -445,7 +456,7 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
     initial = model.forward(xs_val, train=False)
     initial_val, _ = mse_loss(initial.yhat, y_val)
     control.update(initial_val)
-    best = snapshot_state(model.state_arrays())
+    best = _copy_state(model.state_arrays())
     history: dict = {"train_loss": [], "val_mse": [], "initial_val_mse": initial_val}
 
     epochs_run = 0
@@ -471,7 +482,7 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
         history["val_mse"].append(val_mse)
         opt.lr = control.update(val_mse)
         if control.improved:
-            snapshot_state(model.state_arrays(), into=best)
+            _copy_state(model.state_arrays(), into=best)
         if control.should_stop:
             break
 
@@ -486,9 +497,9 @@ def ref_phase2_train(model, xs_train, y_train, xs_val, y_val, weights, cfg, seed
 
 
 def ref_train_group_autoencoder(group, data, cfg, seed):
-    """The autoencoder trainer as it was before it kept its best epoch in the
-    checkpoint file: the best epoch is a snapshot in memory, and the model
-    returns with it loaded. Returns (model, scaler, history)."""
+    """The autoencoder trainer with its best epoch in a RAM copy of the
+    whole state, loaded back after training. Returns (model, scaler,
+    history)."""
     import numpy as np
 
     from popgate.autoenc.model import Autoencoder, ae_loss, lambda_for
@@ -497,7 +508,6 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
     from popgate.exceptions import ShapeError
     from popgate.nn.control import TrainControl
     from popgate.nn.optim import Adam, clip_grad_norm
-    from popgate.nn.layers import snapshot_state
     from popgate.seeding import rng_for
 
     X = np.asarray(data, dtype=np.float64)
@@ -517,7 +527,7 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
     lam = lambda_for(group.d_enc)
     opt = Adam(model.params(), lr=cfg.lr)
     control = TrainControl.from_config(cfg)
-    best_state = snapshot_state(model.state_arrays())
+    best_state = _copy_state(model.state_arrays())
     history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
     for epoch in range(cfg.max_epochs):
@@ -540,7 +550,7 @@ def ref_train_group_autoencoder(group, data, cfg, seed):
         history["val_loss"].append(val_terms.total)
         opt.lr = control.update(val_terms.total)
         if control.improved:
-            snapshot_state(model.state_arrays(), into=best_state)
+            _copy_state(model.state_arrays(), into=best_state)
         if control.should_stop:
             break
 

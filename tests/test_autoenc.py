@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import popgate.autoenc.train
+import popgate.nn.optim
 from _oracles import (
     naive_rel_mse,
     pca_holdout_relmse,
@@ -28,7 +29,7 @@ from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn.control import TrainControl
 from popgate.nn.gradcheck import check_gradients
-from popgate.nn.layers import SMALL_PRODUCT
+from popgate.nn.layers import SMALL_PRODUCT, Weight
 from popgate.nn.optim import Adam
 from popgate.seeding import rng_for
 
@@ -333,9 +334,11 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
-    # the best epoch lives in the checkpoint file, not in a snapshot: the
-    # model, the history and the file's bytes are those of the trainer that
-    # kept the snapshot in memory and saved the checkpoint after training
+    # every weight here is made file-resident, so the best epoch's weights
+    # live in the best region of the optimizer's scratch file: the model, the
+    # history and the file's bytes are those of the trainer that kept a RAM
+    # copy of the whole state, on stored gradients, and saved the checkpoint
+    # after training
     max_epochs, batch_size, lr, patience, plateau_patience = ORACLE_CASES[case]
     cfg = AETrainConfig(lr=lr, batch_size=batch_size, max_epochs=max_epochs, patience=patience,
                         plateau_patience=plateau_patience)
@@ -346,18 +349,23 @@ def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
         # overflows to inf, while training runs on finite losses
         n_val = int(round(cfg.val_fraction * len(X)))
         X[rng_for(46, "ae-val-g").permutation(len(X))[:n_val]] *= 1e200
-    loads = []
-    load = popgate.autoenc.train.load_checkpoint
-    monkeypatch.setattr(popgate.autoenc.train, "load_checkpoint",
-                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    copies = []
+    copy_best = popgate.nn.optim._ScratchFile.copy_best
     with np.errstate(over="ignore", invalid="ignore"):
         ref_model, ref_scaler, ref_history = ref_train_group_autoencoder(group, X, cfg, 46)
+        monkeypatch.setattr(popgate.nn.optim, "SMALL_PRODUCT", 1)
+        monkeypatch.setattr(popgate.nn.optim._ScratchFile, "copy_best",
+                            lambda self, w, keep: copies.append(keep) or copy_best(self, w, keep))
         model, _, history = train_group_autoencoder(group, X, cfg, 46, tmp_path / "g.npz")
+    weights = [p for p in model.params() if isinstance(p, Weight)]
+    assert all(w.store is not None for w in weights)
 
     best, ran = history["best_epoch"], history["epochs_run"]
     control = TrainControl.from_config(cfg)
+    improved = 0
     for val_loss in history["val_loss"]:
         control.update(val_loss)
+        improved += control.improved
     assert {
         "best-is-last": best == ran - 1 and ran == max_epochs,
         "best-is-earlier": 0 <= best < ran - 1 and ran == max_epochs,
@@ -365,7 +373,12 @@ def test_trainer_matches_the_in_memory_oracle(tmp_path, monkeypatch, case):
         "cuts-lr": control.num_reductions > 0,
         "never-improves": best == -1,
     }[case], (best, ran, control.num_reductions)
-    assert len(loads) == (0 <= best < ran - 1)
+    # a snapshot before the first epoch and on each improving one; restored
+    # from the file exactly when a later epoch ran, the initial state when
+    # no epoch improved
+    assert copies.count(True) == len(weights) * (1 + improved)
+    assert copies.count(False) == len(weights) * (best < ran - 1)
+    assert copies[-len(weights):] == [best == ran - 1] * len(weights)
 
     assert json.dumps(history, sort_keys=True) == json.dumps(ref_history, sort_keys=True)
     ref_state, state = ref_model.state_arrays(), model.state_arrays()
@@ -390,9 +403,9 @@ def test_the_trainer_never_writes_its_rows(tmp_path):
 
 def test_training_holds_at_most_four_param_copies(tmp_path):
     # values, grads, m and v: 4 copies of the params. The best epoch goes to
-    # the checkpoint file, not to a fifth copy, and stepping in chunks keeps
-    # the peak there, plus two largest-param temporaries from backward and
-    # clipping, plus a quarter copy of slack.
+    # the optimizer's scratch file, not to a fifth copy, and stepping in
+    # chunks keeps the peak there, plus two largest-param temporaries from
+    # backward and clipping, plus a quarter copy of slack.
     tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(12)
     X = rng.normal(size=(60, 2000))

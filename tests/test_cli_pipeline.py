@@ -23,6 +23,7 @@ from popgate.codec import from_json
 from popgate.config import FeatureGroup
 from popgate.exceptions import MissingInputError
 from popgate.metrics import compute_metrics
+from popgate.nn.checkpoint import load_checkpoint
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
 
 from _chain import CHAIN, chain_config, run_chain, write_config
@@ -341,6 +342,47 @@ class TestCliContract:
             f" {8 * 65536 - 8} of {8 * 65536} bytes at byte {16 * 65536}\n")
         assert sorted(os.listdir("/proc/self/fd")) == fds
         assert not (tmp_path / "models/ae/ensemble.json").exists()
+
+    def test_a_failed_phase2_save_leaves_no_model_json_and_no_partial_file(
+            self, tmp_path, capsys, monkeypatch):
+        # the audio expert's trunk has two wide 256 x 256 weights, fine-tuned
+        # in phase 2, so their values live in the optimizer's scratch file
+        # and the save reads at least one of them back with `os.preadv`
+        cfg = chain_config()
+        cfg["train"]["branches"]["audio"] = {"hidden": [256, 256, 256, 4],
+                                             "dropout": [0.1, 0.1, 0.1, 0.05]}
+        cfg_path = run_chain(tmp_path, cfg, CHAIN[: CHAIN.index("train-phase2")])
+        capsys.readouterr()
+        model_dir = tmp_path / "models/fused"
+        phase1 = {p.name: p.read_bytes() for p in model_dir.iterdir()}
+        assert "model.json" in phase1
+        real, short = os.preadv, []
+
+        def short_read(fd, bufs, offset):
+            short.append(offset)
+            return real(fd, bufs, offset) - 8
+
+        train = popgate.pipeline.phase2_train
+
+        def trained_then_failing(*args, **kwargs):
+            history = train(*args, **kwargs)
+            monkeypatch.setattr(os, "preadv", short_read)
+            return history
+
+        monkeypatch.setattr(popgate.pipeline, "phase2_train", trained_then_failing)
+        assert main(["train-phase2", "--config", str(cfg_path)]) == 1
+        assert len(short) == 1
+        assert "preadv moved" in capsys.readouterr().err
+        monkeypatch.undo()
+        # no model.json names a mix of phase-1 and phase-2 files, and each
+        # checkpoint left is a whole one: phase 1's or a phase-2 one
+        left = sorted(p.name for p in model_dir.iterdir())
+        assert left == sorted(set(phase1) - {"model.json"})
+        for name in left:
+            if name.endswith(".npz"):
+                load_checkpoint(model_dir / name)
+        assert (model_dir / "branch_audio.npz").read_bytes() == phase1["branch_audio.npz"]
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_missing_input_file_exits_2(self, tmp_path):
         cfg = {"clean": {"metadata": "nope.csv", "lyrics": "also-nope.csv"}}

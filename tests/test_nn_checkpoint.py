@@ -1,18 +1,17 @@
 """Checkpoint round-trips: values bit-exact, metadata intact, versioned."""
 
 import json
-import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from popgate.codec import canonical_json
-from popgate.exceptions import MissingInputError, ShapeError
+from popgate.exceptions import MissingInputError
 from popgate.nn.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
-from popgate.nn.layers import snapshot_state
 from popgate.nn.optim import clip_grad_norm
 
-from test_nn_layers import wide_twins
+from test_nn_layers import ram_copy, wide_twins
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -95,37 +94,36 @@ def test_a_file_resident_models_checkpoint_has_the_resident_twins_bytes(tmp_path
     filed.backward(filed.forward(x, train=True, rng=np.random.default_rng(10)) - x)
     clip_grad_norm(opt.params, 1e-3)
     opt.step()
-    resident.load_state(snapshot_state(filed.state_arrays()))
+    resident.load_state(ram_copy(filed))
     save_checkpoint(tmp_path / "filed.npz", filed.state_arrays(), {"seed": 1})
     save_checkpoint(tmp_path / "resident.npz", resident.state_arrays(), {"seed": 1})
     assert (tmp_path / "filed.npz").read_bytes() == (tmp_path / "resident.npz").read_bytes()
 
 
-def test_loading_into_a_model_checks_every_shape_first_and_reads_one_array_at_a_time(
-        tmp_path, monkeypatch):
-    filed, resident, _ = wide_twins(11)
-    for p in resident.params():
-        p.value += 1.0
-    path = tmp_path / "resident.npz"
-    save_checkpoint(path, resident.state_arrays(), {"seed": 1})
-    alive = []
-    real = np.lib.npyio.NpzFile.__getitem__
+def test_a_failed_save_leaves_the_earlier_file_and_no_temporary(tmp_path):
+    # the archive is written beside its target and renamed onto it only once
+    # it is complete
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, {"a": np.arange(3.0)}, {"seed": 1})
+    before = path.read_bytes()
 
-    def counted(self, key):
-        array = real(self, key)
-        alive.append(weakref.ref(array))
-        assert sum(r() is not None for r in alive) == 1, key
-        return array
+    class Failing(Mapping):
+        """"a", then a lookup of "b" that fails, as a short read would."""
 
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
-    assert load_checkpoint(path, into=filed) == ({}, {"seed": 1})
-    monkeypatch.undo()
-    ours, ref = filed.state_arrays(), resident.state_arrays()
-    for key in ours:
-        assert np.array_equal(ours[key], ref[key]), key
-    # a wrong shape in the last member loads nothing: the headers are read first
-    arrays = dict(snapshot_state(resident.state_arrays()), **{"layer1.b": np.zeros(7)})
-    save_checkpoint(path, arrays, {})
-    with pytest.raises(ShapeError, match="'layer1.b' has shape \\(7,\\)"):
-        load_checkpoint(path, into=filed)
-    assert np.array_equal(filed.layers[0].W.read(), resident.layers[0].W.value)
+        def __getitem__(self, key):
+            if key == "b":
+                raise OSError("disk full")
+            if key != "a":
+                raise KeyError(key)
+            return np.zeros(4)
+
+        def __iter__(self):
+            return iter("ab")
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, Failing(), {"seed": 2})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]

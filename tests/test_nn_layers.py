@@ -15,6 +15,7 @@ from popgate.nn.layers import (
     activation_forward,
     snapshot_state,
 )
+from popgate.nn.optim import clip_grad_norm
 from popgate.nn.optim import Adam
 
 
@@ -241,7 +242,7 @@ def test_mlp_state_round_trip_is_bit_exact():
     rng = np.random.default_rng(9)
     mlp = MLP(specs, rng)
     mlp.forward(rng.normal(size=(16, 4)), train=True)  # populate running stats
-    saved = snapshot_state(mlp.state_arrays())
+    saved = ram_copy(mlp)
     x = rng.normal(size=(3, 4))
     before = mlp.forward(x)
     # clone with different init, then restore
@@ -253,6 +254,32 @@ def test_mlp_state_round_trip_is_bit_exact():
         p.value += 1.0
     mlp.load_state(saved)
     assert np.array_equal(mlp.forward(x), before)
+
+
+def ram_copy(module) -> dict:
+    """A copy of `module`'s state arrays in RAM, taken one at a time."""
+    return {k: v.copy() for k, v in module.state_arrays().items()}
+
+
+def test_a_snapshot_restores_values_and_running_statistics_in_place():
+    specs = [DenseLayerSpec(4, 5, LeakyRelu(), batchnorm=True), DenseLayerSpec(5, 2, Sigmoid())]
+    rng = np.random.default_rng(9)
+    mlp = MLP(specs, rng)
+    mlp.forward(rng.normal(size=(16, 4)), train=True)  # populate running stats
+    saved, live = ram_copy(mlp), dict(mlp.state_arrays())
+    snapshot = snapshot_state(mlp)
+    for p in mlp.params():
+        p.value += 1.0
+    mlp.forward(rng.normal(size=(16, 4)), train=True)
+    # a second take overwrites the first in place; restore brings that back
+    assert snapshot_state(mlp, into=snapshot) is snapshot
+    moved = ram_copy(mlp)
+    for p in mlp.params():
+        p.value -= 3.0
+    snapshot.restore()
+    for key, array in mlp.state_arrays().items():
+        assert array is live[key], key
+        assert _bits(array) == _bits(moved[key]) != _bits(saved[key]), key
 
 
 def test_spec_validation():
@@ -300,8 +327,42 @@ def test_file_resident_weights_give_the_resident_twins_outputs_and_gradients():
             m.forward(x)  # eval mode, as a validation pass
         # a step changes the values, so the twins part: copy the new ones over
         opt.step()
-        resident.load_state(snapshot_state(filed.state_arrays()))
+        resident.load_state(ram_copy(filed))
     assert _bits(filed.forward(x)) == _bits(resident.forward(x))
+
+
+def test_a_snapshot_keeps_file_resident_values_in_the_files_best_region():
+    # a stepped model comes back to the snapshot bit for bit; the wide values
+    # are copied within the file, so neither the take nor the restore holds
+    # a copy of a wide weight in RAM
+    tracemalloc = pytest.importorskip("tracemalloc")
+    filed, _, opt = wide_twins(12)
+    x = np.random.default_rng(13).normal(size=(16, 300))
+    filed.forward(x, train=True, rng=np.random.default_rng(14))
+    before = ram_copy(filed)
+    tracemalloc.start()
+    try:
+        snapshot = snapshot_state(filed)
+        took = tracemalloc.get_traced_memory()[1]
+        opt.zero_grad()
+        filed.backward(filed.forward(x, train=True, rng=np.random.default_rng(15)) - x)
+        clip_grad_norm(opt.params, 1e-3)
+        opt.step()
+        filed.forward(x)  # the slot now holds a stepped weight's values
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        snapshot.restore()
+        restored = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    W = filed.layers[0].W.value.size * 8
+    assert took < W / 4 and restored < W / 4, (took / W, restored / W)
+    # the slot held the last layer's stepped values: they are read again
+    assert _bits(filed.layers[-1].W.read()) == _bits(before["layer1.W"])
+    after = ram_copy(filed)
+    assert list(after) == list(before)
+    for key in before:
+        assert _bits(after[key]) == _bits(before[key]), key
 
 
 def test_load_state_writes_file_resident_values_through():

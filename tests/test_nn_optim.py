@@ -9,7 +9,8 @@ import pytest
 
 from _oracles import per_param_adam_step
 from popgate.exceptions import PopgateError
-from popgate.nn.layers import SMALL_PRODUCT, Dense, DenseLayerSpec, Param, Weight, _add_product
+from popgate.nn.layers import (SMALL_PRODUCT, Dense, DenseLayerSpec, Param, Weight, _add_product,
+                               snapshot_state)
 from popgate.nn.optim import Adam, AdamW, clip_grad_norm
 from popgate.nn.optim import CHUNK
 
@@ -441,6 +442,25 @@ def test_a_short_write_in_load_state_closes_the_file_and_names_it(monkeypatch):
         layer.load_state(state)
     _assert_closed_and_named(
         info, opt._file, f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {VALUES_AT}")
+
+
+@pytest.mark.parametrize("op", ["preadv", "pwritev"])
+@pytest.mark.parametrize("call", ["snapshot", "restore"])
+def test_a_short_transfer_in_a_snapshot_or_restore_closes_the_file_and_names_it(
+        monkeypatch, call, op):
+    # each chunk of values is read into a chunk buffer and written to the best
+    # region, 24 bytes per element in, or the other way round
+    layer = Dense(DenseLayerSpec(300, 257), np.random.default_rng(41))
+    opt = Adam(layer.params(), lr=0.01)
+    snapshot = snapshot_state(layer)
+    best_at = 24 * 300 * 257
+    src, dst = (VALUES_AT, best_at) if call == "snapshot" else (best_at, VALUES_AT)
+    _failing(monkeypatch, op)
+    with pytest.raises(PopgateError) as info:
+        snapshot_state(layer, into=snapshot) if call == "snapshot" else snapshot.restore()
+    _assert_closed_and_named(
+        info, opt._file,
+        f"{op} moved {8 * CHUNK - 8} of {8 * CHUNK} bytes at byte {src if op == 'preadv' else dst}")
 
 
 def test_a_weight_whose_file_is_closed_raises_the_same_error():
