@@ -19,8 +19,11 @@ from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from ..nn.control import TrainControl
-from ..nn.layers import MLP, snapshot_state
-from ..nn.optim import Adam, clip_grad_norm
+from ..nn.layers import MLP
+# `clip_grad_norm` has no caller here: perfbench/traced_step.py patches
+# this name, so it stays bound until the tracer moves into the program
+# (ROADMAP item 9)
+from ..nn.optim import Adam, clip_grad_norm  # noqa: F401
 from ..seeding import derive_seed, rng_for
 from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
 
@@ -45,16 +48,24 @@ def train_group_autoencoder(
 
     `data` holds only this group's training-split columns (width group.d);
     a fixed `cfg.val_fraction` of its rows is held out for early stopping.
-    The run's `seed` names every random stream. The state is snapshotted
-    (`snapshot_state`) before the first epoch and on each improving one, a
-    wide weight's values within the optimizer's scratch file, and restored
-    when a later epoch ran, the initial state when none improved. The
-    group's checkpoint is written to `checkpoint` once, from that state.
+    The run's `seed` names every random stream. The group trains through
+    the fusion phases' epoch loop, `popgate.fusion.train.fit`, on the
+    streams `ae-shuffle-<group>-<epoch>` and `ae-dropout-<group>-<epoch>`,
+    with the epoch counted from 0; that loop keeps the best epoch, a wide
+    weight's values within the optimizer's scratch file, and restores it.
+    The group's checkpoint is written to `checkpoint` once, from that state.
+    The history holds each epoch's train and validation loss (`val_loss`),
+    `lambda`, the best epoch, the epochs run and the restored model's
+    `val_relmse`.
 
     `data` is the only copy of the rows that the trainer holds: each batch
     and each validation pass scales the rows it reads, so no scaled copy of
     the whole group is kept, and `data` is left as it was.
     """
+    # `compress` imports this module for `CompressorEnsemble` and loads no
+    # fusion module
+    from ..fusion.train import fit
+
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != group.d:
         raise ShapeError(f"group {group.name!r} expects width {group.d}, got {X.shape}")
@@ -81,37 +92,25 @@ def train_group_autoencoder(
     for layer in model.encoder.layers + model.decoder.layers:
         layer.draw(init_rng)
     lam = lambda_for(group.d_enc)
-    control = TrainControl.from_config(cfg)
-    best = snapshot_state(model)
-    history: dict = {"train_loss": [], "val_loss": [], "lambda": lam}
 
-    for epoch in range(cfg.max_epochs):
-        order = rng_for(seed, f"ae-shuffle-{group.name}-{epoch}").permutation(len(train_idx))
-        drop_rng = rng_for(seed, f"ae-dropout-{group.name}-{epoch}")
-        epoch_loss = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            xb = scaled(train_idx[order[lo : lo + cfg.batch_size]])
-            opt.zero_grad()
-            x_hat, z = model.forward(xb, train=True, rng=drop_rng)
-            terms, d_xhat, d_z = ae_loss(xb, x_hat, z, lam)
-            model.backward(d_xhat, d_z)
-            clip_grad_norm(opt.params, cfg.clip_norm)
-            opt.step()
-            epoch_loss += terms.total * xb.shape[0]
-        history["train_loss"].append(epoch_loss / len(train_idx))
+    def batch_loss(idx, rng):
+        xb = scaled(train_idx[idx])
+        x_hat, z = model.forward(xb, train=True, rng=rng)
+        terms, d_xhat, d_z = ae_loss(xb, x_hat, z, lam)
+        model.backward(d_xhat, d_z)
+        return terms.total
 
-        # neither the validation rows nor their outputs are kept into the
-        # next epoch
+    # neither the validation rows nor their outputs are kept into the next
+    # epoch
+    def val_loss():
         xv = scaled(val_idx)
-        val_terms, _, _ = ae_loss(xv, *model.forward(xv, train=False), lam)
-        del xv
-        history["val_loss"].append(val_terms.total)
-        opt.lr = control.update(val_terms.total)
-        if control.improved:
-            snapshot_state(model, into=best)
-        if control.should_stop:
-            break
+        return ae_loss(xv, *model.forward(xv, train=False), lam)[0].total
 
+    def labels(epoch):
+        return f"ae-shuffle-{group.name}-{epoch - 1}", f"ae-dropout-{group.name}-{epoch - 1}"
+
+    fitted = fit(model, opt, cfg, TrainControl.from_config(cfg), len(train_idx), batch_loss,
+                 val_loss, labels, seed)
     # no step reads the moments or the grads again: m and v go with `opt`,
     # and the grad arena and the wide weights' recorded products once each
     # param has its own unmapped zeros; the wide weights' values stay in the
@@ -119,13 +118,11 @@ def train_group_autoencoder(
     del opt
     for p in model.params():
         p.release_grad()
-    if control.best_epoch < control.epoch:
-        best.restore()
     _save_group(checkpoint, group, model, scaler, seed)
     xv = scaled(val_idx)
-    history["val_relmse"] = rel_mse(xv, model.forward(xv, train=False)[0])
-    history["best_epoch"] = control.best_epoch
-    history["epochs_run"] = control.epoch + 1
+    history = {"train_loss": fitted["train_loss"], "val_loss": fitted["val_mse"], "lambda": lam,
+               "val_relmse": rel_mse(xv, model.forward(xv, train=False)[0]),
+               "best_epoch": fitted["best_epoch"], "epochs_run": fitted["epochs_run"]}
     return model, scaler, history
 
 

@@ -9,18 +9,21 @@ name the key by its dotted path, such as
 `train.branches.audio.activation.slope`; inside `reading(path)` they, and
 JSON parse errors, become `MissingInputError`s that also name the artifact's
 file. `canonical_json` and `write_json` are the two layouts of every JSON
-file the program writes or hashes.
+file the program writes or hashes. Every output file, JSON, table or
+checkpoint, is written through `replacing`, so that a write that fails
+leaves the earlier file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,11 +71,26 @@ def canonical_json(obj) -> str:
     return json.dumps(to_json(obj), sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """A temporary sibling `<name>.tmp` of `path`, for the block to write,
+    after making the directory: it replaces `path` when the block ends
+    without an error, and is removed when it raises."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path: Path, obj) -> None:
     """Write `to_json(obj)` to `path` as sorted JSON indented by 2 and ended
-    by a newline, making the directory first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n")
+    by a newline, through `replacing`."""
+    with replacing(path) as tmp:
+        tmp.write_text(json.dumps(to_json(obj), indent=2, sort_keys=True) + "\n")
 
 
 def check_object(raw, where: str, allowed) -> dict:

@@ -3,9 +3,10 @@
 Phase 1 fits each branch alone on MSE against the scaled target. Phase 2
 loads the trained branches and optimizes the composite loss with AdamW;
 branches can be frozen (eval mode, no updates) or fine-tuned alongside the
-gate. Both phases run one epoch loop, `_fit`, which early-stops on
-validation MSE and restores the best weights seen, so phase 2 can never end
-worse than it started.
+gate. Both phases, and each audio group's autoencoder
+(`popgate.autoenc.train`), run one epoch loop, `fit`, which early-stops on
+a validation loss and restores the best weights seen, so phase 2 can never
+end worse than it started.
 """
 
 from __future__ import annotations
@@ -37,32 +38,34 @@ def _unit_targets(y: np.ndarray, where: str) -> np.ndarray:
     return y
 
 
-def _fit(
+def fit(
     module: Module,
     opt: Adam,
     cfg: TrainConfig,
     control: TrainControl,
     n: int,
     batch_loss: Callable[[np.ndarray, np.random.Generator], float],
-    val_mse: Callable[[], float],
-    tag: str,
+    val_loss: Callable[[], float],
+    labels: Callable[[int], tuple[str, str]],
     seed: int,
 ) -> dict:
-    """The epoch loop of both phases. Each epoch shuffles the `n` training
-    rows and draws dropout from the run `seed`'s streams named by `tag` and
-    the epoch (counted from 1); `batch_loss(rows, rng)` runs one batch's
-    forward and backward and returns its mean loss, then the grads are
-    clipped and stepped. After each epoch `val_mse()` drives `control`. The
-    state is snapshotted (`snapshot_state`) before the first epoch and on
-    each improving one, and restored at the end when a later epoch ran.
-    Returns the history."""
+    """The epoch loop of every trainer. Each epoch shuffles the `n` training
+    rows and draws dropout from the run `seed`'s streams that
+    `labels(epoch)` names, as (shuffle label, dropout label), with the epoch
+    counted from 1; `batch_loss(rows, rng)` runs one batch's forward and
+    backward and returns its mean loss, then the grads are clipped and
+    stepped. After each epoch `val_loss()` drives `control`. The state is
+    snapshotted (`snapshot_state`) before the first epoch and on each
+    improving one, and restored at the end when a later epoch ran. Returns
+    the history, each epoch's validation loss under `val_mse`."""
     best = snapshot_state(module)
     history: dict = {"train_loss": [], "val_mse": []}
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         epochs_run = epoch
-        order = rng_for(seed, f"{tag}-shuffle-{epoch}").permutation(n)
-        drop_rng = rng_for(seed, f"{tag}-dropout-{epoch}")
+        shuffle_label, dropout_label = labels(epoch)
+        order = rng_for(seed, shuffle_label).permutation(n)
+        drop_rng = rng_for(seed, dropout_label)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -73,7 +76,7 @@ def _fit(
             epoch_loss += loss * idx.size
         history["train_loss"].append(epoch_loss / n)
 
-        val = val_mse()
+        val = val_loss()
         history["val_mse"].append(val)
         opt.lr = control.update(val)
         if control.improved:
@@ -90,6 +93,12 @@ def _fit(
         lr_reductions=control.num_reductions,
     )
     return history
+
+
+def _labels(tag: str) -> Callable[[int], tuple[str, str]]:
+    """A phase's stream labels: `{tag}-shuffle-{epoch}` and
+    `{tag}-dropout-{epoch}`."""
+    return lambda epoch: (f"{tag}-shuffle-{epoch}", f"{tag}-dropout-{epoch}")
 
 
 def phase1_train(
@@ -125,8 +134,8 @@ def phase1_train(
         _, yv_hat = branch.forward(x_val, train=False)
         return mse_loss(yv_hat, yv_col)[0]
 
-    history = _fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, TrainControl.from_config(cfg),
-                   x_train.shape[0], batch_loss, val_mse, f"phase1-{branch.modality}", seed)
+    history = fit(branch, Adam(branch.params(), lr=cfg.lr), cfg, TrainControl.from_config(cfg),
+                  x_train.shape[0], batch_loss, val_mse, _labels(f"phase1-{branch.modality}"), seed)
     branch.trained = True
     return history
 
@@ -177,6 +186,7 @@ def phase2_train(
     control = TrainControl.from_config(cfg)
     initial_val = val_mse()
     control.update(initial_val)
-    history = _fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, "phase2", seed)
+    history = fit(model, opt, cfg, control, y_train.shape[0], batch_loss, val_mse, _labels("phase2"),
+                  seed)
     history["initial_val_mse"] = initial_val
     return history

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import zipfile
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ..codec import canonical_json, from_json, reading
+from ..codec import canonical_json, from_json, reading, replacing
 from ..exceptions import MissingInputError, ShapeError
 
 FORMAT_VERSION = 1
@@ -31,33 +30,25 @@ def save_checkpoint(path: str | Path, arrays: Mapping[str, np.ndarray], meta: di
     goes to the archive from the array's own memory, not through copies.
     Each array is looked up once, in order, and written before the next
     is looked up, so `arrays` may be a `StateArrays` that reads them all
-    into one slot. The archive is written to a sibling `<name>.tmp` and
-    renamed onto `path` only once it is complete; a failed write removes
-    it and leaves whatever `path` held."""
+    into one slot. The archive is written through `popgate.codec.replacing`:
+    a failed write leaves whatever `path` held."""
     if _META_KEY in arrays:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     full_meta = {"format_version": FORMAT_VERSION, **meta}
     blob = canonical_json(full_meta).encode("utf-8")
     payload = itertools.chain(arrays.items(), [(_META_KEY, np.frombuffer(blob, dtype=np.uint8))])
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with zipfile.ZipFile(tmp, "w") as archive:
-            for key, value in payload:
-                value = np.asanyarray(value)
-                # as np.lib.format.write_array lays a member out: a Fortran-ordered
-                # array's data in memory order, any other in C order
-                fortran = value.flags.f_contiguous and not value.flags.c_contiguous
-                data = value.T if fortran else np.ascontiguousarray(value)
-                # zip64 always, as np.savez forces it
-                with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array_header_1_0(
-                        member, np.lib.format.header_data_from_array_1_0(value))
-                    member.write(data.reshape(-1))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as tmp, zipfile.ZipFile(tmp, "w") as archive:
+        for key, value in payload:
+            value = np.asanyarray(value)
+            # as np.lib.format.write_array lays a member out: a Fortran-ordered
+            # array's data in memory order, any other in C order
+            fortran = value.flags.f_contiguous and not value.flags.c_contiguous
+            data = value.T if fortran else np.ascontiguousarray(value)
+            # zip64 always, as np.savez forces it
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(value))
+                member.write(data.reshape(-1))
 
 
 def check_arrays(arrays: Mapping[str, np.ndarray], shapes: Mapping, source: str | Path) -> None:

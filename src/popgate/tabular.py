@@ -50,6 +50,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .codec import replacing
 from .exceptions import MissingInputError, PopgateError
 from .lanes import _fork, _worker_failed, _workers
 
@@ -95,18 +96,10 @@ def _writer(fh):
 
 @contextmanager
 def _csv_writer(path: str | Path) -> Iterator[tuple]:
-    """Open a temporary sibling of `path` for writing -> (file, csv.writer on
-    it); it replaces `path` when the block ends without an error, and is
-    removed when it raises."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh, _writer(fh)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Open `path`'s temporary sibling from `replacing` for writing -> (file,
+    csv.writer on it)."""
+    with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        yield fh, _writer(fh)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

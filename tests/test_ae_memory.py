@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import popgate
-import popgate.autoenc.train
+import popgate.fusion.train
 import popgate.pipeline
 from popgate.autoenc.model import n_params
 from popgate.cli import main
@@ -61,7 +61,7 @@ def held(monkeypatch, tmp_path):
     out = tmp_path / "held"
     out.mkdir()
     most = [0]
-    clip, train = popgate.autoenc.train.clip_grad_norm, popgate.pipeline.train_group_autoencoder
+    clip, train = popgate.fusion.train.clip_grad_norm, popgate.pipeline.train_group_autoencoder
 
     def measured_clip(*args, **kwargs):
         most[0] = max(most[0], tracemalloc.get_traced_memory()[0])
@@ -73,7 +73,7 @@ def held(monkeypatch, tmp_path):
         (out / group.name).write_text(str(most[0]))
         return result
 
-    monkeypatch.setattr(popgate.autoenc.train, "clip_grad_norm", measured_clip)
+    monkeypatch.setattr(popgate.fusion.train, "clip_grad_norm", measured_clip)
     monkeypatch.setattr(popgate.pipeline, "train_group_autoencoder", measured_train)
 
     def run(ws) -> dict[str, int]:

@@ -1057,7 +1057,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("cmd,unused", [
         ("synth", {"data.cleaning", "data.scaling", "data.split"}),
         ("ae-train", {"data.cleaning", "data.split"}),
-        ("compress", {"data.cleaning", "data.split"}),
+        ("compress", {"data.cleaning", "data.split", "fusion.train", "fusion.model"}),
         ("predict", {"fusion.train", "nn.optim", "nn.control", "data.cleaning", "data.split"}),
     ])
     def test_step_loads_no_module_it_does_not_use(self, chain_ws, tmp_path, cmd, unused):
@@ -1127,7 +1127,7 @@ class TestTracedRun:
             "clean": {"data.clean", "tabular.write_csv"},
             "split": {"data.split"},
             "ctd-extract": {"ctd.ingest", "ctd.build"},
-            "ae-train": {"autoenc.train", "autoenc.save", *train},
+            "ae-train": {"autoenc.train", "autoenc.save", "nn.snapshot", *train},
             "compress": {"autoenc.load", "nn.checkpoint_load"},
             "train-phase1": {"fusion.phase1", "nn.snapshot", *train},
             "train-phase2": {"fusion.phase2", "nn.checkpoint_load", "nn.snapshot", *train},

@@ -2,12 +2,16 @@
 and decoding names the key it rejects."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from popgate.autoenc.train import registry_hash
-from popgate.codec import from_json, to_json
+from popgate.codec import from_json, to_json, write_json
 from popgate.config import (Activation, BranchConfig, Elu, FeatureGroup, GateConfig, Identity,
                             LeakyRelu, LossWeights, Sigmoid)
 from popgate.data.scaling import ScalerParams
@@ -73,3 +77,23 @@ def test_activation_takes_only_its_kinds_fields():
     with pytest.raises(ConfigError, match=r"unknown key 'act\.slope'"):
         from_json(Activation, {"kind": "elu", "slope": 0.2}, "act")
 
+
+def test_a_write_json_cut_short_leaves_the_earlier_file_and_no_temporary(tmp_path):
+    # a child whose file-size limit, as a full disk would, stops the write
+    # of a second history after its first 64 bytes
+    path = tmp_path / "history.json"
+    write_json(path, {"train_loss": [0.5]})
+    before = path.read_bytes()
+    script = ("import resource, signal, sys; from pathlib import Path; "
+              "from popgate.codec import write_json; "
+              "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+              "resource.setrlimit(resource.RLIMIT_FSIZE, "
+              "(64, resource.getrlimit(resource.RLIMIT_FSIZE)[1])); "
+              "write_json(Path(sys.argv[1]), {'train_loss': [0.25] * 100})")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "File too large" in proc.stderr, proc.stderr
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.json"]

@@ -16,7 +16,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-import popgate.autoenc.train
 import popgate.fusion.train
 import popgate.nn.optim
 from popgate.autoenc.train import train_group_autoencoder
@@ -76,7 +75,7 @@ def test_autoencoder_trainer_matches_the_oracle_on_stored_grads(tmp_path, monkey
     assert 300 * 600 >= SMALL_PRODUCT > 300 * 20
     X = np.random.default_rng(31).normal(size=(75, 600))
     cfg = AETrainConfig(lr=1e-3, batch_size=32, max_epochs=3, clip_norm=clip_norm)
-    clips = _spy_clip(monkeypatch, popgate.autoenc.train)
+    clips = _spy_clip(monkeypatch, popgate.fusion.train)
     model, _, history = train_group_autoencoder(WIDE_GROUP, X, cfg, 46, tmp_path / "g.npz")
     with stored_grads():
         ref_model, _, ref_history = ref_train_group_autoencoder(WIDE_GROUP, X, cfg, 46)
