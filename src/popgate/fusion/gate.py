@@ -12,7 +12,7 @@ import numpy as np
 
 from ..config import MODALITIES, GateConfig, LeakyRelu
 from ..exceptions import ShapeError
-from ..nn.layers import MLP, Module, Param, dense_stack
+from ..nn.layers import MLP, Module, Param, dense_stack, needs_train_forward
 from ..nn.losses import softmax, softmax_backward
 
 
@@ -26,6 +26,7 @@ class LearnableStandardize(Module):
     def __init__(self, dim: int, eps: float = 1e-6, name: str = "std"):
         if eps <= 0:
             raise ValueError(f"standardization eps must be > 0, got {eps}")
+        self.name = name
         self.shift = Param(np.zeros(dim), name=f"{name}.shift")
         self.scale = Param(np.ones(dim), name=f"{name}.scale")
         self.eps = eps
@@ -35,18 +36,19 @@ class LearnableStandardize(Module):
     def dim(self) -> int:
         return self.shift.value.shape[0]
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
+    def forward(self, h: np.ndarray, train: bool = False) -> np.ndarray:
+        """Standardize `h`; only in train mode is what `backward` reads kept."""
         h = np.asarray(h, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dim:
             raise ShapeError(f"standardize expects (batch, {self.dim}), got {h.shape}")
         denom = np.abs(self.scale.value) + self.eps
         centered = h - self.shift.value
-        self._cache = (centered, denom)
+        self._cache = (centered, denom) if train else None
         return centered / denom
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("standardize backward called before forward")
+            raise needs_train_forward(f"standardize {self.name!r}")
         centered, denom = self._cache
         self.shift.grad += -np.add.reduce(grad, axis=0) / denom
         self.scale.grad += (
@@ -93,15 +95,16 @@ class GatingNetwork(Module):
         batches = {m: np.asarray(hs[m]).shape[0] for m in MODALITIES}
         if len(set(batches.values())) != 1:
             raise ShapeError(f"gate inputs disagree on batch size: {batches}")
-        z = np.concatenate([self.standardizers[m].forward(hs[m]) for m in MODALITIES], axis=1)
+        z = np.concatenate([self.standardizers[m].forward(hs[m], train) for m in MODALITIES], axis=1)
         logits = self.mlp.forward(z, train=train, rng=rng)
-        self._probs = softmax(logits, axis=1)
-        return self._probs
+        probs = softmax(logits, axis=1)
+        self._probs = probs if train else None
+        return probs
 
     def backward(self, d_alpha: np.ndarray) -> dict[str, np.ndarray]:
         """Returns gradient wrt each branch representation."""
         if self._probs is None:
-            raise RuntimeError("gate backward called before forward")
+            raise needs_train_forward("gate")
         d_logits = softmax_backward(self._probs, d_alpha, axis=1)
         d_z = self.mlp.backward(d_logits)
         out = {}

@@ -19,7 +19,7 @@ from ..codec import from_json, reading, write_json
 from ..config import MODALITIES, BranchConfig, GateConfig, LossWeights
 from ..exceptions import ConfigError, MissingInputError, ShapeError
 from ..nn.checkpoint import load_checkpoint, save_checkpoint
-from ..nn.layers import Module
+from ..nn.layers import Module, needs_train_forward
 from ..nn.losses import mse_loss
 from .branches import ExpertBranch
 from .gate import GatingNetwork
@@ -76,7 +76,8 @@ class GatedEnsemble(Module):
     ) -> EnsembleOutput:
         """Full forward pass. `branch_train` overrides `train` for the
         branches alone (phase 2 freezes them in eval mode while the gate
-        keeps training)."""
+        keeps training). Only a train-mode pass keeps what `backward` reads;
+        with eval-mode branches, only `into_branches=False` can follow."""
         missing = [m for m in MODALITIES if m not in xs]
         if missing:
             raise MissingInputError(f"no input for modalities {missing}; all three are required")
@@ -93,7 +94,7 @@ class GatedEnsemble(Module):
         branch_yhat = np.concatenate(cols, axis=1)
         alpha = self.gate.forward(hs, train=train, rng=rng)
         yhat = np.add.reduce(alpha * branch_yhat, axis=1)
-        self._cache = (alpha, branch_yhat)
+        self._cache = (alpha, branch_yhat) if train else None
         return EnsembleOutput(yhat=yhat, alpha=alpha, branch_yhat=branch_yhat)
 
     def backward(
@@ -106,7 +107,7 @@ class GatedEnsemble(Module):
         gradients on the per-branch predictions (the individual loss terms);
         `into_branches=False` stops at the gate, leaving branches untouched."""
         if self._cache is None:
-            raise RuntimeError("ensemble backward called before forward")
+            raise needs_train_forward("ensemble")
         alpha, branch_yhat = self._cache
         d_yhat = np.asarray(d_yhat, dtype=np.float64).reshape(-1, 1)
         d_alpha = d_yhat * branch_yhat

@@ -3,6 +3,11 @@
 All math is float64. A layer block composes linear -> batchnorm -> activation
 -> dropout; batchnorm and dropout switch to inference behavior in eval mode.
 Dropout is inverted (scaled at train time), so eval applies no rescale.
+
+A train-mode forward keeps what its backward reads, until the next forward;
+an eval-mode forward keeps nothing, so inference holds no batch-sized array
+once it returns. A backward therefore needs a train-mode forward before it,
+and raises a `RuntimeError` naming the layer otherwise.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ class Weight(Param):
         if self.grad is None:
             self.products.append((a, b))
         else:
-            _add_product(self.grad, a, b)
+            self.grad += a @ b
 
     def gradient(self) -> np.ndarray:
         """The stored gradient, or else the one rebuilt in the slot of the
@@ -137,7 +142,8 @@ class Weight(Param):
         if not self.products:
             g.fill(0.0)
         else:
-            # the first product into zeroed storage, as `_add_product` writes it
+            # the first product into zeroed storage: adding 0.0 turns each
+            # -0.0 into 0.0, as `+=` into +0.0 zeros does
             (a, b), *rest = self.products
             np.matmul(a, b, out=g)
             g += 0.0
@@ -346,13 +352,21 @@ def dense_stack(widths: Sequence[int], activation: Activation, dropout: float | 
     return specs
 
 
+def needs_train_forward(name: str) -> RuntimeError:
+    """The error of a backward that no train-mode forward kept a cache for."""
+    return RuntimeError(f"{name}: backward needs a train-mode forward before it")
+
+
 class BatchNorm(Module):
-    """Per-feature batch normalization over axis 0."""
+    """Per-feature batch normalization over axis 0. Train mode normalizes
+    with the batch's statistics and updates the running ones; eval mode
+    normalizes with the running statistics and keeps nothing."""
 
     momentum = 0.1
     eps = 1e-5
 
     def __init__(self, dim: int, name: str = ""):
+        self.name = name
         self.gamma = Param(np.ones(dim), name=f"{name}.gamma")
         self.beta = Param(np.zeros(dim), name=f"{name}.beta")
         self.running_mean = np.zeros(dim)
@@ -377,26 +391,21 @@ class BatchNorm(Module):
             np.divide(1.0, inv_std, out=inv_std)
             # xhat = centered * inv_std is not kept: the backward recomputes
             # it with the same product, bit for bit
-            self._cache = ("train", centered, inv_std)
+            self._cache = (centered, inv_std)
             out = centered * inv_std
-            out *= self.gamma.value
         else:
-            xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-            self._cache = ("eval", xhat)
-            out = xhat * self.gamma.value
+            self._cache = None
+            out = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+        out *= self.gamma.value
         out += self.beta.value
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("batchnorm backward called before forward")
+            raise needs_train_forward(f"batchnorm {self.name!r}")
         add = np.add.reduce
-        mode, *cached = self._cache
+        centered, inv_std = self._cache
         self.beta.grad += add(grad, axis=0)
-        if mode == "eval":
-            self.gamma.grad += add(grad * cached[0], axis=0)
-            return grad * self.gamma.value / np.sqrt(self.running_var + self.eps)
-        centered, inv_std = cached
         gx = centered * inv_std  # the forward's xhat
         gx *= grad
         self.gamma.grad += add(gx, axis=0)
@@ -420,6 +429,9 @@ class BatchNorm(Module):
 
 class Dense(Module):
     """Dense block: y = dropout(activation(batchnorm(x W + b))).
+
+    `forward(x, train=True)` keeps the input, the activation output and the
+    dropout draw for `backward`; `forward(x, train=False)` keeps nothing.
 
     `rng` draws the initial weights; None leaves them zero (unmapped pages),
     for a layer whose state is loaded or drawn (`draw`) next."""
@@ -461,7 +473,7 @@ class Dense(Module):
         else:
             out = a
         # the pre-activation h is not kept: the backward needs only `a`
-        self._cache = (x, a, kept)
+        self._cache = (x, a, kept) if train else None
         return out
 
     def _dropout_mask(self, kept: np.ndarray) -> np.ndarray:
@@ -473,7 +485,7 @@ class Dense(Module):
         input, or None without `input_grad` (a first layer's caller has no
         use for it, and it costs a GEMM the size of the forward's)."""
         if self._cache is None:
-            raise RuntimeError(f"layer {self.name!r}: backward called before forward")
+            raise needs_train_forward(f"layer {self.name!r}")
         x, act_out, kept = self._cache
         if kept is not None:
             grad = grad * self._dropout_mask(kept)
@@ -488,26 +500,10 @@ class Dense(Module):
         return [("W", self.W), ("b", self.b), ("bn", self.bn)]
 
 
-# weights below which a layer's gradient keeps the plain `+=` (see `_add_product`)
+# the elements from which an optimizer holds a weight wide: its gradient
+# deferred as products, its values and moments in the scratch file (see
+# `popgate.nn.optim`)
 SMALL_PRODUCT = 65536
-
-
-def _add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """`acc += a @ b`, bit for bit, without a product-sized temporary when
-    `acc` holds only zeros, as a zeroed grad does.
-
-    BLAS then writes the product into `acc` itself, and adding 0.0 turns
-    each -0.0 into 0.0, as `0.0 + p` does. The zeros are taken to be +0.0,
-    as `zero_grad` and `np.zeros` leave them; where an all-zero `acc` holds
-    -0.0 and the product is -0.0, `+=` would keep -0.0 and this gives 0.0.
-    Below `SMALL_PRODUCT` elements the temporary costs less than the zero
-    scan, so small layers keep the plain `+=`.
-    """
-    if acc.size < SMALL_PRODUCT or acc.any():
-        acc += a @ b
-    else:
-        np.matmul(a, b, out=acc)
-        acc += 0.0
 
 
 def _init_scale(spec: DenseLayerSpec) -> float:

@@ -266,7 +266,8 @@ def ref_activation_backward(grad, pre, out, kind: str, param: float = 0.0):
 
 
 def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, eps, train):
-    """(output, new running mean, new running var, cache for the backward)."""
+    """(output, new running mean, new running var, cache for the backward,
+    None in eval mode)."""
     import numpy as np
 
     if train:
@@ -276,22 +277,18 @@ def ref_batchnorm_forward(x, gamma, beta, running_mean, running_var, momentum, e
         running_var = (1.0 - momentum) * running_var + momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x - mean) * inv_std
-        cache = ("train", x, xhat, mean, inv_std)
+        cache = (x, xhat, mean, inv_std)
     else:
         xhat = (x - running_mean) / np.sqrt(running_var + eps)
-        cache = ("eval", xhat)
+        cache = None
     return gamma * xhat + beta, running_mean, running_var, cache
 
 
-def ref_batchnorm_backward(grad, gamma, running_var, eps, cache):
-    """(input gradient, gamma gradient, beta gradient) of one call."""
+def ref_batchnorm_backward(grad, gamma, cache):
+    """(input gradient, gamma gradient, beta gradient) of one train-mode call."""
     import numpy as np
 
-    if cache[0] == "eval":
-        xhat = cache[1]
-        return (grad * gamma / np.sqrt(running_var + eps),
-                (grad * xhat).sum(axis=0), grad.sum(axis=0))
-    _, x, xhat, mean, inv_std = cache
+    x, xhat, mean, inv_std = cache
     n = x.shape[0]
     dxhat = grad * gamma
     dvar = np.sum(dxhat * (x - mean), axis=0) * (-0.5) * inv_std**3

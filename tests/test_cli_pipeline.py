@@ -1,6 +1,7 @@
 """End-to-end tests for the CLI subcommands against a small synthetic run."""
 
 import ast
+import ctypes
 import importlib.util
 import json
 import math
@@ -1091,6 +1092,17 @@ class TestImportFootprint:
 
 
 class TestBlasThreads:
+    def test_the_test_process_runs_one_blas_thread(self):
+        # conftest.py sets the count before numpy loads; read it back from
+        # numpy's bundled OpenBLAS at run time
+        libs = list((Path(np.__file__).resolve().parents[1] / "numpy.libs")
+                    .glob("libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("numpy has no bundled scipy-openblas here")
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == 1
+
     def test_synth_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # at 12851 audio columns, synth's (240, 4) @ (4, 12851) product sums
         # in another order on two BLAS threads than on one

@@ -4,8 +4,8 @@ for bit as a stored gradient does.
 Inside an optimizer a `Weight` of at least `SMALL_PRODUCT` elements keeps
 the products backward adds, not their sum; clipping and the step rebuild
 the sum. Each reference here runs the same code with the threshold raised
-past every weight, so that every gradient is stored, accumulated by
-`_add_product` as a layer outside an optimizer accumulates it. States are
+past every weight, so that every gradient is stored, accumulated by `+=`
+as a layer outside an optimizer accumulates it. States are
 compared as `uint64` views, so that `-0.0` counts.
 """
 
@@ -24,7 +24,7 @@ from popgate.fusion.branches import ExpertBranch
 from popgate.fusion.train import phase1_train
 from popgate.nn.layers import MLP, Dense, DenseLayerSpec
 from popgate.nn.optim import Adam, clip_grad_norm
-from popgate.nn.layers import SMALL_PRODUCT, _add_product
+from popgate.nn.layers import SMALL_PRODUCT
 from popgate.seeding import rng_for
 
 from _oracles import ref_phase1_train, ref_train_group_autoencoder
@@ -133,7 +133,7 @@ def test_two_backwards_before_a_step_equal_two_stored_products():
             for layer in twins:
                 layer.forward(x, train=True)
                 layer.backward(g)
-            _add_product(acc, x.T, g)
+            acc += x.T @ g
             assert _same(ours.W.gradient(), acc) and _same(ref.W.grad, acc)
         assert ours.W.grad is None and len(ours.W.products) == 2
         for o in (opt, ref_opt):

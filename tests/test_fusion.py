@@ -6,6 +6,8 @@ is checked on planted-signal data where the right answer (which modality
 the gate should favor) is known by construction.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from popgate.fusion.gate import GatingNetwork, LearnableStandardize
 from popgate.fusion.model import GatedEnsemble, ensemble_loss, load_ensemble, save_ensemble
 from popgate.fusion.train import phase1_train, phase2_train
 from popgate.metrics import compute_metrics, gate_report
-from popgate.nn.layers import Param
+from popgate.nn.layers import BatchNorm, Dense, Module, Param
 from popgate.nn.optim import Adam
 from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
@@ -173,7 +175,7 @@ class TestLearnableStandardize:
         def loss_and_backward():
             for p in (std.shift, std.scale, hp):
                 p.zero_grad()
-            out = std.forward(hp.value)
+            out = std.forward(hp.value, train=True)
             hp.grad += std.backward(weights)
             return float(np.sum(weights * out))
 
@@ -183,7 +185,7 @@ class TestLearnableStandardize:
     def test_zero_scale_uses_zero_subgradient(self):
         std = LearnableStandardize(2, eps=0.5)
         std.scale.value[...] = 0.0
-        out = std.forward(np.array([[1.0, -2.0]]))
+        out = std.forward(np.array([[1.0, -2.0]]), train=True)
         assert np.all(np.isfinite(out))
         std.backward(np.ones((1, 2)))
         assert np.all(std.scale.grad == 0.0)
@@ -332,6 +334,42 @@ class TestGatedEnsemble:
         assert np.all(np.isfinite(out.yhat))
         assert np.all((out.yhat > 0.0) & (out.yhat < 1.0))
 
+    def test_an_eval_forward_keeps_no_cache_and_a_backward_then_raises(self):
+        model = tiny_model()
+        xs = rand_inputs(n=6, seed=29)
+        model.forward(xs, train=True, rng=rng_for(30, "dropout"))
+        cached = [m for m in _modules(model) if hasattr(m, "_cache") or hasattr(m, "_probs")]
+        assert {type(m) for m in cached} == {Dense, BatchNorm, LearnableStandardize,
+                                             GatingNetwork, GatedEnsemble}
+        assert all(_cache_of(m) is not None for m in cached)
+        model.forward(xs, train=False)
+        for module in cached:
+            name = _error_name(module)
+            assert _cache_of(module) is None, name
+            # each raises before it reads the gradient
+            with pytest.raises(RuntimeError,
+                               match=re.escape(f"{name}: backward needs a train-mode forward")):
+                module.backward(np.ones((6, 3)))
+
+
+def _modules(module):
+    yield module
+    for _, part in module.parts():
+        if isinstance(part, Module):
+            yield from _modules(part)
+
+
+def _cache_of(module):
+    return module._probs if isinstance(module, GatingNetwork) else module._cache
+
+
+def _error_name(module) -> str:
+    """How a module's backward error names it."""
+    kinds = {Dense: "layer", BatchNorm: "batchnorm", LearnableStandardize: "standardize"}
+    if type(module) in kinds:
+        return f"{kinds[type(module)]} {module.name!r}"
+    return {GatingNetwork: "gate", GatedEnsemble: "ensemble"}[type(module)]
+
 
 # ---------------------------------------------------------------------------
 # composite loss
@@ -422,11 +460,13 @@ class TestEndToEndGradients:
         assert errors[worst] < TOL, f"worst gradient mismatch at {worst}: {errors[worst]:.3e}"
 
     def test_gate_only_backward_leaves_branch_grads_zero(self):
+        # phase 2's frozen pass: eval-mode branches, a train-mode gate
         model = tiny_model(dropout=0.0)
         _perturb(model.params(), rng_for(44, "perturb"))
         for p in model.params():
             p.zero_grad()
-        out = model.forward(rand_inputs(n=8, seed=45), train=False)
+        out = model.forward(rand_inputs(n=8, seed=45), train=True, branch_train=False,
+                            rng=rng_for(47, "dropout"))
         y = rng_for(46, "y").uniform(0, 1, size=8)
         _, d_yhat, d_branch = ensemble_loss(y, out, LossWeights(1.0, 0.3))
         model.backward(d_yhat, d_branch, into_branches=False)

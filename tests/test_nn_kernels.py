@@ -100,6 +100,8 @@ def test_activation_keeps_signed_zero_and_saturates(act, kind, param):
 @pytest.mark.parametrize("shape", SHAPES + [(1, 7), ODD], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
 def test_batchnorm_matches_reference_bitwise(shape, train):
+    """Forward and running statistics in both modes; the backward, which
+    only a train-mode forward allows, in train mode."""
     d = shape[1]
     rng = np.random.default_rng(2)
     x = _inputs(shape, seed=3)
@@ -118,8 +120,12 @@ def test_batchnorm_matches_reference_bitwise(shape, train):
     assert same(bn.running_mean, ref_rm) and same(bn.running_var, ref_rv)
 
     grad = _inputs(shape, seed=4)
-    ref_dx, ref_dgamma, ref_dbeta = ref_batchnorm_backward(
-        grad, bn.gamma.value, bn.running_var, bn.eps, cache)
+    if not train:
+        with pytest.raises(RuntimeError, match="needs a train-mode forward"):
+            bn.backward(grad)
+        assert same(bn.gamma.grad, g0_gamma) and same(bn.beta.grad, g0_beta)
+        return
+    ref_dx, ref_dgamma, ref_dbeta = ref_batchnorm_backward(grad, bn.gamma.value, cache)
     assert same(bn.backward(grad), ref_dx)
     assert same(bn.gamma.grad, g0_gamma + ref_dgamma)
     assert same(bn.beta.grad, g0_beta + ref_dbeta)
@@ -149,7 +155,7 @@ def test_dense_block_matches_reference_bitwise(shape, act, kind, param):
 
     grad = _inputs((n, d_out), seed=8)
     g = ref_activation_backward(grad * mask, h, a, kind, param)
-    g, dgamma, dbeta = ref_batchnorm_backward(g, bn.gamma.value, bn.running_var, bn.eps, cache)
+    g, dgamma, dbeta = ref_batchnorm_backward(g, bn.gamma.value, cache)
     assert same(layer.backward(grad), g @ W.T)
     assert same(layer.W.grad, x.T @ g) and same(layer.b.grad, g.sum(axis=0))
     assert same(bn.gamma.grad, dgamma) and same(bn.beta.grad, dbeta)
@@ -216,22 +222,31 @@ def test_clip_matches_reference_at_split_points(n, max_norm):
                          ids=["wide", "at-threshold", "below-threshold"])
 @pytest.mark.parametrize("held", [False, True], ids=["zeroed", "holding"])
 def test_weight_grad_matches_reference_bitwise(d_in, d_out, held):
-    """Into zeroed storage and into storage that already holds a gradient,
-    with products that are -0.0."""
-    layer = Dense(DenseLayerSpec(d_in, d_out, Identity()), np.random.default_rng(14))
+    """A stored weight gradient, and the same gradient deferred and rebuilt
+    by `Weight.gradient()`, into zeroed storage and into storage that
+    already holds a gradient, on either side of an optimizer's wide-weight
+    threshold."""
+    stored, deferred = (Dense(DenseLayerSpec(d_in, d_out, Identity()), np.random.default_rng(14))
+                        for _ in range(2))
+    deferred.W.defer()
     x = _inputs((5, d_in), seed=15)
     grad = _inputs((5, d_out), seed=16)
-    # opposite-signed tiny values: their products underflow, summing to -0.0
+    # opposite-signed tiny values: their products underflow, to -0.0 on
+    # kernels that keep the sign, which the rebuild's `+= 0.0` must clear
     x[:, :50] = -1e-300
     grad[:, :40] = 1e-300
-    product = x.T @ grad
-    assert np.count_nonzero(np.signbit(product) & (product == 0.0)) >= 50 * 40
     if held:
-        layer.W.grad[...] = _inputs((d_in, d_out), seed=17)
-    acc = layer.W.grad.copy()
-    layer.forward(x, train=True)
-    layer.backward(grad)
-    assert same(layer.W.grad, ref_weight_grad(acc, x, grad))
+        for layer in (stored, deferred):
+            layer.forward(_inputs((5, d_in), seed=17), train=True)
+            layer.backward(_inputs((5, d_out), seed=18))
+        assert stored.W.grad.any()
+    acc = stored.W.grad.copy()
+    for layer in (stored, deferred):
+        layer.forward(x, train=True)
+        layer.backward(grad)
+    assert same(stored.W.grad, ref_weight_grad(acc, x, grad))
+    assert deferred.W.grad is None
+    assert same(deferred.W.gradient(), stored.W.grad)
 
 
 # --- non-finite inputs -------------------------------------------------------

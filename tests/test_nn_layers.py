@@ -194,7 +194,7 @@ def test_dropout_is_inverted_and_seed_deterministic():
 
 def test_dense_backward_before_forward_raises():
     layer = Dense(_spec(), np.random.default_rng(0))
-    with pytest.raises(RuntimeError, match="before forward"):
+    with pytest.raises(RuntimeError, match="layer 'dense': backward needs a train-mode forward"):
         layer.backward(np.zeros((1, 2)))
 
 

@@ -1,7 +1,8 @@
 """The training step's weight-sized work allocates no weight-sized array,
 building an optimizer holds no second copy of a wide weight, a model drawn
-into its optimizer holds one wide weight in RAM, and BatchNorm's forward
-keeps no batch-sized array its backward recomputes.
+into its optimizer holds one wide weight in RAM, BatchNorm's forward keeps
+no batch-sized array its backward recomputes, and an eval-mode forward keeps
+nothing once it returns.
 
 numpy reports each array buffer it allocates to `tracemalloc`, so these peaks
 are deterministic; BLAS's own work buffers are not counted. The layer is
@@ -19,7 +20,7 @@ import numpy as np
 
 import popgate
 from popgate.config import Elu, Identity
-from popgate.nn.layers import MLP, BatchNorm, Dense, DenseLayerSpec, Param
+from popgate.nn.layers import MLP, BatchNorm, Dense, DenseLayerSpec, Param, dense_stack
 from popgate.nn.optim import Adam, clip_grad_norm
 
 D_IN, D_OUT, BATCH = 2000, 1000, 64
@@ -52,15 +53,10 @@ def _layer_after_forward() -> tuple[Dense, np.ndarray]:
     return layer, rng.normal(size=(BATCH, D_OUT))
 
 
-def test_dense_backward_into_zeroed_grads_allocates_no_weight_sized_array():
-    layer, grad = _layer_after_forward()
-    assert _peak(lambda: layer.backward(grad)) < layer.W.value.nbytes / 4
-    assert layer.W.grad.any()
-
-
 def test_dense_backward_into_held_grads_still_measures_the_product():
-    """The same measurement sees the product-sized temporary that `+=` into
-    a gradient already held needs, so the bound above is not vacuous."""
+    """The measurement sees the product-sized temporary that `+=` into a
+    stored gradient needs, so the bounds below, that a step's weight-sized
+    work allocates no weight-sized array, are not vacuous."""
     layer, grad = _layer_after_forward()
     layer.W.grad[0, 0] = 1.0
     assert _peak(lambda: layer.backward(grad)) >= layer.W.value.nbytes
@@ -81,6 +77,18 @@ def test_batchnorm_train_forward_keeps_only_centered_beside_its_output():
     x = np.random.default_rng(2).normal(size=(BATCH, D_OUT))
     held = _held(lambda: bn.forward(x, train=True))
     assert 2 * x.nbytes <= held < 2.5 * x.nbytes
+
+
+def test_an_eval_forward_leaves_only_its_output_allocated():
+    # a train-mode forward keeps each layer's input, activation output and
+    # batchnorm's centered input for the backward, 14.3 MB here; an eval
+    # forward keeps none of them
+    rng = np.random.default_rng(5)
+    mlp = MLP(dense_stack([512, 256, 128, 64], Elu(), 0.1, out_dim=8), rng)
+    x = rng.normal(size=(2000, 512))
+    mlp.forward(x, train=True, rng=rng)
+    held = _held(lambda: mlp.forward(x, train=False))
+    assert held - 2000 * 8 * 8 < x.nbytes / 64, held  # beyond the (2000, 8) output
 
 
 def _wide_mlp() -> tuple[MLP, np.ndarray]:
