@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -17,15 +18,16 @@ from ..codec import canonical_json, from_json, reading, write_json
 from ..config import AETrainConfig, FeatureGroup, validate_registry
 from ..data.scaling import ScalerParams, scaler_apply, scaler_fit
 from ..exceptions import ConfigError, MissingInputError, ShapeError
+from ..lanes import run_lanes
 from ..nn.checkpoint import check_arrays, load_checkpoint, save_checkpoint
 from ..nn.control import TrainControl
-from ..nn.layers import MLP
+from ..nn.layers import Dense, DenseLayerSpec
 # `clip_grad_norm` has no caller here: perfbench/traced_step.py patches
 # this name, so it stays bound until the tracer moves into the program
 # (ROADMAP item 9)
 from ..nn.optim import Adam, clip_grad_norm  # noqa: F401
 from ..seeding import derive_seed, rng_for
-from .model import Autoencoder, ae_loss, encoder_specs, lambda_for
+from .model import Autoencoder, ae_loss, encoder_specs, lambda_for, n_params
 
 
 def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -97,6 +99,7 @@ def train_group_autoencoder(
         xb = scaled(train_idx[idx])
         x_hat, z = model.forward(xb, train=True, rng=rng)
         terms, d_xhat, d_z = ae_loss(xb, x_hat, z, lam)
+        del x_hat, z
         model.backward(d_xhat, d_z)
         return terms.total
 
@@ -173,9 +176,15 @@ class CompressorEnsemble:
 
     Training writes each group's checkpoint, decoder included, and `save`
     writes `ensemble.json` over them; `load` returns an ensemble that holds
-    each group's checkpoint path. `compress` reads a group's encoder and
-    scaler only when it reaches that group and drops them before the next,
-    so at most one encoder is in memory and no decoder is ever read.
+    each group's checkpoint path. `compress` encodes the groups as jobs of
+    `popgate.lanes.run_lanes`, weighted by their parameter counts as
+    ae-train weighs them, so the heaviest group runs in the calling process
+    and the others in forked lanes, which send back their codes. Each group
+    reads its scaler, then each encoder layer from its checkpoint just
+    before the layer runs, and drops the layer once it has run: a lane
+    holds one encoder layer at a time, its largest at most, and no decoder
+    is ever read. Each group runs the same operations on one BLAS thread
+    in whichever process, so the codes do not depend on the lanes.
     """
 
     def __init__(self, registry: Sequence[FeatureGroup], seed: int,
@@ -184,13 +193,15 @@ class CompressorEnsemble:
         self.seed = seed
         self.checkpoints = dict(checkpoints)
 
-    def _encode(self, g: FeatureGroup, cols: np.ndarray) -> np.ndarray:
-        """Group g's codes for its columns; its encoder and scaler are read
-        here and released on return."""
+    def _encode(self, g: FeatureGroup, X: np.ndarray) -> np.ndarray:
+        """Group g's codes for its columns of `X`."""
+        if X.ndim != 2 or X.shape[1] < g.start + g.d:
+            raise ShapeError(
+                f"group {g.name!r} needs columns [{g.start},{g.start + g.d}), "
+                f"but input has shape {X.shape}"
+            )
         ckpt = self.checkpoints[g.name]
-        arrays, _ = load_checkpoint(ckpt, prefixes=("enc.", "scaler."))
-        encoder = MLP(encoder_specs(g.d, g.d_enc), None, name=f"{g.name}.enc")
-        encoder.load_state(arrays, ckpt, prefix="enc.", copy=False)
+        arrays, _ = load_checkpoint(ckpt, prefixes=("scaler.",))
         check_arrays(arrays, {f"scaler.{k}": (g.d,) for k in ("center", "scale", "degenerate")},
                      ckpt)
         scaler = ScalerParams(
@@ -199,19 +210,18 @@ class CompressorEnsemble:
             scale=arrays["scaler.scale"],
             degenerate=arrays["scaler.degenerate"].astype(bool),
         )
-        return encoder.forward(scaler_apply(scaler, cols), train=False)
+        x = scaler_apply(scaler, X[:, g.cols])
+        for i, spec in enumerate(encoder_specs(g.d, g.d_enc)):
+            # the layer is dropped as soon as it has run
+            x = _encoder_layer(ckpt, i, spec, f"{g.name}.enc.{i}").forward(x, train=False)
+        return x
 
     def compress(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        blocks = []
-        for g in self.registry:
-            if X.ndim != 2 or X.shape[1] < g.start + g.d:
-                raise ShapeError(
-                    f"group {g.name!r} needs columns [{g.start},{g.start + g.d}), "
-                    f"but input has shape {X.shape}"
-                )
-            blocks.append(self._encode(g, X[:, g.cols]))
-        return np.hstack(blocks)
+        jobs = {g.name: (n_params(g.d, g.d_enc), partial(self._encode, g, X))
+                for g in self.registry}
+        codes = run_lanes("compress", jobs)
+        return np.hstack([codes[g.name] for g in self.registry])
 
     @staticmethod
     def save(
@@ -257,6 +267,15 @@ class CompressorEnsemble:
             if not ckpt.exists():
                 raise MissingInputError(f"checkpoint not found: {ckpt}")
         return CompressorEnsemble(registry, seed, checkpoints)
+
+
+def _encoder_layer(ckpt: Path, i: int, spec: DenseLayerSpec, name: str) -> Dense:
+    """Encoder layer `i`, for inference, on its arrays read from `ckpt`
+    (`load_state` with `copy=False`)."""
+    prefix = f"enc.layer{i}."
+    layer = Dense(spec, None, name=name)
+    layer.load_state(load_checkpoint(ckpt, prefixes=(prefix,))[0], ckpt, prefix=prefix, copy=False)
+    return layer
 
 
 def _read(in_dir: Path) -> tuple[tuple[FeatureGroup, ...], int, dict[str, Path]]:

@@ -50,6 +50,7 @@ class LearnableStandardize(Module):
         if self._cache is None:
             raise needs_train_forward(f"standardize {self.name!r}")
         centered, denom = self._cache
+        self._cache = None
         self.shift.grad += -np.add.reduce(grad, axis=0) / denom
         self.scale.grad += (
             -np.add.reduce(grad * centered, axis=0) / (denom * denom) * np.sign(self.scale.value)
@@ -106,6 +107,7 @@ class GatingNetwork(Module):
         if self._probs is None:
             raise needs_train_forward("gate")
         d_logits = softmax_backward(self._probs, d_alpha, axis=1)
+        self._probs = None
         d_z = self.mlp.backward(d_logits)
         out = {}
         r = self.config.repr_dim

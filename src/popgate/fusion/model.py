@@ -109,9 +109,11 @@ class GatedEnsemble(Module):
         if self._cache is None:
             raise needs_train_forward("ensemble")
         alpha, branch_yhat = self._cache
+        self._cache = None
         d_yhat = np.asarray(d_yhat, dtype=np.float64).reshape(-1, 1)
         d_alpha = d_yhat * branch_yhat
         d_branch = d_yhat * alpha
+        del alpha, branch_yhat
         if d_branch_extra is not None:
             d_branch = d_branch + d_branch_extra
         d_h = self.gate.backward(d_alpha)

@@ -3,10 +3,11 @@
 `_fork` starts a function in a forked worker with a pipe back to its caller,
 and `_workers` kills and reaps every worker on any way out of a block.
 `popgate.tabular` splits large matrix CSVs over them. `run_lanes` runs
-independent jobs, such as the autoencoder groups, the phase-1 experts or
-the byte ranges of a large play log (`popgate.ctd.events`), on one lane per
-core the process may run on (`os.sched_getaffinity`, which `taskset`
-restricts): lane 0 is the calling process, lanes 1…k−1 are forked workers.
+independent jobs, such as the autoencoder groups (trained or encoded), the
+phase-1 experts or the byte ranges of a large play log
+(`popgate.ctd.events`), on one lane per core the process may run on
+(`os.sched_getaffinity`, which `taskset` restricts): lane 0 is the calling
+process, lanes 1…k−1 are forked workers.
 A worker starts by moving off its parent's core once, keeping its mask: on
 a machine whose kernel does not balance load between cores, the two would
 otherwise share the core the parent forked on.

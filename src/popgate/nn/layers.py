@@ -4,10 +4,18 @@ All math is float64. A layer block composes linear -> batchnorm -> activation
 -> dropout; batchnorm and dropout switch to inference behavior in eval mode.
 Dropout is inverted (scaled at train time), so eval applies no rescale.
 
-A train-mode forward keeps what its backward reads, until the next forward;
-an eval-mode forward keeps nothing, so inference holds no batch-sized array
-once it returns. A backward therefore needs a train-mode forward before it,
-and raises a `RuntimeError` naming the layer otherwise.
+A train-mode forward keeps what its backward reads, and the backward
+consumes it: it drops the cache as it unpacks it, and each array of it once
+read for the last time, so no batch-sized array outlives the step that read
+it last. An eval-mode forward keeps nothing, so inference holds no
+batch-sized array once it returns. A backward therefore needs a train-mode
+forward of its own before it, and raises a `RuntimeError` naming the layer
+otherwise, a second backward after one forward included.
+
+Initial weights are drawn one `CHUNK` of the flat C-order weight at a time
+(`Dense.draw`), each chunk written where the weight's values live before
+the next is drawn; the chunks take the same values from the stream as one
+whole draw, and a draw holds no weight-sized array of its own.
 """
 
 from __future__ import annotations
@@ -91,8 +99,9 @@ class Weight(Param):
     the weight's shape that holds no memory (every entry NaN), so `shape`
     and `value.size` cost no I/O and a write into `value` raises. `read()`
     returns the values in the file's slot, read-only and valid only until
-    the slot is next read into or lent; `write()` writes through to the
-    file; `gradient()` rebuilds a deferred gradient in the slot.
+    the slot is next read into or lent; `write()` and `write_part()` write
+    through to the file; `gradient()` rebuilds a deferred gradient in the
+    slot.
     """
 
     __slots__ = ("products", "factors", "store", "at")
@@ -112,6 +121,17 @@ class Weight(Param):
             super().write(values)
         else:
             self.store.write_values(self, values)
+
+    def write_part(self, start: int, values: np.ndarray) -> None:
+        """Write the flat `values` as the weight's elements from `start`, in
+        C order. `start` is a multiple of `CHUNK`, and the part ends at the
+        weight's end or at another multiple of `CHUNK`."""
+        if self.store is None:
+            # `flat` indexes any layout; a view of contiguous values is faster
+            flat = self.value.reshape(-1) if self.value.flags.c_contiguous else self.value.flat
+            flat[start : start + values.size] = values
+        else:
+            self.store.write_values(self, values, start)
 
     def defer(self) -> None:
         """Drop the stored gradient: from now on it is zero plus the
@@ -405,6 +425,7 @@ class BatchNorm(Module):
             raise needs_train_forward(f"batchnorm {self.name!r}")
         add = np.add.reduce
         centered, inv_std = self._cache
+        self._cache = None
         self.beta.grad += add(grad, axis=0)
         gx = centered * inv_std  # the forward's xhat
         gx *= grad
@@ -433,25 +454,30 @@ class Dense(Module):
     `forward(x, train=True)` keeps the input, the activation output and the
     dropout draw for `backward`; `forward(x, train=False)` keeps nothing.
 
-    `rng` draws the initial weights; None leaves them zero (unmapped pages),
-    for a layer whose state is loaded or drawn (`draw`) next."""
+    `rng` draws the initial weights (`draw`); None leaves them zero
+    (unmapped pages), for a layer whose state is loaded or drawn next."""
 
     def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator | None, name: str = "dense"):
         self.spec = spec
         self.name = name
-        shape = (spec.in_dim, spec.out_dim)
-        self.W = Weight(np.zeros(shape) if rng is None else self._drawn(rng), name=f"{name}.W")
+        self.W = Weight(np.zeros((spec.in_dim, spec.out_dim)), name=f"{name}.W")
         self.b = Param(np.zeros(spec.out_dim), name=f"{name}.b")
         self.bn = BatchNorm(spec.out_dim, name=f"{name}.bn") if spec.batchnorm else None
         self._cache = None
-
-    def _drawn(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, _init_scale(self.spec), size=(self.spec.in_dim, self.spec.out_dim))
+        if rng is not None:
+            self.draw(rng)
 
     def draw(self, rng: np.random.Generator) -> None:
-        """Draw W from `rng` as a construction with `rng` does, and write it
-        wherever the weight's values live."""
-        self.W.write(self._drawn(rng))
+        """Draw W from `rng`, normal with the layer's init scale, one `CHUNK`
+        of the flat C-order weight at a time, and write each chunk wherever
+        the weight's values live before drawing the next. numpy draws a
+        normal array element by element, so the chunks hold the bytes of
+        one `rng.normal(0, scale, size=W.shape)` and leave `rng` as it
+        would: only a chunk is ever held."""
+        scale = _init_scale(self.spec)
+        size = self.W.value.size
+        for a in range(0, size, CHUNK):
+            self.W.write_part(a, rng.normal(0.0, scale, size=min(CHUNK, size - a)))
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -487,12 +513,16 @@ class Dense(Module):
         if self._cache is None:
             raise needs_train_forward(f"layer {self.name!r}")
         x, act_out, kept = self._cache
+        self._cache = None
         if kept is not None:
             grad = grad * self._dropout_mask(kept)
+        del kept
         grad = activation_backward(grad, act_out, self.spec.activation)
+        del act_out
         if self.bn is not None:
             grad = self.bn.backward(grad)
         self.W.add_product(x.T, grad)
+        del x
         self.b.grad += np.add.reduce(grad, axis=0)
         return grad @ self.W.read().T if input_grad else None
 
@@ -504,6 +534,10 @@ class Dense(Module):
 # deferred as products, its values and moments in the scratch file (see
 # `popgate.nn.optim`)
 SMALL_PRODUCT = 65536
+
+# the elements that a weight's draw, and an optimizer's step and scratch-file
+# reads and writes, take at a time
+CHUNK = 65536
 
 
 def _init_scale(spec: DenseLayerSpec) -> float:

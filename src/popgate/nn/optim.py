@@ -23,7 +23,9 @@ and its `value` becomes a read-only placeholder that holds no memory.
 Construction writes every wide weight's values there before any weight
 gives up its own array, skipping all-zero chunks (the file starts as
 zeros), so a model built with zero weights on unmapped pages, and then
-drawn one weight at a time (`Dense.draw`), never holds all its values.
+drawn one chunk of one weight at a time (`Dense.draw`, through
+`Weight.write_part`), never holds even one weight's values outside the
+slot.
 
 The slot. RAM holds one array the size of the largest wide weight, the
 slot, and in turn it holds:
@@ -82,11 +84,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import PopgateError
-from .layers import SMALL_PRODUCT, Param, Weight
+from .layers import CHUNK, SMALL_PRODUCT, Param, Weight
 
 ParamGroups = Sequence[tuple[Sequence[Param], float]]
-
-CHUNK = 65536
 
 
 class Adam:
@@ -254,14 +254,16 @@ class _ScratchFile:
         view.flags.writeable = False
         return view
 
-    def write_values(self, w: Weight, values: np.ndarray) -> None:
-        """Write `values`, of `w`'s shape, as `w`'s."""
+    def write_values(self, w: Weight, values: np.ndarray, start: int = 0) -> None:
+        """Write `values`, in C order, as `w`'s elements from `start`: all of
+        them by default, or else whole chunks (`Weight.write_part`)."""
         self.check_owner()
         if self.holds == w.at:
             self.holds = -1
         flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-        for a, n in _chunks(w.value.size):
-            self._move("pwritev", [flat[a : a + n]], 24 * (w.at + a) + 16 * n)
+        for a in range(0, flat.size, CHUNK):
+            n = min(CHUNK, w.value.size - start - a)
+            self._move("pwritev", [flat[a : a + n]], 24 * (w.at + start + a) + 16 * n)
 
     def copy_best(self, w: Weight, keep: bool) -> None:
         """Copy `w`'s values into the best region if `keep`, else back."""

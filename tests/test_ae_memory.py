@@ -1,6 +1,6 @@
 """ae-train holds one copy of each group's training rows while the group
 trains, and keeps and restores its best epoch without a RAM copy of its
-wide weights.
+wide weights; compress holds one encoder layer at a time.
 
 numpy reports each array buffer it allocates to `tracemalloc`, and a forked
 lane inherits its caller's traces, so each process reads the bytes it holds
@@ -24,8 +24,13 @@ import pytest
 import popgate
 import popgate.fusion.train
 import popgate.pipeline
-from popgate.autoenc.model import n_params
+from popgate.autoenc.model import encoder_specs, n_params
+from popgate.autoenc.train import CompressorEnsemble
 from popgate.cli import main
+from popgate.config import FeatureGroup
+from popgate.data.scaling import ScalerParams, scaler_apply
+from popgate.nn.checkpoint import save_checkpoint
+from popgate.nn.layers import MLP
 from popgate.tabular import write_csv, write_matrix_csv
 
 from _chain import write_config
@@ -148,3 +153,59 @@ print(rise, json.dumps([history, ref_history], sort_keys=True))
     assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
     P = n_params(2200, 50) * 8
     assert int(rise) < 1.2 * P, int(rise) / P
+
+
+def test_compress_holds_one_encoder_layer_at_a_time(tmp_path):
+    # a 4000 -> 2000 -> 1000 -> 64 encoder: 64, 16 and 0.5 MB of weights.
+    # compress reads each layer from the checkpoint just before it runs and
+    # drops it once it has run, so its peak rise is the largest layer and
+    # the batch's activations, not the 80.5 MB of all three. Resident bytes
+    # in a fresh process, not traced ones: a layer built to be loaded
+    # allocates zero weights and gradients on pages it never touches, which
+    # tracemalloc counts and the resident set does not
+    d, d_enc = 4000, 64
+    rng = np.random.default_rng(42)
+    encoder = MLP(encoder_specs(d, d_enc), rng, name="wide.enc")
+    assert len(encoder.layers) == 3
+    for layer in encoder.layers[:-1]:
+        layer.bn.running_mean[...] = rng.normal(size=layer.bn.running_mean.shape)
+        layer.bn.running_var[...] = rng.uniform(0.5, 2.0, size=layer.bn.running_var.shape)
+    scaler = ScalerParams("zscore", rng.normal(size=d), rng.uniform(0.5, 2.0, size=d),
+                          np.zeros(d, dtype=bool))
+    arrays = encoder.state_arrays("enc.")
+    arrays["scaler.center"] = scaler.center
+    arrays["scaler.scale"] = scaler.scale
+    arrays["scaler.degenerate"] = scaler.degenerate.astype(np.uint8)
+    save_checkpoint(tmp_path / "wide.npz", arrays, {})
+    X = rng.normal(size=(16, d))
+    np.save(tmp_path / "X.npy", X)
+    ens = CompressorEnsemble((FeatureGroup("wide", 0, d, d_enc),), 46,
+                             {"wide": tmp_path / "wide.npz"})
+    # bit for bit what the whole encoder, held at once, gives
+    whole = encoder.forward(scaler_apply(scaler, X), train=False)
+    assert ens.compress(X).tobytes() == whole.tobytes()
+    del encoder, arrays
+
+    code = f"""
+from pathlib import Path
+import numpy as np
+from popgate.autoenc.train import CompressorEnsemble
+from popgate.config import FeatureGroup
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+X = np.load({str(tmp_path / "X.npy")!r})
+ens = CompressorEnsemble((FeatureGroup("wide", 0, {d}, {d_enc}),), 46,
+                         {{"wide": Path({str(tmp_path / "wide.npz")!r})}})
+before = status("VmRSS")
+ens.compress(X)
+print(status("VmHWM") - before)
+"""
+    src = str(Path(popgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    rise = int(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout)
+    largest, rest = d * d // 2 * 8, (d // 2 * d // 4 + d // 4 * d_enc) * 8
+    assert largest < rise < largest + rest / 2, (rise, largest, rest)

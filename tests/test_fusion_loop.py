@@ -3,10 +3,12 @@
 The phases share one epoch loop; the references are the two hand-written
 loops it replaced. Histories must be equal and every state array bitwise
 equal, compared as `uint64` views so that `-0.0` counts. The settings make
-each run clip, cut its learning rate on a plateau and stop early.
+each run clip, cut its learning rate on a plateau and stop early. A
+backward consumes every cache its forward kept.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from popgate.nn.layers import SMALL_PRODUCT, Weight
 from popgate.seeding import rng_for
 
 from _oracles import ref_phase1_train, ref_phase2_train
+from test_fusion import _cache_of, _error_name, _modules
 
 DIMS = {"audio": 6, "lyrics": 8, "social": 4}
 # clip_norm is small enough that clipping fires, so the clip/step order shows
@@ -182,3 +185,24 @@ def test_a_fine_tuned_phase2_whose_initial_state_stays_best_matches_the_referenc
     assert len(_wide_weights(ours)) == 1 and copies == [True, False]
     _assert_same_state(ours.state_arrays(), ref.state_arrays())
     _assert_same_state(ours.state_arrays(), initial)
+
+
+def test_a_backward_consumes_every_cache_and_a_second_raises():
+    # the ensemble, the gate, its standardizers and every Dense and
+    # BatchNorm of branches and gate drop what the train forward kept as
+    # their backward reads it; a second backward of any has nothing to read
+    model = _model(seed=3)
+    xs, y, _, _ = _data(n=206)
+    xs = {m: x[:6] for m, x in xs.items()}
+    out = model.forward(xs, train=True, rng=rng_for(31, "dropout"))
+    cached = [m for m in _modules(model) if hasattr(m, "_cache") or hasattr(m, "_probs")]
+    assert {type(m).__name__ for m in cached} == {"Dense", "BatchNorm", "LearnableStandardize",
+                                                  "GatingNetwork", "GatedEnsemble"}
+    assert all(_cache_of(m) is not None for m in cached)
+    model.backward(out.yhat - y[:6], out.branch_yhat - y[:6, None])
+    for module in cached:
+        name = _error_name(module)
+        assert _cache_of(module) is None, name
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"{name}: backward needs a train-mode forward")):
+            module.backward(np.ones((6, 3)))

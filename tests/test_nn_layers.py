@@ -1,5 +1,7 @@
 """Forward-pass behavior of activations, batchnorm, dense blocks, and MLPs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,25 @@ def test_dense_backward_before_forward_raises():
     layer = Dense(_spec(), np.random.default_rng(0))
     with pytest.raises(RuntimeError, match="layer 'dense': backward needs a train-mode forward"):
         layer.backward(np.zeros((1, 2)))
+
+
+def test_a_backward_consumes_its_forwards_cache_and_a_second_raises():
+    # each Dense and BatchNorm drops what its train forward kept as its
+    # backward reads it, so a finished backward leaves no batch-sized array
+    # in the model, and a second backward has nothing to read
+    mlp = MLP([DenseLayerSpec(5, 4, Elu(), batchnorm=True, dropout_p=0.3),
+               DenseLayerSpec(4, 3, Identity())], np.random.default_rng(7))
+    out = mlp.forward(np.random.default_rng(8).normal(size=(6, 5)), train=True,
+                      rng=np.random.default_rng(9))
+    cached = {"layer 'mlp.0'": mlp.layers[0], "batchnorm 'mlp.0.bn'": mlp.layers[0].bn,
+              "layer 'mlp.1'": mlp.layers[1]}
+    assert all(module._cache is not None for module in cached.values())
+    mlp.backward(out)
+    for name, module in cached.items():
+        assert module._cache is None, name
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"{name}: backward needs a train-mode forward")):
+            module.backward(np.ones((6, 4)))
 
 
 def test_param_grads_accumulate_across_backwards():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import per_param_adam_step
+from popgate.config import Elu
 from popgate.exceptions import PopgateError
 from popgate.nn.layers import SMALL_PRODUCT, Dense, DenseLayerSpec, Param, Weight, snapshot_state
 from popgate.nn.optim import Adam, AdamW, clip_grad_norm
@@ -491,3 +492,48 @@ def test_a_short_write_while_building_closes_the_file_and_keeps_the_values(monke
         Adam(ws, lr=0.01)
     assert sorted(os.listdir("/proc/self/fd")) == fds
     assert [w.value for w in ws] == drawn and all(w.store is None for w in ws)
+
+
+# 700 x 390 is 4.17 chunks: the last one is short
+DRAWN = DenseLayerSpec(700, 390, Elu())
+
+
+def test_a_file_resident_draw_holds_one_whole_normal_draw_a_chunk_at_a_time():
+    layer = Dense(DRAWN, None)
+    opt = Adam(layer.params(), lr=0.01)
+    assert layer.W.store is opt._file and layer.W.value.size % CHUNK
+    rng = np.random.default_rng(40)
+    tracemalloc.start()
+    try:
+        layer.draw(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = np.random.default_rng(40)
+    whole = ref.normal(0.0, np.sqrt(2.0 / 700), size=(700, 390))
+    assert layer.W.read().tobytes() == whole.tobytes()
+    # the stream is left where the whole draw leaves it
+    assert rng.random() == ref.random()
+    # one chunk's draw at a time, not the weight
+    assert peak < 2 * 8 * CHUNK < layer.W.value.nbytes / 2, peak
+    # a layer built with the stream draws the same bytes into its own array
+    assert Dense(DRAWN, np.random.default_rng(40)).W.value.tobytes() == whole.tobytes()
+
+
+def test_a_short_write_in_a_draw_closes_the_file_names_it_and_draws_no_further(monkeypatch):
+    layer = Dense(DRAWN, None)
+    opt = Adam(layer.params(), lr=0.01)
+    real = os.pwritev
+    # the first chunk goes through; the second's write is short
+    calls = []
+    monkeypatch.setattr(os, "pwritev", lambda fd, bufs, offset:
+                        real(fd, bufs, offset) - 8 * (calls.append(offset) or len(calls) > 1))
+    rng = np.random.default_rng(41)
+    with pytest.raises(PopgateError) as info:
+        layer.draw(rng)
+    _assert_closed_and_named(info, opt._file, f"pwritev moved {8 * CHUNK - 8} of {8 * CHUNK}"
+                                              f" bytes at byte {24 * CHUNK + VALUES_AT}")
+    # the draw stopped at the chunk whose write failed
+    ref = np.random.default_rng(41)
+    ref.normal(size=2 * CHUNK)
+    assert rng.random() == ref.random()
