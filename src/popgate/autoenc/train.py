@@ -84,10 +84,12 @@ def train_group_autoencoder(
         rows = X[idx]
         return scaler_apply(scaler, rows, out=rows)
 
-    # the model is built with zero weights on unmapped pages, so the
-    # optimizer's scratch file takes no values from it; then each layer's W
-    # is drawn from the group's init stream, in layer order, and written
-    # there before the next is drawn
+    # the model is built with zero weights, so the optimizer's scratch file
+    # takes no values from it, and a wide weight's zeros sit on unmapped
+    # pages (malloc maps it on its own: it is at least the mmap threshold
+    # that `popgate.cli` pins); then each layer's W is drawn from the
+    # group's init stream, in layer order, and written there before the
+    # next is drawn
     model = Autoencoder(group.d, group.d_enc, None, name=group.name)
     opt = Adam(model.params(), lr=cfg.lr)
     init_rng = rng_for(seed, f"ae-init-{group.name}")

@@ -10,11 +10,23 @@ Every process runs BLAS on one thread, whatever the caller's environment
 says: a product split over more threads sums in another order, and the
 artifacts' last bits would depend on the thread count. The steps that have
 independent work spread it over the cores themselves (`popgate.lanes`).
+
+Every process also pins glibc's mmap threshold at `MMAP_THRESHOLD` bytes
+(`mallopt`), so that malloc maps each block of that size or more on its
+own and unmaps it when freed. Left to itself, glibc raises the threshold
+to the largest mapped block freed so far (up to 32 MiB): once a step has
+freed its parsed matrix, every activation of a training step would go on
+the heap, and the holes freed there would stay resident and count in the
+step's peak. The pin also keeps true what the layers assume of a wide
+weight's `np.zeros` arrays: fresh mappings, whose pages stay unmapped until
+written. Forked lanes and matrix-CSV workers inherit it. Where the C
+library has no `mallopt`, or refuses the value, the pin is skipped.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -23,6 +35,22 @@ from pathlib import Path
 # before anything imports numpy: BLAS reads these once, when it loads
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+# the bytes of `popgate.nn.layers.SMALL_PRODUCT` float64s, the smallest wide
+# weight (not imported from there: the CLI loads no step package)
+MMAP_THRESHOLD = 65536 * 8
+_M_MMAP_THRESHOLD = -3  # glibc's <malloc.h>
+
+
+def _pin_mmap_threshold() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # no such C library or function
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)  # returns 0 where it refuses the value
+
+
+_pin_mmap_threshold()
 
 from .exceptions import ConfigError, MissingInputError, PopgateError  # noqa: E402
 from .pipeline import DEFAULT_SEED, SUBCOMMANDS, run_command  # noqa: E402

@@ -37,7 +37,11 @@ class Param:
     """A trainable tensor paired with its gradient accumulator.
 
     The grad starts as `np.zeros`, whose pages stay unmapped until first
-    written, so a model that only runs inference never pays for it. An
+    written, so a model that only runs inference never pays for it: so long
+    as malloc maps the array on its own, as glibc does from its mmap
+    threshold, which every CLI process pins at 512 KiB (`popgate.cli`).
+    Below it, or in a process where glibc has raised it, calloc may zero
+    the array by writing it on reused heap. An
     optimizer moves both arrays into its arena (see `popgate.nn.optim`),
     except those of a wide `Weight`. Layers and state walkers read the
     values through `read()` and write them through `write()`; clipping and
@@ -455,7 +459,8 @@ class Dense(Module):
     dropout draw for `backward`; `forward(x, train=False)` keeps nothing.
 
     `rng` draws the initial weights (`draw`); None leaves them zero
-    (unmapped pages), for a layer whose state is loaded or drawn next."""
+    (unmapped pages, for a W of at least malloc's mmap threshold; see
+    `Param`), for a layer whose state is loaded or drawn next."""
 
     def __init__(self, spec: DenseLayerSpec, rng: np.random.Generator | None, name: str = "dense"):
         self.spec = spec

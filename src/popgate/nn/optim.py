@@ -25,7 +25,11 @@ gives up its own array, skipping all-zero chunks (the file starts as
 zeros), so a model built with zero weights on unmapped pages, and then
 drawn one chunk of one weight at a time (`Dense.draw`, through
 `Weight.write_part`), never holds even one weight's values outside the
-slot.
+slot. Those pages stay unmapped because malloc maps each wide weight's
+zero array on its own: a wide weight is at least `SMALL_PRODUCT` float64s,
+the mmap threshold that every CLI process pins (`popgate.cli`). In a
+process where glibc has raised its threshold, calloc may zero a weight on
+reused heap by writing it.
 
 The slot. RAM holds one array the size of the largest wide weight, the
 slot, and in turn it holds:

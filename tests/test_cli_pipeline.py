@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import popgate.cli
 import popgate.pipeline
 from popgate.autoenc.train import registry_hash
 from popgate.cli import build_parser, main
@@ -25,6 +27,7 @@ from popgate.config import FeatureGroup
 from popgate.exceptions import MissingInputError
 from popgate.metrics import compute_metrics
 from popgate.nn.checkpoint import load_checkpoint
+from popgate.nn.layers import SMALL_PRODUCT
 from popgate.tabular import read_columns, read_matrix_csv, write_csv
 
 from _chain import CHAIN, chain_config, run_chain, write_config
@@ -1120,6 +1123,101 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             audio[threads] = (ws / "data/audio.csv").read_bytes()
         assert audio["1"] == audio["2"]
+
+
+# frees a 24 MiB array, which at glibc's defaults raises its mmap threshold
+# to 24 MiB, then allocates sixteen 2 MiB arrays interleaved with kept
+# 625 KiB ones and frees the 2 MiB ones; prints [RssAnon growth, kept bytes]
+# measured in the process that imported popgate.cli or, with argv "lane",
+# in a forked `run_lanes` lane
+_HEAP_SLACK = """
+import json, os, sys
+import popgate.cli
+import numpy as np
+from popgate.lanes import run_lanes
+
+def rss_anon():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("RssAnon:"))
+
+def pattern():
+    big = np.ones(24 << 17)
+    del big
+    before = rss_anon()
+    kept, freed = [], []
+    for _ in range(16):
+        freed.append(np.ones(2 << 17))
+        kept.append(np.ones(80000))
+    del freed
+    return rss_anon() - before, sum(a.nbytes for a in kept)
+
+if sys.argv[1:] == ["lane"]:
+    os.sched_getaffinity = lambda pid: {0, 1}
+    lanes = run_lanes("test", {"caller": (2.0, os.getpid), "lane": (1.0, lambda: (os.getpid(), pattern()))})
+    assert lanes["lane"][0] not in (lanes["caller"], os.getpid())
+    print(json.dumps(lanes["lane"][1]))
+else:
+    print(json.dumps(pattern()))
+"""
+
+# runs `popgate.cli.main(argv[2:])` where `ctypes.CDLL(None)` is a C library
+# without `mallopt` (argv[1] "none") or one whose `mallopt` refuses every
+# value ("refusing"); prints the calls made to it on stderr
+_STUBBED_LIBC = """
+import ctypes, json, sys
+calls, real = [], ctypes.CDLL
+
+class Libc:
+    pass
+
+if sys.argv[1] == "refusing":
+    def mallopt(param, value):
+        calls.append([param, value])
+        return 0
+    Libc.mallopt = staticmethod(mallopt)
+ctypes.CDLL = lambda name, *args, **kwargs: Libc() if name is None else real(name, *args, **kwargs)
+import popgate.cli
+rc = popgate.cli.main(sys.argv[2:])
+print(json.dumps(calls), file=sys.stderr)
+raise SystemExit(rc)
+"""
+
+
+def _run_src(script: str, *argv: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", script, *argv],
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestMmapThreshold:
+    """Every CLI process pins glibc's mmap threshold, so a freed array of
+    `MMAP_THRESHOLD` bytes or more goes back to the kernel."""
+
+    def test_the_threshold_is_the_bytes_of_the_smallest_wide_weight(self):
+        assert popgate.cli.MMAP_THRESHOLD == SMALL_PRODUCT * np.dtype(np.float64).itemsize
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(),
+                        reason="glibc's malloc and /proc/self/status only")
+    @pytest.mark.parametrize("where", ["caller", "lane"])
+    def test_freed_arrays_leave_no_resident_heap(self, where):
+        # without the pin, the freed 2 MiB arrays stay on the heap between
+        # the kept ones: RssAnon grows by ~41.7 MiB, not ~9.8
+        proc = _run_src(_HEAP_SLACK, *(["lane"] if where == "lane" else []))
+        assert proc.returncode == 0, proc.stderr
+        grown, kept = json.loads(proc.stdout)
+        assert kept <= grown < kept + (2 << 20), (grown / 2**20, kept / 2**20)
+
+    @pytest.mark.parametrize("libc", ["none", "refusing"])
+    def test_a_step_runs_where_the_c_library_has_no_pin(self, chain_ws, tmp_path, libc):
+        ws, _ = chain_ws
+        cfg_path = _copy_ws(ws, tmp_path / "ws")
+        (cfg_path.parent / "out/metrics.json").unlink()
+        proc = _run_src(_STUBBED_LIBC, libc, "evaluate", "--config", str(cfg_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (cfg_path.parent / "out/metrics.json").read_bytes() == (ws / "out/metrics.json").read_bytes()
+        calls = json.loads(proc.stderr.splitlines()[-1])
+        assert calls == ([] if libc == "none" else [[-3, popgate.cli.MMAP_THRESHOLD]])
 
 
 class TestTracedRun:
