@@ -4,7 +4,8 @@ Usage: ``popgate <subcommand> --config run.json [--seed N] [--workspace DIR]``.
 Every option can also come from the environment (POPGATE_CONFIG,
 POPGATE_SEED, POPGATE_WORKSPACE) or from top-level config keys; flags win
 over the environment, which wins over the config file. Exit codes: 0 ok,
-1 generic failure, 2 missing input, 3 bad config, 4 shape mismatch.
+1 generic failure (an I/O error included), 2 missing input, 3 bad config,
+4 shape mismatch.
 
 Every process runs BLAS on one thread, whatever the caller's environment
 says: a product split over more threads sums in another order, and the
@@ -136,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     except PopgateError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(summary)

@@ -21,10 +21,10 @@ whole draw, and a draw holds no weight-sized array of its own.
 from __future__ import annotations
 
 import math
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class Param:
         """Copy `values`, of the param's shape, into the values."""
         self.value[...] = values
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def gradient(self) -> np.ndarray:
         """The accumulated gradient."""
         return self.grad
@@ -81,9 +78,6 @@ class Param:
     def release_grad(self) -> None:
         """Give the param its own zeroed gradient, apart from any optimizer."""
         self.grad = np.zeros(self.value.shape)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Param({self.name or 'unnamed'}, shape={self.value.shape})"
 
 
 class Weight(Param):
@@ -142,12 +136,6 @@ class Weight(Param):
         products recorded."""
         self.grad = None
         self.products, self.factors = [], []
-
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.defer()
-        else:
-            super().zero_grad()
 
     def add_product(self, a: np.ndarray, b: np.ndarray) -> None:
         """`grad += a @ b`."""
@@ -247,12 +235,12 @@ class Module:
                 part.value = np.asarray(arrays[key], dtype=np.float64)
 
 
-class StateArrays(MutableMapping):
+class StateArrays(Mapping):
     """A model's state arrays by key, in checkpoint order. Looking up a
     param's key reads its values (`Param.read`), so a file-resident
     weight's array is valid only until its file's slot is next read: take
-    one at a time, as `save_checkpoint` does. A key set here holds the plain
-    array given."""
+    one at a time, as `save_checkpoint` does. A key set here, as
+    `_save_group` sets the scaler's, holds the plain array given."""
 
     def __init__(self, parts: Iterable[tuple[str, "Param | np.ndarray"]]):
         self._parts = dict(parts)
@@ -263,9 +251,6 @@ class StateArrays(MutableMapping):
 
     def __setitem__(self, key: str, value: np.ndarray) -> None:
         self._parts[key] = value
-
-    def __delitem__(self, key: str) -> None:
-        del self._parts[key]
 
     def __contains__(self, key: object) -> bool:
         return key in self._parts

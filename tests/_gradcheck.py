@@ -1,4 +1,5 @@
-"""Finite-difference gradient verification.
+"""Finite-difference gradient verification, and zeroing gradients outside
+an optimizer.
 
 Central differences:  dL/dw  ~=  (L(w+h) - L(w-h)) / (2h)
 
@@ -9,11 +10,23 @@ measures noise, not the derivative.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .layers import Param
+from popgate.nn.layers import Param, Weight
+
+
+def zero_grads(params: Iterable[Param]) -> None:
+    """Zero each param's gradient, as an optimizer's `zero_grad` does for
+    the params it holds: a `Weight` whose gradient is deferred is deferred
+    again (its recorded products dropped), and any other gradient is filled
+    with zeros in place."""
+    for p in params:
+        if isinstance(p, Weight) and p.grad is None:
+            p.defer()
+        else:
+            p.grad[...] = 0.0
 
 
 def numerical_gradient(

@@ -40,11 +40,11 @@ from popgate.fusion.train import phase1_train, phase2_train
 from popgate.metrics import compute_metrics, gate_report
 from popgate.nn.layers import MLP, DenseLayerSpec
 from popgate.nn.losses import mse_loss
-from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
 
 from _chain import CHAIN, run_chain
 from _eventgen import random_event_log, random_track_artist, write_log_file
+from _gradcheck import check_gradients, zero_grads
 from _oracles import naive_ctd_matrix, pca_holdout_relmse
 
 GRAD_TOL = 1e-4
@@ -134,8 +134,7 @@ def test_criterion_01_gradient_fidelity():
         return mse_loss(mlp.forward(x, train=True, rng=rng_for(49, "acc-drop")), y)[0]
 
     def mlp_loss_and_backward():
-        for p in mlp.params():
-            p.zero_grad()
+        zero_grads(mlp.params())
         loss, d = mse_loss(mlp.forward(x, train=True, rng=rng_for(49, "acc-drop")), y)
         mlp.backward(d)
         return loss
@@ -153,8 +152,7 @@ def test_criterion_01_gradient_fidelity():
         return ae_loss(xa, x_hat, z, lam)[0].total
 
     def ae_loss_and_backward():
-        for p in ae.params():
-            p.zero_grad()
+        zero_grads(ae.params())
         x_hat, z = ae.forward(xa, train=True, rng=rng_for(52, "acc-ae-drop"))
         terms, d_xhat, d_z = ae_loss(xa, x_hat, z, lam)
         ae.backward(d_xhat, d_z)
@@ -178,8 +176,7 @@ def test_criterion_01_gradient_fidelity():
         return ensemble_loss(yv, out, final_only)[0].total
 
     def gate_loss_and_backward():
-        for p in model.params():
-            p.zero_grad()
+        zero_grads(model.params())
         out = model.forward(xs, train=True, rng=rng_for(56, "acc-drop2"))
         breakdown, d_yhat, _ = ensemble_loss(yv, out, final_only)
         model.backward(d_yhat, None, into_branches=False)
@@ -200,8 +197,7 @@ def test_criterion_01_gradient_fidelity():
         return ensemble_loss(yv, out, joint)[0].total
 
     def joint_loss_and_backward():
-        for p in params:
-            p.zero_grad()
+        zero_grads(params)
         out = model.forward(xs, train=True, rng=rng_for(57, "acc-drop3"))
         breakdown, d_yhat, d_branch = ensemble_loss(yv, out, joint)
         model.backward(d_yhat, d_branch)

@@ -9,6 +9,7 @@ import pytest
 
 import popgate.autoenc.train
 import popgate.nn.optim
+from _gradcheck import check_gradients, zero_grads
 from _oracles import (
     naive_rel_mse,
     pca_holdout_relmse,
@@ -28,7 +29,6 @@ from popgate.config import AETrainConfig, FeatureGroup, default_registry, valida
 from popgate.data.scaling import scaler_apply
 from popgate.exceptions import ConfigError, MissingInputError, ShapeError
 from popgate.nn.control import TrainControl
-from popgate.nn.gradcheck import check_gradients
 from popgate.nn.layers import SMALL_PRODUCT, Weight
 from popgate.nn.optim import Adam
 from popgate.seeding import rng_for
@@ -163,8 +163,7 @@ def test_ae_composite_loss_gradient_check():
         return terms.total
 
     def loss_and_backward():
-        for p in ae.params():
-            p.zero_grad()
+        zero_grads(ae.params())
         x_hat, z = ae.forward(x, train=True, rng=np.random.default_rng(77))
         terms, d_xhat, d_z = ae_loss(x, x_hat, z, lam)
         ae.backward(d_xhat, d_z)

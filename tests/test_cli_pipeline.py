@@ -299,6 +299,20 @@ class TestCliContract:
         p = write_config(tmp_path, {"seed": 1}, "nosec.json")
         assert main(["synth", "--config", str(p)]) == 3
 
+    def test_an_os_error_exits_1_with_one_error_line_naming_the_path(self, tmp_path):
+        # synth makes its out_dir below a regular file
+        root = Path(__file__).resolve().parents[1]
+        (tmp_path / "blocker").write_text("")
+        cfg = {"synth": {**chain_config()["synth"], "out_dir": "blocker/data"}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "popgate.cli", "synth", "--config", str(write_config(tmp_path, cfg))],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "blocker/data" in line
+
     def test_ctd_extract_fills_every_catalog_row_including_duplicates(self, tmp_path, capsys):
         (tmp_path / "events.csv").write_text(
             "user_id,track_id,timestamp\nu1,t2,1514764800\nu2,t2,1514764800\nu1,t9,1514764800\n"

@@ -22,8 +22,9 @@ from popgate.fusion.train import phase1_train, phase2_train
 from popgate.metrics import compute_metrics, gate_report
 from popgate.nn.layers import BatchNorm, Dense, Module, Param
 from popgate.nn.optim import Adam
-from popgate.nn.gradcheck import check_gradients
 from popgate.seeding import rng_for
+
+from _gradcheck import check_gradients, zero_grads
 
 TOL = 1e-4
 
@@ -173,8 +174,7 @@ class TestLearnableStandardize:
             return float(np.sum(weights * std.forward(hp.value)))
 
         def loss_and_backward():
-            for p in (std.shift, std.scale, hp):
-                p.zero_grad()
+            zero_grads((std.shift, std.scale, hp))
             out = std.forward(hp.value, train=True)
             hp.grad += std.backward(weights)
             return float(np.sum(weights * out))
@@ -449,8 +449,7 @@ class TestEndToEndGradients:
             return ensemble_loss(y, run_forward(), weights)[0].total
 
         def loss_and_backward():
-            for p in params:
-                p.zero_grad()
+            zero_grads(params)
             breakdown, d_yhat, d_branch = ensemble_loss(y, run_forward(), weights)
             model.backward(d_yhat, d_branch)
             return breakdown.total
@@ -463,8 +462,7 @@ class TestEndToEndGradients:
         # phase 2's frozen pass: eval-mode branches, a train-mode gate
         model = tiny_model(dropout=0.0)
         _perturb(model.params(), rng_for(44, "perturb"))
-        for p in model.params():
-            p.zero_grad()
+        zero_grads(model.params())
         out = model.forward(rand_inputs(n=8, seed=45), train=True, branch_train=False,
                             rng=rng_for(47, "dropout"))
         y = rng_for(46, "y").uniform(0, 1, size=8)

@@ -1,6 +1,7 @@
 """Independent jobs spread over one lane per core: the lane plan, the error
 rules, and ae-train and train-phase1 at forced lane counts."""
 
+import errno
 import os
 import shutil
 import signal
@@ -160,6 +161,16 @@ class TestRunLanes:
 
         with pytest.raises(PopgateError, match=r"^Local: 1\+2$"):
             run_lanes("step", {"big": (9.0, lambda: 0), "local": (1.0, job)})
+
+    @pytest.mark.parametrize("forced_lanes", [2], indirect=True)
+    def test_an_os_error_in_a_lane_keeps_its_type_and_path(self, forced_lanes):
+        # so that `popgate.cli.main` reports it as it does one in the caller
+        def job():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", "blocker/data")
+
+        with pytest.raises(NotADirectoryError, match=r"Not a directory: 'blocker/data'$") as info:
+            run_lanes("step", {"big": (9.0, lambda: 0), "lane": (1.0, job)})
+        assert info.value.filename == "blocker/data"
 
 
 # Three jobs per step, the heaviest last, so that it runs in the calling

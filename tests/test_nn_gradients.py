@@ -10,7 +10,8 @@ import pytest
 from popgate.config import Elu, Identity, LeakyRelu, Sigmoid
 from popgate.nn.layers import MLP, Dense, DenseLayerSpec, Param
 from popgate.nn.losses import mse_loss, softmax, softmax_backward
-from popgate.nn.gradcheck import check_gradients, max_relative_error, numerical_gradient
+
+from _gradcheck import check_gradients, max_relative_error, numerical_gradient, zero_grads
 
 TOL = 1e-4
 
@@ -27,8 +28,7 @@ def _grad_check_mlp(specs, seed=0, batch=8):
         return mse_loss(out, y)[0]
 
     def loss_and_backward():
-        for p in mlp.params():
-            p.zero_grad()
+        zero_grads(mlp.params())
         out = mlp.forward(x, train=True, rng=np.random.default_rng(drop_seed))
         loss, grad = mse_loss(out, y)
         mlp.backward(grad)

@@ -20,6 +20,8 @@ from popgate.nn.layers import (
 from popgate.nn.optim import clip_grad_norm
 from popgate.nn.optim import Adam
 
+from _gradcheck import zero_grads
+
 
 # --- activations ------------------------------------------------------------
 
@@ -229,7 +231,7 @@ def test_param_grads_accumulate_across_backwards():
     layer.forward(x, train=True)
     layer.backward(g)
     assert np.allclose(layer.W.grad, 2.0 * first)
-    layer.W.zero_grad()
+    zero_grads([layer.W])
     assert np.all(layer.W.grad == 0.0)
 
 
@@ -334,8 +336,7 @@ def test_file_resident_weights_give_the_resident_twins_outputs_and_gradients():
     x = np.random.default_rng(6).normal(size=(16, 300))
     for step in range(2):
         opt.zero_grad()
-        for p in resident.params():
-            p.zero_grad()
+        zero_grads(resident.params())
         outs = [m.forward(x, train=True, rng=np.random.default_rng(7 + step))
                 for m in (filed, resident)]
         assert _bits(outs[0]) == _bits(outs[1])

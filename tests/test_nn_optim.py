@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _gradcheck import zero_grads
 from _oracles import per_param_adam_step
 from popgate.config import Elu
 from popgate.exceptions import PopgateError
@@ -37,7 +38,7 @@ def test_adam_hand_rolled_two_steps():
     theta, m, v = 1.0, 0.0, 0.0
     for t in (1, 2):
         g = 2.0 * theta  # gradient of theta^2
-        p.zero_grad()
+        zero_grads([p])
         p.grad[:] = 2.0 * p.value
         opt.step()
         m = b1 * m + (1 - b1) * g
@@ -51,7 +52,7 @@ def test_adam_minimizes_quadratic():
     opt = Adam([p], lr=0.05)
     target = np.array([1.0, 2.0])
     for _ in range(2000):
-        p.zero_grad()
+        zero_grads([p])
         p.grad[:] = 2.0 * (p.value - target)
         opt.step()
     assert np.allclose(p.value, target, atol=1e-4)
@@ -227,8 +228,7 @@ def _clipped_steps_match_per_param(shapes, wide, n_front, decay, steps, seed):
         assert factor == clip_grad_norm(ref, 1.0)
         opt.step()
         per_param_adam_step([r.value for r in ref], [r.grad for r in ref], ms, vs, decays, t, lr=0.01)
-        for r in ref:
-            r.zero_grad()
+        zero_grads(ref)
     for p, r in zip(params, ref):
         assert p.read().tobytes() == r.value.tobytes(), p.name
     stored = [i for i, w in enumerate(wide) if not w]

@@ -71,27 +71,28 @@ def run_step(step: str, cfg_path: Path) -> tuple[int, float, float, float, int]:
             usage.ru_minflt)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) not in (3, 4):
-        print(__doc__, file=sys.stderr)
-        return 2
-    name, seed, workspace = argv[0], int(argv[1]), Path(argv[2])
+def chain_config(name: str, seed: int, rows: int | None = None) -> dict:
+    """The config of chain NAME at SEED, with ROWS tracks if given. A
+    ValueError names the NAMEs there are."""
     wl = _workloads()
     if name == "readme":
         config = {**copy.deepcopy(wl.README_CONFIG), "seed": seed}
     elif name in wl.CHAIN_OVERRIDES:
         config = wl.chain_config(name, seed)
     else:
-        print(f"error: NAME must be readme or one of {sorted(wl.CHAIN_OVERRIDES)}", file=sys.stderr)
-        return 2
-    if len(argv) == 4:
-        config["synth"]["n_samples"] = int(argv[3])
-    if workspace.exists() and any(workspace.iterdir()):
-        print(f"error: workspace {workspace} is not empty", file=sys.stderr)
-        return 2
+        raise ValueError(f"NAME must be readme or one of {sorted(wl.CHAIN_OVERRIDES)}")
+    if rows is not None:
+        config["synth"]["n_samples"] = rows
+    return config
+
+
+def run_chain(config: dict, workspace: Path) -> int:
+    """Write `config` to WORKSPACE/run.json and run the chain's steps, each
+    as its own process, with one line per step on stderr -> 0, or 1 once a
+    step fails."""
     cfg_path = workspace / "run.json"
     write_json(cfg_path, config)
-    for step in wl.CHAIN:
+    for step in _workloads().CHAIN:
         sys.stderr.flush()
         rc, wall, rss_mb, written_mb, minflt = run_step(step, cfg_path)
         print(f"{step}: {wall:.2f} s, peak RSS {rss_mb:.1f} MB, wrote {written_mb:.1f} MB, "
@@ -99,6 +100,24 @@ def main(argv: list[str]) -> int:
         if rc != 0:
             print(f"error: {step} exited {rc}", file=sys.stderr)
             return 1
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (3, 4):
+        print(__doc__, file=sys.stderr)
+        return 2
+    name, seed, workspace = argv[0], int(argv[1]), Path(argv[2])
+    try:
+        config = chain_config(name, seed, int(argv[3]) if len(argv) == 4 else None)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    if workspace.exists() and any(workspace.iterdir()):
+        print(f"error: workspace {workspace} is not empty", file=sys.stderr)
+        return 2
+    if run_chain(config, workspace) != 0:
+        return 1
     for path in sorted(p for d in ARTIFACT_DIRS for p in (workspace / d).rglob("*") if p.is_file()):
         with open(path, "rb") as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
